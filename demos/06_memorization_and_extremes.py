@@ -42,12 +42,11 @@ model = rs.RolloutSeries(
 region = rs.RegionSpec("tropics", -20, 20, 0, 360)
 thresholds = rs.pooled_percentiles(reference, "T2m", region,
                                    [0.1, 10, 20, 80, 90, 99.9])
-events = rs.event_series(model, "T2m", region, thresholds)
-print(f"{region.name}: P90={events.p90:.2f} P10={events.p10:.2f}, "
-      f"hot steps {int(events.hot.sum())}, cold steps {int(events.cold.sum())}")
-
 ref_ext = rs.regional_extreme_series(reference, "T2m", region)
 mod_ext = rs.regional_extreme_series(model, "T2m", region)
+events = rs.event_series(mod_ext, model.timestamps, region.name, thresholds)
+print(f"{region.name}: P90={events.p90:.2f} P10={events.p10:.2f}, "
+      f"hot steps {int(events.hot.sum())}, cold steps {int(events.cold.sum())}")
 qq = rs.qq_tails(mod_ext.max, ref_ext.max, "hot")
 below = float((qq.model < qq.reference).mean())
 print(f"hot-tail QQ: {below:.0%} of levels below the diagonal "

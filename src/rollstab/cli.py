@@ -190,31 +190,24 @@ def cmd_blowup(args) -> int:
     return 0
 
 
-def _band_large_daily(path, variable):
-    r = gridio.read_rollout(path)
-    spec = spectra.spectrum_series(r, variable, daily=True)
-    return gridio.DailySeries(spec.timestamps.astype("datetime64[D]"), spec.band_large)
-
-
 def cmd_seasonality(args) -> int:
     inputs = {"input": args.input}
     if args.envelope:
         env = climatology.ClimatologyEnvelope.load(args.envelope)
         inputs["envelope"] = args.envelope
     elif args.reference:
-        ref = gridio.read_rollout(args.reference)
-        env = climatology.build_envelope(
-            ref, climatology.band_statistic(args.variable, "large"),
-            name=f"band_large[{args.variable}]",
-        )
+        ref_spec = spectra.spectrum_series(gridio.read_rollout(args.reference), args.variable,
+                                           daily=True)
+        env = climatology.build_envelope(ref_spec.daily_band("large"),
+                                         name=f"band_large[{args.variable}]")
         inputs["reference"] = args.reference
     else:
         raise ValueError("need --envelope or --reference to define the climatology")
     if args.save_envelope:
         env.save(args.save_envelope, extra={"manifest": _manifest(args, inputs)})
-    daily = _band_large_daily(args.input, args.variable)
-    res = detectors.detect_seasonality_loss(daily, env, multiplier=args.multiplier,
-                                            run_days=args.run_days)
+    spec = spectra.spectrum_series(gridio.read_rollout(args.input), args.variable, daily=True)
+    res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
+                                            multiplier=args.multiplier, run_days=args.run_days)
     doc = {
         "seasonality_loss_day": res.day,
         "censored": res.day is None,
@@ -352,8 +345,8 @@ def cmd_extremes(args) -> int:
         )
         model_ext = extremes.regional_extreme_series(model, args.variable, region)
         ref_ext = extremes.regional_extreme_series(reference, args.variable, region)
-        ev_model = extremes.event_series(model, args.variable, region, thr)
-        ev_ref = extremes.event_series(reference, args.variable, region, thr)
+        ev_model = extremes.event_series(model_ext, mt, region.name, thr)
+        ev_ref = extremes.event_series(ref_ext, rt, region.name, thr)
 
         qq_hot = extremes.qq_tails(model_ext.max[msel], ref_ext.max[rsel], "hot")
         qq_cold = extremes.qq_tails(model_ext.min[msel], ref_ext.min[rsel], "cold")
@@ -617,32 +610,47 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sps
 
 
+def _apply_config(argv: list[str], sps: dict) -> None:
+    """Make the ``--config FILE`` JSON the invoked subcommand's flag defaults.
+
+    Any other spelling of the flag, and any key that is not a flag of the
+    subcommand, is rejected rather than ignored.
+    """
+    for tok in argv:
+        opt = tok.partition("=")[0]
+        if tok != "--config" and len(opt) > 2 and "--config".startswith(opt):
+            raise ValueError(f"{tok!r}: give the config file as '--config FILE'")
+    if "--config" not in argv:
+        return
+    i = argv.index("--config")
+    if i + 1 >= len(argv):
+        raise ValueError("--config needs a file argument")
+    with open(argv[i + 1]) as f:
+        overrides = json.load(f)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{argv[i + 1]}: config must be a JSON object of flag defaults")
+    name = next((a for a in argv if not a.startswith("-")), None)
+    sp = sps.get(name)
+    if sp is None:
+        return  # argparse reports the missing or unknown subcommand
+    flags = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    applied = {}
+    for key, value in overrides.items():
+        dest = key.replace("-", "_")
+        if dest not in flags:
+            raise ValueError(f"config key {key!r} is not a flag of 'rollstab {name}'")
+        flags[dest].required = False
+        applied[dest] = value
+    sp.set_defaults(**applied)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sps = build_parser()
-
-    # apply --config JSON as flag defaults before parsing
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            parser.error("--config needs a file argument")
-        try:
-            with open(argv[i + 1]) as f:
-                overrides = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"rollstab: cannot read config: {e}", file=sys.stderr)
-            return 2
-        for sp in sps.values():
-            known = {a.dest for a in sp._actions}
-            applied = {k.replace("-", "_"): v for k, v in overrides.items()
-                       if k.replace("-", "_") in known}
-            sp.set_defaults(**applied)
-            for action in sp._actions:
-                if action.dest in applied:
-                    action.required = False
-
-    args = parser.parse_args(argv)
     try:
+        _apply_config(argv, sps)
+        args = parser.parse_args(argv)
+        spectra.thread_count()  # a bad ROLLOUT_STAB_THREADS fails every subcommand
         return args.func(args)
     except PreconditionError as e:
         print(f"rollstab: precondition not met: {e}", file=sys.stderr)

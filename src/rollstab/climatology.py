@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .gridio import (
     folded_doy,
     region_mask,
 )
-from . import spectra as _spectra
 
 
 class EnvelopeCoverageError(PreconditionError):
@@ -90,17 +88,11 @@ class ClimatologyEnvelope:
             return cls.from_dict(json.load(f))
 
 
-def build_envelope(
-    reference: RolloutSeries,
-    statistic: Callable[[RolloutSeries], DailySeries],
-    name: str = "statistic",
-) -> ClimatologyEnvelope:
-    """Envelope of a daily statistic over the reference years.
+def build_envelope(daily: DailySeries, name: str = "statistic") -> ClimatologyEnvelope:
+    """Envelope of a reference's daily statistic over its years.
 
-    ``statistic`` extracts a DailySeries from the reference series. Every
-    day of year must be covered by at least two distinct years.
+    Every day of year must be covered by at least two distinct years.
     """
-    daily = statistic(reference)
     doys = folded_doy(daily.dates)
     years = daily.dates.astype("datetime64[Y]").astype(int) + 1970
     mean = np.full(365, np.nan)
@@ -123,16 +115,6 @@ def build_envelope(
         max=hi,
         year_span=(int(years.min()), int(years.max())),
     )
-
-
-def band_statistic(v: str, band: str = "large") -> Callable[[RolloutSeries], DailySeries]:
-    """Statistic extractor: daily mean of one spectral band of variable v."""
-
-    def stat(r: RolloutSeries) -> DailySeries:
-        spec = _spectra.spectrum_series(r, v, daily=True)
-        return DailySeries(spec.timestamps.astype("datetime64[D]"), spec.band(band))
-
-    return stat
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ rollout's own first two days.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter1d
 
-from .climatology import ClimatologyEnvelope, build_envelope, band_statistic
+from .climatology import ClimatologyEnvelope, build_envelope
 from .gridio import (
     DailySeries,
     PreconditionError,
@@ -29,7 +28,7 @@ from .gridio import (
     require_finite,
     spatial_extremes,
 )
-from .spectra import BandUnresolvedError, SpectrumSeries, spectrum_series, thread_count
+from .spectra import BandUnresolvedError, SpectrumSeries, spectrum_series
 
 
 class SeriesTooShortError(PreconditionError):
@@ -379,34 +378,26 @@ def build_report(
     steps_per_day = 86400.0 / prediction.step_seconds
     rep = StabilityReport(name=name, horizon_days=prediction.horizon_days, variables=shared)
 
-    def one(v: str):
+    for v in shared:
         ext = spatial_extremes(prediction, v)
         require_finite(prediction, v)
-        blow = detect_blowup(
+        rep.blowup[v] = detect_blowup(
             ext.min, ext.max, steps_per_day=steps_per_day, window_days=window_days,
             smoothing_days=smoothing_days, r2_threshold=r2_threshold,
         )
-        envelope = build_envelope(reference, band_statistic(v, "large"), name=f"band_large[{v}]")
+        # each run is transformed once; the reference spectra feed both the
+        # envelope and the small-scale ratios
+        ref_spec = spectrum_series(reference, v, daily=True)
+        envelope = build_envelope(ref_spec.daily_band("large"), name=f"band_large[{v}]")
         spec = spectrum_series(prediction, v, daily=True)
-        daily = DailySeries(spec.timestamps.astype("datetime64[D]"), spec.band_large)
-        season = detect_seasonality_loss(daily, envelope, multiplier=multiplier, run_days=run_days)
+        rep.seasonality[v] = detect_seasonality_loss(
+            spec.daily_band("large"), envelope, multiplier=multiplier, run_days=run_days,
+        )
         try:
-            ref_spec = spectrum_series(reference, v, daily=True)
-            small = small_scale_ratios(spec, ref_spec, blowup_day=blow.day)
+            rep.small_scale[v] = small_scale_ratios(spec, ref_spec,
+                                                    blowup_day=rep.blowup[v].day)
         except BandUnresolvedError:
-            small = None
-        return v, blow, season, small
-
-    workers = min(thread_count(), len(shared))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, shared))
-    else:
-        results = [one(v) for v in shared]
-    for v, blow, season, small in results:
-        rep.blowup[v] = blow
-        rep.seasonality[v] = season
-        rep.small_scale[v] = small
+            rep.small_scale[v] = None
     return rep
 
 

@@ -14,34 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .climatology import ThresholdSet
-from .gridio import RegionSpec, RolloutSeries, region_mask
+from .gridio import Extremes, RegionSpec, RolloutSeries, region_mask
 
 HOT_DEFAULT_LEVELS = tuple(np.round(np.arange(900, 1000) / 10.0, 1))  # 90.0 .. 99.9
 COLD_DEFAULT_LEVELS = tuple(np.round(np.arange(1, 101) / 10.0, 1))  # 0.1 .. 10.0
 
 
-class RegionalExtremes(tuple):
-    """(max_series, min_series) per-timestep regional extremes."""
-
-    __slots__ = ()
-
-    def __new__(cls, max_series, min_series):
-        return super().__new__(cls, (max_series, min_series))
-
-    @property
-    def max(self):
-        return self[0]
-
-    @property
-    def min(self):
-        return self[1]
-
-
-def regional_extreme_series(r: RolloutSeries, v: str, region: RegionSpec) -> RegionalExtremes:
-    """Per-timestep spatial maximum and minimum over the region mask."""
+def regional_extreme_series(r: RolloutSeries, v: str, region: RegionSpec) -> Extremes:
+    """Per-timestep spatial minimum and maximum over the region mask."""
     mask, _ = region_mask(r.grid, region)
     vals = r.values(v)[:, mask]
-    return RegionalExtremes(vals.max(axis=1), vals.min(axis=1))
+    return Extremes(vals.min(axis=1), vals.max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -58,14 +41,14 @@ class EventSeries:
     p10: float
 
 
-def event_series(r: RolloutSeries, v: str, region: RegionSpec,
+def event_series(ext: Extremes, timestamps: np.ndarray, region: str,
                  thresholds: ThresholdSet) -> EventSeries:
-    ext = regional_extreme_series(r, v, region)
+    """Hot/cold flags of one region's extremes (from regional_extreme_series)."""
     p90 = thresholds.value_for(90.0)
     p10 = thresholds.value_for(10.0)
     return EventSeries(
-        region=region.name,
-        timestamps=r.timestamps,
+        region=region,
+        timestamps=timestamps,
         max_values=ext.max,
         min_values=ext.min,
         hot=ext.max > p90,

@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -288,27 +289,17 @@ def require_finite(r: RolloutSeries, v: str) -> np.ndarray:
     return vals
 
 
-class SpatialExtremes(tuple):
-    """(min_series, max_series) per-timestep global extremes."""
+class Extremes(NamedTuple):
+    """Per-timestep spatial minimum and maximum series."""
 
-    __slots__ = ()
-
-    def __new__(cls, min_series, max_series):
-        return super().__new__(cls, (min_series, max_series))
-
-    @property
-    def min(self):
-        return self[0]
-
-    @property
-    def max(self):
-        return self[1]
+    min: np.ndarray
+    max: np.ndarray
 
 
-def spatial_extremes(r: RolloutSeries, v: str) -> SpatialExtremes:
+def spatial_extremes(r: RolloutSeries, v: str) -> Extremes:
     """Per-timestep minimum and maximum of variable ``v`` over the globe."""
     vals = r.values(v)
-    return SpatialExtremes(vals.min(axis=(1, 2)), vals.max(axis=(1, 2)))
+    return Extremes(vals.min(axis=(1, 2)), vals.max(axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +308,16 @@ def spatial_extremes(r: RolloutSeries, v: str) -> SpatialExtremes:
 
 @dataclass(frozen=True)
 class DailySeries:
-    """A scalar statistic at daily resolution with calendar dates."""
+    """A statistic at daily resolution: one value, or one row, per date."""
 
     dates: np.ndarray  # datetime64[D]
-    values: np.ndarray
+    values: np.ndarray  # (n_days,) or (n_days, ...)
 
     def __post_init__(self):
         dates = np.asarray(self.dates, dtype="datetime64[D]")
         values = np.asarray(self.values, dtype=np.float64)
-        if dates.shape != values.shape or dates.ndim != 1:
-            raise ValueError("dates and values must be matching 1-D arrays")
+        if dates.ndim != 1 or values.shape[:1] != dates.shape:
+            raise ValueError("dates must be 1-D and match the first axis of values")
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", values)
 
@@ -335,11 +326,16 @@ class DailySeries:
 
 
 def daily_mean(timestamps: np.ndarray, values: np.ndarray) -> DailySeries:
-    """Average sub-daily samples into one value per UTC day."""
+    """Average sub-daily samples into one value (or row) per UTC day.
+
+    Time runs along the first axis of ``values``; trailing axes are kept.
+    """
     days = np.asarray(timestamps, dtype="datetime64[s]").astype("datetime64[D]")
     uniq, inverse = np.unique(days, return_inverse=True)
-    sums = np.bincount(inverse, weights=np.asarray(values, dtype=np.float64))
-    counts = np.bincount(inverse)
+    values = np.asarray(values, dtype=np.float64)
+    sums = np.zeros(uniq.shape + values.shape[1:])
+    np.add.at(sums, inverse, values)
+    counts = np.bincount(inverse).reshape((-1,) + (1,) * (values.ndim - 1))
     return DailySeries(uniq, sums / counts)
 
 

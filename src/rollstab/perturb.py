@@ -27,7 +27,7 @@ from .gridio import (
     read_rollout,
     write_rollout,
 )
-from .synth import RegimeConfig, _Stepper, _step_core, initial_state
+from .synth import RegimeConfig, Stepper, initial_state
 
 KINDS = ("WHITE", "GRF", "PURE_NOISE", "IMAGE_INIT")
 TARGETS = ("dynamic", "static", "both")
@@ -171,12 +171,12 @@ class SynthAdapter(ModelAdapter):
         self.static_variables = tuple(static_variables)
         self.grid = cfg.grid
         self.step_seconds = step_seconds
-        self._stepper = _Stepper(cfg)
+        self._stepper = Stepper(cfg)
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
         out = np.array(state, dtype=np.float64, copy=True)
         for vi in range(len(self.variables)):
-            out[vi] = _step_core(self._stepper, out[vi], clock, self.step_seconds, vi)
+            out[vi] = self._stepper.step(out[vi], clock, self.step_seconds, vi)
         return out
 
     def initial_state(self) -> np.ndarray:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.fft
 
 from .gridio import (
     DailySeries,
@@ -26,6 +26,10 @@ from .gridio import (
     latitude_weights,
     require_finite,
 )
+
+# float64 bytes of one block of timesteps transformed at once, so the
+# working set of spectrum_series does not grow with the horizon
+BLOCK_BYTES = 32 << 20
 
 LARGE_MIN_KM = 5000.0
 MEDIUM_MIN_KM = 250.0
@@ -39,12 +43,22 @@ class BandUnresolvedError(PreconditionError):
     """The requested wavelength band contains no wavenumbers on this grid."""
 
 
+class ThreadCountError(ValueError):
+    """ROLLOUT_STAB_THREADS is set but is not a positive integer."""
+
+
 def thread_count() -> int:
-    """Worker cap for parallel loops; ROLLOUT_STAB_THREADS overrides."""
+    """FFT worker count: ROLLOUT_STAB_THREADS if set, else the CPU count."""
     env = os.environ.get("ROLLOUT_STAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ThreadCountError(f"ROLLOUT_STAB_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def wavelength_of(k: int, grid: GridSpec) -> float:
@@ -89,13 +103,12 @@ def zonal_spectrum(field: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     if grid.n_lon < 4:
         raise ValueError("zonal spectra need at least 4 longitude points")
-    field = np.asarray(field, dtype=np.float64)
+    field = np.asarray(field)
     if field.shape != (grid.n_lat, grid.n_lon):
         raise ValueError(
             f"field shape {field.shape} does not match grid ({grid.n_lat}, {grid.n_lon})"
         )
-    amp = np.abs(np.fft.rfft(field, axis=-1)) / grid.n_lon
-    return latitude_weights(grid) @ amp
+    return _spectra(field[None], grid)[0]
 
 
 def band_average(energy: np.ndarray, grid: GridSpec, band: str) -> np.ndarray:
@@ -139,11 +152,26 @@ class SpectrumSeries:
             )
         return vals
 
+    def daily_band(self, name: str) -> DailySeries:
+        """One band of daily spectra (``spectrum_series(..., daily=True)``)."""
+        dates = self.timestamps.astype("datetime64[D]")
+        if np.unique(dates).size != dates.size:
+            raise ValueError("daily_band needs spectrum_series(..., daily=True)")
+        return DailySeries(dates, self.band(name))
 
-def _spectra_stack(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
-    amp = np.abs(np.fft.rfft(fields, axis=-1)) / grid.n_lon
+
+def _spectra(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Latitude-weighted amplitude spectra (time, n_k) of a (time, lat, lon)
+    stack, transformed in blocks of at most BLOCK_BYTES."""
+    rows = max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
     w = latitude_weights(grid)
-    return np.einsum("j,tjk->tk", w, amp)
+    workers = thread_count()
+    energy = np.empty((fields.shape[0], grid.n_lon // 2 + 1))
+    for s in range(0, fields.shape[0], rows):
+        block = fields[s : s + rows].astype(np.float64)
+        amp = np.abs(scipy.fft.rfft(block, axis=-1, workers=workers)) / grid.n_lon
+        energy[s : s + rows] = np.einsum("j,tjk->tk", w, amp)
+    return energy
 
 
 def spectrum_series(r: RolloutSeries, v: str, daily: bool = False) -> SpectrumSeries:
@@ -154,25 +182,11 @@ def spectrum_series(r: RolloutSeries, v: str, daily: bool = False) -> SpectrumSe
     """
     if r.grid.n_lon < 4:
         raise ValueError("zonal spectra need at least 4 longitude points")
-    fields = require_finite(r, v).astype(np.float64)
-    workers = thread_count()
-    if workers > 1 and r.n_time >= 64:
-        chunks = np.array_split(np.arange(r.n_time), workers)
-        energy = np.empty((r.n_time, r.grid.n_lon // 2 + 1))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, res in zip(chunks, pool.map(lambda i: _spectra_stack(fields[i], r.grid), chunks)):
-                energy[idx] = res
-    else:
-        energy = _spectra_stack(fields, r.grid)
+    energy = _spectra(require_finite(r, v), r.grid)
     timestamps = r.timestamps
     if daily:
-        days = timestamps.astype("datetime64[D]")
-        uniq, inverse = np.unique(days, return_inverse=True)
-        counts = np.bincount(inverse).astype(np.float64)
-        summed = np.zeros((uniq.size, energy.shape[1]))
-        np.add.at(summed, inverse, energy)
-        energy = summed / counts[:, None]
-        timestamps = uniq.astype("datetime64[s]")
+        days = daily_mean(timestamps, energy)
+        timestamps, energy = days.dates.astype("datetime64[s]"), days.values
     band_large = band_average(energy, r.grid, "large")
     bands = {}
     for name in ("medium", "small"):
@@ -189,9 +203,3 @@ def spectrum_series(r: RolloutSeries, v: str, daily: bool = False) -> SpectrumSe
         band_small=bands["small"],
         grid=r.grid,
     )
-
-
-def band_daily_series(spec: SpectrumSeries, band: str) -> DailySeries:
-    """Daily means of one band series, for envelope and seasonality work."""
-    vals = spec.band(band)
-    return daily_mean(spec.timestamps, vals)

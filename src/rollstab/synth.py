@@ -161,8 +161,9 @@ def load_config(path) -> RegimeConfig:
         return config_from_dict(json.load(f))
 
 
-class _Stepper:
-    """Precomputed spectral machinery for one config."""
+class Stepper:
+    """Advances fields of one config: its spectral machinery is precomputed
+    once, and :meth:`step` takes one field one step forward."""
 
     def __init__(self, cfg: RegimeConfig):
         self.cfg = cfg
@@ -216,7 +217,7 @@ class _Stepper:
             )
             self.planted_k = k0
 
-    def seasonal_amplitude(self, clock_out: datetime, t_out_days: float) -> float:
+    def _seasonal_amplitude(self, clock_out: datetime, t_out_days: float) -> float:
         cfg = self.cfg
         a = cfg.seasonal_amplitude
         if cfg.regime == "DRIFT":
@@ -229,48 +230,48 @@ class _Stepper:
             a *= 1.0 + cfg.year_jitter * (2.0 * frac - 1.0)
         return a
 
-    def forcing(self, clock_out: datetime, t_out_days: float) -> np.ndarray:
-        a = self.seasonal_amplitude(clock_out, t_out_days)
+    def _forcing(self, clock_out: datetime, t_out_days: float) -> np.ndarray:
+        a = self._seasonal_amplitude(clock_out, t_out_days)
         if a == 0.0:
             return np.zeros_like(self.pattern)
         year_start = datetime(clock_out.year, 1, 1)
         doy = (clock_out - year_start).total_seconds() / 86400.0 + 1.0
         return a * math.sin(2.0 * math.pi * doy / _YEAR_DAYS) * self.pattern
 
+    def step(self, state: np.ndarray, clock: datetime, step_seconds: int,
+             var_index: int) -> np.ndarray:
+        """The field of variable ``var_index`` at ``clock + step_seconds``."""
+        cfg = self.cfg
+        grid = cfg.grid
+        clock_out = clock + timedelta(seconds=step_seconds)
+        out_seconds = (clock_out - cfg.epoch).total_seconds()
+        t_out_days = out_seconds / 86400.0
+        step_index = int(round(out_seconds / step_seconds))
 
-def _step_core(stepper: _Stepper, state: np.ndarray, clock: datetime,
-               step_seconds: int, var_index: int) -> np.ndarray:
-    cfg = stepper.cfg
-    grid = cfg.grid
-    clock_out = clock + timedelta(seconds=step_seconds)
-    out_seconds = (clock_out - cfg.epoch).total_seconds()
-    t_out_days = out_seconds / 86400.0
-    step_index = int(round(out_seconds / step_seconds))
-
-    coeffs = np.fft.rfft(state, axis=-1)
-    if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
-        coeffs *= stepper.gain_after_onset
-    else:
-        coeffs *= stepper.gain
-    if stepper.noisy_k.size:
-        rng = np.random.default_rng([cfg.seed, var_index, step_index])
-        shape = (grid.n_lat, stepper.noisy_k.size)
-        sig = stepper.noise_sigma[stepper.noisy_k]
-        coeffs[:, stepper.noisy_k] += sig * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
-    nxt = np.fft.irfft(coeffs, n=grid.n_lon, axis=-1)
-    nxt += stepper.forcing(clock_out, t_out_days)
-    if cfg.regime == "BLOWUP" and cfg.onset_day is not None:
-        prev_days = t_out_days - step_seconds / 86400.0
-        if prev_days < cfg.onset_day <= t_out_days:
-            nxt += stepper.planted
-    if cfg.regime == "SHARPEN":
-        np.clip(nxt, -cfg.cap, cfg.cap, out=nxt)
-    # keep blown-up fields finite in float32; diverging models saturate the
-    # same way once they leave the physical range
-    np.clip(nxt, -_SATURATION, _SATURATION, out=nxt)
-    return nxt
+        coeffs = np.fft.rfft(state, axis=-1)
+        if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
+            coeffs *= self.gain_after_onset
+        else:
+            coeffs *= self.gain
+        if self.noisy_k.size:
+            rng = np.random.default_rng([cfg.seed, var_index, step_index])
+            shape = (grid.n_lat, self.noisy_k.size)
+            sig = self.noise_sigma[self.noisy_k]
+            coeffs[:, self.noisy_k] += sig * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            )
+        nxt = np.fft.irfft(coeffs, n=grid.n_lon, axis=-1)
+        nxt += self._forcing(clock_out, t_out_days)
+        if cfg.regime == "BLOWUP" and cfg.onset_day is not None:
+            prev_days = t_out_days - step_seconds / 86400.0
+            if prev_days < cfg.onset_day <= t_out_days:
+                nxt += self.planted
+        if cfg.regime == "SHARPEN":
+            np.clip(nxt, -cfg.cap, cfg.cap, out=nxt)
+        # keep blown-up fields finite in float32; diverging models saturate the
+        # same way once they leave the physical range
+        np.clip(nxt, -_SATURATION, _SATURATION, out=nxt)
+        return nxt
 
 
 def synth_step(state: np.ndarray, clock: datetime, cfg: RegimeConfig,
@@ -282,7 +283,7 @@ def synth_step(state: np.ndarray, clock: datetime, cfg: RegimeConfig,
             f"state shape {state.shape} does not match grid "
             f"({cfg.grid.n_lat}, {cfg.grid.n_lon})"
         )
-    return _step_core(_Stepper(cfg), state, clock, step_seconds, var_index)
+    return Stepper(cfg).step(state, clock, step_seconds, var_index)
 
 
 def initial_state(cfg: RegimeConfig, var_index: int = 0) -> np.ndarray:
@@ -382,7 +383,7 @@ def generate(
         raise ValueError("BLOWUP onset must fall inside the horizon")
     start = start_time or cfg.epoch
     n_steps = int(round(horizon_days * 86400 / step_seconds))
-    stepper = _Stepper(cfg)
+    stepper = Stepper(cfg)
 
     data = np.empty((n_steps + 1, len(cfg.variables), cfg.grid.n_lat, cfg.grid.n_lon),
                     dtype=np.float32)
@@ -391,7 +392,7 @@ def generate(
         data[0, vi] = state
         clock = start
         for i in range(n_steps):
-            state = _step_core(stepper, state, clock, step_seconds, vi)
+            state = stepper.step(state, clock, step_seconds, vi)
             clock = clock + timedelta(seconds=step_seconds)
             data[i + 1, vi] = state
 

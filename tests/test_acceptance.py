@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 import rollstab as rs
 from rollstab.cli import main as cli_main
-from rollstab.climatology import band_statistic, build_envelope
+from rollstab.climatology import build_envelope
 from rollstab.detectors import detect_blowup, detect_seasonality_loss, small_scale_ratios
 from rollstab.gridio import DailySeries
 from rollstab.memorize import build_index, distance_ratio
@@ -100,7 +100,7 @@ def test_acceptance_3_seasonality_detector_synthetic():
     ref_cfg = rs.RegimeConfig(regime="STABLE", seed=999,
                               seasonal_amplitude=amplitude, year_jitter=0.16)
     reference, _ = rs.generate(ref_cfg, 1826)  # five calendar years
-    envelope = build_envelope(reference, band_statistic("T2m", "large"))
+    envelope = build_envelope(spectrum_series(reference, "T2m", daily=True).daily_band("large"))
 
     taus = [50, 100, 200, 50, 100, 200, 50, 100, 200, 100]
     flagged = []

@@ -415,6 +415,38 @@ class TestCliSurface:
         assert r.n_time == 241
         assert r.grid.n_lon == 64
 
+    def test_config_equals_form_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"horizon-days": 60}))
+        out = tmp_path / "x.rgf"
+        assert run_cli("synth", f"--config={conf}", "-o", out) == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_unknown_key_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"horizon-days": 60, "grdi": "8x64"}))
+        out = tmp_path / "x.rgf"
+        assert run_cli("synth", "--config", conf, "-o", out) == 2
+        assert "'grdi'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"horizon-days": 60, "csv": "t.csv"}))
+        assert run_cli("synth", "--config", conf, "-o", tmp_path / "x.rgf") == 2
+        assert "'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_thread_count_exit_2(self, synth_files, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", value)
+        out = tmp_path / "s.csv"
+        assert run_cli("spectra", "--input", synth_files["pred"], "--variable", "T2m",
+                       "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "ROLLOUT_STAB_THREADS" in err and repr(value) in err
+        assert not out.exists()
+
     def test_entry_point_runs(self):
         res = subprocess.run([sys.executable, "-m", "rollstab.cli", "--version"],
                              capture_output=True, text=True)

@@ -43,8 +43,7 @@ def two_year_reference(small_grid):
 
 class TestBuildEnvelope:
     def test_two_identical_years(self, two_year_reference):
-        env = build_envelope(two_year_reference,
-                             constant_statistic({2021: 4.0, 2022: 4.0}))
+        env = build_envelope(constant_statistic({2021: 4.0, 2022: 4.0})(two_year_reference))
         assert np.all(env.range == 0.0)
         assert np.all(env.mean == 4.0)
 
@@ -52,7 +51,7 @@ class TestBuildEnvelope:
         data = np.zeros((1095, 1, 8, 16), dtype=np.float32)
         ref = make_series(small_grid, data, start=datetime(2021, 1, 1),
                           step_seconds=86400)
-        env = build_envelope(ref, constant_statistic({2021: 1.0, 2022: 3.0, 2023: 5.0}))
+        env = build_envelope(constant_statistic({2021: 1.0, 2022: 3.0, 2023: 5.0})(ref))
         assert np.all(env.mean == 3.0)
         assert np.all(env.range == 4.0)
         assert env.year_span == (2021, 2023)
@@ -72,7 +71,7 @@ class TestBuildEnvelope:
         data = np.zeros((730, 1, 8, 16), dtype=np.float32)
         ref = make_series(small_grid, data, start=datetime(2021, 1, 1),
                           step_seconds=86400)
-        env = build_envelope(ref, stat)
+        env = build_envelope(stat(ref))
         assert np.all(env.range <= 2 * a + 1e-9)
 
     def test_single_year_rejected(self, small_grid):
@@ -80,13 +79,11 @@ class TestBuildEnvelope:
         ref = make_series(small_grid, data, start=datetime(2021, 1, 1),
                           step_seconds=86400)
         with pytest.raises(EnvelopeCoverageError):
-            build_envelope(ref, constant_statistic({2021: 1.0}))
+            build_envelope(constant_statistic({2021: 1.0})(ref))
 
     def test_year_permutation_invariance(self, two_year_reference, small_grid):
-        env_a = build_envelope(two_year_reference,
-                               constant_statistic({2021: 1.0, 2022: 5.0}))
-        env_b = build_envelope(two_year_reference,
-                               constant_statistic({2021: 5.0, 2022: 1.0}))
+        env_a = build_envelope(constant_statistic({2021: 1.0, 2022: 5.0})(two_year_reference))
+        env_b = build_envelope(constant_statistic({2021: 5.0, 2022: 1.0})(two_year_reference))
         assert np.allclose(env_a.mean, env_b.mean)
         assert np.allclose(env_a.range, env_b.range)
 
@@ -98,8 +95,8 @@ class TestBuildEnvelope:
         ref3 = make_series(small_grid, data3, start=datetime(2021, 1, 1),
                            step_seconds=86400)
         vals = {2021: 2.0, 2022: 3.0, 2023: 7.5}
-        env2 = build_envelope(ref2, constant_statistic(vals))
-        env3 = build_envelope(ref3, constant_statistic(vals))
+        env2 = build_envelope(constant_statistic(vals)(ref2))
+        env3 = build_envelope(constant_statistic(vals)(ref3))
         assert np.all(env3.min <= env2.min)
         assert np.all(env3.max >= env2.max)
 
@@ -115,14 +112,13 @@ class TestBuildEnvelope:
             vals = np.where(dates == np.datetime64("2024-02-29"), 100.0, 0.0)
             return DailySeries(dates, vals)
 
-        env = build_envelope(ref, stat)
+        env = build_envelope(stat(ref))
         assert env.max[58] == 100.0  # Feb 28 bucket (1-based doy 59)
         assert np.all(env.max[59:] == 0.0)
         assert env.mean.shape == (365,)
 
     def test_json_round_trip(self, two_year_reference, tmp_path):
-        env = build_envelope(two_year_reference,
-                             constant_statistic({2021: 1.0, 2022: 2.0}))
+        env = build_envelope(constant_statistic({2021: 1.0, 2022: 2.0})(two_year_reference))
         p = tmp_path / "env.json"
         env.save(p)
         back = ClimatologyEnvelope.load(p)

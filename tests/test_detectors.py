@@ -3,8 +3,15 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rollstab import GridSpec, detect_blowup, detect_seasonality_loss
-from rollstab.climatology import ClimatologyEnvelope
+from rollstab import (
+    GridSpec,
+    RegimeConfig,
+    detect_blowup,
+    detect_seasonality_loss,
+    generate,
+    spatial_extremes,
+)
+from rollstab.climatology import ClimatologyEnvelope, build_envelope
 from rollstab.detectors import (
     SeriesTooShortError,
     StabilityReport,
@@ -12,11 +19,12 @@ from rollstab.detectors import (
     SeasonalityResult,
     SmallScaleResult,
     aggregate_runs,
+    build_report,
     seasonal_cycle_rmse,
     small_scale_ratios,
 )
 from rollstab.gridio import DailySeries
-from rollstab.spectra import SpectrumSeries
+from rollstab.spectra import SpectrumSeries, spectrum_series
 from conftest import make_series
 
 
@@ -326,3 +334,28 @@ class TestAggregateRuns:
         assert back.blowup["T2m"].day == 50.0
         assert back.seasonality["T2m"].day == 200.0
         assert back.small_scale["T2m"].ratio_vs_reference == 1.0
+
+
+class TestBuildReport:
+    def test_matches_report_assembled_by_hand(self):
+        grid = GridSpec.regular(16, 384)  # resolves the small band
+        variables = ("T2m", "U10")
+        pred, _ = generate(RegimeConfig(regime="BLOWUP", grid=grid, variables=variables,
+                                        onset_day=40.0, growth_rate=0.1, seed=4), 90)
+        ref, _ = generate(RegimeConfig(regime="STABLE", grid=grid, variables=variables,
+                                       seed=5, year_jitter=0.2), 730)
+        rep = build_report(pred, ref, name="two")
+        assert rep.variables == variables
+        for v in variables:
+            ext = spatial_extremes(pred, v)
+            blow = detect_blowup(ext.min, ext.max)
+            ref_spec = spectrum_series(ref, v, daily=True)
+            spec = spectrum_series(pred, v, daily=True)
+            envelope = build_envelope(ref_spec.daily_band("large"))
+            assert rep.blowup[v] == blow
+            assert rep.seasonality[v] == detect_seasonality_loss(
+                spec.daily_band("large"), envelope)
+            assert rep.small_scale[v] == small_scale_ratios(spec, ref_spec,
+                                                            blowup_day=blow.day)
+        assert rep.blowup["T2m"].day is not None
+        assert rep.small_scale["T2m"] is not None

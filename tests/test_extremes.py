@@ -13,7 +13,7 @@ from rollstab import (
 )
 from rollstab.climatology import ThresholdSet
 from rollstab.extremes import match_windows
-from rollstab.gridio import region_mask
+from rollstab.gridio import region_mask, spatial_extremes
 from conftest import make_series
 
 
@@ -46,13 +46,20 @@ class TestRegionalExtremes:
             assert ext.max[t] == max(sel)
             assert ext.min[t] == min(sel)
 
+    def test_positional_order_matches_attributes(self, random_series):
+        for ext in (spatial_extremes(random_series, "T2m"),
+                    regional_extreme_series(random_series, "T2m", GLOBE)):
+            lo, hi = ext
+            assert lo is ext.min and hi is ext.max
+            assert np.all(lo < hi)
+
 
 class TestEventSeries:
     def test_flags_match_brute_force(self, small_grid):
         rng = np.random.default_rng(1)
         r = make_series(small_grid, rng.standard_normal((200, 1, 8, 16)))
         thr = pooled_percentiles(r, "T2m", GLOBE, [10.0, 90.0])
-        ev = event_series(r, "T2m", GLOBE, thr)
+        ev = event_series(regional_extreme_series(r, "T2m", GLOBE), r.timestamps, GLOBE.name, thr)
         vals = r.values("T2m")
         for t in range(200):
             assert ev.hot[t] == (vals[t].max() > ev.p90)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rollstab import GridSpec, band_average, spectrum_series, wavelength_of, zonal_spectrum
+from rollstab import spectra
 from rollstab.spectra import (
     BandUnresolvedError,
     band_members,
@@ -161,3 +162,23 @@ class TestSpectrumSeries:
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "4")
         threaded = spectrum_series(r, "T2m")
         assert np.array_equal(serial.energy, threaded.energy)
+
+    def test_block_walk_preserves_results(self, fine_grid, monkeypatch):
+        rng = np.random.default_rng(4)
+        r = make_series(fine_grid, rng.standard_normal((83, 1, 16, 384)))
+        one_block = spectrum_series(r, "T2m")
+        one_daily = spectrum_series(r, "T2m", daily=True)
+        # 5 rows per block: 83 steps leave a 3-row tail block
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 5 * 16 * 384 * 8)
+        many = spectrum_series(r, "T2m")
+        many_daily = spectrum_series(r, "T2m", daily=True)
+        assert np.array_equal(one_block.energy, many.energy)
+        assert np.array_equal(one_daily.energy, many_daily.energy)
+        assert np.array_equal(one_daily.band_large, many_daily.band_large)
+
+    def test_daily_band_needs_daily_spectra(self, fine_grid):
+        r = make_series(fine_grid, np.ones((8, 1, 16, 384)))
+        daily = spectrum_series(r, "T2m", daily=True).daily_band("large")
+        assert len(daily) == 2
+        with pytest.raises(ValueError, match="daily=True"):
+            spectrum_series(r, "T2m").daily_band("large")

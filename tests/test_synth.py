@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rollstab import GridSpec, RegimeConfig, generate, synth_step
-from rollstab.climatology import build_envelope, band_statistic
+from rollstab.climatology import build_envelope
 from rollstab.detectors import detect_seasonality_loss
 from rollstab.gridio import DailySeries
 from rollstab.spectra import BandUnresolvedError, band_members, spectrum_series, zonal_spectrum
@@ -52,9 +52,9 @@ class TestSynthStep:
 
         amps = []
         k0 = None
-        from rollstab.synth import _Stepper
+        from rollstab.synth import Stepper
 
-        k0 = _Stepper(cfg).planted_k
+        k0 = Stepper(cfg).planted_k
         for i in range(60):
             x = synth_step(x, clock, cfg)
             clock += timedelta(seconds=21600)
@@ -151,7 +151,7 @@ class TestGenerate:
         cfg = RegimeConfig(regime="STABLE", seed=9, seasonal_amplitude=5.0)
         run, _ = generate(cfg, 365)
         extension, _ = generate(cfg, 1826)
-        env = build_envelope(extension, band_statistic("T2m", "large"))
+        env = build_envelope(spectrum_series(extension, "T2m", daily=True).daily_band("large"))
         spec = spectrum_series(run, "T2m", daily=True)
         daily = DailySeries(spec.timestamps.astype("datetime64[D]"), spec.band_large)
         res = detect_seasonality_loss(daily, env, multiplier=2.0, run_days=45)
