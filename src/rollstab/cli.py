@@ -32,6 +32,8 @@ def _sha256(path) -> str:
 
 
 def _manifest(args, inputs: dict[str, str]) -> dict:
+    """The run manifest: subcommand, parameters, and the path and SHA-256 of
+    every input that was given (``None`` entries are left out)."""
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func",) and not callable(v)
@@ -46,16 +48,25 @@ def _manifest(args, inputs: dict[str, str]) -> dict:
     }
 
 
-def _write_json(path, doc: dict) -> None:
+def _write_json(path, doc: dict, manifest: dict) -> None:
+    """A result JSON: ``doc`` plus its manifest, sorted and indented."""
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
+        json.dump({**doc, "manifest": manifest}, f, sort_keys=True, indent=1)
         f.write("\n")
 
 
-def _csv_header(f, manifest: dict, units: str) -> None:
-    f.write(f"# rollstab {__version__} {manifest['subcommand']}\n")
-    f.write(f"# units: {units}\n")
-    f.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
+def _write_csv(path, manifest: dict, units: str, columns, rows, notes=()) -> None:
+    """A CSV table: three ``#`` header lines (tool, units, manifest), one
+    ``# note:`` line per note, the column line, then rows of formatted cells."""
+    with open(path, "w") as f:
+        f.write(f"# rollstab {__version__} {manifest['subcommand']}\n")
+        f.write(f"# units: {units}\n")
+        f.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
+        for note in notes:
+            f.write(f"# note: {note}\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(row) + "\n")
 
 
 def _fmt(x) -> str:
@@ -77,6 +88,17 @@ def _ratio_cell(ss) -> str:
     if ss is None:
         return "unresolved"
     return f"{ss.ratio_vs_reference:.2g} ({ss.ratio_vs_self:.2g})"
+
+
+def _exclusive(args, flag: str, *others: str) -> None:
+    """Reject ``flag`` given together with any of ``others`` instead of
+    silently ignoring one of them."""
+    def given(f):
+        return getattr(args, f.lstrip("-").replace("-", "_"))
+
+    for other in others:
+        if given(flag) and given(other):
+            raise ValueError(f"{flag} cannot be combined with {other}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +134,12 @@ def cmd_synth(args) -> int:
     start = datetime.fromisoformat(args.start_time) if args.start_time else None
     series, labels = synth.generate(cfg, args.horizon_days,
                                     step_seconds=args.step_seconds, start_time=start)
-    series.attrs["manifest"] = _manifest(args, {"regime_config": args.regime_config})
+    manifest = _manifest(args, {"regime_config": args.regime_config})
+    series.attrs["manifest"] = manifest
     gridio.write_rollout(series, args.output)
     if args.labels:
-        doc = labels.to_dict()
-        doc["config"] = synth.config_to_dict(cfg)
-        doc["manifest"] = _manifest(args, {"regime_config": args.regime_config})
-        _write_json(args.labels, doc)
+        _write_json(args.labels, {**labels.to_dict(), "config": synth.config_to_dict(cfg)},
+                    manifest)
     return 0
 
 
@@ -126,23 +147,20 @@ def cmd_spectra(args) -> int:
     r = gridio.read_rollout(args.input)
     spec = spectra.spectrum_series(r, args.variable, daily=args.daily)
     manifest = _manifest(args, {"input": args.input})
-    with open(args.output, "w") as f:
-        _csv_header(f, manifest, "band energies in variable units (zonal Fourier amplitude)")
-        if spec.band_small is None:
-            f.write("# note: small band unresolved on this grid; column left empty\n")
-        f.write("timestamp,band_large,band_medium,band_small\n")
-        small = spec.band_small
-        for i, t in enumerate(spec.timestamps):
-            s = "" if small is None else _fmt(small[i])
-            f.write(f"{t},{_fmt(spec.band_large[i])},{_fmt(spec.band_medium[i])},{s}\n")
+    bands = [spec.band_large, spec.band_medium, spec.band_small]
+    _write_csv(
+        args.output, manifest, "band energies in variable units (zonal Fourier amplitude)",
+        ["timestamp"] + [f"band_{name}" for name in spectra.BANDS],
+        ([str(t)] + ["" if b is None else _fmt(b[i]) for b in bands]
+         for i, t in enumerate(spec.timestamps)),
+        notes=[f"{name} band unresolved on this grid; column left empty"
+               for name, b in zip(spectra.BANDS, bands) if b is None],
+    )
     if args.full_output:
-        with open(args.full_output, "w") as f:
-            _csv_header(f, manifest, "per-wavenumber zonal Fourier amplitude")
-            cols = ",".join(f"k{int(k)}" for k in spec.wavenumbers)
-            f.write(f"timestamp,{cols}\n")
-            for i, t in enumerate(spec.timestamps):
-                row = ",".join(_fmt(x) for x in spec.energy[i])
-                f.write(f"{t},{row}\n")
+        _write_csv(args.full_output, manifest, "per-wavenumber zonal Fourier amplitude",
+                   ["timestamp"] + [f"k{int(k)}" for k in spec.wavenumbers],
+                   ([str(t)] + [_fmt(x) for x in spec.energy[i]]
+                    for i, t in enumerate(spec.timestamps)))
     return 0
 
 
@@ -154,14 +172,14 @@ def _series_steps_per_day(times: np.ndarray) -> float:
 
 
 def cmd_blowup(args) -> int:
-    inputs = {}
+    _exclusive(args, "--input", "--min-csv", "--max-csv")
+    _exclusive(args, "--variable", "--min-csv", "--max-csv")
     if args.input:
         r = gridio.read_rollout(args.input)
         gridio.require_finite(r, args.variable)
         ext = gridio.spatial_extremes(r, args.variable)
         mn, mx = ext.min, ext.max
         steps_per_day = 86400.0 / r.step_seconds
-        inputs["input"] = args.input
     else:
         if not (args.min_csv and args.max_csv):
             raise ValueError("need either --input RGF or both --min-csv and --max-csv")
@@ -170,8 +188,6 @@ def cmd_blowup(args) -> int:
         if tmin.size != tmax.size or np.any(tmin != tmax):
             raise ValueError("min and max series timestamps differ")
         steps_per_day = _series_steps_per_day(tmin)
-        inputs["min_csv"] = args.min_csv
-        inputs["max_csv"] = args.max_csv
     res = detectors.detect_blowup(
         mn, mx, steps_per_day=steps_per_day, smoothing_days=args.smoothing_days,
         window_days=args.window_days, r2_threshold=args.r2_threshold,
@@ -184,27 +200,27 @@ def cmd_blowup(args) -> int:
         "r2": res.r2,
         "slope_sign": res.slope_sign,
         "units": "days from rollout start",
-        "manifest": _manifest(args, inputs),
     }
-    _write_json(args.output, doc)
+    _write_json(args.output, doc, _manifest(
+        args, {"input": args.input, "min_csv": args.min_csv, "max_csv": args.max_csv}))
     return 0
 
 
 def cmd_seasonality(args) -> int:
-    inputs = {"input": args.input}
+    _exclusive(args, "--envelope", "--reference")
     if args.envelope:
         env = climatology.ClimatologyEnvelope.load(args.envelope)
-        inputs["envelope"] = args.envelope
     elif args.reference:
         ref_spec = spectra.spectrum_series(gridio.read_rollout(args.reference), args.variable,
                                            daily=True)
         env = climatology.build_envelope(ref_spec.daily_band("large"),
                                          name=f"band_large[{args.variable}]")
-        inputs["reference"] = args.reference
     else:
         raise ValueError("need --envelope or --reference to define the climatology")
+    manifest = _manifest(args, {"input": args.input, "envelope": args.envelope,
+                                "reference": args.reference})
     if args.save_envelope:
-        env.save(args.save_envelope, extra={"manifest": _manifest(args, inputs)})
+        env.save(args.save_envelope, extra={"manifest": manifest})
     spec = spectra.spectrum_series(gridio.read_rollout(args.input), args.variable, daily=True)
     res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
                                             multiplier=args.multiplier, run_days=args.run_days)
@@ -214,9 +230,8 @@ def cmd_seasonality(args) -> int:
         "multiplier": res.multiplier,
         "run_length": res.run_length,
         "units": "days from rollout start",
-        "manifest": _manifest(args, inputs),
     }
-    _write_json(args.output, doc)
+    _write_json(args.output, doc, manifest)
     return 0
 
 
@@ -233,22 +248,21 @@ def cmd_smallscale(args) -> int:
         "window_days": res.window_days,
         "truncated": res.truncated,
         "units": "dimensionless energy ratios",
-        "manifest": _manifest(args, {"input": args.input, "reference": args.reference}),
     }
-    _write_json(args.output, doc)
+    _write_json(args.output, doc,
+                _manifest(args, {"input": args.input, "reference": args.reference}))
     return 0
 
 
 def cmd_cycle_rmse(args) -> int:
     a = gridio.read_rollout(args.input)
     b = gridio.read_rollout(args.reference)
-    rmse = detectors.seasonal_cycle_rmse(a, b, args.variable)
     doc = {
-        "seasonal_cycle_rmse": rmse,
+        "seasonal_cycle_rmse": detectors.seasonal_cycle_rmse(a, b, args.variable),
         "units": "variable units",
-        "manifest": _manifest(args, {"input": args.input, "reference": args.reference}),
     }
-    _write_json(args.output, doc)
+    _write_json(args.output, doc,
+                _manifest(args, {"input": args.input, "reference": args.reference}))
     return 0
 
 
@@ -265,13 +279,10 @@ def _load_adapter(spec_str: str, init_series):
 
 
 def cmd_perturb(args) -> int:
-    inputs = {}
-    init_series = None
-    if args.init:
-        init_series = gridio.read_rollout(args.init)
-        inputs["init"] = args.init
+    if args.stats_from and not args.kind:
+        raise ValueError("--stats-from is only used with --kind; give --kind or drop it")
+    init_series = gridio.read_rollout(args.init) if args.init else None
     adapter, adapter_path = _load_adapter(args.adapter, init_series)
-    inputs["adapter"] = adapter_path
 
     if init_series is not None:
         state = init_series.data[0].astype(np.float64)
@@ -302,7 +313,6 @@ def cmd_perturb(args) -> int:
         ref = gridio.read_rollout(args.stats_from)
         stats = {v: perturb.variable_stats(ref, v) for v in adapter.all_variables
                  if v in ref.variables}
-        inputs["stats_from"] = args.stats_from
     elif args.time_shift_days is not None:
         spec = perturb.PerturbationSpec(kind="WHITE", k=1e-12, target="dynamic",
                                         time_shift_days=args.time_shift_days,
@@ -311,7 +321,8 @@ def cmd_perturb(args) -> int:
 
     out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec,
                               stats=stats, step_seconds=args.step_seconds)
-    out.attrs["manifest"] = _manifest(args, inputs)
+    out.attrs["manifest"] = _manifest(args, {"init": args.init, "adapter": adapter_path,
+                                             "stats_from": args.stats_from})
     gridio.write_rollout(out, args.output)
     return 0
 
@@ -337,7 +348,7 @@ def cmd_extremes(args) -> int:
 
     hot_levels = list(np.round(np.arange(800, 1000) / 10.0, 1))  # P80..P99.9
     cold_levels = list(np.round(np.arange(1, 201) / 10.0, 1))  # P0.1..P20
-    summary = {"manifest": manifest, "regions": {}}
+    summary = {}
     for name, region in sorted(regions.items()):
         thr = climatology.pooled_percentiles(
             reference, args.variable, region,
@@ -350,12 +361,11 @@ def cmd_extremes(args) -> int:
 
         qq_hot = extremes.qq_tails(model_ext.max[msel], ref_ext.max[rsel], "hot")
         qq_cold = extremes.qq_tails(model_ext.min[msel], ref_ext.min[rsel], "cold")
-        with open(outdir / f"{name}_qq.csv", "w") as f:
-            _csv_header(f, manifest, "tail quantiles in variable units")
-            f.write("side,level,reference,model\n")
-            for qq in (qq_hot, qq_cold):
-                for lv, rq, mq in zip(qq.levels, qq.reference, qq.model):
-                    f.write(f"{qq.side},{_fmt(lv)},{_fmt(rq)},{_fmt(mq)}\n")
+        _write_csv(outdir / f"{name}_qq.csv", manifest, "tail quantiles in variable units",
+                   ["side", "level", "reference", "model"],
+                   ([qq.side, _fmt(lv), _fmt(rq), _fmt(mq)]
+                    for qq in (qq_hot, qq_cold)
+                    for lv, rq, mq in zip(qq.levels, qq.reference, qq.model)))
 
         hot_thr = climatology.ThresholdSet(
             region=name, levels=tuple(hot_levels),
@@ -367,31 +377,30 @@ def cmd_extremes(args) -> int:
                                             hot_thr, "hot")
         exc_cold = extremes.exceedance_curve(model_ext.min[msel], ref_ext.min[rsel],
                                              cold_thr, "cold")
-        with open(outdir / f"{name}_exceedance.csv", "w") as f:
-            _csv_header(f, manifest, "exceedance fractions (dimensionless)")
-            f.write("side,level,threshold,model_fraction,reference_fraction,ratio\n")
-            for exc in (exc_hot, exc_cold):
-                for i, lv in enumerate(exc.levels):
-                    ratio = _fmt(exc.ratio[i]) if exc.ratio_defined[i] else "undefined"
-                    f.write(f"{exc.side},{_fmt(lv)},{_fmt(exc.thresholds[i])},"
-                            f"{_fmt(exc.model_fraction[i])},"
-                            f"{_fmt(exc.reference_fraction[i])},{ratio}\n")
+        _write_csv(outdir / f"{name}_exceedance.csv", manifest,
+                   "exceedance fractions (dimensionless)",
+                   ["side", "level", "threshold", "model_fraction", "reference_fraction",
+                    "ratio"],
+                   ([exc.side, _fmt(lv), _fmt(exc.thresholds[i]), _fmt(exc.model_fraction[i]),
+                     _fmt(exc.reference_fraction[i]),
+                     _fmt(exc.ratio[i]) if exc.ratio_defined[i] else "undefined"]
+                    for exc in (exc_hot, exc_cold) for i, lv in enumerate(exc.levels)))
 
-        with open(outdir / f"{name}_events.csv", "w") as f:
-            _csv_header(f, manifest, "event counts at pooled P90/P10 thresholds")
-            f.write("series,hot_events,cold_events,n_timesteps\n")
-            f.write(f"model,{int(ev_model.hot[msel].sum())},"
-                    f"{int(ev_model.cold[msel].sum())},{int(msel.sum())}\n")
-            f.write(f"reference,{int(ev_ref.hot[rsel].sum())},"
-                    f"{int(ev_ref.cold[rsel].sum())},{int(rsel.sum())}\n")
-        summary["regions"][name] = {
+        counts = {series: (int(ev.hot[sel].sum()), int(ev.cold[sel].sum()), int(sel.sum()))
+                  for series, ev, sel in (("model", ev_model, msel),
+                                          ("reference", ev_ref, rsel))}
+        _write_csv(outdir / f"{name}_events.csv", manifest,
+                   "event counts at pooled P90/P10 thresholds",
+                   ["series", "hot_events", "cold_events", "n_timesteps"],
+                   ([series, *map(str, c)] for series, c in counts.items()))
+        summary[name] = {
             "p90": thr.value_for(90.0), "p10": thr.value_for(10.0),
-            "model_hot": int(ev_model.hot[msel].sum()),
-            "model_cold": int(ev_model.cold[msel].sum()),
-            "reference_hot": int(ev_ref.hot[rsel].sum()),
-            "reference_cold": int(ev_ref.cold[rsel].sum()),
+            "model_hot": counts["model"][0],
+            "model_cold": counts["model"][1],
+            "reference_hot": counts["reference"][0],
+            "reference_cold": counts["reference"][1],
         }
-    _write_json(outdir / "summary.json", summary)
+    _write_json(outdir / "summary.json", {"regions": summary}, manifest)
     return 0
 
 
@@ -401,29 +410,13 @@ def cmd_memorize(args) -> int:
     variables = tuple(args.variables.split(",")) if args.variables else None
     index = memorize.build_index(training, variables)
     results = memorize.memorization_series(rollout, index, window_days=args.window_days)
-    manifest = _manifest(args, {"rollout": args.rollout, "index": args.index})
-    with open(args.output, "w") as f:
-        _csv_header(f, manifest, "dimensionless distance ratio; d1/d2 in weighted L2")
-        f.write("timestamp,ratio,d1,d2,first_neighbor,second_neighbor\n")
-        for t, res in zip(rollout.timestamps, results):
-            f.write(f"{t},{_fmt(res.ratio)},{_fmt(res.d1)},{_fmt(res.d2)},"
-                    f"{res.first_id},{res.second_id}\n")
+    _write_csv(args.output, _manifest(args, {"rollout": args.rollout, "index": args.index}),
+               "dimensionless distance ratio; d1/d2 in weighted L2",
+               ["timestamp", "ratio", "d1", "d2", "first_neighbor", "second_neighbor"],
+               ([str(t), _fmt(res.ratio), _fmt(res.d1), _fmt(res.d2),
+                 res.first_id, res.second_id]
+                for t, res in zip(rollout.timestamps, results)))
     return 0
-
-
-def _report_csv(f, manifest, reports: list[detectors.StabilityReport]) -> None:
-    _csv_header(f, manifest,
-                "days from rollout start; >H means censored at horizon H; "
-                "small_scale cells are ratio_vs_reference (ratio_vs_self)")
-    variables = reports[0].variables
-    f.write("run,metric," + ",".join(variables) + "\n")
-    for rep in reports:
-        cells = [_day_cell(rep.blowup[v].day, rep.horizon_days) for v in variables]
-        f.write(f"{rep.name},blowup_days," + ",".join(cells) + "\n")
-        cells = [_day_cell(rep.seasonality[v].day, rep.horizon_days) for v in variables]
-        f.write(f"{rep.name},seasonality_days," + ",".join(cells) + "\n")
-        cells = [_ratio_cell(rep.small_scale.get(v)) for v in variables]
-        f.write(f"{rep.name},small_scale," + ",".join(cells) + "\n")
 
 
 def cmd_report(args) -> int:
@@ -435,12 +428,21 @@ def cmd_report(args) -> int:
         r2_threshold=args.r2_threshold,
     )
     manifest = _manifest(args, {"prediction": args.prediction, "reference": args.reference})
-    doc = rep.to_dict()
-    doc["manifest"] = manifest
-    _write_json(args.output, doc)
+    _write_json(args.output, rep.to_dict(), manifest)
     if args.csv:
-        with open(args.csv, "w") as f:
-            _report_csv(f, manifest, [rep])
+        variables = rep.variables
+        _write_csv(
+            args.csv, manifest,
+            "days from rollout start; >H means censored at horizon H; "
+            "small_scale cells are ratio_vs_reference (ratio_vs_self)",
+            ["run", "metric", *variables],
+            [[rep.name, "blowup_days",
+              *(_day_cell(rep.blowup[v].day, rep.horizon_days) for v in variables)],
+             [rep.name, "seasonality_days",
+              *(_day_cell(rep.seasonality[v].day, rep.horizon_days) for v in variables)],
+             [rep.name, "small_scale",
+              *(_ratio_cell(rep.small_scale.get(v)) for v in variables)]],
+        )
     return 0
 
 
@@ -451,22 +453,15 @@ def cmd_aggregate(args) -> int:
             reports.append(detectors.StabilityReport.from_dict(json.load(f)))
     agg = detectors.aggregate_runs(reports)
     manifest = _manifest(args, {f"report_{i}": p for i, p in enumerate(args.reports)})
-    agg["manifest"] = manifest
-    _write_json(args.output, agg)
+    _write_json(args.output, agg, manifest)
     if args.csv:
-        with open(args.csv, "w") as f:
-            _csv_header(f, manifest, "mean +- sample std per metric per variable")
-            variables = agg["variables"]
-            f.write("metric," + ",".join(variables) + "\n")
-            for metric, per_var in agg["metrics"].items():
-                cells = []
-                for v in variables:
-                    entry = per_var[v]
-                    if entry is None:
-                        cells.append("unresolved")
-                    else:
-                        cells.append(f"{entry['mean']:.6g} +- {entry['std']:.6g}")
-                f.write(f"{metric}," + ",".join(cells) + "\n")
+        variables = agg["variables"]
+        _write_csv(args.csv, manifest, "mean +- sample std per metric per variable",
+                   ["metric", *variables],
+                   ([metric, *("unresolved" if e is None
+                               else f"{e['mean']:.6g} +- {e['std']:.6g}"
+                               for e in (per_var[v] for v in variables))]
+                    for metric, per_var in agg["metrics"].items()))
     return 0
 
 

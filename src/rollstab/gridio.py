@@ -10,10 +10,10 @@ row-major order.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0
 
 _MAGIC = b"RGF1"
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class RGFError(Exception):
@@ -72,7 +73,7 @@ class GridSpec:
             raise ValueError("lats must be a non-empty 1-D array")
         if lons.ndim != 1 or lons.size < 1:
             raise ValueError("lons must be a non-empty 1-D array")
-        if np.any(np.abs(lats) > 90.0):
+        if not np.all(np.abs(lats) <= 90.0):  # NaN fails too
             raise ValueError("latitudes must lie within [-90, 90] degrees")
         if lats.size > 1:
             d = np.diff(lats)
@@ -81,10 +82,10 @@ class GridSpec:
         spacing = 360.0 / lons.size
         if not np.allclose(np.diff(lons), spacing, rtol=0, atol=1e-8):
             raise ValueError("longitudes must be uniformly spaced with spacing*n_lon = 360")
-        if np.any(lons < 0.0) or np.any(lons >= 360.0):
+        if not np.all((lons >= 0.0) & (lons < 360.0)):
             raise ValueError("longitudes must lie within [0, 360)")
-        if self.earth_radius_km <= 0:
-            raise ValueError("earth_radius_km must be positive")
+        if not 0 < self.earth_radius_km < np.inf:
+            raise ValueError("earth_radius_km must be positive and finite")
 
     @property
     def n_lat(self) -> int:
@@ -247,8 +248,12 @@ class RolloutSeries:
             raise ValueError("spatial slices do not match grid dimensions")
         if self.step_seconds <= 0:
             raise ValueError("step_seconds must be positive")
+        if self.fill_value is not None and not abs(self.fill_value) <= _F32_MAX:
+            raise ValueError(f"fill_value {self.fill_value} is not a finite float32")
         if self.fill_value is None and not np.isfinite(data).all():
             raise ValueError("non-finite values present but no fill value declared")
+        if not isinstance(self.attrs, dict):
+            raise ValueError("attrs must be a dict (a JSON object in RGF headers)")
         self.data = data
 
     @property
@@ -386,57 +391,75 @@ def write_rollout(r: RolloutSeries, path) -> None:
 
 
 def read_rollout(path) -> RolloutSeries:
-    """Read an RGF1 file written by :func:`write_rollout`."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic bytes, not an RGF1 file")
-    if len(raw) < 12:
-        raise FormatError(f"{path}: file too short for an RGF1 header")
-    (hlen,) = struct.unpack("<Q", raw[4:12])
-    if len(raw) < 12 + hlen:
-        raise FormatError(f"{path}: declared header extends past end of file")
+    """Read an RGF1 file written by :func:`write_rollout`.
+
+    The declared payload size is checked against the file size before
+    anything is allocated; the payload is then read straight into the array
+    that becomes ``data``, so the reader holds one copy of it. Every
+    malformed file raises an :class:`RGFError` naming the path.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(12)
+        if prefix[:4] != _MAGIC:
+            raise FormatError(f"{path}: bad magic bytes, not an RGF1 file")
+        if len(prefix) < 12:
+            raise FormatError(f"{path}: file too short for an RGF1 header")
+        (hlen,) = struct.unpack("<Q", prefix[4:12])
+        if size < 12 + hlen:
+            raise FormatError(f"{path}: declared header extends past end of file")
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: header is not valid UTF-8 JSON: {e}") from None
+        try:
+            n_time = int(header["n_time"])
+            n_var = int(header["n_var"])
+            n_lat = int(header["n_lat"])
+            n_lon = int(header["n_lon"])
+            variables = tuple(header["variables"])
+            lats = np.array(header["lats"], dtype=np.float64)
+            lons = np.array(header["lons"], dtype=np.float64)
+            earth_radius_km = float(header.get("earth_radius_km", EARTH_RADIUS_KM))
+            start_time = datetime.fromisoformat(header["start_time"])
+            step_seconds = int(header["step_seconds"])
+            fill_value = header.get("fill_value")
+            fill_value = None if fill_value is None else float(fill_value)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"{path}: missing or malformed header field: {e}") from None
+        if len(variables) != n_var or lats.size != n_lat or lons.size != n_lon:
+            raise HeaderMismatchError(f"{path}: header dims disagree with name/axis arrays")
+        expected = n_time * n_var * n_lat * n_lon * 4
+        held = size - 12 - hlen
+        if held < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {held} bytes, header declares {expected}"
+            )
+        if held > expected:
+            raise HeaderMismatchError(
+                f"{path}: payload holds {held} bytes, header declares only {expected}"
+            )
+        data = np.empty((n_time, n_var, n_lat, n_lon), dtype="<f4")
+        held = f.readinto(data)  # buffered: loops until full or end of file
+        if held != expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {held} bytes, header declares {expected}"
+            )
     try:
-        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: header is not valid UTF-8 JSON: {e}") from None
-    try:
-        n_time = int(header["n_time"])
-        n_var = int(header["n_var"])
-        n_lat = int(header["n_lat"])
-        n_lon = int(header["n_lon"])
-        variables = tuple(header["variables"])
-        lats = np.array(header["lats"], dtype=np.float64)
-        lons = np.array(header["lons"], dtype=np.float64)
-        start_time = datetime.fromisoformat(header["start_time"])
-        step_seconds = int(header["step_seconds"])
-        fill_value = header.get("fill_value")
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: missing or malformed header field: {e}") from None
-    if len(variables) != n_var or lats.size != n_lat or lons.size != n_lon:
-        raise HeaderMismatchError(f"{path}: header dims disagree with name/axis arrays")
-    expected = n_time * n_var * n_lat * n_lon * 4
-    payload = raw[12 + hlen :]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, header declares {expected}"
+        r = RolloutSeries(
+            grid=GridSpec(lats=lats, lons=lons, earth_radius_km=earth_radius_km),
+            variables=variables,
+            start_time=start_time,
+            data=data,
+            step_seconds=step_seconds,
+            fill_value=fill_value,
+            attrs=header.get("attrs", {}),
         )
-    if len(payload) > expected:
-        raise HeaderMismatchError(
-            f"{path}: payload holds {len(payload)} bytes, header declares only {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(n_time, n_var, n_lat, n_lon).copy()
-    if fill_value is not None:
-        data[data == np.float32(fill_value)] = np.nan
-    grid = GridSpec(lats=lats, lons=lons, earth_radius_km=float(header.get("earth_radius_km", EARTH_RADIUS_KM)))
-    return RolloutSeries(
-        grid=grid,
-        variables=variables,
-        start_time=start_time,
-        data=data,
-        step_seconds=step_seconds,
-        fill_value=None if fill_value is None else float(fill_value),
-        attrs=header.get("attrs", {}),
-    )
+    except ValueError as e:
+        raise FormatError(f"{path}: invalid header or payload: {e}") from None
+    if r.fill_value is not None:
+        r.data[r.data == np.float32(r.fill_value)] = np.nan
+    return r
 
 
 # ---------------------------------------------------------------------------

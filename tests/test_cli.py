@@ -9,6 +9,7 @@ import pytest
 import rollstab
 from rollstab.cli import main
 from rollstab import GridSpec, RegimeConfig, generate, write_rollout
+from rollstab.gridio import spatial_extremes, write_series_csv
 from rollstab.synth import config_to_dict
 from conftest import make_series
 
@@ -27,7 +28,17 @@ def synth_files(tmp_path_factory):
                    "--seed", "3", "--grid", "16x240", "-o", pred) == 0
     assert run_cli("synth", "--regime", "STABLE", "--horizon-days", 800,
                    "--seed", "3", "--grid", "16x240", "-o", ref) == 0
-    return {"dir": d, "pred": pred, "ref": ref}
+    env = d / "env.json"
+    assert run_cli("seasonality", "--input", pred, "--variable", "T2m", "--reference", ref,
+                   "--save-envelope", env, "-o", d / "se.json") == 0
+    r = rollstab.read_rollout(pred)
+    ext = spatial_extremes(r, "T2m")
+    write_series_csv(d / "min.csv", r.timestamps, ext.min)
+    write_series_csv(d / "max.csv", r.timestamps, ext.max)
+    cfg = RegimeConfig(regime="STABLE", grid=GridSpec.regular(8, 64), seed=4)
+    (d / "cfg.json").write_text(json.dumps(config_to_dict(cfg)))
+    return {"dir": d, "pred": pred, "ref": ref, "env": env, "min": d / "min.csv",
+            "max": d / "max.csv", "cfg": d / "cfg.json"}
 
 
 class TestSynthCommand:
@@ -92,6 +103,23 @@ class TestSpectraCommand:
     def test_unknown_variable_exit_2(self, tmp_path, synth_files):
         assert run_cli("spectra", "--input", synth_files["pred"],
                        "--variable", "Zonk", "-o", tmp_path / "x.csv") == 2
+
+    def test_unresolved_medium_band_column_left_empty(self, tmp_path):
+        # 64 longitudes: no wavelength falls in 250..1000 km or below 250 km
+        grid = GridSpec.regular(8, 64)
+        r = make_series(grid, np.random.default_rng(1).standard_normal((8, 1, 8, 64)))
+        write_rollout(r, tmp_path / "coarse.rgf")
+        out = tmp_path / "bands.csv"
+        assert run_cli("spectra", "--input", tmp_path / "coarse.rgf", "--variable", "T2m",
+                       "-o", out) == 0
+        lines = out.read_text().splitlines()
+        assert [l for l in lines if l.startswith("# note:")] == [
+            "# note: medium band unresolved on this grid; column left empty",
+            "# note: small band unresolved on this grid; column left empty",
+        ]
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert len(rows) == 8
+        assert all(row[1] and row[2:] == ["", ""] for row in rows)
 
 
 class TestBlowupCommand:
@@ -369,12 +397,105 @@ class TestEverySubcommandByteStable:
             "aggregate": (["aggregate", str(rep), str(rep), "-o", d / "a.json",
                            "--csv", d / "a.csv"], [d / "a.json", d / "a.csv"]),
         }
+        fine = GridSpec.regular(16, 384)
+        for i in range(2):
+            write_rollout(make_series(fine, rng.standard_normal((241, 1, 16, 384))),
+                          d / f"fine{i}.rgf")
+        cases.update({
+            "spectra-daily-full": (["spectra", "--input", pred, "--variable", "T2m", "--daily",
+                                    "-o", d / "spd.csv", "--full-output", d / "spf.csv"],
+                                   [d / "spd.csv", d / "spf.csv"]),
+            "seasonality-save-envelope": (["seasonality", "--input", pred, "--variable", "T2m",
+                                           "--reference", ref, "--save-envelope", d / "e.json",
+                                           "-o", d / "se2.json"],
+                                          [d / "e.json", d / "se2.json"]),
+            "blowup-csv": (["blowup", "--min-csv", synth_files["min"],
+                            "--max-csv", synth_files["max"], "-o", d / "bc.json"],
+                           [d / "bc.json"]),
+            "smallscale": (["smallscale", "--input", d / "fine0.rgf", "--reference",
+                            d / "fine1.rgf", "--variable", "T2m", "-o", d / "ss.json"],
+                           [d / "ss.json"]),
+        })
         for name, (argv, outputs) in cases.items():
             assert run_cli(*argv) == 0, name
             first = [p.read_bytes() for p in outputs]
             assert run_cli(*argv) == 0, name
             second = [p.read_bytes() for p in outputs]
             assert first == second, f"{name} output not byte-stable"
+
+
+def _manifest_inputs(path):
+    if path.suffix == ".rgf":
+        return rollstab.read_rollout(path).attrs["manifest"]["inputs"]
+    return json.loads(path.read_text())["manifest"]["inputs"]
+
+
+class TestManifestInputs:
+    """Each input the run used is listed once, under a fixed key."""
+
+    @pytest.mark.parametrize("case", [
+        "blowup-rgf", "blowup-csv", "seasonality-envelope", "seasonality-reference",
+        "perturb", "aggregate", "synth-regime-config", "synth-regime-config-labels",
+    ])
+    def test_input_keys(self, tmp_path, synth_files, case):
+        f = synth_files
+        out = tmp_path / ("out.rgf" if case.startswith(("perturb", "synth")) else "out.json")
+        rep = tmp_path / "rep.json"
+        argv, keys = {
+            "blowup-rgf": (["blowup", "--input", f["pred"], "--variable", "T2m"], {"input"}),
+            "blowup-csv": (["blowup", "--min-csv", f["min"], "--max-csv", f["max"]],
+                           {"min_csv", "max_csv"}),
+            "seasonality-envelope": (["seasonality", "--input", f["pred"], "--variable", "T2m",
+                                      "--envelope", f["env"]], {"input", "envelope"}),
+            "seasonality-reference": (["seasonality", "--input", f["pred"], "--variable", "T2m",
+                                       "--reference", f["ref"]], {"input", "reference"}),
+            "perturb": (["perturb", "--adapter", f"synth:{f['cfg']}", "--kind", "white",
+                         "--stats-from", f["pred"], "--steps", "2"], {"adapter", "stats_from"}),
+            "aggregate": (["aggregate", rep, rep], {"report_0", "report_1"}),
+            "synth-regime-config": (["synth", "--regime-config", f["cfg"],
+                                     "--horizon-days", "60"], {"regime_config"}),
+            "synth-regime-config-labels": (["synth", "--regime-config", f["cfg"],
+                                            "--horizon-days", "60", "--labels", rep],
+                                           {"regime_config"}),
+        }[case]
+        if case == "aggregate":
+            assert run_cli("report", "--prediction", f["pred"], "--reference", f["ref"],
+                           "-o", rep) == 0
+        assert run_cli(*argv, "-o", out) == 0
+        inputs = _manifest_inputs(rep if case.endswith("labels") else out)
+        assert set(inputs) == keys
+        if case == "perturb":
+            assert inputs["adapter"]["path"] == str(f["cfg"])  # no "synth:" prefix
+
+
+class TestRejectedFlagPairs:
+    """A flag the run would ignore is an input error, not silently dropped."""
+
+    @pytest.mark.parametrize("case", [
+        "blowup-input-csv", "blowup-variable-csv", "seasonality-envelope-reference",
+        "perturb-stats-without-kind",
+    ])
+    def test_exit_2_naming_both_flags(self, tmp_path, synth_files, capsys, case):
+        f = synth_files
+        argv, flags = {
+            "blowup-input-csv": (["blowup", "--input", f["pred"], "--variable", "T2m",
+                                  "--min-csv", f["min"], "--max-csv", f["max"]],
+                                 ("--input", "--min-csv")),
+            "blowup-variable-csv": (["blowup", "--variable", "T2m", "--min-csv", f["min"],
+                                     "--max-csv", f["max"]], ("--variable", "--min-csv")),
+            "seasonality-envelope-reference": (["seasonality", "--input", f["pred"],
+                                                "--variable", "T2m", "--envelope", f["env"],
+                                                "--reference", f["ref"]],
+                                               ("--envelope", "--reference")),
+            "perturb-stats-without-kind": (["perturb", "--adapter", f"synth:{f['cfg']}",
+                                            "--stats-from", f["pred"], "--steps", "2"],
+                                           ("--stats-from", "--kind")),
+        }[case]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not out.exists()
 
 
 class TestCliSurface:

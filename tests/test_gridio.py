@@ -1,13 +1,20 @@
+import json
+import re
+import struct
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rollstab import GridSpec, RegionSpec, RolloutSeries, builtin_regions
 from rollstab.gridio import (
     EmptyRegionError,
     FormatError,
     HeaderMismatchError,
+    RGFError,
     TruncatedPayloadError,
     UnknownVariableError,
     cell_weights,
@@ -42,6 +49,16 @@ class TestGridSpec:
     def test_rejects_out_of_range_lats(self):
         with pytest.raises(ValueError):
             GridSpec(lats=np.array([-95.0, 0.0]), lons=np.arange(4) * 90.0)
+
+    @pytest.mark.parametrize("lats, lons, radius", [
+        ([np.nan], [0.0], 6371.0),
+        ([0.0], [np.nan], 6371.0),
+        ([0.0], [0.0], np.nan),
+        ([0.0], [0.0], np.inf),
+    ])
+    def test_rejects_non_finite_geometry(self, lats, lons, radius):
+        with pytest.raises(ValueError):
+            GridSpec(lats=np.array(lats), lons=np.array(lons), earth_radius_km=radius)
 
 
 class TestLatitudeWeights:
@@ -106,6 +123,13 @@ class TestRolloutSeries:
         with pytest.raises(ValueError, match="fill"):
             make_series(small_grid, data)
 
+    @pytest.mark.parametrize("fill_value", [1e39, -np.inf, np.nan])
+    def test_rejects_fill_value_outside_float32(self, small_grid, fill_value):
+        # write_rollout stores the fill value as float32; it must survive that
+        with pytest.raises(ValueError, match="fill_value"):
+            RolloutSeries(grid=small_grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
+                          data=np.zeros((1, 1, 8, 16)), fill_value=fill_value)
+
     def test_timestamps(self, small_grid):
         r = make_series(small_grid, np.zeros((3, 1, 8, 16)))
         ts = r.timestamps
@@ -164,6 +188,158 @@ class TestRGFFormat:
         p = tmp_path / "x.rgf"
         write_rollout(random_series, p)
         assert read_rollout(p).attrs["note"] == "hello"
+
+
+def _rewrite_header(path, **changes):
+    """Replace header fields of an RGF file in place, keeping its payload."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12 : 12 + hlen]) | changes
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + raw[12 + hlen :])
+
+
+class TestMalformedRGF:
+    """Every malformed file is a typed RGFError whose message names the file."""
+
+    @pytest.mark.parametrize("changes", [
+        {"earth_radius_km": "far"},
+        {"earth_radius_km": float("nan")},
+        {"fill_value": "none"},
+        {"fill_value": -1e39},
+        {"lats": [90.0, 60.0, 70.0, 30.0, 0.0, -30.0, -60.0, -90.0]},
+        {"lons": [0.0, 10.0] + [22.5 * i for i in range(2, 16)]},
+        {"step_seconds": 0},
+        {"attrs": ["not", "an", "object"]},
+    ], ids=["earth_radius", "earth_radius_nan", "fill_value", "fill_overflow", "lats",
+            "lons", "step_0", "attrs"])
+    def test_bad_header_field_is_format_error(self, tmp_path, random_series, changes):
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        _rewrite_header(p, **changes)
+        with pytest.raises(FormatError, match=re.escape(str(p))):
+            read_rollout(p)
+
+    def test_nan_payload_without_fill_value(self, tmp_path, random_series):
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        raw = bytearray(p.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(str(p))):
+            read_rollout(p)
+
+    def test_n_time_0(self, tmp_path, random_series):
+        """A mismatch while payload bytes remain, an invalid header without them."""
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        _rewrite_header(p, n_time=0)
+        with pytest.raises(HeaderMismatchError, match=re.escape(str(p))):
+            read_rollout(p)
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        p.write_bytes(raw[: 12 + hlen])
+        with pytest.raises(FormatError, match=re.escape(str(p))):
+            read_rollout(p)
+
+
+class TestReadMemory:
+    """read_rollout fills one array from the file: no byte-string copies."""
+
+    @pytest.mark.parametrize("fill_value", [None, -9e30])
+    def test_peak_below_one_and_a_half_payloads(self, tmp_path, fill_value):
+        data = np.random.default_rng(0).standard_normal((64, 2, 64, 128)).astype(np.float32)
+        if fill_value is not None:
+            data[3, 1, 5, :7] = np.nan
+        r = RolloutSeries(grid=GridSpec.regular(64, 128), variables=("a", "b"),
+                          start_time=datetime(2021, 1, 1), data=data, fill_value=fill_value)
+        p = tmp_path / "x.rgf"
+        write_rollout(r, p)
+        tracemalloc.start()
+        try:
+            back = read_rollout(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.nbytes
+        assert back.data.tobytes() == data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def small_rgf(tmp_path_factory):
+    """Bytes of a valid two-variable RGF with a fill value and attrs."""
+    grid = GridSpec.regular(3, 4)
+    data = np.arange(2 * 2 * 3 * 4, dtype=np.float32).reshape(2, 2, 3, 4)
+    data[1, 0, 1, 2] = np.nan
+    r = RolloutSeries(grid=grid, variables=("T2m", "U10"), start_time=datetime(2021, 1, 1),
+                      data=data, fill_value=-9e30, attrs={"note": "x"})
+    p = tmp_path_factory.mktemp("rgf") / "small.rgf"
+    write_rollout(r, p)
+    return p.read_bytes()
+
+
+class TestRGFProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5),
+                        st.integers(1, 8)),
+        fill_value=st.none() | st.floats(width=32, allow_nan=False, allow_infinity=False),
+        data=st.data(),
+    )
+    def test_round_trip_bit_exact(self, tmp_path_factory, shape, fill_value, data):
+        values = data.draw(arrays(np.float32, shape, elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)))
+        if fill_value is not None:  # a cell equal to the fill value is a hole
+            holes = data.draw(arrays(np.bool_, shape)) | (values == np.float32(fill_value))
+            values[holes] = np.nan
+        r = RolloutSeries(grid=GridSpec.regular(shape[2], shape[3]),
+                          variables=tuple(f"v{i}" for i in range(shape[1])),
+                          start_time=datetime(2021, 1, 1), data=values,
+                          fill_value=fill_value)
+        p = tmp_path_factory.getbasetemp() / "roundtrip.rgf"
+        write_rollout(r, p)
+        back = read_rollout(p)
+        assert back.data.tobytes() == values.tobytes()
+        assert back.fill_value == (None if fill_value is None else float(fill_value))
+
+    def test_every_truncation_is_rgf_error(self, tmp_path, small_rgf):
+        cut = tmp_path / "cut.rgf"
+        for n in range(len(small_rgf)):
+            cut.write_bytes(small_rgf[:n])
+            with pytest.raises(RGFError):
+                read_rollout(cut)
+
+    @settings(max_examples=500, deadline=None)
+    @given(position=st.integers(min_value=0),
+           value=st.integers(0, 255) | st.sampled_from(b"-.0123456789e"))
+    def test_header_byte_corruption_reads_or_raises_rgf_error(self, tmp_path_factory,
+                                                              small_rgf, position, value):
+        p = tmp_path_factory.getbasetemp() / "corrupt.rgf"
+        raw = bytearray(small_rgf)
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        raw[position % (12 + hlen)] = value
+        p.write_bytes(bytes(raw))
+        try:
+            read_rollout(p)
+        except RGFError as e:
+            assert str(p) in str(e)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_time=st.integers(min_value=3, max_value=10**15))
+    @example(n_time=10**9)
+    def test_oversized_declaration_raises_before_allocating(self, tmp_path_factory, small_rgf,
+                                                            n_time):
+        p = tmp_path_factory.getbasetemp() / "oversized.rgf"
+        p.write_bytes(small_rgf)
+        _rewrite_header(p, n_time=n_time)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError):
+                read_rollout(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRegions:
