@@ -31,20 +31,28 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(args, inputs: dict[str, str]) -> dict:
+def _manifest(args, inputs: dict) -> dict:
     """The run manifest: subcommand, parameters, and the path and SHA-256 of
-    every input that was given (``None`` entries are left out)."""
+    every input that was given (``None`` entries are left out).
+
+    An RGF input is given as ``(path, sha256)`` with the digest its reader
+    took from the bytes it read; any other input is a path, hashed here.
+    """
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func",) and not callable(v)
     }
+    entries = {}
+    for name, p in inputs.items():
+        if p:
+            path, digest = p if isinstance(p, tuple) else (p, _sha256(p))
+            entries[name] = {"path": str(path), "sha256": digest}
     return {
         "tool": "rollstab",
         "version": __version__,
         "subcommand": args.subcommand,
         "params": params,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in inputs.items() if p},
+        "inputs": entries,
     }
 
 
@@ -144,9 +152,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    r = gridio.read_rollout(args.input)
-    spec = spectra.spectrum_series(r, args.variable, daily=args.daily)
-    manifest = _manifest(args, {"input": args.input})
+    with gridio.RolloutFile(args.input) as r:
+        spec = spectra.spectrum_series(r, args.variable, daily=args.daily)
+    manifest = _manifest(args, {"input": (args.input, r.sha256)})
     bands = [spec.band_large, spec.band_medium, spec.band_small]
     _write_csv(
         args.output, manifest, "band energies in variable units (zonal Fourier amplitude)",
@@ -174,10 +182,13 @@ def _series_steps_per_day(times: np.ndarray) -> float:
 def cmd_blowup(args) -> int:
     _exclusive(args, "--input", "--min-csv", "--max-csv")
     _exclusive(args, "--variable", "--min-csv", "--max-csv")
+    rgf = None
     if args.input:
-        r = gridio.read_rollout(args.input)
-        gridio.require_finite(r, args.variable)
-        ext = gridio.spatial_extremes(r, args.variable)
+        with gridio.RolloutFile(args.input) as r:
+            s = spectra.scan(r, (args.variable,), spectra=False, extremes=True)
+        s.require_finite(args.variable)
+        ext = s.extremes[args.variable]
+        rgf = (args.input, r.sha256)
         mn, mx = ext.min, ext.max
         steps_per_day = 86400.0 / r.step_seconds
     else:
@@ -202,26 +213,29 @@ def cmd_blowup(args) -> int:
         "units": "days from rollout start",
     }
     _write_json(args.output, doc, _manifest(
-        args, {"input": args.input, "min_csv": args.min_csv, "max_csv": args.max_csv}))
+        args, {"input": rgf, "min_csv": args.min_csv, "max_csv": args.max_csv}))
     return 0
 
 
 def cmd_seasonality(args) -> int:
     _exclusive(args, "--envelope", "--reference")
+    ref = None
     if args.envelope:
         env = climatology.ClimatologyEnvelope.load(args.envelope)
     elif args.reference:
-        ref_spec = spectra.spectrum_series(gridio.read_rollout(args.reference), args.variable,
-                                           daily=True)
+        with gridio.RolloutFile(args.reference) as r:
+            ref_spec = spectra.spectrum_series(r, args.variable, daily=True)
+        ref = (args.reference, r.sha256)
         env = climatology.build_envelope(ref_spec.daily_band("large"),
                                          name=f"band_large[{args.variable}]")
     else:
         raise ValueError("need --envelope or --reference to define the climatology")
-    manifest = _manifest(args, {"input": args.input, "envelope": args.envelope,
-                                "reference": args.reference})
+    with gridio.RolloutFile(args.input) as r:
+        spec = spectra.spectrum_series(r, args.variable, daily=True)
+    manifest = _manifest(args, {"input": (args.input, r.sha256), "envelope": args.envelope,
+                                "reference": ref})
     if args.save_envelope:
         env.save(args.save_envelope, extra={"manifest": manifest})
-    spec = spectra.spectrum_series(gridio.read_rollout(args.input), args.variable, daily=True)
     res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
                                             multiplier=args.multiplier, run_days=args.run_days)
     doc = {
@@ -236,10 +250,10 @@ def cmd_seasonality(args) -> int:
 
 
 def cmd_smallscale(args) -> int:
-    pred = gridio.read_rollout(args.input)
-    ref = gridio.read_rollout(args.reference)
-    spec = spectra.spectrum_series(pred, args.variable, daily=True)
-    ref_spec = spectra.spectrum_series(ref, args.variable, daily=True)
+    with gridio.RolloutFile(args.input) as pred:
+        spec = spectra.spectrum_series(pred, args.variable, daily=True)
+    with gridio.RolloutFile(args.reference) as ref:
+        ref_spec = spectra.spectrum_series(ref, args.variable, daily=True)
     res = detectors.small_scale_ratios(spec, ref_spec, blowup_day=args.blowup_day,
                                        window_days=args.window_days)
     doc = {
@@ -249,8 +263,8 @@ def cmd_smallscale(args) -> int:
         "truncated": res.truncated,
         "units": "dimensionless energy ratios",
     }
-    _write_json(args.output, doc,
-                _manifest(args, {"input": args.input, "reference": args.reference}))
+    _write_json(args.output, doc, _manifest(args, {"input": (args.input, pred.sha256),
+                                                   "reference": (args.reference, ref.sha256)}))
     return 0
 
 
@@ -261,8 +275,8 @@ def cmd_cycle_rmse(args) -> int:
         "seasonal_cycle_rmse": detectors.seasonal_cycle_rmse(a, b, args.variable),
         "units": "variable units",
     }
-    _write_json(args.output, doc,
-                _manifest(args, {"input": args.input, "reference": args.reference}))
+    _write_json(args.output, doc, _manifest(args, {"input": (args.input, a.sha256),
+                                                   "reference": (args.reference, b.sha256)}))
     return 0
 
 
@@ -278,9 +292,28 @@ def _load_adapter(spec_str: str, init_series):
     raise ValueError(f"unknown adapter kind {kind!r}; use synth:FILE or external:FILE")
 
 
+# perturb flags that only --kind uses, and their defaults. They parse as None,
+# so that one given without --kind is caught, and are filled in afterwards, so
+# that the run and its manifest see the value used.
+_KIND_DEFAULTS = {"k": 1.0, "correlation_length": 10.0, "target": "dynamic"}
+
+
+def _check_perturb_flags(args) -> None:
+    """Reject perturb flags the run would ignore, then fill in the defaults."""
+    given = [d for d in ("stats_from", *_KIND_DEFAULTS) if getattr(args, d) is not None]
+    if given and not args.kind:
+        flags = ", ".join("--" + d.replace("_", "-") for d in given)
+        raise ValueError(f"{flags}: only used with --kind; give --kind or drop them")
+    if args.seed is not None and not args.kind and args.time_shift_days is None:
+        raise ValueError("--seed is only used with --kind or --time-shift-days; "
+                         "give one of them or drop it")
+    for d, default in {**_KIND_DEFAULTS, "seed": 0}.items():
+        if getattr(args, d) is None:
+            setattr(args, d, default)
+
+
 def cmd_perturb(args) -> int:
-    if args.stats_from and not args.kind:
-        raise ValueError("--stats-from is only used with --kind; give --kind or drop it")
+    _check_perturb_flags(args)
     init_series = gridio.read_rollout(args.init) if args.init else None
     adapter, adapter_path = _load_adapter(args.adapter, init_series)
 
@@ -299,6 +332,7 @@ def cmd_perturb(args) -> int:
 
     spec = None
     stats = None
+    ref = None
     if args.kind:
         spec = perturb.PerturbationSpec(
             kind=args.kind.upper(),
@@ -321,8 +355,11 @@ def cmd_perturb(args) -> int:
 
     out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec,
                               stats=stats, step_seconds=args.step_seconds)
-    out.attrs["manifest"] = _manifest(args, {"init": args.init, "adapter": adapter_path,
-                                             "stats_from": args.stats_from})
+    out.attrs["manifest"] = _manifest(args, {
+        "init": init_series and (args.init, init_series.sha256),
+        "adapter": adapter_path,
+        "stats_from": ref and (args.stats_from, ref.sha256),
+    })
     gridio.write_rollout(out, args.output)
     return 0
 
@@ -336,7 +373,8 @@ def cmd_extremes(args) -> int:
         regions = gridio.builtin_regions()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, {"input": args.input, "reference": args.reference,
+    manifest = _manifest(args, {"input": (args.input, model.sha256),
+                                "reference": (args.reference, reference.sha256),
                                 "regions": args.regions})
 
     mt, rt = model.timestamps, reference.timestamps
@@ -410,7 +448,8 @@ def cmd_memorize(args) -> int:
     variables = tuple(args.variables.split(",")) if args.variables else None
     index = memorize.build_index(training, variables)
     results = memorize.memorization_series(rollout, index, window_days=args.window_days)
-    _write_csv(args.output, _manifest(args, {"rollout": args.rollout, "index": args.index}),
+    _write_csv(args.output, _manifest(args, {"rollout": (args.rollout, rollout.sha256),
+                                             "index": (args.index, training.sha256)}),
                "dimensionless distance ratio; d1/d2 in weighted L2",
                ["timestamp", "ratio", "d1", "d2", "first_neighbor", "second_neighbor"],
                ([str(t), _fmt(res.ratio), _fmt(res.d1), _fmt(res.d2),
@@ -420,14 +459,14 @@ def cmd_memorize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    pred = gridio.read_rollout(args.prediction)
-    ref = gridio.read_rollout(args.reference)
-    rep = detectors.build_report(
-        pred, ref, name=args.name, multiplier=args.multiplier, run_days=args.run_days,
-        window_days=args.window_days, smoothing_days=args.smoothing_days,
-        r2_threshold=args.r2_threshold,
-    )
-    manifest = _manifest(args, {"prediction": args.prediction, "reference": args.reference})
+    with gridio.RolloutFile(args.prediction) as pred, gridio.RolloutFile(args.reference) as ref:
+        rep = detectors.build_report(
+            pred, ref, name=args.name, multiplier=args.multiplier, run_days=args.run_days,
+            window_days=args.window_days, smoothing_days=args.smoothing_days,
+            r2_threshold=args.r2_threshold,
+        )
+    manifest = _manifest(args, {"prediction": (args.prediction, pred.sha256),
+                                "reference": (args.reference, ref.sha256)})
     _write_json(args.output, rep.to_dict(), manifest)
     if args.csv:
         variables = rep.variables
@@ -558,15 +597,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--adapter", required=True, help="synth:CFG.json or external:MANIFEST.json")
     sp.add_argument("--init", default=None, help="initial state RGF (first timestep used)")
     sp.add_argument("--kind", choices=[k.lower() for k in perturb.KINDS], default=None)
-    sp.add_argument("--k", type=float, default=1.0, help="amplitude in sigma units")
-    sp.add_argument("--correlation-length", type=float, default=10.0)
-    sp.add_argument("--target", choices=perturb.TARGETS, default="dynamic")
+    sp.add_argument("--k", type=float, default=None,
+                    help="amplitude in sigma units (default 1.0; needs --kind)")
+    sp.add_argument("--correlation-length", type=float, default=None,
+                    help="default 10.0; needs --kind")
+    sp.add_argument("--target", choices=perturb.TARGETS, default=None,
+                    help="default dynamic; needs --kind")
     sp.add_argument("--time-shift-days", type=float, default=None)
     sp.add_argument("--stats-from", default=None, help="reference RGF for (mu, sigma)")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--step-seconds", type=int, default=21600)
     sp.add_argument("--start-time", default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="default 0; needs --kind or --time-shift-days")
     sp.add_argument("-o", "--output", required=True, help="output rollout RGF")
 
     sp = add("extremes", cmd_extremes, "regional extreme-event statistics")

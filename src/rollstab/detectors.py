@@ -23,12 +23,12 @@ from .climatology import ClimatologyEnvelope, build_envelope
 from .gridio import (
     DailySeries,
     PreconditionError,
+    RolloutFile,
     RolloutSeries,
     cell_weights,
     require_finite,
-    spatial_extremes,
 )
-from .spectra import BandUnresolvedError, SpectrumSeries, spectrum_series
+from .spectra import BandUnresolvedError, SpectrumSeries, scan
 
 
 class SeriesTooShortError(PreconditionError):
@@ -362,8 +362,8 @@ class StabilityReport:
 
 
 def build_report(
-    prediction: RolloutSeries,
-    reference: RolloutSeries,
+    prediction: RolloutSeries | RolloutFile,
+    reference: RolloutSeries | RolloutFile,
     name: str = "rollout",
     multiplier: float = 2.0,
     run_days: int = 45,
@@ -371,25 +371,32 @@ def build_report(
     smoothing_days: float = 4,
     r2_threshold: float = 0.9,
 ) -> StabilityReport:
-    """Run all three detectors for every variable shared by both series."""
+    """Run all three detectors for every variable shared by both series.
+
+    Each input is read in one :func:`~rollstab.spectra.scan` over all shared
+    variables (spectra of both, extremes of the prediction), so an open
+    :class:`RolloutFile` is never held whole; the detectors then work on the
+    reduced series.
+    """
     shared = tuple(v for v in prediction.variables if v in reference.variables)
     if not shared:
         raise ValueError("prediction and reference share no variables")
     steps_per_day = 86400.0 / prediction.step_seconds
     rep = StabilityReport(name=name, horizon_days=prediction.horizon_days, variables=shared)
+    pred = scan(prediction, shared, daily=True, extremes=True)
+    ref = scan(reference, shared, daily=True)
 
     for v in shared:
-        ext = spatial_extremes(prediction, v)
-        require_finite(prediction, v)
+        pred.require_finite(v)
+        ext = pred.extremes[v]
         rep.blowup[v] = detect_blowup(
             ext.min, ext.max, steps_per_day=steps_per_day, window_days=window_days,
             smoothing_days=smoothing_days, r2_threshold=r2_threshold,
         )
-        # each run is transformed once; the reference spectra feed both the
-        # envelope and the small-scale ratios
-        ref_spec = spectrum_series(reference, v, daily=True)
+        # the reference spectra feed both the envelope and the small-scale ratios
+        ref.require_finite(v)
+        spec, ref_spec = pred.spectra[v], ref.spectra[v]
         envelope = build_envelope(ref_spec.daily_band("large"), name=f"band_large[{v}]")
-        spec = spectrum_series(prediction, v, daily=True)
         rep.seasonality[v] = detect_seasonality_loss(
             spec.daily_band("large"), envelope, multiplier=multiplier, run_days=run_days,
         )

@@ -9,12 +9,13 @@ row-major order.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -219,46 +220,10 @@ def load_regions(path) -> dict[str, RegionSpec]:
 # rollout series
 
 
-@dataclass
-class RolloutSeries:
-    """A (time, variable, lat, lon) gridded field sequence.
-
-    ``data`` is float32. NaN is only allowed when ``fill_value`` is set; cells
-    equal to the fill value are read back as NaN and rejected by detectors.
-    """
-
-    grid: GridSpec
-    variables: tuple[str, ...]
-    start_time: datetime
-    data: np.ndarray
-    step_seconds: int = 21600
-    fill_value: float | None = None
-    attrs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.variables = tuple(self.variables)
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 4:
-            raise ValueError("data must be 4-D (time, variable, lat, lon)")
-        if data.shape[0] < 1:
-            raise ValueError("series must contain at least one timestep")
-        if data.shape[1] != len(self.variables):
-            raise ValueError("data variable axis does not match variable names")
-        if data.shape[2:] != (self.grid.n_lat, self.grid.n_lon):
-            raise ValueError("spatial slices do not match grid dimensions")
-        if self.step_seconds <= 0:
-            raise ValueError("step_seconds must be positive")
-        if self.fill_value is not None and not abs(self.fill_value) <= _F32_MAX:
-            raise ValueError(f"fill_value {self.fill_value} is not a finite float32")
-        if self.fill_value is None and not np.isfinite(data).all():
-            raise ValueError("non-finite values present but no fill value declared")
-        if not isinstance(self.attrs, dict):
-            raise ValueError("attrs must be a dict (a JSON object in RGF headers)")
-        self.data = data
-
-    @property
-    def n_time(self) -> int:
-        return self.data.shape[0]
+class _Rollout:
+    """The time axis and variable lookup shared by an in-memory series and an
+    open RGF file; both provide ``n_time``, ``start_time``, ``step_seconds``
+    and ``variables``."""
 
     @property
     def horizon_days(self) -> float:
@@ -279,18 +244,87 @@ class RolloutSeries:
                 f"unknown variable {v!r}; available: {', '.join(self.variables)}"
             ) from None
 
+
+def _check_layout(shape, grid, variables, step_seconds, fill_value, attrs) -> None:
+    """The rules a series' header obeys, whatever its values."""
+    if len(shape) != 4:
+        raise ValueError("data must be 4-D (time, variable, lat, lon)")
+    if shape[0] < 1:
+        raise ValueError("series must contain at least one timestep")
+    if shape[1] != len(variables):
+        raise ValueError("data variable axis does not match variable names")
+    if tuple(shape[2:]) != (grid.n_lat, grid.n_lon):
+        raise ValueError("spatial slices do not match grid dimensions")
+    if step_seconds <= 0:
+        raise ValueError("step_seconds must be positive")
+    if fill_value is not None and not abs(fill_value) <= _F32_MAX:
+        raise ValueError(f"fill_value {fill_value} is not a finite float32")
+    if not isinstance(attrs, dict):
+        raise ValueError("attrs must be a dict (a JSON object in RGF headers)")
+
+
+def _check_values(data: np.ndarray, fill_value) -> None:
+    if fill_value is None and not np.isfinite(data).all():
+        raise ValueError("non-finite values present but no fill value declared")
+
+
+@dataclass
+class RolloutSeries(_Rollout):
+    """A (time, variable, lat, lon) gridded field sequence.
+
+    ``data`` is float32. NaN is only allowed when ``fill_value`` is set; cells
+    equal to the fill value are read back as NaN and rejected by detectors.
+    ``sha256`` is the digest of the RGF file the series was read from (None
+    for a series made in memory); its reader checked the values block by
+    block, so they are not scanned again here.
+    """
+
+    grid: GridSpec
+    variables: tuple[str, ...]
+    start_time: datetime
+    data: np.ndarray
+    step_seconds: int = 21600
+    fill_value: float | None = None
+    attrs: dict = field(default_factory=dict)
+    sha256: str | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.variables = tuple(self.variables)
+        self.data = np.asarray(self.data, dtype=np.float32)
+        _check_layout(self.data.shape, self.grid, self.variables, self.step_seconds,
+                      self.fill_value, self.attrs)
+        if self.sha256 is None:
+            _check_values(self.data, self.fill_value)
+
+    @property
+    def n_time(self) -> int:
+        return self.data.shape[0]
+
     def values(self, v: str) -> np.ndarray:
         """(time, lat, lon) float32 view of one variable."""
         return self.data[:, self.index_of(v)]
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """(time, variable, lat, lon) views of at most ``rows`` steps each,
+        the same walk :meth:`RolloutFile.blocks` makes over a file."""
+        for start in range(0, self.n_time, rows):
+            yield self.data[start : start + rows]
+
+
+class IncompleteFieldError(ValueError):
+    """A variable holds fill/NaN cells where detectors need complete fields."""
+
+    def __init__(self, v: str):
+        super().__init__(
+            f"variable {v!r} contains fill/NaN values; detectors require complete fields"
+        )
 
 
 def require_finite(r: RolloutSeries, v: str) -> np.ndarray:
     """Return values(v) after rejecting fill values, as detectors must."""
     vals = r.values(v)
     if not np.isfinite(vals).all():
-        raise ValueError(
-            f"variable {v!r} contains fill/NaN values; detectors require complete fields"
-        )
+        raise IncompleteFieldError(v)
     return vals
 
 
@@ -390,15 +424,27 @@ def write_rollout(r: RolloutSeries, path) -> None:
         f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
-def read_rollout(path) -> RolloutSeries:
-    """Read an RGF1 file written by :func:`write_rollout`.
+class RolloutFile(_Rollout):
+    """An RGF1 file opened for reading in time blocks.
 
-    The declared payload size is checked against the file size before
-    anything is allocated; the payload is then read straight into the array
-    that becomes ``data``, so the reader holds one copy of it. Every
-    malformed file raises an :class:`RGFError` naming the path.
+    Opening parses and validates the header and checks the declared payload
+    size against the file size before anything is allocated; the payload is
+    read only as :meth:`blocks` is walked. Every malformed file raises an
+    :class:`RGFError` naming the path. Use it as a context manager.
     """
-    with open(path, "rb") as f:
+
+    def __init__(self, path):
+        self.path = path
+        self._sha256 = None
+        self._f = open(path, "rb")
+        try:
+            self._open()
+        except BaseException:
+            self._f.close()
+            raise
+
+    def _open(self) -> None:
+        path, f = self.path, self._f
         size = os.fstat(f.fileno()).st_size
         prefix = f.read(12)
         if prefix[:4] != _MAGIC:
@@ -408,8 +454,9 @@ def read_rollout(path) -> RolloutSeries:
         (hlen,) = struct.unpack("<Q", prefix[4:12])
         if size < 12 + hlen:
             raise FormatError(f"{path}: declared header extends past end of file")
+        blob = f.read(hlen)
         try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"{path}: header is not valid UTF-8 JSON: {e}") from None
         try:
@@ -429,37 +476,92 @@ def read_rollout(path) -> RolloutSeries:
             raise FormatError(f"{path}: missing or malformed header field: {e}") from None
         if len(variables) != n_var or lats.size != n_lat or lons.size != n_lon:
             raise HeaderMismatchError(f"{path}: header dims disagree with name/axis arrays")
-        expected = n_time * n_var * n_lat * n_lon * 4
+        self._expected = n_time * n_var * n_lat * n_lon * 4
         held = size - 12 - hlen
-        if held < expected:
+        if held < self._expected:
             raise TruncatedPayloadError(
-                f"{path}: payload holds {held} bytes, header declares {expected}"
+                f"{path}: payload holds {held} bytes, header declares {self._expected}"
             )
-        if held > expected:
+        if held > self._expected:
             raise HeaderMismatchError(
-                f"{path}: payload holds {held} bytes, header declares only {expected}"
+                f"{path}: payload holds {held} bytes, header declares only {self._expected}"
             )
-        data = np.empty((n_time, n_var, n_lat, n_lon), dtype="<f4")
-        held = f.readinto(data)  # buffered: loops until full or end of file
-        if held != expected:
-            raise TruncatedPayloadError(
-                f"{path}: payload holds {held} bytes, header declares {expected}"
-            )
-    try:
-        r = RolloutSeries(
-            grid=GridSpec(lats=lats, lons=lons, earth_radius_km=earth_radius_km),
-            variables=variables,
-            start_time=start_time,
-            data=data,
-            step_seconds=step_seconds,
-            fill_value=fill_value,
-            attrs=header.get("attrs", {}),
-        )
-    except ValueError as e:
-        raise FormatError(f"{path}: invalid header or payload: {e}") from None
-    if r.fill_value is not None:
-        r.data[r.data == np.float32(r.fill_value)] = np.nan
-    return r
+        attrs = header.get("attrs", {})
+        try:
+            grid = GridSpec(lats=lats, lons=lons, earth_radius_km=earth_radius_km)
+            _check_layout((n_time, n_var, n_lat, n_lon), grid, variables, step_seconds,
+                          fill_value, attrs)
+        except ValueError as e:
+            raise FormatError(f"{path}: invalid header or payload: {e}") from None
+        self.grid, self.variables, self.start_time = grid, variables, start_time
+        self.n_time, self.step_seconds = n_time, step_seconds
+        self.fill_value, self.attrs = fill_value, attrs
+        self._head = hashlib.sha256(prefix + blob)
+        self._payload = 12 + hlen
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """Yield the payload as float32 (time, variable, lat, lon) blocks of at
+        most ``rows`` steps, each read with one ``readinto`` into the same
+        buffer, so a block is valid only until the next one is taken.
+
+        Cells equal to the fill value come back as NaN; without a fill value
+        a non-finite cell is an error. The raw bytes also feed a SHA-256 of
+        the whole file, header included, which a complete walk leaves in
+        :attr:`sha256`.
+        """
+        frame = (len(self.variables), self.grid.n_lat, self.grid.n_lon)
+        buf = np.empty((min(rows, self.n_time), *frame), dtype="<f4")
+        digest = self._head.copy()
+        self._f.seek(self._payload)
+        for start in range(0, self.n_time, buf.shape[0]):
+            block = buf[: self.n_time - start]
+            held = self._f.readinto(block)  # buffered: loops until full or end of file
+            if held != block.nbytes:
+                held += start * buf[0].nbytes
+                raise TruncatedPayloadError(
+                    f"{self.path}: payload holds {held} bytes, header declares {self._expected}"
+                )
+            digest.update(block)
+            if self.fill_value is None:
+                try:
+                    _check_values(block, None)
+                except ValueError as e:
+                    raise FormatError(f"{self.path}: invalid header or payload: {e}") from None
+            else:
+                block[block == np.float32(self.fill_value)] = np.nan
+            yield block
+        self._sha256 = digest.hexdigest()
+
+    @property
+    def sha256(self) -> str:
+        """SHA-256 of the file, known once :meth:`blocks` has been walked to the end."""
+        if self._sha256 is None:
+            raise RuntimeError(f"{self.path}: digest is known only after a full pass")
+        return self._sha256
+
+    def close(self) -> None:
+        self._f.close()
+
+    def __enter__(self) -> "RolloutFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def read_rollout(path) -> RolloutSeries:
+    """Read an RGF1 file written by :func:`write_rollout`.
+
+    This is :class:`RolloutFile` walked in one block that spans the file:
+    the payload is read straight into the array that becomes ``data``, so
+    the reader holds one copy of it, and the file's digest is kept in
+    ``sha256``.
+    """
+    with RolloutFile(path) as f:
+        (data,) = f.blocks(f.n_time)
+        return RolloutSeries(grid=f.grid, variables=f.variables, start_time=f.start_time,
+                             data=data, step_seconds=f.step_seconds,
+                             fill_value=f.fill_value, attrs=f.attrs, sha256=f.sha256)
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,25 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
 from .gridio import (
     DailySeries,
+    Extremes,
     GridSpec,
+    IncompleteFieldError,
     PreconditionError,
+    RolloutFile,
     RolloutSeries,
     daily_mean,
     latitude_weights,
-    require_finite,
 )
 
-# float64 bytes of one block of timesteps transformed at once, so the
-# working set of spectrum_series does not grow with the horizon
+# float64 bytes of one variable's block of timesteps read and transformed at
+# once, so the working set of a scan does not grow with the horizon
 BLOCK_BYTES = 32 << 20
 
 LARGE_MIN_KM = 5000.0
@@ -161,45 +164,97 @@ class SpectrumSeries:
 
 
 def _spectra(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Latitude-weighted amplitude spectra (time, n_k) of a (time, lat, lon)
-    stack, transformed in blocks of at most BLOCK_BYTES."""
-    rows = max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
-    w = latitude_weights(grid)
-    workers = thread_count()
-    energy = np.empty((fields.shape[0], grid.n_lon // 2 + 1))
-    for s in range(0, fields.shape[0], rows):
-        block = fields[s : s + rows].astype(np.float64)
-        amp = np.abs(scipy.fft.rfft(block, axis=-1, workers=workers)) / grid.n_lon
-        energy[s : s + rows] = np.einsum("j,tjk->tk", w, amp)
-    return energy
+    """Latitude-weighted amplitude spectra (time, n_k) of a (time, lat, lon) stack."""
+    amp = np.abs(scipy.fft.rfft(fields.astype(np.float64), axis=-1,
+                                workers=thread_count())) / grid.n_lon
+    return np.einsum("j,tjk->tk", latitude_weights(grid), amp)
 
 
-def spectrum_series(r: RolloutSeries, v: str, daily: bool = False) -> SpectrumSeries:
-    """Zonal spectra of variable ``v`` at every timestep.
-
-    With ``daily=True`` the spectra are averaged into one per UTC day (the
-    mean of the sub-daily spectra, typically 4 six-hourly ones).
-    """
-    if r.grid.n_lon < 4:
-        raise ValueError("zonal spectra need at least 4 longitude points")
-    energy = _spectra(require_finite(r, v), r.grid)
-    timestamps = r.timestamps
+def _series(timestamps: np.ndarray, energy: np.ndarray, grid: GridSpec,
+            daily: bool) -> SpectrumSeries:
     if daily:
         days = daily_mean(timestamps, energy)
         timestamps, energy = days.dates.astype("datetime64[s]"), days.values
-    band_large = band_average(energy, r.grid, "large")
     bands = {}
-    for name in ("medium", "small"):
+    for name in BANDS:
         try:
-            bands[name] = band_average(energy, r.grid, name)
+            bands[name] = band_average(energy, grid, name)
         except BandUnresolvedError:
             bands[name] = None
     return SpectrumSeries(
         timestamps=timestamps,
-        wavenumbers=np.arange(r.grid.n_lon // 2 + 1),
+        wavenumbers=np.arange(grid.n_lon // 2 + 1),
         energy=energy,
-        band_large=band_large,
+        band_large=bands["large"],
         band_medium=bands["medium"],
         band_small=bands["small"],
-        grid=r.grid,
+        grid=grid,
     )
+
+
+class Scan(NamedTuple):
+    """Per-variable results of one pass over a rollout's time blocks."""
+
+    spectra: dict[str, SpectrumSeries]
+    extremes: dict[str, Extremes]
+    incomplete: frozenset[str]  # variables holding fill/NaN cells
+
+    def require_finite(self, v: str) -> None:
+        """Reject a variable with fill/NaN cells, as detectors must."""
+        if v in self.incomplete:
+            raise IncompleteFieldError(v)
+
+
+def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
+         spectra: bool = True, extremes: bool = False) -> Scan:
+    """One pass over ``source``'s time blocks that reduces every variable in
+    ``variables`` to its zonal spectra (with ``spectra``) and its spatial
+    extremes (with ``extremes``).
+
+    ``source`` is an in-memory series or an open :class:`RolloutFile`; both
+    are walked in blocks of at most BLOCK_BYTES of float64 per variable, so
+    memory is bounded by the block and not by the horizon, and a file's
+    digest is complete once the pass returns. With ``daily=True`` the spectra
+    are averaged into one per UTC day. A variable holding fill values gets NaN
+    results and is listed in ``incomplete``; callers reject it with
+    :meth:`Scan.require_finite` where the detectors need complete fields.
+    """
+    grid = source.grid
+    if spectra and grid.n_lon < 4:
+        raise ValueError("zonal spectra need at least 4 longitude points")
+    idx = {v: source.index_of(v) for v in variables}
+    n = source.n_time
+    energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
+    ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
+           for v in idx} if extremes else {}
+    incomplete = set()
+    rows = max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
+    s = 0
+    for block in source.blocks(rows):
+        e = s + block.shape[0]
+        for v, i in idx.items():
+            fields = block[:, i]
+            # without a fill value, the values are finite by now
+            if source.fill_value is not None and not np.isfinite(fields).all():
+                incomplete.add(v)
+            if spectra:
+                energy[v][s:e] = _spectra(fields, grid)
+            if extremes:
+                ext[v].min[s:e] = fields.min(axis=(1, 2))
+                ext[v].max[s:e] = fields.max(axis=(1, 2))
+        s = e
+    timestamps = source.timestamps
+    return Scan({v: _series(timestamps, en, grid, daily) for v, en in energy.items()},
+                ext, frozenset(incomplete))
+
+
+def spectrum_series(r: RolloutSeries | RolloutFile, v: str,
+                    daily: bool = False) -> SpectrumSeries:
+    """Zonal spectra of variable ``v`` at every timestep, in one :func:`scan`.
+
+    With ``daily=True`` the spectra are averaged into one per UTC day (the
+    mean of the sub-daily spectra, typically 4 six-hourly ones).
+    """
+    s = scan(r, (v,), daily=daily)
+    s.require_finite(v)
+    return s.spectra[v]

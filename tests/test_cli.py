@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from datetime import datetime
@@ -8,7 +10,7 @@ import pytest
 
 import rollstab
 from rollstab.cli import main
-from rollstab import GridSpec, RegimeConfig, generate, write_rollout
+from rollstab import GridSpec, RegimeConfig, RolloutSeries, generate, write_rollout
 from rollstab.gridio import spatial_extremes, write_series_csv
 from rollstab.synth import config_to_dict
 from conftest import make_series
@@ -427,6 +429,9 @@ class TestEverySubcommandByteStable:
 def _manifest_inputs(path):
     if path.suffix == ".rgf":
         return rollstab.read_rollout(path).attrs["manifest"]["inputs"]
+    if path.suffix == ".csv":
+        line = next(x for x in path.read_text().splitlines() if x.startswith("# manifest: "))
+        return json.loads(line.removeprefix("# manifest: "))["inputs"]
     return json.loads(path.read_text())["manifest"]["inputs"]
 
 
@@ -496,6 +501,170 @@ class TestRejectedFlagPairs:
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags), err
         assert not out.exists()
+
+
+class TestPerturbFlagsWithoutKind:
+    """Flags only --kind (or --time-shift-days) uses are rejected without it."""
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--k", "3"], ["--k"]),
+        (["--correlation-length", "50"], ["--correlation-length"]),
+        (["--target", "both"], ["--target"]),
+        (["--k", "3", "--correlation-length", "50", "--target", "both"],
+         ["--k", "--correlation-length", "--target"]),
+        (["--k", "3", "--time-shift-days", "1"], ["--k", "--kind"]),
+        (["--target", "static", "--time-shift-days", "1"], ["--target", "--kind"]),
+        (["--seed", "4"], ["--seed", "--kind", "--time-shift-days"]),
+    ])
+    def test_exit_2_naming_the_flags(self, tmp_path, synth_files, capsys, extra, named):
+        out = tmp_path / "out.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "2",
+                       *extra, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--time-shift-days", "1", "--seed", "4"],
+        ["--kind", "grf", "--k", "3", "--correlation-length", "50", "--target", "both",
+         "--seed", "4"],
+    ])
+    def test_valid_runs_record_every_value_used(self, tmp_path, synth_files, extra):
+        out = tmp_path / "out.rgf"
+        stats = ["--stats-from", synth_files["pred"]] if "--kind" in extra else []
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "2",
+                       *extra, *stats, "-o", out) == 0
+        params = rollstab.read_rollout(out).attrs["manifest"]["params"]
+        given = dict(zip(extra[::2], extra[1::2]))
+        assert params["k"] == float(given.get("--k", 1.0))
+        assert params["correlation_length"] == float(given.get("--correlation-length", 10.0))
+        assert params["target"] == given.get("--target", "dynamic")
+        assert params["seed"] == int(given.get("--seed", 0))
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestDigestsFromTheRead:
+    """Each RGF input's manifest digest, taken while reading it, is the file's SHA-256."""
+
+    @pytest.mark.parametrize("case", [
+        "report", "extremes", "memorize", "spectra", "blowup", "seasonality", "smallscale",
+        "perturb", "cycle-rmse",
+    ])
+    def test_digest_equals_file_sha256(self, tmp_path, synth_files, case):
+        f = synth_files
+        out = tmp_path / {"perturb": "out.rgf", "memorize": "out.csv", "spectra": "out.csv",
+                          "extremes": "ext/summary.json"}.get(case, "out.json")
+        init, year = tmp_path / "init.rgf", tmp_path / "year.rgf"
+        if case == "perturb":
+            assert run_cli("synth", "--regime-config", f["cfg"], "--horizon-days", "60",
+                           "-o", init) == 0
+        if case == "smallscale":  # a grid that resolves the small band
+            assert run_cli("synth", "--grid", "8x384", "--horizon-days", "60", "-o", init) == 0
+        if case == "cycle-rmse":  # whole calendar months
+            write_rollout(make_series(GridSpec.regular(4, 8), np.random.default_rng(0)
+                                      .standard_normal((365 * 4, 1, 4, 8))), year)
+        argv, inputs = {
+            "report": (["report", "--prediction", f["pred"], "--reference", f["ref"]],
+                       {"prediction": f["pred"], "reference": f["ref"]}),
+            "extremes": (["extremes", "--input", f["pred"], "--reference", f["ref"],
+                          "--variable", "T2m", "--outdir", tmp_path / "ext"],
+                         {"input": f["pred"], "reference": f["ref"]}),
+            "memorize": (["memorize", "--rollout", f["pred"], "--index", f["pred"]],
+                         {"rollout": f["pred"], "index": f["pred"]}),
+            "spectra": (["spectra", "--input", f["pred"], "--variable", "T2m"],
+                        {"input": f["pred"]}),
+            "blowup": (["blowup", "--input", f["pred"], "--variable", "T2m"],
+                       {"input": f["pred"]}),
+            "seasonality": (["seasonality", "--input", f["pred"], "--variable", "T2m",
+                             "--reference", f["ref"]],
+                            {"input": f["pred"], "reference": f["ref"]}),
+            "smallscale": (["smallscale", "--input", init, "--reference", init,
+                            "--variable", "T2m"], {"input": init, "reference": init}),
+            "perturb": (["perturb", "--adapter", f"synth:{f['cfg']}", "--init", init,
+                         "--kind", "white", "--stats-from", f["pred"], "--steps", "2"],
+                        {"init": init, "stats_from": f["pred"]}),
+            "cycle-rmse": (["cycle-rmse", "--input", year, "--reference", year,
+                            "--variable", "T2m"], {"input": year, "reference": year}),
+        }[case]
+        want = {name: _sha(p) for name, p in inputs.items()}
+        assert run_cli(*argv, *([] if case == "extremes" else ["-o", out])) == 0
+        got = _manifest_inputs(out)
+        assert {name: got[name]["sha256"] for name in inputs} == want
+
+    def test_perturb_init_overwritten_in_place_records_the_old_digest(self, tmp_path,
+                                                                      synth_files):
+        x = tmp_path / "x.rgf"
+        assert run_cli("synth", "--regime-config", synth_files["cfg"], "--horizon-days", "60",
+                       "-o", x) == 0
+        before = _sha(x)
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--init", x,
+                       "--steps", "2", "-o", x) == 0
+        assert _sha(x) != before
+        assert _manifest_inputs(x)["init"]["sha256"] == before
+
+
+class TestIncompleteInputs:
+    """A fill-value cell fails the detectors, a NaN without a fill value fails the
+    read: the same error, message and exit code however the file is walked."""
+
+    @pytest.fixture(scope="class")
+    def holed(self, synth_files, tmp_path_factory):
+        d = tmp_path_factory.mktemp("holed")
+        for name in ("pred", "ref"):
+            r = rollstab.read_rollout(synth_files[name])
+            data = r.data.copy()
+            data[r.n_time // 2, 0, 3, 5] = np.nan
+            write_rollout(RolloutSeries(grid=r.grid, variables=r.variables,
+                                        start_time=r.start_time, data=data,
+                                        fill_value=-9e30), d / f"{name}_fill.rgf")
+            raw = bytearray(synth_files[name].read_bytes())
+            raw[-400:-396] = np.float32(np.nan).tobytes()
+            (d / f"{name}_nan.rgf").write_bytes(bytes(raw))
+        return {"dir": d, **{k: v for k, v in synth_files.items() if k in ("pred", "ref")}}
+
+    @pytest.mark.parametrize("case", [
+        "report-pred", "report-ref", "blowup", "spectra", "seasonality-input",
+        "seasonality-reference", "smallscale",
+    ])
+    @pytest.mark.parametrize("hole", ["fill", "nan"])
+    def test_error_and_exit_code(self, tmp_path, holed, capsys, case, hole):
+        d = holed["dir"]
+        pred, ref = holed["pred"], holed["ref"]
+        bad_pred, bad_ref = d / f"pred_{hole}.rgf", d / f"ref_{hole}.rgf"
+        argv, bad = {
+            "report-pred": (["report", "--prediction", bad_pred, "--reference", ref], bad_pred),
+            "report-ref": (["report", "--prediction", pred, "--reference", bad_ref], bad_ref),
+            "blowup": (["blowup", "--input", bad_pred, "--variable", "T2m"], bad_pred),
+            "spectra": (["spectra", "--input", bad_pred, "--variable", "T2m"], bad_pred),
+            "seasonality-input": (["seasonality", "--input", bad_pred, "--reference", ref,
+                                   "--variable", "T2m"], bad_pred),
+            "seasonality-reference": (["seasonality", "--input", pred, "--reference", bad_ref,
+                                       "--variable", "T2m"], bad_ref),
+            "smallscale": (["smallscale", "--input", bad_pred, "--reference", ref,
+                            "--variable", "T2m"], bad_pred),
+        }[case]
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "-o", out) == 2
+        want = ("variable 'T2m' contains fill/NaN values; detectors require complete fields"
+                if hole == "fill" else
+                f"{bad}: invalid header or payload: "
+                "non-finite values present but no fill value declared")
+        assert capsys.readouterr().err == f"rollstab: {want}\n"
+        assert not out.exists()
+
+    def test_types_from_build_report(self, holed):
+        d = holed["dir"]
+        with rollstab.gridio.RolloutFile(d / "pred_fill.rgf") as p, \
+                rollstab.gridio.RolloutFile(holed["ref"]) as r:
+            with pytest.raises(rollstab.gridio.IncompleteFieldError):
+                rollstab.build_report(p, r)
+        with rollstab.gridio.RolloutFile(d / "pred_nan.rgf") as p, \
+                rollstab.gridio.RolloutFile(holed["ref"]) as r:
+            with pytest.raises(rollstab.gridio.FormatError, match=re.escape(str(d))):
+                rollstab.build_report(p, r)
 
 
 class TestCliSurface:

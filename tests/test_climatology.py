@@ -2,6 +2,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from rollstab import GridSpec, RegionSpec, pooled_percentiles
@@ -189,3 +191,25 @@ class TestPooledPercentiles:
         with pytest.raises(ValueError):
             ThresholdSet(region="r", levels=(10.0, 90.0), values=(1.0, -1.0),
                          pooling="test")
+
+
+class TestPooledPercentilesProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(np.float32, st.tuples(st.integers(1, 6), st.just(1), st.just(3),
+                                            st.just(4)),
+                      elements=st.sampled_from([-2.5, 0.0, 1.0, 1.0, 7.25]) | st.floats(
+                          -1e6, 1e6, width=32)),
+        constant=st.booleans(),
+        levels=st.lists(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=8),
+    )
+    def test_equal_to_percentile_of_the_unsorted_pool(self, values, constant, levels):
+        """Sorting the pool first changes no threshold bit: ties and constant pools too."""
+        if constant:
+            values[:] = values.flat[0]
+        r = make_series(GridSpec.regular(3, 4), values)
+        region = RegionSpec("band", -10, 90, 0, 360)  # the two northern rows
+        thr = pooled_percentiles(r, "T2m", region, levels)
+        pool = r.values("T2m")[:, :2]
+        assert np.array_equal(thr.values, np.percentile(pool, thr.levels, method="linear"))

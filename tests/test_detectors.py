@@ -1,7 +1,9 @@
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rollstab import (
     GridSpec,
@@ -23,7 +25,8 @@ from rollstab.detectors import (
     seasonal_cycle_rmse,
     small_scale_ratios,
 )
-from rollstab.gridio import DailySeries
+from rollstab import spectra
+from rollstab.gridio import DailySeries, RolloutFile, write_rollout
 from rollstab.spectra import SpectrumSeries, spectrum_series
 from conftest import make_series
 
@@ -235,6 +238,27 @@ class TestSmallScaleRatios:
             small_scale_ratios(spec, spec)
 
 
+class TestSmallScaleDoubling:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(3, 40),
+           scale=st.floats(1e-3, 1e3), blowup_frac=st.none() | st.floats(0.2, 1.0))
+    def test_doubled_prediction_has_exactly_twice_the_ratio(self, seed, n_days, scale,
+                                                            blowup_frac):
+        """Doubling is exact through the FFT, abs and the means, so the ratio is too."""
+        fine_grid = GridSpec.regular(16, 384)  # resolves the small band
+        data = scale * np.random.default_rng(seed).standard_normal(
+            (n_days * 4 + 1, 1, fine_grid.n_lat, fine_grid.n_lon))
+        base = make_series(fine_grid, data)
+        doubled = make_series(fine_grid, 2 * base.data)
+        spec = spectrum_series(base, "T2m", daily=True)
+        spec2 = spectrum_series(doubled, "T2m", daily=True)
+        day = None if blowup_frac is None else blowup_frac * n_days
+        own = small_scale_ratios(spec, spec, blowup_day=day)
+        twice = small_scale_ratios(spec2, spec, blowup_day=day)
+        assert twice.ratio_vs_reference == 2 * own.ratio_vs_reference
+        assert twice.ratio_vs_self == own.ratio_vs_self
+
+
 class TestSeasonalCycleRmse:
     def test_identical_zero(self, small_grid):
         start = datetime(2021, 1, 1)
@@ -359,3 +383,47 @@ class TestBuildReport:
                                                             blowup_day=blow.day)
         assert rep.blowup["T2m"].day is not None
         assert rep.small_scale["T2m"] is not None
+
+    def test_file_equals_in_memory_with_uneven_blocks(self, tmp_path, monkeypatch):
+        grid = GridSpec.regular(16, 384)
+        variables = ("T2m", "U10")
+        pred, _ = generate(RegimeConfig(regime="BLOWUP", grid=grid, variables=variables,
+                                        onset_day=40.0, growth_rate=0.1, seed=4), 100,
+                           step_seconds=86400)
+        ref, _ = generate(RegimeConfig(regime="STABLE", grid=grid, variables=variables,
+                                       seed=5, year_jitter=0.2), 730, step_seconds=86400)
+        in_memory = build_report(pred, ref, name="two")
+        write_rollout(pred, tmp_path / "pred.rgf")
+        write_rollout(ref, tmp_path / "ref.rgf")
+        # 10 rows per block: 101 and 731 steps leave a 1-row tail block
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 10 * 16 * 384 * 8)
+        with RolloutFile(tmp_path / "pred.rgf") as p, RolloutFile(tmp_path / "ref.rgf") as r:
+            from_file = build_report(p, r, name="two")
+        assert from_file == in_memory
+        assert from_file.small_scale["T2m"] is not None
+
+    def test_peak_memory_flat_in_the_horizon(self, tmp_path, monkeypatch):
+        """The report pass holds blocks, not files: doubling the prediction's
+        horizon leaves its traced peak within 10%."""
+        grid = GridSpec.regular(128, 64)
+        rng = np.random.default_rng(0)
+
+        def rollout(days):
+            data = rng.standard_normal((days + 1, 1, 128, 64)).astype(np.float32)
+            return make_series(grid, data, step_seconds=86400)
+
+        write_rollout(rollout(730), tmp_path / "ref.rgf")
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 64 * 128 * 64 * 8)
+        peaks = []
+        for days in (730, 1460):  # a 24 MB, then a 48 MB prediction
+            write_rollout(rollout(days), tmp_path / "pred.rgf")
+            tracemalloc.start()
+            try:
+                with RolloutFile(tmp_path / "pred.rgf") as p, \
+                        RolloutFile(tmp_path / "ref.rgf") as r:
+                    build_report(p, r)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks

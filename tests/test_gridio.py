@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -15,6 +16,7 @@ from rollstab.gridio import (
     FormatError,
     HeaderMismatchError,
     RGFError,
+    RolloutFile,
     TruncatedPayloadError,
     UnknownVariableError,
     cell_weights,
@@ -263,6 +265,71 @@ class TestReadMemory:
             tracemalloc.stop()
         assert peak < 1.5 * data.nbytes
         assert back.data.tobytes() == data.tobytes()
+
+
+class TestRolloutFile:
+    """The block reader: the same values, checks and digest as a whole read."""
+
+    @pytest.fixture
+    def holed(self, tmp_path):
+        data = np.random.default_rng(1).standard_normal((23, 2, 4, 8)).astype(np.float32)
+        data[7, 1, 2, :3] = np.nan
+        data[22, 0, 0, 0] = np.nan
+        r = RolloutSeries(grid=GridSpec.regular(4, 8), variables=("a", "b"),
+                          start_time=datetime(2021, 1, 1), data=data, fill_value=-9e30)
+        p = tmp_path / "holed.rgf"
+        write_rollout(r, p)
+        return p, data
+
+    @pytest.mark.parametrize("rows", [1, 5, 23, 100])
+    def test_blocks_concatenate_to_the_payload(self, holed, rows):
+        p, data = holed
+        with RolloutFile(p) as f:
+            got = np.concatenate([b.copy() for b in f.blocks(rows)])
+            assert f.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert got.tobytes() == data.tobytes()  # fill cells come back as NaN
+
+    def test_in_memory_blocks_are_views(self, holed):
+        r = read_rollout(holed[0])
+        blocks = list(r.blocks(5))
+        assert [b.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
+        assert all(np.shares_memory(b, r.data) for b in blocks)
+
+    def test_header_matches_read_rollout(self, holed):
+        r = read_rollout(holed[0])
+        with RolloutFile(holed[0]) as f:
+            assert (f.variables, f.n_time, f.step_seconds, f.fill_value, f.start_time) == (
+                r.variables, r.n_time, r.step_seconds, r.fill_value, r.start_time)
+            assert np.array_equal(f.timestamps, r.timestamps)
+            assert f.grid.same_geometry(r.grid)
+        assert r.sha256 == hashlib.sha256(holed[0].read_bytes()).hexdigest()
+
+    def test_digest_needs_a_full_pass(self, holed):
+        with RolloutFile(holed[0]) as f:
+            next(f.blocks(5))
+            with pytest.raises(RuntimeError, match="full pass"):
+                f.sha256
+
+    def test_nan_without_fill_value_raises_in_the_block_holding_it(self, tmp_path,
+                                                                   random_series):
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        raw = bytearray(p.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()  # last step of 12
+        p.write_bytes(bytes(raw))
+        with RolloutFile(p) as f:
+            walk = f.blocks(5)
+            next(walk), next(walk)
+            with pytest.raises(FormatError, match=re.escape(f"{p}: invalid header or payload: "
+                                                            "non-finite values present")):
+                next(walk)
+
+    def test_oversized_declaration_raises_on_open(self, tmp_path, random_series):
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        _rewrite_header(p, n_time=10**9)
+        with pytest.raises(TruncatedPayloadError, match=re.escape(str(p))):
+            RolloutFile(p)
 
 
 @pytest.fixture(scope="module")
