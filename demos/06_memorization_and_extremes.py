@@ -39,11 +39,14 @@ model = rs.RolloutSeries(
     grid=grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
     data=(280 + 8 * rng.standard_normal((2000, 1, 16, 32))).astype(np.float32))
 
+# one scan per series gathers the region's cells and their per-step extremes;
+# the reference's cells are the pool the percentile thresholds come from
 region = rs.RegionSpec("tropics", -20, 20, 0, 360)
-thresholds = rs.pooled_percentiles(reference, "T2m", region,
-                                   [0.1, 10, 20, 80, 90, 99.9])
-ref_ext = rs.regional_extreme_series(reference, "T2m", region)
-mod_ext = rs.regional_extreme_series(model, "T2m", region)
+ref_scan = rs.scan(reference, ("T2m",), spectra=False, regions=[region])
+ref_ext = ref_scan.regional["T2m"][region.name]
+mod_ext = rs.scan(model, ("T2m",), spectra=False, regions=[region]).regional["T2m"][region.name]
+thresholds = rs.pooled_percentiles(ref_scan.cells["T2m"][region.name], "T2m", region.name,
+                                   [0.1, 10, 20, 80, 90, 99.9], reference.start_time)
 events = rs.event_series(mod_ext, model.timestamps, region.name, thresholds)
 print(f"{region.name}: P90={events.p90:.2f} P10={events.p10:.2f}, "
       f"hot steps {int(events.hot.sum())}, cold steps {int(events.cold.sum())}")

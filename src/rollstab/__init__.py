@@ -17,13 +17,13 @@ from .gridio import (
     latitude_weights,
     read_rollout,
     region_mask,
-    spatial_extremes,
     write_rollout,
 )
 from .spectra import (
     BandUnresolvedError,
     SpectrumSeries,
     band_average,
+    scan,
     spectrum_series,
     wavelength_of,
     zonal_spectrum,
@@ -59,10 +59,4 @@ from .perturb import (
     variable_stats,
 )
 from .memorize import NeighborIndex, build_index, distance_ratio, memorization_series
-from .extremes import (
-    EventSeries,
-    event_series,
-    exceedance_curve,
-    qq_tails,
-    regional_extreme_series,
-)
+from .extremes import EventSeries, event_series, exceedance_curve, qq_tails

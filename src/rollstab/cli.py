@@ -365,12 +365,19 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_extremes(args) -> int:
-    model = gridio.read_rollout(args.input)
-    reference = gridio.read_rollout(args.reference)
-    if args.regions:
-        regions = gridio.load_regions(args.regions)
-    else:
-        regions = gridio.builtin_regions()
+    v = args.variable
+    regions = (gridio.load_regions(args.regions) if args.regions
+               else gridio.builtin_regions()).values()
+    # one pass per input gathers every region's cells; the model's are only
+    # reduced to extremes, so they are dropped before the reference is walked
+    with gridio.RolloutFile(args.input) as model:
+        s = spectra.scan(model, (v,), spectra=False, regions=regions)
+    s.require_finite(v)
+    model_regional = s.regional[v]
+    del s
+    with gridio.RolloutFile(args.reference) as reference:
+        ref = spectra.scan(reference, (v,), spectra=False, regions=regions)
+    ref.require_finite(v)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, {"input": (args.input, model.sha256),
@@ -386,35 +393,27 @@ def cmd_extremes(args) -> int:
 
     hot_levels = list(np.round(np.arange(800, 1000) / 10.0, 1))  # P80..P99.9
     cold_levels = list(np.round(np.arange(1, 201) / 10.0, 1))  # P0.1..P20
+    levels = sorted(set(hot_levels + cold_levels + [10.0, 90.0]))
     summary = {}
-    for name, region in sorted(regions.items()):
-        thr = climatology.pooled_percentiles(
-            reference, args.variable, region,
-            sorted(set(hot_levels + cold_levels + [10.0, 90.0])),
-        )
-        model_ext = extremes.regional_extreme_series(model, args.variable, region)
-        ref_ext = extremes.regional_extreme_series(reference, args.variable, region)
-        ev_model = extremes.event_series(model_ext, mt, region.name, thr)
-        ev_ref = extremes.event_series(ref_ext, rt, region.name, thr)
+    for name in sorted(model_regional):
+        thr = climatology.pooled_percentiles(ref.cells[v][name], v, name, levels,
+                                             reference.start_time)
+        model_ext, ref_ext = model_regional[name], ref.regional[v][name]
+        ev_model = extremes.event_series(model_ext, mt, name, thr)
+        ev_ref = extremes.event_series(ref_ext, rt, name, thr)
 
-        qq_hot = extremes.qq_tails(model_ext.max[msel], ref_ext.max[rsel], "hot")
-        qq_cold = extremes.qq_tails(model_ext.min[msel], ref_ext.min[rsel], "cold")
+        qqs, excs = [], []
+        for side, stat, side_levels in (("hot", "max", hot_levels), ("cold", "min", cold_levels)):
+            m, r = getattr(model_ext, stat)[msel], getattr(ref_ext, stat)[rsel]
+            qqs.append(extremes.qq_tails(m, r, side))
+            side_thr = climatology.ThresholdSet(
+                region=name, levels=tuple(side_levels),
+                values=tuple(thr.value_for(lv) for lv in side_levels), pooling=thr.pooling)
+            excs.append(extremes.exceedance_curve(m, r, side_thr, side))
         _write_csv(outdir / f"{name}_qq.csv", manifest, "tail quantiles in variable units",
                    ["side", "level", "reference", "model"],
                    ([qq.side, _fmt(lv), _fmt(rq), _fmt(mq)]
-                    for qq in (qq_hot, qq_cold)
-                    for lv, rq, mq in zip(qq.levels, qq.reference, qq.model)))
-
-        hot_thr = climatology.ThresholdSet(
-            region=name, levels=tuple(hot_levels),
-            values=tuple(thr.value_for(lv) for lv in hot_levels), pooling=thr.pooling)
-        cold_thr = climatology.ThresholdSet(
-            region=name, levels=tuple(cold_levels),
-            values=tuple(thr.value_for(lv) for lv in cold_levels), pooling=thr.pooling)
-        exc_hot = extremes.exceedance_curve(model_ext.max[msel], ref_ext.max[rsel],
-                                            hot_thr, "hot")
-        exc_cold = extremes.exceedance_curve(model_ext.min[msel], ref_ext.min[rsel],
-                                             cold_thr, "cold")
+                    for qq in qqs for lv, rq, mq in zip(qq.levels, qq.reference, qq.model)))
         _write_csv(outdir / f"{name}_exceedance.csv", manifest,
                    "exceedance fractions (dimensionless)",
                    ["side", "level", "threshold", "model_fraction", "reference_fraction",
@@ -422,7 +421,7 @@ def cmd_extremes(args) -> int:
                    ([exc.side, _fmt(lv), _fmt(exc.thresholds[i]), _fmt(exc.model_fraction[i]),
                      _fmt(exc.reference_fraction[i]),
                      _fmt(exc.ratio[i]) if exc.ratio_defined[i] else "undefined"]
-                    for exc in (exc_hot, exc_cold) for i, lv in enumerate(exc.levels)))
+                    for exc in excs for i, lv in enumerate(exc.levels)))
 
         counts = {series: (int(ev.hot[sel].sum()), int(ev.cold[sel].sum()), int(sel.sum()))
                   for series, ev, sel in (("model", ev_model, msel),

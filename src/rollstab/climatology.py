@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
-from .gridio import (
-    DailySeries,
-    PreconditionError,
-    RegionSpec,
-    RolloutSeries,
-    folded_doy,
-    region_mask,
-)
+from .gridio import DailySeries, PreconditionError, folded_doy
 
 
 class EnvelopeCoverageError(PreconditionError):
@@ -171,18 +165,24 @@ class ThresholdSet:
 
 
 def pooled_percentiles(
-    reference: RolloutSeries,
+    cells: np.ndarray,
     v: str,
-    region: RegionSpec,
+    region: str,
     levels,
+    start_time: datetime,
 ) -> ThresholdSet:
-    """Empirical percentiles over all region pixels pooled across all timesteps."""
+    """Empirical percentiles over all region pixels pooled across all timesteps.
+
+    ``cells`` is a region's (time, cells) sample of variable ``v`` from a
+    reference starting at ``start_time``, as :func:`~rollstab.spectra.scan`
+    gathers it. The pool is handed over, not copied: a contiguous ``cells``
+    is reordered in place.
+    """
     levels = [float(x) for x in np.atleast_1d(levels)]
     for lv in levels:
         if not 0.0 < lv < 100.0:
             raise ValueError(f"percentile level {lv} outside the open interval (0, 100)")
-    mask, _ = region_mask(reference.grid, region)
-    pool = reference.values(v)[:, mask].ravel()  # a copy, free to reorder
+    pool = cells.reshape(-1)
     if not np.isfinite(pool).all():
         raise ValueError("pooled sample contains fill/NaN values")
     # a percentile depends only on the multiset of values; on a sorted pool the
@@ -190,11 +190,11 @@ def pooled_percentiles(
     pool.sort()
     values = np.percentile(pool, levels, method="linear", overwrite_input=True)
     span = (
-        f"{v}: all pixels of {region.name}, all {reference.n_time} timesteps "
-        f"from {reference.start_time.isoformat()}, linear order-statistic interpolation"
+        f"{v}: all pixels of {region}, all {cells.shape[0]} timesteps "
+        f"from {start_time.isoformat()}, linear order-statistic interpolation"
     )
     return ThresholdSet(
-        region=region.name,
+        region=region,
         levels=tuple(levels),
         values=tuple(float(x) for x in values),
         pooling=span,

@@ -1,5 +1,6 @@
-"""Extreme-event statistics on long rollouts: regional extremes, tail QQ
-pairs, and multi-threshold exceedance rates.
+"""Extreme-event statistics on long rollouts: event flags, tail QQ pairs,
+and multi-threshold exceedance rates, all from the regional extremes that
+:func:`rollstab.spectra.scan` reduces a rollout to.
 
 Hot events are timesteps where a region's spatial maximum exceeds the
 pooled P90 threshold; cold events where the spatial minimum falls below
@@ -14,17 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .climatology import ThresholdSet
-from .gridio import Extremes, RegionSpec, RolloutSeries, region_mask
+from .gridio import Extremes
 
 HOT_DEFAULT_LEVELS = tuple(np.round(np.arange(900, 1000) / 10.0, 1))  # 90.0 .. 99.9
 COLD_DEFAULT_LEVELS = tuple(np.round(np.arange(1, 101) / 10.0, 1))  # 0.1 .. 10.0
-
-
-def regional_extreme_series(r: RolloutSeries, v: str, region: RegionSpec) -> Extremes:
-    """Per-timestep spatial minimum and maximum over the region mask."""
-    mask, _ = region_mask(r.grid, region)
-    vals = r.values(v)[:, mask]
-    return Extremes(vals.min(axis=1), vals.max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,7 @@ class EventSeries:
 
 def event_series(ext: Extremes, timestamps: np.ndarray, region: str,
                  thresholds: ThresholdSet) -> EventSeries:
-    """Hot/cold flags of one region's extremes (from regional_extreme_series)."""
+    """Hot/cold flags of one region's extremes (``scan(..., regions=...)``)."""
     p90 = thresholds.value_for(90.0)
     p10 = thresholds.value_for(10.0)
     return EventSeries(

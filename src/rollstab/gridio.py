@@ -334,11 +334,10 @@ class Extremes(NamedTuple):
     min: np.ndarray
     max: np.ndarray
 
-
-def spatial_extremes(r: RolloutSeries, v: str) -> Extremes:
-    """Per-timestep minimum and maximum of variable ``v`` over the globe."""
-    vals = r.values(v)
-    return Extremes(vals.min(axis=(1, 2)), vals.max(axis=(1, 2)))
+    @classmethod
+    def of(cls, cells: np.ndarray) -> "Extremes":
+        """Minimum and maximum of each row of a (time, cells) array."""
+        return cls(cells.min(axis=1), cells.max(axis=1))
 
 
 # ---------------------------------------------------------------------------

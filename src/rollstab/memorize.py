@@ -19,6 +19,7 @@ from .gridio import (
     RolloutSeries,
     cell_weights,
     day_of_year,
+    require_finite,
 )
 
 MEMORIZED_THRESHOLD = 0.5
@@ -64,9 +65,7 @@ def build_index(training: RolloutSeries, variables: tuple[str, ...] | None = Non
     variables = tuple(variables) if variables else training.variables
     stats = {}
     for v in variables:
-        vals = training.values(v)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"training variable {v!r} contains fill/NaN values")
+        vals = require_finite(training, v)
         stats[v] = (float(vals.mean()), float(vals.std()))
     sqrt_w = np.sqrt(cell_weights(training.grid)).astype(np.float32)
     ts = training.timestamps
@@ -136,6 +135,8 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
 def memorization_series(rollout: RolloutSeries, index: NeighborIndex,
                         window_days: int = 10) -> list[DistanceRatio]:
     """Distance ratio of every rollout timestep against the index."""
+    for v in index.variables:
+        require_finite(rollout, v)
     ts = rollout.timestamps
     out = []
     for t in range(rollout.n_time):

@@ -25,6 +25,7 @@ from .gridio import (
     RolloutSeries,
     cell_weights,
     read_rollout,
+    require_finite,
     write_rollout,
 )
 from .synth import RegimeConfig, Stepper, initial_state
@@ -60,7 +61,7 @@ class PerturbationSpec:
 
 def variable_stats(reference: RolloutSeries, v: str) -> tuple[float, float]:
     """Scalar mean and std of a variable pooled over all pixels and steps."""
-    vals = reference.values(v)
+    vals = require_finite(reference, v)
     return float(vals.mean()), float(vals.std())
 
 

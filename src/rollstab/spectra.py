@@ -28,6 +28,7 @@ from .gridio import (
     RolloutSeries,
     daily_mean,
     latitude_weights,
+    region_mask,
 )
 
 # float64 bytes of one variable's block of timesteps read and transformed at
@@ -197,6 +198,8 @@ class Scan(NamedTuple):
 
     spectra: dict[str, SpectrumSeries]
     extremes: dict[str, Extremes]
+    regional: dict[str, dict[str, Extremes]]  # variable -> region name -> extremes
+    cells: dict[str, dict[str, np.ndarray]]  # variable -> region name -> (time, cells)
     incomplete: frozenset[str]  # variables holding fill/NaN cells
 
     def require_finite(self, v: str) -> None:
@@ -206,27 +209,30 @@ class Scan(NamedTuple):
 
 
 def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
-         spectra: bool = True, extremes: bool = False) -> Scan:
+         spectra: bool = True, extremes: bool = False, regions=()) -> Scan:
     """One pass over ``source``'s time blocks that reduces every variable in
-    ``variables`` to its zonal spectra (with ``spectra``) and its spatial
-    extremes (with ``extremes``).
+    ``variables`` to its zonal spectra (with ``spectra``), its spatial extremes
+    (with ``extremes``), and the cells of each :class:`RegionSpec` in
+    ``regions`` (masked on ``source``'s own grid) with their extremes.
 
     ``source`` is an in-memory series or an open :class:`RolloutFile`; both
     are walked in blocks of at most BLOCK_BYTES of float64 per variable, so
-    memory is bounded by the block and not by the horizon, and a file's
-    digest is complete once the pass returns. With ``daily=True`` the spectra
-    are averaged into one per UTC day. A variable holding fill values gets NaN
-    results and is listed in ``incomplete``; callers reject it with
-    :meth:`Scan.require_finite` where the detectors need complete fields.
+    no whole field is held, and a file's digest is complete once the pass
+    returns. With ``daily=True`` the spectra are averaged into one per UTC
+    day. A variable holding fill values gets NaN results and is listed in
+    ``incomplete``; callers reject it with :meth:`Scan.require_finite` where
+    the detectors need complete fields.
     """
     grid = source.grid
     if spectra and grid.n_lon < 4:
         raise ValueError("zonal spectra need at least 4 longitude points")
     idx = {v: source.index_of(v) for v in variables}
+    masks = {r.name: region_mask(grid, r)[0] for r in regions}
     n = source.n_time
     energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
     ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
            for v in idx} if extremes else {}
+    cells = {v: {k: np.empty((n, m.sum()), np.float32) for k, m in masks.items()} for v in idx}
     incomplete = set()
     rows = max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
     s = 0
@@ -240,12 +246,14 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
             if spectra:
                 energy[v][s:e] = _spectra(fields, grid)
             if extremes:
-                ext[v].min[s:e] = fields.min(axis=(1, 2))
-                ext[v].max[s:e] = fields.max(axis=(1, 2))
+                ext[v].min[s:e], ext[v].max[s:e] = Extremes.of(fields.reshape(e - s, -1))
+            for name, m in masks.items():
+                cells[v][name][s:e] = fields[:, m]
         s = e
     timestamps = source.timestamps
-    return Scan({v: _series(timestamps, en, grid, daily) for v, en in energy.items()},
-                ext, frozenset(incomplete))
+    return Scan({v: _series(timestamps, en, grid, daily) for v, en in energy.items()}, ext,
+                {v: {name: Extremes.of(c) for name, c in cs.items()} for v, cs in cells.items()},
+                cells, frozenset(incomplete))
 
 
 def spectrum_series(r: RolloutSeries | RolloutFile, v: str,

@@ -21,8 +21,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .gridio import GridSpec, RolloutSeries, latitude_weights, spatial_extremes
-from .spectra import BandUnresolvedError, band_members
+from .gridio import GridSpec, RolloutSeries, latitude_weights
+from .spectra import BandUnresolvedError, band_members, scan
 from .climatology import ClimatologyEnvelope
 
 REGIMES = ("STABLE", "BLOWUP", "DRIFT", "SHARPEN", "BLUR")
@@ -344,7 +344,8 @@ def _band_response_amplitude(cfg: RegimeConfig) -> float:
 
 def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float,
                    growth_factor: float = 10.0, slack_days: float = 5.0):
-    ext = spatial_extremes(series, series.variables[0])
+    v = series.variables[0]
+    ext = scan(series, (v,), spectra=False, extremes=True).extremes[v]
     t_days = np.arange(series.n_time) / steps_per_day
     pre = t_days < cfg.onset_day
     base_steps = min(int(round(30 * steps_per_day)), series.n_time)

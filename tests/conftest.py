@@ -3,7 +3,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rollstab import GridSpec, RolloutSeries
+from rollstab import GridSpec, RolloutSeries, scan
 
 
 @pytest.fixture
@@ -22,6 +22,17 @@ def make_series(grid, data, start=datetime(2021, 1, 1), step_seconds=21600,
     return RolloutSeries(grid=grid, variables=variables, start_time=start,
                          data=np.asarray(data, dtype=np.float32),
                          step_seconds=step_seconds)
+
+
+def global_extremes(r, v="T2m"):
+    """Per-step spatial extremes of ``v`` over the whole grid, from one scan."""
+    return scan(r, (v,), spectra=False, extremes=True).extremes[v]
+
+
+def region_scan(r, region, v="T2m"):
+    """One region's extremes and gathered (time, cells) sample, from one scan."""
+    s = scan(r, (v,), spectra=False, regions=[region])
+    return s.regional[v][region.name], s.cells[v][region.name]
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from rollstab.perturb import (
     variable_stats,
 )
 from rollstab.spectra import spectrum_series, zonal_spectrum
-from conftest import make_series
+from conftest import global_extremes, make_series, region_scan
 
 EPOCH = datetime(2021, 1, 1)
 
@@ -71,7 +71,7 @@ def test_acceptance_2_blowup_detector_synthetic():
         cfg = rs.RegimeConfig(regime="BLOWUP", growth_rate=delta, onset_day=onset,
                               seed=seed, seasonal_amplitude=5.0)
         series, labels = rs.generate(cfg, 730)
-        ext = rs.spatial_extremes(series, "T2m")
+        ext = global_extremes(series)
         res = detect_blowup(ext.min, ext.max)
         lo, hi = labels.blowup_window
         ok = res.day is not None and lo <= res.day <= hi
@@ -84,7 +84,7 @@ def test_acceptance_2_blowup_detector_synthetic():
         cfg = rs.RegimeConfig(regime="STABLE", seed=100 + seed,
                               seasonal_amplitude=5.0)
         series, _ = rs.generate(cfg, 730)
-        ext = rs.spatial_extremes(series, "T2m")
+        ext = global_extremes(series)
         if detect_blowup(ext.min, ext.max).day is not None:
             false_positives += 1
     elapsed = time.time() - t0
@@ -154,7 +154,7 @@ def test_acceptance_4_small_scale_regimes():
                               cap=3.0, seed=4, seasonal_amplitude=0.0)
     run_s, _ = rs.generate(sharpen, 90)
     res_s = small_scale_ratios(spectrum_series(run_s, "T2m", daily=True), ref_spec)
-    ext = rs.spatial_extremes(run_s, "T2m")
+    ext = global_extremes(run_s)
     blow = detect_blowup(ext.min, ext.max)
     assert res_s.ratio_vs_self > 1.0
     assert blow.day is None
@@ -257,7 +257,8 @@ def test_acceptance_7_extremes():
     data = rng.standard_normal((100, 1, 100, 100)).astype(np.float32)  # 1e6
     pool = make_series(grid, data)
     region = rs.RegionSpec("globe", -90, 90, 0, 360)
-    thr = rs.pooled_percentiles(pool, "T2m", region, [10.0, 90.0])
+    _, cells = region_scan(pool, region)
+    thr = rs.pooled_percentiles(cells, "T2m", region.name, [10.0, 90.0], pool.start_time)
     p90 = thr.value_for(90.0)
     assert abs(p90 - norm.ppf(0.9)) < 0.01
 

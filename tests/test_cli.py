@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 import rollstab
 from rollstab.cli import main
 from rollstab import GridSpec, RegimeConfig, RolloutSeries, generate, write_rollout
-from rollstab.gridio import spatial_extremes, write_series_csv
+from rollstab.gridio import write_series_csv
 from rollstab.synth import config_to_dict
-from conftest import make_series
+from conftest import global_extremes, make_series
 
 
 def run_cli(*args):
@@ -34,7 +35,7 @@ def synth_files(tmp_path_factory):
     assert run_cli("seasonality", "--input", pred, "--variable", "T2m", "--reference", ref,
                    "--save-envelope", env, "-o", d / "se.json") == 0
     r = rollstab.read_rollout(pred)
-    ext = spatial_extremes(r, "T2m")
+    ext = global_extremes(r)
     write_series_csv(d / "min.csv", r.timestamps, ext.min)
     write_series_csv(d / "max.csv", r.timestamps, ext.max)
     cfg = RegimeConfig(regime="STABLE", grid=GridSpec.regular(8, 64), seed=4)
@@ -257,6 +258,29 @@ class TestExtremesCommand:
         rows = [l for l in exc if not l.startswith("#")]
         assert rows[0] == "side,level,threshold,model_fraction,reference_fraction,ratio"
         assert len(rows) == 1 + 200 + 200  # header + hot P80..P99.9 + cold P0.1..P20
+
+    def test_peak_memory_far_below_one_payload(self, tmp_path, monkeypatch):
+        """extremes walks each input in time blocks and keeps only the region's
+        cells, so with one small box its traced peak is a fraction of a payload."""
+        grid = GridSpec.regular(32, 64)
+        data = np.random.default_rng(0).standard_normal((2000, 1, 32, 64))
+        path = tmp_path / "r.rgf"
+        write_rollout(make_series(grid, data), path)
+        payload = 2000 * 32 * 64 * 4  # 16 MB of float32
+        del data
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps([{"name": "box", "lat_min": 30, "lat_max": 60,
+                                        "lon_min": -20, "lon_max": 40}]))
+        monkeypatch.setattr(rollstab.spectra, "BLOCK_BYTES", 64 * 32 * 64 * 8)
+        tracemalloc.start()
+        try:
+            assert run_cli("extremes", "--input", path, "--reference", path,
+                           "--variable", "T2m", "--regions", regions,
+                           "--outdir", tmp_path / "ext") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 4, (peak, payload)
 
 
 class TestMemorizeCommand:
@@ -623,11 +647,12 @@ class TestIncompleteInputs:
             raw = bytearray(synth_files[name].read_bytes())
             raw[-400:-396] = np.float32(np.nan).tobytes()
             (d / f"{name}_nan.rgf").write_bytes(bytes(raw))
-        return {"dir": d, **{k: v for k, v in synth_files.items() if k in ("pred", "ref")}}
+        return {"dir": d, **{k: v for k, v in synth_files.items() if k in ("pred", "ref", "cfg")}}
 
     @pytest.mark.parametrize("case", [
         "report-pred", "report-ref", "blowup", "spectra", "seasonality-input",
-        "seasonality-reference", "smallscale",
+        "seasonality-reference", "smallscale", "extremes-input", "extremes-reference",
+        "memorize-rollout", "memorize-index", "perturb-stats-from",
     ])
     @pytest.mark.parametrize("hole", ["fill", "nan"])
     def test_error_and_exit_code(self, tmp_path, holed, capsys, case, hole):
@@ -645,9 +670,18 @@ class TestIncompleteInputs:
                                        "--variable", "T2m"], bad_ref),
             "smallscale": (["smallscale", "--input", bad_pred, "--reference", ref,
                             "--variable", "T2m"], bad_pred),
+            "extremes-input": (["extremes", "--input", bad_pred, "--reference", ref,
+                                "--variable", "T2m"], bad_pred),
+            "extremes-reference": (["extremes", "--input", pred, "--reference", bad_ref,
+                                    "--variable", "T2m"], bad_ref),
+            "memorize-rollout": (["memorize", "--rollout", bad_pred, "--index", ref], bad_pred),
+            "memorize-index": (["memorize", "--rollout", pred, "--index", bad_ref], bad_ref),
+            "perturb-stats-from": (["perturb", "--adapter", f"synth:{holed['cfg']}",
+                                    "--kind", "white", "--stats-from", bad_ref,
+                                    "--steps", 2], bad_ref),
         }[case]
         out = tmp_path / "out.json"
-        assert run_cli(*argv, "-o", out) == 2
+        assert run_cli(*argv, "--outdir" if case.startswith("extremes") else "-o", out) == 2
         want = ("variable 'T2m' contains fill/NaN values; detectors require complete fields"
                 if hole == "fill" else
                 f"{bad}: invalid header or payload: "

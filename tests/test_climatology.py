@@ -14,7 +14,13 @@ from rollstab.climatology import (
     build_envelope,
 )
 from rollstab.gridio import DailySeries
-from conftest import make_series
+from conftest import make_series, region_scan
+
+
+def pool_of(r, levels, region=RegionSpec("all", -90, 90, 0, 360)):
+    """Thresholds of ``region``'s cells of T2m, gathered by one scan."""
+    _, cells = region_scan(r, region)
+    return pooled_percentiles(cells, "T2m", region.name, levels, r.start_time)
 
 
 def daily_series_over(start, n_days, values):
@@ -134,14 +140,12 @@ class TestPooledPercentiles:
         # pool of exactly 1..100 via one region row
         g = GridSpec(lats=np.array([0.0]), lons=np.arange(100) * 3.6)
         data = np.arange(1, 101, dtype=np.float32).reshape(1, 1, 1, 100)
-        r = make_series(g, data)
-        thr = pooled_percentiles(r, "T2m", RegionSpec("all", -90, 90, 0, 360), [90.0])
+        thr = pool_of(make_series(g, data), [90.0])
         assert thr.values[0] == pytest.approx(90.1)
 
     def test_constant_pool(self, small_grid):
         r = make_series(small_grid, np.full((3, 1, 8, 16), 7.25))
-        thr = pooled_percentiles(r, "T2m", RegionSpec("all", -90, 90, 0, 360),
-                                 [10.0, 50.0, 90.0])
+        thr = pool_of(r, [10.0, 50.0, 90.0])
         assert all(v == 7.25 for v in thr.values)
 
     def test_standard_normal_p90(self, small_grid):
@@ -149,8 +153,7 @@ class TestPooledPercentiles:
         # 1e6 pooled samples
         data = rng.standard_normal((7813, 1, 8, 16)).astype(np.float32)
         r = make_series(small_grid, data)
-        thr = pooled_percentiles(r, "T2m", RegionSpec("all", -90, 90, 0, 360),
-                                 [10.0, 90.0])
+        thr = pool_of(r, [10.0, 90.0])
         assert thr.value_for(90.0) == pytest.approx(norm.ppf(0.9), abs=0.01)
         assert thr.value_for(10.0) == pytest.approx(norm.ppf(0.1), abs=0.01)
 
@@ -161,21 +164,17 @@ class TestPooledPercentiles:
         flat = data.reshape(-1).copy()
         rng.shuffle(flat)
         r2 = make_series(small_grid, flat.reshape(data.shape))
-        reg = RegionSpec("all", -90, 90, 0, 360)
-        t1 = pooled_percentiles(r1, "T2m", reg, [25.0, 75.0])
-        t2 = pooled_percentiles(r2, "T2m", reg, [25.0, 75.0])
+        t1 = pool_of(r1, [25.0, 75.0])
+        t2 = pool_of(r2, [25.0, 75.0])
         assert t1.values == pytest.approx(t2.values)
 
     def test_level_out_of_range(self, random_series):
-        reg = RegionSpec("all", -90, 90, 0, 360)
         for bad in (0.0, 100.0, -5.0, 120.0):
             with pytest.raises(ValueError):
-                pooled_percentiles(random_series, "T2m", reg, [bad])
+                pool_of(random_series, [bad])
 
     def test_values_monotone_in_level(self, random_series):
-        reg = RegionSpec("all", -90, 90, 0, 360)
-        thr = pooled_percentiles(random_series, "T2m", reg,
-                                 [0.1, 10, 20, 80, 90, 99.9])
+        thr = pool_of(random_series, [0.1, 10, 20, 80, 90, 99.9])
         assert list(thr.values) == sorted(thr.values)
 
     def test_threshold_set_round_trip(self, tmp_path):
@@ -210,6 +209,7 @@ class TestPooledPercentilesProperties:
             values[:] = values.flat[0]
         r = make_series(GridSpec.regular(3, 4), values)
         region = RegionSpec("band", -10, 90, 0, 360)  # the two northern rows
-        thr = pooled_percentiles(r, "T2m", region, levels)
+        _, cells = region_scan(r, region)
+        thr = pooled_percentiles(cells, "T2m", region.name, levels, r.start_time)
         pool = r.values("T2m")[:, :2]
         assert np.array_equal(thr.values, np.percentile(pool, thr.levels, method="linear"))

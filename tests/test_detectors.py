@@ -11,7 +11,6 @@ from rollstab import (
     detect_blowup,
     detect_seasonality_loss,
     generate,
-    spatial_extremes,
 )
 from rollstab.climatology import ClimatologyEnvelope, build_envelope
 from rollstab.detectors import (
@@ -28,7 +27,7 @@ from rollstab.detectors import (
 from rollstab import spectra
 from rollstab.gridio import DailySeries, RolloutFile, write_rollout
 from rollstab.spectra import SpectrumSeries, spectrum_series
-from conftest import make_series
+from conftest import global_extremes, make_series
 
 
 def ramp_exp(rate, onset_day, n_days, steps_per_day=4):
@@ -371,7 +370,7 @@ class TestBuildReport:
         rep = build_report(pred, ref, name="two")
         assert rep.variables == variables
         for v in variables:
-            ext = spatial_extremes(pred, v)
+            ext = global_extremes(pred, v)
             blow = detect_blowup(ext.min, ext.max)
             ref_spec = spectrum_series(ref, v, daily=True)
             spec = spectrum_series(pred, v, daily=True)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rollstab import (
     GridSpec,
@@ -9,12 +14,12 @@ from rollstab import (
     exceedance_curve,
     pooled_percentiles,
     qq_tails,
-    regional_extreme_series,
 )
+from rollstab import spectra
 from rollstab.climatology import ThresholdSet
 from rollstab.extremes import match_windows
-from rollstab.gridio import region_mask, spatial_extremes
-from conftest import make_series
+from rollstab.gridio import EmptyRegionError, RolloutFile, region_mask, write_rollout
+from conftest import global_extremes, make_series, region_scan
 
 
 GLOBE = RegionSpec("globe", -90, 90, 0, 360)
@@ -23,7 +28,7 @@ GLOBE = RegionSpec("globe", -90, 90, 0, 360)
 class TestRegionalExtremes:
     def test_constant_field(self, small_grid):
         r = make_series(small_grid, np.full((3, 1, 8, 16), 2.5))
-        ext = regional_extreme_series(r, "T2m", GLOBE)
+        ext, _ = region_scan(r, GLOBE)
         assert np.all(ext.max == 2.5) and np.all(ext.min == 2.5)
 
     def test_spike_inside_region(self, small_grid):
@@ -31,7 +36,7 @@ class TestRegionalExtremes:
         data[0, 0, 4, 2] = 50.0
         r = make_series(small_grid, data)
         region = RegionSpec("band", -40, 10, 0, 360)  # row 4 is lat ~-12.9
-        ext = regional_extreme_series(r, "T2m", region)
+        ext, _ = region_scan(r, region)
         assert ext.max[0] == 50.0
 
     def test_matches_exhaustive_scan(self, small_grid):
@@ -39,7 +44,7 @@ class TestRegionalExtremes:
         r = make_series(small_grid, rng.standard_normal((5, 1, 8, 16)))
         region = RegionSpec("box", -50, 50, 90, 270)
         mask, _ = region_mask(small_grid, region)
-        ext = regional_extreme_series(r, "T2m", region)
+        ext, _ = region_scan(r, region)
         vals = r.values("T2m")
         for t in range(5):
             sel = [vals[t, i, j] for i in range(8) for j in range(16) if mask[i, j]]
@@ -47,19 +52,81 @@ class TestRegionalExtremes:
             assert ext.min[t] == min(sel)
 
     def test_positional_order_matches_attributes(self, random_series):
-        for ext in (spatial_extremes(random_series, "T2m"),
-                    regional_extreme_series(random_series, "T2m", GLOBE)):
+        for ext in (global_extremes(random_series), region_scan(random_series, GLOBE)[0]):
             lo, hi = ext
             assert lo is ext.min and hi is ext.max
             assert np.all(lo < hi)
+
+
+def _boxes():
+    """Region boxes: any lat/lon box (lon_min in -180..360, so some wrap 0 degrees),
+    and polar caps spanning every longitude."""
+    lat = st.floats(-90.0, 90.0)
+    box = st.builds(
+        lambda a, b, lon, width: (min(a, b), max(a, b), lon, lon + width),
+        lat, lat, st.floats(-180.0, 359.0), st.floats(1.0, 360.0),
+    ).filter(lambda b: b[0] < b[1])
+    cap = st.floats(0.0, 89.0).flatmap(lambda edge: st.sampled_from(
+        [(edge, 90.0, 0.0, 360.0), (-90.0, -edge, 0.0, 360.0)]))
+    return st.lists(box | cap, min_size=1, max_size=3)
+
+
+class TestRegionalScanProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(2, 9), st.integers(4, 24)),
+        seed=st.integers(0, 2**32 - 1),
+        boxes=_boxes(),
+        block_rows=st.integers(1, 40),
+        via_file=st.booleans(),
+    )
+    def test_equal_to_whole_array_masked_reduction(self, shape, seed, boxes, block_rows,
+                                                   via_file):
+        """However the steps are blocked, one scan gathers each region's cells
+        exactly as masking the whole array does, so its extremes are the masked
+        min/max and its pooled thresholds those of the whole masked sample."""
+        n_time, n_lat, n_lon = shape
+        grid = GridSpec.regular(n_lat, n_lon)
+        regions = [RegionSpec(f"r{i}", *b) for i, b in enumerate(boxes)]
+        masks = {}
+        for region in regions:
+            try:
+                masks[region.name] = region_mask(grid, region)[0]
+            except EmptyRegionError:
+                assume(False)
+        data = np.random.default_rng(seed).standard_normal((n_time, 1, n_lat, n_lon))
+        r = make_series(grid, np.round(data, 1))  # rounding makes ties
+        values = r.values("T2m")
+        block_bytes = block_rows * n_lat * n_lon * 8
+        with mock.patch.object(spectra, "BLOCK_BYTES", block_bytes), \
+                tempfile.TemporaryDirectory() as d:
+            if via_file:
+                write_rollout(r, Path(d) / "r.rgf")
+                with RolloutFile(Path(d) / "r.rgf") as f:
+                    s = spectra.scan(f, ("T2m",), spectra=False, extremes=True,
+                                     regions=regions)
+            else:
+                s = spectra.scan(r, ("T2m",), spectra=False, extremes=True, regions=regions)
+        assert np.array_equal(s.extremes["T2m"].min, values.min(axis=(1, 2)))
+        assert np.array_equal(s.extremes["T2m"].max, values.max(axis=(1, 2)))
+        levels = [0.1, 10.0, 50.0, 90.0, 99.9]
+        for name, mask in masks.items():
+            whole = values[:, mask]
+            ext, cells = s.regional["T2m"][name], s.cells["T2m"][name]
+            assert np.array_equal(ext.min, whole.min(axis=1))
+            assert np.array_equal(ext.max, whole.max(axis=1))
+            assert cells.dtype == np.float32 and np.array_equal(cells, whole)
+            thr = pooled_percentiles(cells, "T2m", name, levels, r.start_time)
+            assert np.array_equal(thr.values, np.percentile(whole, levels, method="linear"))
 
 
 class TestEventSeries:
     def test_flags_match_brute_force(self, small_grid):
         rng = np.random.default_rng(1)
         r = make_series(small_grid, rng.standard_normal((200, 1, 8, 16)))
-        thr = pooled_percentiles(r, "T2m", GLOBE, [10.0, 90.0])
-        ev = event_series(regional_extreme_series(r, "T2m", GLOBE), r.timestamps, GLOBE.name, thr)
+        ext, cells = region_scan(r, GLOBE)
+        thr = pooled_percentiles(cells, "T2m", GLOBE.name, [10.0, 90.0], r.start_time)
+        ev = event_series(ext, r.timestamps, GLOBE.name, thr)
         vals = r.values("T2m")
         for t in range(200):
             assert ev.hot[t] == (vals[t].max() > ev.p90)
@@ -154,8 +221,8 @@ class TestExceedanceCurve:
         # the max of many pixels clears a pooled pixel P90 at least 10% of steps
         rng = np.random.default_rng(8)
         r = make_series(small_grid, rng.standard_normal((500, 1, 8, 16)))
-        thr = pooled_percentiles(r, "T2m", GLOBE, [90.0])
-        ext = regional_extreme_series(r, "T2m", GLOBE)
+        ext, cells = region_scan(r, GLOBE)
+        thr = pooled_percentiles(cells, "T2m", GLOBE.name, [90.0], r.start_time)
         frac = float((ext.max > thr.values[0]).mean())
         # direct counting oracle
         vals = r.values("T2m").reshape(500, -1)

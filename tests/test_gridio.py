@@ -26,11 +26,10 @@ from rollstab.gridio import (
     read_rollout,
     read_series_csv,
     region_mask,
-    spatial_extremes,
     write_rollout,
     write_series_csv,
 )
-from conftest import make_series
+from conftest import global_extremes, make_series
 
 
 class TestGridSpec:
@@ -90,17 +89,17 @@ class TestLatitudeWeights:
 class TestSpatialExtremes:
     def test_constant_field(self, small_grid):
         r = make_series(small_grid, np.full((3, 1, 8, 16), 5.0))
-        ext = spatial_extremes(r, "T2m")
+        ext = global_extremes(r)
         assert np.all(ext.min == 5.0) and np.all(ext.max == 5.0)
 
     def test_single_spike(self, small_grid):
         data = np.zeros((1, 1, 8, 16))
         data[0, 0, 3, 7] = 100.0
-        ext = spatial_extremes(make_series(small_grid, data), "T2m")
+        ext = global_extremes(make_series(small_grid, data))
         assert ext.max[0] == 100.0 and ext.min[0] == 0.0
 
     def test_matches_exhaustive_scan(self, random_series):
-        ext = spatial_extremes(random_series, "T2m")
+        ext = global_extremes(random_series)
         vals = random_series.values("T2m")
         for t in range(random_series.n_time):
             lo = min(vals[t, i, j] for i in range(8) for j in range(16))
@@ -108,14 +107,14 @@ class TestSpatialExtremes:
             assert ext.min[t] == lo and ext.max[t] == hi
 
     def test_min_below_weighted_mean_below_max(self, random_series):
-        ext = spatial_extremes(random_series, "T2m")
+        ext = global_extremes(random_series)
         w = cell_weights(random_series.grid)
         mean = (random_series.values("T2m") * w).sum(axis=(1, 2))
         assert np.all(ext.min <= mean + 1e-12) and np.all(mean <= ext.max + 1e-12)
 
     def test_unknown_variable_names_available(self, random_series):
         with pytest.raises(UnknownVariableError, match="T2m"):
-            spatial_extremes(random_series, "Z500")
+            global_extremes(random_series, "Z500")
 
 
 class TestRolloutSeries:

@@ -18,6 +18,7 @@ from rollstab import (
     synth_step,
     variable_stats,
 )
+from rollstab.gridio import IncompleteFieldError
 from rollstab.perturb import ExternalProcessAdapter, gaussian_random_field
 from rollstab.spectra import band_average, zonal_spectrum
 from conftest import make_series
@@ -43,6 +44,14 @@ class TestVariableStats:
         r = make_series(g, rng.standard_normal((200, 1, 50, 100)))
         mu, sigma = variable_stats(r, "T2m")
         assert abs(mu) < 0.01 and abs(sigma - 1.0) < 0.01
+
+    def test_fill_cells_rejected_naming_the_variable(self, small_grid):
+        data = np.zeros((2, 1, 8, 16), dtype=np.float32)
+        data[1, 0, 2, 3] = np.nan
+        r = RolloutSeries(grid=small_grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
+                          data=data, fill_value=-9e30)
+        with pytest.raises(IncompleteFieldError, match="'T2m'"):
+            variable_stats(r, "T2m")
 
 
 class TestApplyPerturbation:
