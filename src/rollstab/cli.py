@@ -280,15 +280,15 @@ def cmd_cycle_rmse(args) -> int:
     return 0
 
 
-def _load_adapter(spec_str: str, init_series):
+def _load_adapter(spec_str: str, init_series, step_seconds: int):
     kind, _, path = spec_str.partition(":")
     if kind == "synth":
         cfg = synth.load_config(path)
-        return perturb.SynthAdapter(cfg), path
+        return perturb.SynthAdapter(cfg, step_seconds=step_seconds), path
     if kind == "external":
         if init_series is None:
             raise ValueError("external adapters need --init to define the grid")
-        return perturb.ExternalProcessAdapter(path, grid=init_series.grid), path
+        return perturb.ExternalProcessAdapter(path, init_series.grid, step_seconds), path
     raise ValueError(f"unknown adapter kind {kind!r}; use synth:FILE or external:FILE")
 
 
@@ -315,7 +315,7 @@ def _check_perturb_flags(args) -> None:
 def cmd_perturb(args) -> int:
     _check_perturb_flags(args)
     init_series = gridio.read_rollout(args.init) if args.init else None
-    adapter, adapter_path = _load_adapter(args.adapter, init_series)
+    adapter, adapter_path = _load_adapter(args.adapter, init_series, args.step_seconds)
 
     if init_series is not None:
         state = init_series.data[0].astype(np.float64)
@@ -353,8 +353,7 @@ def cmd_perturb(args) -> int:
                                         seed=args.seed)
         stats = {v: (0.0, 0.0) for v in adapter.all_variables}
 
-    out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec,
-                              stats=stats, step_seconds=args.step_seconds)
+    out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec, stats=stats)
     out.attrs["manifest"] = _manifest(args, {
         "init": init_series and (args.init, init_series.sha256),
         "adapter": adapter_path,

@@ -175,7 +175,6 @@ class SmallScaleResult:
     ratio_vs_reference: float
     ratio_vs_self: float
     window_days: float
-    window_end: np.datetime64
     truncated: bool
 
 
@@ -230,7 +229,6 @@ def small_scale_ratios(
         ratio_vs_reference=pred_mean / ref_mean,
         ratio_vs_self=pred_mean / lead_mean,
         window_days=float(used_days),
-        window_end=end,
         truncated=truncated,
     )
 
@@ -355,7 +353,6 @@ class StabilityReport:
                     ratio_vs_reference=ss["ratio_vs_reference"],
                     ratio_vs_self=ss["ratio_vs_self"],
                     window_days=ss.get("window_days", 30.0),
-                    window_end=np.datetime64("NaT"),
                     truncated=ss.get("truncated", False),
                 )
         return rep

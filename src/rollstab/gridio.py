@@ -397,10 +397,8 @@ def folded_doy(dates: np.ndarray) -> np.ndarray:
 
 
 def write_rollout(r: RolloutSeries, path) -> None:
-    """Write the series as an RGF1 file. Round-trip is bit-exact on the payload."""
-    data = r.data
-    if r.fill_value is not None:
-        data = np.where(np.isfinite(data), data, np.float32(r.fill_value))
+    """Write the series as an RGF1 file, one time step (fill value substituted)
+    at a time, so the payload is never copied whole. Round-trip is bit-exact."""
     header = {
         "n_time": int(r.n_time),
         "n_var": len(r.variables),
@@ -420,7 +418,10 @@ def write_rollout(r: RolloutSeries, path) -> None:
         f.write(_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        for block in r.blocks(1):
+            if r.fill_value is not None:
+                block = np.where(np.isfinite(block), block, np.float32(r.fill_value))
+            f.write(np.ascontiguousarray(block, dtype="<f4"))
 
 
 class RolloutFile(_Rollout):

@@ -142,15 +142,22 @@ class ModelAdapter:
     """Contract for anything that can advance a state by one step.
 
     Implementations define ``variables`` (dynamic), ``static_variables``,
-    ``grid``, ``supports_time_shift``, and ``step(state, clock)``. The state
-    covers dynamic then static variables along its first axis; adapters must
-    return the same shape.
+    ``supports_time_shift``, and ``step(state, clock)``, and pass ``grid``
+    and ``step_seconds`` (positive) to this constructor. The state covers
+    dynamic then static variables along its first axis; adapters must
+    return the same shape. ``step`` advances it by ``step_seconds``, the one
+    step length :func:`run_rollout` uses for its clock and timestamps.
     """
 
     variables: tuple[str, ...] = ()
     static_variables: tuple[str, ...] = ()
     supports_time_shift: bool = False
-    grid: GridSpec
+
+    def __init__(self, grid: GridSpec, step_seconds: int):
+        if step_seconds <= 0:
+            raise ValueError(f"step length must be positive, got {step_seconds} s")
+        self.grid = grid
+        self.step_seconds = step_seconds
 
     @property
     def all_variables(self) -> tuple[str, ...]:
@@ -167,17 +174,16 @@ class SynthAdapter(ModelAdapter):
 
     def __init__(self, cfg: RegimeConfig, static_variables: tuple[str, ...] = (),
                  step_seconds: int = 21600):
+        super().__init__(cfg.grid, step_seconds)
         self.cfg = cfg
         self.variables = tuple(cfg.variables)
         self.static_variables = tuple(static_variables)
-        self.grid = cfg.grid
-        self.step_seconds = step_seconds
-        self._stepper = Stepper(cfg)
+        self.stepper = Stepper(cfg)
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
         out = np.array(state, dtype=np.float64, copy=True)
         for vi in range(len(self.variables)):
-            out[vi] = self._stepper.step(out[vi], clock, self.step_seconds, vi)
+            out[vi] = self.stepper.step(out[vi], clock, self.step_seconds, vi)
         return out
 
     def initial_state(self) -> np.ndarray:
@@ -198,6 +204,7 @@ class ExternalProcessAdapter(ModelAdapter):
     """
 
     def __init__(self, manifest, grid: GridSpec, step_seconds: int = 21600):
+        super().__init__(grid, step_seconds)
         if isinstance(manifest, (str, Path)):
             with open(manifest) as f:
                 manifest = json.load(f)
@@ -207,8 +214,6 @@ class ExternalProcessAdapter(ModelAdapter):
         self.variables = tuple(manifest["variables"])
         self.static_variables = tuple(manifest.get("static_variables", ()))
         self.supports_time_shift = bool(manifest.get("supports_time_shift", False))
-        self.grid = grid
-        self.step_seconds = step_seconds
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
         self.workdir.mkdir(parents=True, exist_ok=True)
@@ -224,10 +229,7 @@ class ExternalProcessAdapter(ModelAdapter):
             json.dump({"time": clock.isoformat(), "step_seconds": self.step_seconds},
                       f, sort_keys=True)
         subprocess.run(self.command, cwd=self.workdir, check=True)
-        out = read_rollout(self.workdir / "state_out.rgf")
-        if out.data.shape[1:] != state.shape:
-            raise ValueError("external adapter returned mismatched state dimensions")
-        return out.data[0].astype(np.float64)
+        return read_rollout(self.workdir / "state_out.rgf").data[0].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +243,24 @@ def run_rollout(
     n_steps: int,
     spec: PerturbationSpec | None = None,
     stats: dict[str, tuple[float, float]] | None = None,
-    step_seconds: int = 21600,
 ) -> RolloutSeries:
-    """Feed the adapter its own output for ``n_steps`` steps.
+    """Feed the adapter its own output for ``n_steps`` steps of
+    ``adapter.step_seconds``, filling one float32 (n_steps + 1, variable,
+    lat, lon) array from the initial state at index 0. This is the one
+    time-stepping loop; :func:`rollstab.synth.generate` runs it too.
 
     The perturbation (if any) applies to the initial state only. With
     ``time_shift_days`` set, the clock handed to the adapter is offset while
     output timestamps stay physical; adapters that do not support shifting
-    reject the spec. On adapter failure the completed steps are returned
-    with an ``error`` annotation in ``attrs``.
+    reject the spec. If the adapter fails, or returns a state of another
+    shape or a non-finite one, the completed prefix is returned with an
+    ``error`` annotation in ``attrs``.
     """
+    if n_steps < 0:
+        raise ValueError(f"step count must be >= 0, got {n_steps}")
     state = np.asarray(init_state, dtype=np.float64)
-    n_all = len(adapter.all_variables)
-    if state.shape != (n_all, adapter.grid.n_lat, adapter.grid.n_lon):
+    frame = (len(adapter.all_variables), adapter.grid.n_lat, adapter.grid.n_lon)
+    if state.shape != frame:
         raise ValueError("initial state does not match adapter variables and grid")
     shift = timedelta(0)
     if spec is not None:
@@ -266,31 +273,36 @@ def run_rollout(
         state = apply_perturbation(state, spec, stats, adapter.all_variables,
                                    adapter.static_variables)
 
-    frames = [state.astype(np.float32)]
+    data = np.empty((n_steps + 1, *frame), dtype=np.float32)
+    data[0] = state
     attrs: dict = {}
     if spec is not None:
         attrs["perturbation"] = {
             "kind": spec.kind, "k": spec.k, "target": spec.target, "seed": spec.seed,
             "time_shift_days": spec.time_shift_days,
         }
-    clock = start_time
-    for i in range(n_steps):
+    step = timedelta(seconds=adapter.step_seconds)
+    clock, t = start_time, 0
+    while t < n_steps:
         try:
             state = adapter.step(state, clock + shift)
+            if np.shape(state) != frame:
+                raise ValueError(f"returned a state of shape {np.shape(state)}, not {frame}")
         except Exception as e:  # partial series with annotation
-            attrs["error"] = f"adapter failed at step {i}: {e}"
+            attrs["error"] = f"adapter failed at step {t}: {e}"
             break
         if not np.isfinite(state).all():
-            attrs["error"] = f"adapter produced non-finite fields at step {i}"
+            attrs["error"] = f"adapter produced non-finite fields at step {t}"
             break
-        clock = clock + timedelta(seconds=step_seconds)
-        frames.append(np.asarray(state, dtype=np.float32))
+        clock += step
+        t += 1
+        data[t] = state
     return RolloutSeries(
         grid=adapter.grid,
         variables=adapter.all_variables,
         start_time=start_time,
-        data=np.stack(frames),
-        step_seconds=step_seconds,
+        data=data[: t + 1],
+        step_seconds=adapter.step_seconds,
         attrs=attrs,
     )
 

@@ -373,38 +373,27 @@ def generate(
 ) -> tuple[RolloutSeries, GroundTruthLabels]:
     """Iterate the configured regime from a seeded random initial field.
 
-    Returns the rollout (initial state at index 0) and analytic ground-truth
-    labels for the detectors. ``horizon_days`` must be at least 60.
+    The rollout is :func:`rollstab.perturb.run_rollout` over a
+    :class:`~rollstab.perturb.SynthAdapter` that steps every variable in
+    lockstep at ``step_seconds``. Returns it (initial state at index 0,
+    ``attrs`` holding the regime and seed) and analytic ground-truth labels
+    for the detectors. ``horizon_days`` must be at least 60, and
+    ``step_seconds`` positive.
     """
+    from .perturb import SynthAdapter, run_rollout  # perturb imports this module
+
     if horizon_days < 60:
         raise ValueError("horizon must be at least 60 days")
     if cfg.regime == "DRIFT" and cfg.tau_days >= horizon_days:
         raise ValueError("DRIFT requires tau_days < horizon")
     if cfg.regime == "BLOWUP" and cfg.onset_day >= horizon_days:
         raise ValueError("BLOWUP onset must fall inside the horizon")
-    start = start_time or cfg.epoch
+    adapter = SynthAdapter(cfg, step_seconds=step_seconds)
     n_steps = int(round(horizon_days * 86400 / step_seconds))
-    stepper = Stepper(cfg)
-
-    data = np.empty((n_steps + 1, len(cfg.variables), cfg.grid.n_lat, cfg.grid.n_lon),
-                    dtype=np.float32)
-    for vi in range(len(cfg.variables)):
-        state = initial_state(cfg, vi)
-        data[0, vi] = state
-        clock = start
-        for i in range(n_steps):
-            state = stepper.step(state, clock, step_seconds, vi)
-            clock = clock + timedelta(seconds=step_seconds)
-            data[i + 1, vi] = state
-
-    series = RolloutSeries(
-        grid=cfg.grid,
-        variables=cfg.variables,
-        start_time=start,
-        data=data,
-        step_seconds=step_seconds,
-        attrs={"regime": cfg.regime, "seed": cfg.seed},
-    )
+    series = run_rollout(adapter, adapter.initial_state(), start_time or cfg.epoch, n_steps)
+    if "error" in series.attrs:
+        raise ValueError(f"synthetic rollout stopped early: {series.attrs['error']}")
+    series.attrs = {"regime": cfg.regime, "seed": cfg.seed}
 
     steps_per_day = 86400.0 / step_seconds
     labels = GroundTruthLabels(regime=cfg.regime, horizon_days=horizon_days)
@@ -419,8 +408,8 @@ def generate(
         labels.tau_days = cfg.tau_days
     if cfg.regime == "BLUR":
         labels.small_scale_direction = "lt1"
-        if cfg.noise_small > 0 and cfg.init_std > 0 and "small" in stepper.band_k:
-            m = np.intersect1d(stepper.band_k["small"],
+        if cfg.noise_small > 0 and cfg.init_std > 0 and "small" in adapter.stepper.band_k:
+            m = np.intersect1d(adapter.stepper.band_k["small"],
                                np.arange(1, (cfg.grid.n_lon + 1) // 2)).size
             s_raw = cfg.noise_small * cfg.grid.n_lon / (2.0 * math.sqrt(m))
             steady = s_raw / math.sqrt(1.0 - cfg.g_small**2)

@@ -237,6 +237,38 @@ class TestPerturbCommand:
                        "-o", tmp_path / "x.rgf") == 2
 
 
+class TestStepLength:
+    """The adapter owns the step length, so perturb and synth agree at any."""
+
+    def test_perturb_synth_adapter_equals_synth(self, tmp_path, synth_files):
+        a, b = tmp_path / "perturb.rgf", tmp_path / "synth.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", 60,
+                       "--step-seconds", 86400, "-o", a) == 0
+        assert run_cli("synth", "--regime-config", synth_files["cfg"], "--horizon-days", 60,
+                       "--step-seconds", 86400, "-o", b) == 0
+        ra, rb = rollstab.read_rollout(a), rollstab.read_rollout(b)
+        assert ra.data.tobytes() == rb.data.tobytes()
+        assert np.array_equal(ra.timestamps, rb.timestamps)
+        assert ra.step_seconds == rb.step_seconds == 86400
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--regime", "STABLE", "--horizon-days", 60, "--grid", "8x64",
+          "--step-seconds", 0], "step length must be positive"),
+        (["synth", "--regime", "STABLE", "--horizon-days", 60, "--grid", "8x64",
+          "--step-seconds", -3600], "step length must be positive"),
+        (["perturb", "--steps", 4, "--step-seconds", 0], "step length must be positive"),
+        (["perturb", "--steps", -5], "step count must be >= 0"),
+    ])
+    def test_bad_step_length_or_count_exit_2(self, tmp_path, synth_files, capsys, argv,
+                                             message):
+        if argv[0] == "perturb":
+            argv = [*argv, "--adapter", f"synth:{synth_files['cfg']}"]
+        out = tmp_path / "out.rgf"
+        assert run_cli(*argv, "-o", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExtremesCommand:
     def test_per_region_outputs(self, tmp_path, synth_files):
         outdir = tmp_path / "ext"

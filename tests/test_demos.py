@@ -1,4 +1,5 @@
-"""Smoke test of the demos that call the extremes API: each runs to exit 0."""
+"""Smoke test of the demos that call the extremes API or drive the rollout
+loop: each runs to exit 0."""
 
 import os
 import subprocess
@@ -11,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", [
-    "01_grids_and_containers", "03_failure_regimes", "06_memorization_and_extremes",
+    "01_grids_and_containers", "03_failure_regimes", "05_noise_harness",
+    "06_memorization_and_extremes",
 ])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from datetime import datetime
 
@@ -312,8 +313,7 @@ def report_with(blowup_days, seasonality_days=None, horizon=730.0,
         rep.seasonality[v] = SeasonalityResult(day=seasonality_days[v],
                                                multiplier=2.0, run_length=None)
         rep.small_scale[v] = SmallScaleResult(
-            ratio_vs_reference=1.0, ratio_vs_self=1.0, window_days=30.0,
-            window_end=np.datetime64("2021-01-01"), truncated=False)
+            ratio_vs_reference=1.0, ratio_vs_self=1.0, window_days=30.0, truncated=False)
     return rep
 
 
@@ -357,6 +357,36 @@ class TestAggregateRuns:
         assert back.blowup["T2m"].day == 50.0
         assert back.seasonality["T2m"].day == 200.0
         assert back.small_scale["T2m"].ratio_vs_reference == 1.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+day_or_censored = st.none() | finite
+
+
+@st.composite
+def reports(draw):
+    variables = tuple(draw(st.lists(st.sampled_from(("T2m", "U10", "V10", "Z500")),
+                                    min_size=1, max_size=3, unique=True)))
+    rep = StabilityReport(name=draw(st.text(max_size=8)), horizon_days=draw(finite),
+                          variables=variables)
+    for v in variables:
+        rep.blowup[v] = BlowupResult(
+            day=draw(day_or_censored), triggered_by=draw(st.sampled_from((None, "min", "max"))),
+            r2=draw(st.none() | finite), slope_sign=draw(st.sampled_from((None, -1, 1))))
+        rep.seasonality[v] = SeasonalityResult(
+            day=draw(day_or_censored), multiplier=draw(finite),
+            run_length=draw(st.none() | st.integers(0, 10**6)))
+        rep.small_scale[v] = draw(st.none() | st.builds(
+            SmallScaleResult, ratio_vs_reference=finite, ratio_vs_self=finite,
+            window_days=finite, truncated=st.booleans()))
+    return rep
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rep=reports())
+    def test_json_round_trip_is_lossless(self, rep):
+        assert StabilityReport.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
 
 
 class TestBuildReport:

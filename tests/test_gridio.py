@@ -266,6 +266,27 @@ class TestReadMemory:
         assert back.data.tobytes() == data.tobytes()
 
 
+class TestWriteMemory:
+    """write_rollout writes the payload step by step: no whole-payload copy."""
+
+    @pytest.mark.parametrize("fill_value", [None, -9e30])
+    def test_peak_below_a_quarter_payload(self, tmp_path, fill_value):
+        data = np.random.default_rng(0).standard_normal((240, 2, 64, 128)).astype(np.float32)
+        if fill_value is not None:
+            data[3, 1, 5, :7] = np.nan
+        r = RolloutSeries(grid=GridSpec.regular(64, 128), variables=("a", "b"),
+                          start_time=datetime(2021, 1, 1), data=data, fill_value=fill_value)
+        p = tmp_path / "x.rgf"
+        tracemalloc.start()
+        try:
+            write_rollout(r, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 4, (peak, data.nbytes)
+        assert read_rollout(p).data.tobytes() == data.tobytes()
+
+
 class TestRolloutFile:
     """The block reader: the same values, checks and digest as a whole read."""
 

@@ -1,3 +1,4 @@
+import json
 import sys
 from datetime import datetime, timedelta
 
@@ -168,11 +169,14 @@ class TestRunRollout:
             "variables": ["T2m"],
         }
         grid = GridSpec.regular(4, 8)
-        ad = ExternalProcessAdapter(manifest, grid=grid)
+        ad = ExternalProcessAdapter(manifest, grid=grid, step_seconds=3600)
         init = np.full((1, 4, 8), 7.0)
         out = run_rollout(ad, init, EPOCH, 3)
         assert out.n_time == 4
         assert np.all(out.data == 7.0)
+        assert out.step_seconds == 3600
+        clock = json.loads((workdir / "clock.json").read_text())
+        assert clock == {"time": (EPOCH + timedelta(hours=2)).isoformat(), "step_seconds": 3600}
 
     def test_adapter_failure_annotated(self):
         class Flaky(SynthAdapter):
@@ -200,6 +204,17 @@ class TestRunRollout:
         out = run_rollout(ad, ad.initial_state(), EPOCH, 10)
         assert out.n_time == 5
         assert "non-finite" in out.attrs["error"]
+
+    def test_wrong_state_shape_annotated(self):
+        class Flat(SynthAdapter):
+            def step(self, state, clock):
+                return super().step(state, clock)[0]  # drops the variable axis
+
+        cfg = RegimeConfig(regime="STABLE", seed=0, grid=GridSpec.regular(8, 64))
+        ad = Flat(cfg)
+        out = run_rollout(ad, ad.initial_state(), EPOCH, 3)
+        assert out.n_time == 1
+        assert "step 0" in out.attrs["error"] and "shape" in out.attrs["error"]
 
     def test_time_shift_advances_forcing_phase(self):
         # pure forcing response: gains 0, no noise

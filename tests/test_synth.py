@@ -142,6 +142,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(RegimeConfig(regime="STABLE"), 30)
 
+    def test_failed_rollout_raises(self):
+        # the clock leaves datetime's range mid-run: no short series comes back
+        cfg = RegimeConfig(regime="STABLE", grid=GridSpec.regular(4, 16))
+        with pytest.raises(ValueError, match="stopped early.*step 123"):
+            generate(cfg, 60, start_time=datetime(9999, 12, 1))
+
     def test_drift_tau_must_fit_horizon(self):
         cfg = RegimeConfig(regime="DRIFT", tau_days=200.0)
         with pytest.raises(ValueError):
