@@ -3,7 +3,11 @@
 Envelopes hold the per-day mean/min/max of a daily statistic across the
 years of a reference period (365 buckets, Feb 29 folded into Feb 28).
 Thresholds are empirical percentiles of all region pixels pooled over all
-timesteps, using linear interpolation between order statistics.
+timesteps, using linear interpolation between order statistics. They are
+read from the sorted pool with numpy's own ``method="linear"`` arithmetic
+(Hyndman & Fan 1996, definition 7), so each one equals ``np.percentile``'s
+bit for bit, up to the sign of a zero threshold in a pool that holds both
+signed zeros (the sort decides which one sits at a rank).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
@@ -131,11 +136,15 @@ class ThresholdSet:
         object.__setattr__(self, "levels", tuple(float(x) for x in lv))
         object.__setattr__(self, "values", tuple(float(x) for x in vv))
 
+    @cached_property
+    def _by_level(self) -> dict[float, float]:
+        return dict(zip(self.levels, self.values))
+
     def value_for(self, level: float) -> float:
-        for lv, val in zip(self.levels, self.values):
-            if lv == level:
-                return val
-        raise KeyError(f"level {level} not present in threshold set {self.region!r}")
+        try:
+            return self._by_level[level]
+        except KeyError:
+            raise KeyError(f"level {level} not present in threshold set {self.region!r}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -183,12 +192,24 @@ def pooled_percentiles(
         if not 0.0 < lv < 100.0:
             raise ValueError(f"percentile level {lv} outside the open interval (0, 100)")
     pool = cells.reshape(-1)
-    if not np.isfinite(pool).all():
-        raise ValueError("pooled sample contains fill/NaN values")
-    # a percentile depends only on the multiset of values; on a sorted pool the
-    # partitions for the many levels cost next to nothing
+    # a percentile depends only on the multiset of values: sort the pool once
+    # and read both neighbouring order statistics of each level by index
     pool.sort()
-    values = np.percentile(pool, levels, method="linear", overwrite_input=True)
+    # sorted, the pool is finite if both ends are: NaN sorts last, -inf first
+    if not (np.isfinite(pool[0]) and np.isfinite(pool[-1])):
+        raise ValueError("pooled sample contains fill/NaN values")
+    n = pool.size
+    virtual = (n - 1) * np.true_divide(levels, 100)
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1  # past the last rank both neighbours are the maximum
+    below[top] = above[top] = -1
+    gamma = virtual - below
+    a, b = pool[below.astype(np.intp)], pool[above.astype(np.intp)]
+    # numpy's lerp: b - a is taken in the pool's dtype, so it overflows as numpy's does
+    diff = b - a
+    values = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=values, where=gamma >= 0.5)
     span = (
         f"{v}: all pixels of {region}, all {cells.shape[0]} timesteps "
         f"from {start_time.isoformat()}, linear order-statistic interpolation"

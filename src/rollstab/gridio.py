@@ -5,6 +5,10 @@ The RGF1 container is self-describing binary: 4-byte magic ``RGF1``, an
 names, lat/lon arrays, start time, step length, optional fill value), then
 the payload as little-endian IEEE-754 float32 in (time, variable, lat, lon)
 row-major order.
+
+:meth:`RolloutFile.blocks` reads the payload into one reused buffer and
+hashes each block on one helper thread while the caller works on it: a
+block is read-only until the next one is taken, which refills the buffer.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import hashlib
 import json
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterator, NamedTuple
@@ -263,8 +268,14 @@ def _check_layout(shape, grid, variables, step_seconds, fill_value, attrs) -> No
         raise ValueError("attrs must be a dict (a JSON object in RGF headers)")
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every value of ``x`` is finite. NaN propagates through min and
+    max and an infinity lands at one end, so this allocates no boolean copy."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
 def _check_values(data: np.ndarray, fill_value) -> None:
-    if fill_value is None and not np.isfinite(data).all():
+    if fill_value is None and not all_finite(data):
         raise ValueError("non-finite values present but no fill value declared")
 
 
@@ -323,7 +334,7 @@ class IncompleteFieldError(ValueError):
 def require_finite(r: RolloutSeries, v: str) -> np.ndarray:
     """Return values(v) after rejecting fill values, as detectors must."""
     vals = r.values(v)
-    if not np.isfinite(vals).all():
+    if not all_finite(vals):
         raise IncompleteFieldError(v)
     return vals
 
@@ -507,29 +518,39 @@ class RolloutFile(_Rollout):
         Cells equal to the fill value come back as NaN; without a fill value
         a non-finite cell is an error. The raw bytes also feed a SHA-256 of
         the whole file, header included, which a complete walk leaves in
-        :attr:`sha256`.
+        :attr:`sha256`. Each block is hashed on the walk's one helper thread
+        while it is checked and used, so it is read-only until the next one
+        is taken; the walk waits for the hash before it writes NaN into the
+        block and before it reads the next one. A walk left part way holds
+        its thread until the generator is closed or collected.
         """
         frame = (len(self.variables), self.grid.n_lat, self.grid.n_lon)
         buf = np.empty((min(rows, self.n_time), *frame), dtype="<f4")
         digest = self._head.copy()
         self._f.seek(self._payload)
-        for start in range(0, self.n_time, buf.shape[0]):
-            block = buf[: self.n_time - start]
-            held = self._f.readinto(block)  # buffered: loops until full or end of file
-            if held != block.nbytes:
-                held += start * buf[0].nbytes
-                raise TruncatedPayloadError(
-                    f"{self.path}: payload holds {held} bytes, header declares {self._expected}"
-                )
-            digest.update(block)
-            if self.fill_value is None:
-                try:
-                    _check_values(block, None)
-                except ValueError as e:
-                    raise FormatError(f"{self.path}: invalid header or payload: {e}") from None
-            else:
-                block[block == np.float32(self.fill_value)] = np.nan
-            yield block
+        with ThreadPoolExecutor(max_workers=1) as hasher:
+            for start in range(0, self.n_time, buf.shape[0]):
+                block = buf[: self.n_time - start]
+                held = self._f.readinto(block)  # buffered: loops until full or end of file
+                if held != block.nbytes:
+                    held += start * buf[0].nbytes
+                    raise TruncatedPayloadError(
+                        f"{self.path}: payload holds {held} bytes, header declares "
+                        f"{self._expected}"
+                    )
+                hashed = hasher.submit(digest.update, block)  # hashlib releases the GIL
+                if self.fill_value is None:
+                    try:
+                        _check_values(block, None)
+                    except ValueError as e:
+                        raise FormatError(
+                            f"{self.path}: invalid header or payload: {e}") from None
+                else:
+                    holes = block == np.float32(self.fill_value)
+                    hashed.result()
+                    block[holes] = np.nan
+                yield block
+                hashed.result()  # the buffer is free again
         self._sha256 = digest.hexdigest()
 
     @property

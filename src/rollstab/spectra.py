@@ -26,6 +26,7 @@ from .gridio import (
     PreconditionError,
     RolloutFile,
     RolloutSeries,
+    all_finite,
     daily_mean,
     latitude_weights,
     region_mask,
@@ -241,7 +242,7 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
         for v, i in idx.items():
             fields = block[:, i]
             # without a fill value, the values are finite by now
-            if source.fill_value is not None and not np.isfinite(fields).all():
+            if source.fill_value is not None and not all_finite(fields):
                 incomplete.add(v)
             if spectra:
                 energy[v][s:e] = _spectra(fields, grid)

@@ -482,6 +482,38 @@ class TestEverySubcommandByteStable:
             assert first == second, f"{name} output not byte-stable"
 
 
+class TestThreadCountByteStable:
+    def test_unset_and_one_thread_agree(self, tmp_path, synth_files, monkeypatch):
+        """ROLLOUT_STAB_THREADS sets the FFT workers; with it unset or 1, and
+        each read hashing its blocks on a helper thread, the bytes are the same."""
+        pred, ref = synth_files["pred"], synth_files["ref"]
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps([{"name": "across_0", "lat_min": 20, "lat_max": 70,
+                                        "lon_min": -30, "lon_max": 40}]))
+        monkeypatch.setattr(rollstab.spectra, "BLOCK_BYTES", 50 * 16 * 240 * 8)  # 50 steps
+        out = tmp_path / "out"
+        runs = [
+            ["extremes", "--input", pred, "--reference", ref, "--variable", "T2m",
+             "--regions", regions, "--outdir", out / "ext"],
+            ["report", "--prediction", pred, "--reference", ref, "-o", out / "r.json",
+             "--csv", out / "r.csv"],
+            ["perturb", "--adapter", f"synth:{synth_files['cfg']}", "--kind", "grf",
+             "--k", "0.5", "--correlation-length", "10", "--stats-from", ref,
+             "--steps", "8", "--seed", "3", "-o", out / "p.rgf"],
+        ]
+        outputs = []
+        for threads in (None, "1"):
+            if threads is None:
+                monkeypatch.delenv("ROLLOUT_STAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ROLLOUT_STAB_THREADS", threads)
+            for argv in runs:
+                assert run_cli(*argv) == 0, argv[0]
+            outputs.append({p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 4 + 2 + 1  # extremes' 3 CSVs and summary, report's 2, one RGF
+        assert outputs[0] == outputs[1]
+
+
 def _manifest_inputs(path):
     if path.suffix == ".rgf":
         return rollstab.read_rollout(path).attrs["manifest"]["inputs"]

@@ -1,3 +1,4 @@
+import re
 from datetime import datetime
 
 import numpy as np
@@ -185,6 +186,14 @@ class TestPooledPercentiles:
         p = tmp_path / "thr.json"
         thr.save(p)
         assert ThresholdSet.load(p) == thr
+
+    def test_value_for_each_level(self):
+        thr = ThresholdSet(region="r", levels=(90.0, 10.0, 50.0), values=(1.0, -1.0, 0.25),
+                           pooling="test")
+        assert [thr.value_for(lv) for lv in (10.0, 50, 90.0)] == [-1.0, 0.25, 1.0]
+        with pytest.raises(KeyError, match=re.escape("level 99.0 not present in threshold "
+                                                     "set 'r'")):
+            thr.value_for(99.0)
 
     def test_threshold_set_rejects_nonmonotone(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import tempfile
+from datetime import datetime
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rollstab import (
     GridSpec,
@@ -71,7 +72,50 @@ def _boxes():
     return st.lists(box | cap, min_size=1, max_size=3)
 
 
+# the 400 levels `rollstab extremes` pools thresholds at: P80..P99.9, P0.1..P20
+EXTREMES_LEVELS = sorted(set(list(np.round(np.arange(800, 1000) / 10.0, 1))
+                             + list(np.round(np.arange(1, 201) / 10.0, 1)) + [10.0, 90.0]))
+
+
+def _pools():
+    """float32 pools of 1-300 values: any finite float32 (subnormals, +-0.0 and
+    +-3.4e38 included) mixed with a few heavily tied ones, or one value repeated."""
+    tied = st.sampled_from([-3e38, -2.5, -1.0, -1e-40, -0.0, 0.0, 1e-45, 1.0, 2.5, 3e38])
+    value = st.floats(width=32, allow_nan=False, allow_infinity=False) | tied
+    constant = st.builds(lambda x, n: [x] * n, value, st.integers(1, 300))
+    return (st.lists(value, min_size=1, max_size=300) | constant).map(
+        lambda xs: np.array(xs, dtype=np.float32))
+
+
 class TestRegionalScanProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(pool=_pools())
+    @example(pool=np.array([-0.0], np.float32))
+    @example(pool=np.array([-1.0, 2.0], np.float32))
+    @example(pool=np.array([-3e38, 3e38], np.float32))
+    @example(pool=np.array([-3e38, -3e38, 3e38, 3e38, 3e38], np.float32))
+    @example(pool=np.array([-0.0, -0.0, 1e-45, -1e-45], np.float32))
+    def test_pooled_percentiles_are_numpys_bytes(self, pool):
+        """At the levels `extremes` uses, thresholds read from the sorted pool
+        are ``np.percentile``'s byte for byte, including where ``b - a``
+        overflows float32. Only where both signed zeros occur is the sign of a
+        zero threshold the sort's choice (numpy's own result then depends on
+        the pool's order), so those pools are compared by value."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.percentile(pool, EXTREMES_LEVELS, method="linear")
+            try:
+                thr = pooled_percentiles(pool.copy()[None], "T2m", "r", EXTREMES_LEVELS,
+                                         datetime(2021, 1, 1))
+            except ValueError as e:  # an overflow can unorder numpy's thresholds too
+                assert "monotone" in str(e) and np.any(np.diff(want) < 0)
+                return
+        got = np.array(thr.values)
+        zero_signs = np.signbit(pool[pool == 0])
+        if zero_signs.any() and not zero_signs.all():
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 30), st.integers(2, 9), st.integers(4, 24)),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import threading
 import tracemalloc
 from datetime import datetime
 
@@ -15,6 +16,7 @@ from rollstab.gridio import (
     EmptyRegionError,
     FormatError,
     HeaderMismatchError,
+    IncompleteFieldError,
     RGFError,
     RolloutFile,
     TruncatedPayloadError,
@@ -26,6 +28,7 @@ from rollstab.gridio import (
     read_rollout,
     read_series_csv,
     region_mask,
+    require_finite,
     write_rollout,
     write_series_csv,
 )
@@ -130,6 +133,23 @@ class TestRolloutSeries:
         with pytest.raises(ValueError, match="fill_value"):
             RolloutSeries(grid=small_grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
                           data=np.zeros((1, 1, 8, 16)), fill_value=fill_value)
+
+    def test_finiteness_checks_allocate_no_copy(self):
+        """Building a series and requiring a variable finite scan the values
+        without a boolean temporary (4 MB for this 16 MB payload)."""
+        data = np.random.default_rng(0).standard_normal((64, 2, 128, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            r = RolloutSeries(grid=GridSpec.regular(128, 256), variables=("a", "b"),
+                              start_time=datetime(2021, 1, 1), data=data)
+            require_finite(r, "b")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        data[5, 1, 7, 9] = -np.inf
+        with pytest.raises(IncompleteFieldError):
+            require_finite(r, "b")
 
     def test_timestamps(self, small_grid):
         r = make_series(small_grid, np.zeros((3, 1, 8, 16)))
@@ -350,6 +370,63 @@ class TestRolloutFile:
         _rewrite_header(p, n_time=10**9)
         with pytest.raises(TruncatedPayloadError, match=re.escape(str(p))):
             RolloutFile(p)
+
+    @pytest.fixture(scope="class")
+    def holed_in_every_step(self, tmp_path_factory):
+        """4 MB, with fill cells in every step, so in every block of any walk."""
+        data = np.random.default_rng(2).standard_normal((64, 2, 64, 128)).astype(np.float32)
+        for t in range(data.shape[0]):
+            data[t, t % 2, t % 64, : 1 + t % 5] = np.nan
+        r = RolloutSeries(grid=GridSpec.regular(64, 128), variables=("a", "b"),
+                          start_time=datetime(2021, 1, 1), data=data, fill_value=-9e30)
+        p = tmp_path_factory.mktemp("holed") / "holed.rgf"
+        write_rollout(r, p)
+        return p, data
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_overlapped_hash_is_the_file_digest(self, holed_in_every_step, rows):
+        p, data = holed_in_every_step
+        before = threading.active_count()
+        with RolloutFile(p) as f:
+            got = []
+            for block in f.blocks(rows):
+                assert threading.active_count() == before + 1  # the walk's one hasher
+                got.append(block.copy())
+            assert f.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert threading.active_count() == before
+        got = np.concatenate(got)
+        assert got.tobytes() == read_rollout(p).data.tobytes() == data.tobytes()
+
+    def test_abandoned_walk_ends_its_thread(self, holed_in_every_step):
+        p, _ = holed_in_every_step
+        before = threading.active_count()
+        with RolloutFile(p) as f:
+            walk = f.blocks(7)
+            next(walk)
+            assert threading.active_count() == before + 1
+            del walk
+            assert threading.active_count() == before
+        assert f._f.closed
+
+    def test_walk_failing_mid_file_ends_its_thread(self, tmp_path):
+        data = np.random.default_rng(3).standard_normal((64, 2, 64, 128)).astype(np.float32)
+        r = RolloutSeries(grid=GridSpec.regular(64, 128), variables=("a", "b"),
+                          start_time=datetime(2021, 1, 1), data=data)
+        p = tmp_path / "x.rgf"
+        write_rollout(r, p)
+        raw = bytearray(p.read_bytes())
+        nan_at = len(raw) - data.nbytes + data[:30].nbytes + 4  # in step 30
+        raw[nan_at : nan_at + 4] = np.float32(np.nan).tobytes()
+        p.write_bytes(bytes(raw))
+        before = threading.active_count()
+        with RolloutFile(p) as f:
+            walk = f.blocks(7)
+            for _ in range(4):  # steps 0..27
+                next(walk)
+            with pytest.raises(FormatError, match="non-finite values present"):
+                next(walk)
+            assert threading.active_count() == before
+        assert f._f.closed
 
 
 @pytest.fixture(scope="module")
