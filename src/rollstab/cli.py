@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
 
@@ -92,6 +93,16 @@ def _day_cell(day, horizon) -> str:
     return _fmt(day)
 
 
+def _result_doc(result, units: str, day_key: str | None = None) -> dict:
+    """A detector result's fields plus ``units``, its ``day`` renamed to
+    ``day_key`` and flagged ``censored`` when it is None."""
+    doc = asdict(result) | {"units": units}
+    if day_key:
+        doc[day_key] = day = doc.pop("day")
+        doc["censored"] = day is None
+    return doc
+
+
 def _ratio_cell(ss) -> str:
     if ss is None:
         return "unresolved"
@@ -146,7 +157,7 @@ def cmd_synth(args) -> int:
     series.attrs["manifest"] = manifest
     gridio.write_rollout(series, args.output)
     if args.labels:
-        _write_json(args.labels, {**labels.to_dict(), "config": synth.config_to_dict(cfg)},
+        _write_json(args.labels, {**asdict(labels), "config": synth.config_to_dict(cfg)},
                     manifest)
     return 0
 
@@ -186,10 +197,8 @@ def cmd_blowup(args) -> int:
     if args.input:
         with gridio.RolloutFile(args.input) as r:
             s = spectra.scan(r, (args.variable,), spectra=False, extremes=True)
-        s.require_finite(args.variable)
-        ext = s.extremes[args.variable]
         rgf = (args.input, r.sha256)
-        mn, mx = ext.min, ext.max
+        mn, mx = s.extremes[args.variable]
         steps_per_day = 86400.0 / r.step_seconds
     else:
         if not (args.min_csv and args.max_csv):
@@ -204,14 +213,7 @@ def cmd_blowup(args) -> int:
         window_days=args.window_days, r2_threshold=args.r2_threshold,
         stride_days=args.stride_days,
     )
-    doc = {
-        "blowup_day": res.day,
-        "censored": res.day is None,
-        "triggered_by": res.triggered_by,
-        "r2": res.r2,
-        "slope_sign": res.slope_sign,
-        "units": "days from rollout start",
-    }
+    doc = _result_doc(res, "days from rollout start", "blowup_day")
     _write_json(args.output, doc, _manifest(
         args, {"input": rgf, "min_csv": args.min_csv, "max_csv": args.max_csv}))
     return 0
@@ -221,7 +223,8 @@ def cmd_seasonality(args) -> int:
     _exclusive(args, "--envelope", "--reference")
     ref = None
     if args.envelope:
-        env = climatology.ClimatologyEnvelope.load(args.envelope)
+        with open(args.envelope) as f:
+            env = climatology.ClimatologyEnvelope.from_dict(json.load(f))
     elif args.reference:
         with gridio.RolloutFile(args.reference) as r:
             ref_spec = spectra.spectrum_series(r, args.variable, daily=True)
@@ -235,17 +238,11 @@ def cmd_seasonality(args) -> int:
     manifest = _manifest(args, {"input": (args.input, r.sha256), "envelope": args.envelope,
                                 "reference": ref})
     if args.save_envelope:
-        env.save(args.save_envelope, extra={"manifest": manifest})
+        _write_json(args.save_envelope, env.to_dict(), manifest)
     res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
                                             multiplier=args.multiplier, run_days=args.run_days)
-    doc = {
-        "seasonality_loss_day": res.day,
-        "censored": res.day is None,
-        "multiplier": res.multiplier,
-        "run_length": res.run_length,
-        "units": "days from rollout start",
-    }
-    _write_json(args.output, doc, manifest)
+    _write_json(args.output, _result_doc(res, "days from rollout start", "seasonality_loss_day"),
+                manifest)
     return 0
 
 
@@ -256,13 +253,7 @@ def cmd_smallscale(args) -> int:
         ref_spec = spectra.spectrum_series(ref, args.variable, daily=True)
     res = detectors.small_scale_ratios(spec, ref_spec, blowup_day=args.blowup_day,
                                        window_days=args.window_days)
-    doc = {
-        "ratio_vs_reference": res.ratio_vs_reference,
-        "ratio_vs_self": res.ratio_vs_self,
-        "window_days": res.window_days,
-        "truncated": res.truncated,
-        "units": "dimensionless energy ratios",
-    }
+    doc = _result_doc(res, "dimensionless energy ratios")
     _write_json(args.output, doc, _manifest(args, {"input": (args.input, pred.sha256),
                                                    "reference": (args.reference, ref.sha256)}))
     return 0
@@ -371,12 +362,10 @@ def cmd_extremes(args) -> int:
     # reduced to extremes, so they are dropped before the reference is walked
     with gridio.RolloutFile(args.input) as model:
         s = spectra.scan(model, (v,), spectra=False, regions=regions)
-    s.require_finite(v)
     model_regional = s.regional[v]
     del s
     with gridio.RolloutFile(args.reference) as reference:
         ref = spectra.scan(reference, (v,), spectra=False, regions=regions)
-    ref.require_finite(v)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, {"input": (args.input, model.sha256),
@@ -594,7 +583,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = add("perturb", cmd_perturb, "run a perturbed rollout through an adapter")
     sp.add_argument("--adapter", required=True, help="synth:CFG.json or external:MANIFEST.json")
     sp.add_argument("--init", default=None, help="initial state RGF (first timestep used)")
-    sp.add_argument("--kind", choices=[k.lower() for k in perturb.KINDS], default=None)
+    # IMAGE_INIT needs an image array, which no flag supplies
+    sp.add_argument("--kind", choices=[k.lower() for k in perturb.KINDS if k != "IMAGE_INIT"],
+                    default=None)
     sp.add_argument("--k", type=float, default=None,
                     help="amplitude in sigma units (default 1.0; needs --kind)")
     sp.add_argument("--correlation-length", type=float, default=None,

@@ -12,8 +12,7 @@ signed zeros (the sort decides which one sits at a rank).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from functools import cached_property
 
@@ -42,6 +41,7 @@ class ClimatologyEnvelope:
             if arr.shape != (365,):
                 raise ValueError(f"envelope {name} must have exactly 365 entries")
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "year_span", tuple(self.year_span))
         if np.any(self.min > self.mean) or np.any(self.mean > self.max):
             raise ValueError("envelope must satisfy min <= mean <= max per day")
 
@@ -56,35 +56,13 @@ class ClimatologyEnvelope:
         return self.range[folded_doy(dates) - 1]
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "mean": self.mean.tolist(),
-            "min": self.min.tolist(),
-            "max": self.max.tolist(),
-            "year_span": list(self.year_span),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClimatologyEnvelope":
-        return cls(
-            statistic=d["statistic"],
-            mean=np.array(d["mean"]),
-            min=np.array(d["min"]),
-            max=np.array(d["max"]),
-            year_span=tuple(d["year_span"]),
-        )
-
-    def save(self, path, extra: dict | None = None) -> None:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        with open(path, "w") as f:
-            json.dump(doc, f, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "ClimatologyEnvelope":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        """Inverse of :meth:`to_dict`; other keys, such as a manifest, are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def build_envelope(daily: DailySeries, name: str = "statistic") -> ClimatologyEnvelope:
@@ -145,32 +123,6 @@ class ThresholdSet:
             return self._by_level[level]
         except KeyError:
             raise KeyError(f"level {level} not present in threshold set {self.region!r}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "pooling": self.pooling,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThresholdSet":
-        return cls(
-            region=d["region"],
-            levels=tuple(d["levels"]),
-            values=tuple(d["values"]),
-            pooling=d["pooling"],
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "ThresholdSet":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 def pooled_percentiles(

@@ -13,7 +13,7 @@ rollout's own first two days.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -293,69 +293,71 @@ class StabilityReport:
     small_scale: dict[str, SmallScaleResult | None] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def day_entry(day):
-            if day is None:
-                return {"censored": True, "horizon": self.horizon_days}
-            return {"censored": False, "day": day}
-
-        out = {
-            "name": self.name,
-            "horizon_days": self.horizon_days,
-            "variables": list(self.variables),
-            "blowup": {},
-            "seasonality": {},
-            "small_scale": {},
-        }
-        for v in self.variables:
-            b = self.blowup[v]
-            out["blowup"][v] = day_entry(b.day) | {
-                "triggered_by": b.triggered_by, "r2": b.r2, "slope_sign": b.slope_sign,
-            }
-            s = self.seasonality[v]
-            out["seasonality"][v] = day_entry(s.day) | {
-                "multiplier": s.multiplier, "run_length": s.run_length,
-            }
-            ss = self.small_scale.get(v)
-            if ss is None:
-                out["small_scale"][v] = None
-            else:
-                out["small_scale"][v] = {
-                    "ratio_vs_reference": ss.ratio_vs_reference,
-                    "ratio_vs_self": ss.ratio_vs_self,
-                    "window_days": ss.window_days,
-                    "truncated": ss.truncated,
-                }
+        out = {"name": self.name, "horizon_days": self.horizon_days,
+               "variables": list(self.variables)}
+        for key in _RESULT_KINDS:
+            results = getattr(self, key)
+            out[key] = {v: None if results[v] is None else _entry(results[v], self.horizon_days)
+                        for v in self.variables}
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "StabilityReport":
-        variables = tuple(d["variables"])
-        rep = cls(name=d["name"], horizon_days=d["horizon_days"], variables=variables)
-        for v in variables:
-            b = d["blowup"][v]
-            rep.blowup[v] = BlowupResult(
-                day=None if b["censored"] else b["day"],
-                triggered_by=b.get("triggered_by"),
-                r2=b.get("r2"),
-                slope_sign=b.get("slope_sign"),
-            )
-            s = d["seasonality"][v]
-            rep.seasonality[v] = SeasonalityResult(
-                day=None if s["censored"] else s["day"],
-                multiplier=s.get("multiplier", 2.0),
-                run_length=s.get("run_length"),
-            )
-            ss = d["small_scale"].get(v)
-            if ss is None:
-                rep.small_scale[v] = None
-            else:
-                rep.small_scale[v] = SmallScaleResult(
-                    ratio_vs_reference=ss["ratio_vs_reference"],
-                    ratio_vs_self=ss["ratio_vs_self"],
-                    window_days=ss.get("window_days", 30.0),
-                    truncated=ss.get("truncated", False),
-                )
+        """Inverse of :meth:`to_dict`, dropping the manifest of a written report.
+        A missing or unknown key, at any level, raises ValueError naming it."""
+        _check_keys(d, [f.name for f in fields(cls)], "report", optional=("manifest",))
+        variables = d["variables"]
+        if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
+            raise ValueError("report: variables must be a list of names")
+        rep = cls(name=d["name"], horizon_days=d["horizon_days"], variables=tuple(variables))
+        for key, kind in _RESULT_KINDS.items():
+            _check_keys(d[key], rep.variables, key)
+            for v, entry in d[key].items():
+                # a None small-scale entry is an unresolved small band
+                getattr(rep, key)[v] = (None if entry is None and kind is SmallScaleResult
+                                        else _from_entry(kind, entry, f"{key}[{v!r}]"))
         return rep
+
+
+_RESULT_KINDS = {"blowup": BlowupResult, "seasonality": SeasonalityResult,
+                 "small_scale": SmallScaleResult}
+
+
+def _entry(result, horizon_days) -> dict:
+    """One result as its report entry: its fields, with ``day`` written as
+    whether it is censored plus the day or, when censored, the horizon."""
+    d = asdict(result)
+    if "day" in d:
+        day = d.pop("day")
+        d = ({"censored": True, "horizon": horizon_days} if day is None
+             else {"censored": False, "day": day}) | d
+    return d
+
+
+def _from_entry(kind, entry, where: str):
+    """Invert :func:`_entry` for a result of type ``kind``."""
+    names = [f.name for f in fields(kind)]
+    if "day" in names:
+        censored = isinstance(entry, dict) and entry.get("censored")
+        names = ["censored", "horizon" if censored else "day",
+                 *(n for n in names if n != "day")]
+    _check_keys(entry, names, where)
+    entry = dict(entry)
+    if entry.pop("censored", False):
+        del entry["horizon"]
+        entry["day"] = None
+    return kind(**entry)
+
+
+def _check_keys(d, names, where: str, optional=()) -> None:
+    """Raise ValueError unless ``d`` is an object with the keys ``names``,
+    plus any of ``optional``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    for problem, keys in (("missing", [k for k in names if k not in d]),
+                          ("unknown", [k for k in d if k not in names and k not in optional])):
+        if keys:
+            raise ValueError(f"{where}: {problem} key {keys[0]!r}")
 
 
 def build_report(
@@ -384,14 +386,12 @@ def build_report(
     ref = scan(reference, shared, daily=True)
 
     for v in shared:
-        pred.require_finite(v)
         ext = pred.extremes[v]
         rep.blowup[v] = detect_blowup(
             ext.min, ext.max, steps_per_day=steps_per_day, window_days=window_days,
             smoothing_days=smoothing_days, r2_threshold=r2_threshold,
         )
         # the reference spectra feed both the envelope and the small-scale ratios
-        ref.require_finite(v)
         spec, ref_spec = pred.spectra[v], ref.spectra[v]
         envelope = build_envelope(ref_spec.daily_band("large"), name=f"band_large[{v}]")
         rep.seasonality[v] = detect_seasonality_loss(
@@ -405,7 +405,10 @@ def build_report(
     return rep
 
 
-METRICS = ("blowup_day", "seasonality_day", "ratio_vs_reference", "ratio_vs_self")
+# each aggregated metric: the report table and the result field it is taken from
+METRICS = {"blowup_day": ("blowup", "day"), "seasonality_day": ("seasonality", "day"),
+           "ratio_vs_reference": ("small_scale", "ratio_vs_reference"),
+           "ratio_vs_self": ("small_scale", "ratio_vs_self")}
 
 
 def aggregate_runs(reports: list[StabilityReport]) -> dict:
@@ -422,30 +425,16 @@ def aggregate_runs(reports: list[StabilityReport]) -> dict:
         if r.variables != variables:
             raise ValueError("reports have mismatched variable sets")
 
-    def collect(metric, v):
-        vals = []
-        for r in reports:
-            if metric == "blowup_day":
-                d = r.blowup[v].day
-                vals.append(r.horizon_days if d is None else d)
-            elif metric == "seasonality_day":
-                d = r.seasonality[v].day
-                vals.append(r.horizon_days if d is None else d)
-            else:
-                ss = r.small_scale.get(v)
-                if ss is None:
-                    return None
-                vals.append(getattr(ss, metric))
-        return np.array(vals, dtype=np.float64)
-
     out = {"n_runs": len(reports), "variables": list(variables), "metrics": {}}
-    for metric in METRICS:
-        per_var = {}
+    for metric, (table, name) in METRICS.items():
+        per_var = out["metrics"][metric] = {}
         for v in variables:
-            vals = collect(metric, v)
-            if vals is None:
+            results = [getattr(r, table)[v] for r in reports]
+            if None in results:  # an unresolved small band
                 per_var[v] = None
-            else:
-                per_var[v] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
-        out["metrics"][metric] = per_var
+                continue
+            vals = [getattr(res, name) for res in results]
+            vals = np.array([r.horizon_days if x is None else x for r, x in zip(reports, vals)],
+                            dtype=np.float64)
+            per_var[v] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
     return out

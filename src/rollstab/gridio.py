@@ -18,7 +18,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from typing import Iterator, NamedTuple
 
@@ -115,6 +115,10 @@ class GridSpec:
         n_lon = int(round(360.0 / degrees))
         return cls.regular(n_lat, n_lon)
 
+    def to_dict(self) -> dict:
+        return {"lats": self.lats.tolist(), "lons": self.lons.tolist(),
+                "earth_radius_km": float(self.earth_radius_km)}
+
     def same_geometry(self, other: "GridSpec") -> bool:
         return (
             self.n_lat == other.n_lat
@@ -205,18 +209,19 @@ def builtin_regions() -> dict[str, RegionSpec]:
 
 def load_regions(path) -> dict[str, RegionSpec]:
     """Load region specs from a JSON file: a list of objects with the
-    RegionSpec field names."""
+    RegionSpec field names, no name given twice."""
     with open(path) as f:
         raw = json.load(f)
+    if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
+        raise ValueError(f"{path}: regions must be a JSON list of objects")
     regs = {}
     for entry in raw:
-        r = RegionSpec(
-            name=entry["name"],
-            lat_min=float(entry["lat_min"]),
-            lat_max=float(entry["lat_max"]),
-            lon_min=float(entry["lon_min"]),
-            lon_max=float(entry["lon_max"]),
-        )
+        try:  # the name, then the four bounds as numbers
+            r = RegionSpec(entry["name"], *(float(entry[f.name]) for f in fields(RegionSpec)[1:]))
+        except TypeError as e:
+            raise ValueError(f"{path}: region {entry['name']!r}: {e}") from None
+        if r.name in regs:
+            raise ValueError(f"{path}: region {r.name!r} is given twice")
         regs[r.name] = r
     return regs
 
@@ -416,9 +421,7 @@ def write_rollout(r: RolloutSeries, path) -> None:
         "n_lat": int(r.grid.n_lat),
         "n_lon": int(r.grid.n_lon),
         "variables": list(r.variables),
-        "lats": [float(x) for x in r.grid.lats],
-        "lons": [float(x) for x in r.grid.lons],
-        "earth_radius_km": float(r.grid.earth_radius_km),
+        **r.grid.to_dict(),
         "start_time": r.start_time.replace(tzinfo=None).isoformat(),
         "step_seconds": int(r.step_seconds),
         "fill_value": None if r.fill_value is None else float(r.fill_value),

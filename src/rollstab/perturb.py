@@ -104,6 +104,9 @@ def apply_perturbation(
         targeted = [v for v in variables if v in statics]
     else:
         targeted = list(variables)
+    if not targeted:
+        raise ValueError(f"perturbation target {spec.target!r} selects none of the "
+                         f"variables {list(variables)}")
     missing = [v for v in targeted if v not in stats]
     if missing:
         raise ValueError(f"missing (mu, sigma) stats for variables: {missing}")

@@ -201,12 +201,6 @@ class Scan(NamedTuple):
     extremes: dict[str, Extremes]
     regional: dict[str, dict[str, Extremes]]  # variable -> region name -> extremes
     cells: dict[str, dict[str, np.ndarray]]  # variable -> region name -> (time, cells)
-    incomplete: frozenset[str]  # variables holding fill/NaN cells
-
-    def require_finite(self, v: str) -> None:
-        """Reject a variable with fill/NaN cells, as detectors must."""
-        if v in self.incomplete:
-            raise IncompleteFieldError(v)
 
 
 def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
@@ -220,9 +214,10 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     are walked in blocks of at most BLOCK_BYTES of float64 per variable, so
     no whole field is held, and a file's digest is complete once the pass
     returns. With ``daily=True`` the spectra are averaged into one per UTC
-    day. A variable holding fill values gets NaN results and is listed in
-    ``incomplete``; callers reject it with :meth:`Scan.require_finite` where
-    the detectors need complete fields.
+    day. Every result needs complete fields, so the walk stops with
+    :class:`IncompleteFieldError` at the first block where a variable holds a
+    fill value; of several such variables it names the first in
+    ``variables`` order within that block.
     """
     grid = source.grid
     if spectra and grid.n_lon < 4:
@@ -234,16 +229,17 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
            for v in idx} if extremes else {}
     cells = {v: {k: np.empty((n, m.sum()), np.float32) for k, m in masks.items()} for v in idx}
-    incomplete = set()
     rows = max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
     s = 0
-    for block in source.blocks(rows):
+    walk = source.blocks(rows)
+    for block in walk:
         e = s + block.shape[0]
         for v, i in idx.items():
             fields = block[:, i]
             # without a fill value, the values are finite by now
             if source.fill_value is not None and not all_finite(fields):
-                incomplete.add(v)
+                walk.close()  # ends a file walk's hashing thread now
+                raise IncompleteFieldError(v)
             if spectra:
                 energy[v][s:e] = _spectra(fields, grid)
             if extremes:
@@ -254,7 +250,7 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     timestamps = source.timestamps
     return Scan({v: _series(timestamps, en, grid, daily) for v, en in energy.items()}, ext,
                 {v: {name: Extremes.of(c) for name, c in cs.items()} for v, cs in cells.items()},
-                cells, frozenset(incomplete))
+                cells)
 
 
 def spectrum_series(r: RolloutSeries | RolloutFile, v: str,
@@ -264,6 +260,4 @@ def spectrum_series(r: RolloutSeries | RolloutFile, v: str,
     With ``daily=True`` the spectra are averaged into one per UTC day (the
     mean of the sub-daily spectra, typically 4 six-hourly ones).
     """
-    s = scan(r, (v,), daily=daily)
-    s.require_finite(v)
-    return s.spectra[v]
+    return scan(r, (v,), daily=daily).spectra[v]

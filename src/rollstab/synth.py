@@ -16,7 +16,7 @@ gain > 1 with a hard amplitude clamp), BLUR (small-band gain < 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -95,33 +95,11 @@ class RegimeConfig:
 
 
 def config_to_dict(cfg: RegimeConfig) -> dict:
-    return {
-        "regime": cfg.regime,
-        "grid": {
-            "lats": [float(x) for x in cfg.grid.lats],
-            "lons": [float(x) for x in cfg.grid.lons],
-            "earth_radius_km": float(cfg.grid.earth_radius_km),
-        },
-        "variables": list(cfg.variables),
-        "g_large": cfg.g_large,
-        "g_medium": cfg.g_medium,
-        "g_small": cfg.g_small,
-        "seasonal_amplitude": cfg.seasonal_amplitude,
-        "tau_days": cfg.tau_days,
-        "onset_day": cfg.onset_day,
-        "growth_rate": cfg.growth_rate,
-        "blowup_band": cfg.blowup_band,
-        "seed_amplitude": cfg.seed_amplitude,
-        "noise_large": cfg.noise_large,
-        "noise_medium": cfg.noise_medium,
-        "noise_small": cfg.noise_small,
-        "cap": cfg.cap,
-        "init_std": cfg.init_std,
-        "year_jitter": cfg.year_jitter,
-        "jitter_cycle_years": cfg.jitter_cycle_years,
-        "epoch": cfg.epoch.isoformat(),
-        "seed": cfg.seed,
-    }
+    d = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    d["grid"] = cfg.grid.to_dict()
+    d["variables"] = list(cfg.variables)
+    d["epoch"] = cfg.epoch.isoformat()
+    return d
 
 
 def config_from_dict(d: dict) -> RegimeConfig:
@@ -146,12 +124,10 @@ def config_from_dict(d: dict) -> RegimeConfig:
     }
     if "variables" in d:
         d["variables"] = tuple(d["variables"])
-    valid = RegimeConfig.__dataclass_fields__
-    for key, val in d.items():
-        if key not in valid:
-            raise ValueError(f"unknown regime config field {key!r}")
-        kwargs[key] = val
-    return RegimeConfig(**kwargs)
+    unknown = [key for key in d if key not in RegimeConfig.__dataclass_fields__]
+    if unknown:
+        raise ValueError(f"unknown regime config field {unknown[0]!r}")
+    return RegimeConfig(**kwargs, **d)
 
 
 def load_config(path) -> RegimeConfig:
@@ -247,6 +223,10 @@ class Stepper:
         out_seconds = (clock_out - cfg.epoch).total_seconds()
         t_out_days = out_seconds / 86400.0
         step_index = int(round(out_seconds / step_seconds))
+        if step_index < 0:
+            # the noise is keyed by the step count from the epoch
+            raise ValueError(f"a step from clock {clock.isoformat()} ends before the "
+                             f"config's epoch {cfg.epoch.isoformat()}")
 
         coeffs = np.fft.rfft(state, axis=-1)
         if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
@@ -319,19 +299,6 @@ class GroundTruthLabels:
             return None
         t_star = self.tau_days * math.log(a / (multiplier * rbar))
         return (t_star, t_star + slack_days)
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "horizon_days": self.horizon_days,
-            "blowup_window": None if self.blowup_window is None else list(self.blowup_window),
-            "emergence_days": self.emergence_days,
-            "noise_floor": self.noise_floor,
-            "seasonal_band_amplitude": self.seasonal_band_amplitude,
-            "tau_days": self.tau_days,
-            "small_scale_direction": self.small_scale_direction,
-            "ratio_vs_self_estimate": self.ratio_vs_self_estimate,
-        }
 
 
 def _band_response_amplitude(cfg: RegimeConfig) -> float:

@@ -70,6 +70,14 @@ class TestSynthCommand:
         assert run_cli(*argv) == 0
         assert out.read_bytes() == first
 
+    def test_start_before_epoch_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "early.rgf"
+        assert run_cli("synth", "--regime", "STABLE", "--start-time", "2001-01-01",
+                       "--horizon-days", "64.75", "--grid", "4x8", "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "clock 2001-01-01T00:00:00" in err and "epoch 2021-01-01T00:00:00" in err, err
+        assert not out.exists()
+
     def test_regime_config_file(self, tmp_path):
         cfg = RegimeConfig(regime="STABLE", grid=GridSpec.regular(8, 64), seed=2)
         cfg_path = tmp_path / "cfg.json"
@@ -236,6 +244,25 @@ class TestPerturbCommand:
                        "--kind", "white", "--steps", "4",
                        "-o", tmp_path / "x.rgf") == 2
 
+    def test_image_init_not_offered(self, tmp_path, synth_files, capsys):
+        # no flag supplies the image IMAGE_INIT needs
+        out = tmp_path / "x.rgf"
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", "--adapter", f"synth:{synth_files['cfg']}", "--kind", "image_init",
+                  "--stats-from", str(synth_files["pred"]), "--steps", "2", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'image_init'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_target_selecting_no_variable_exit_2(self, tmp_path, synth_files, capsys):
+        # a synth adapter has no static variables
+        out = tmp_path / "x.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--kind", "white",
+                       "--target", "static", "--stats-from", synth_files["pred"],
+                       "--steps", "2", "-o", out) == 2
+        assert "target 'static' selects none of the variables" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStepLength:
     """The adapter owns the step length, so perturb and synth agree at any."""
@@ -313,6 +340,25 @@ class TestExtremesCommand:
         finally:
             tracemalloc.stop()
         assert peak < payload / 4, (peak, payload)
+
+    @pytest.mark.parametrize("regions, message", [
+        ({"name": "x"}, "regions must be a JSON list of objects"),
+        (["x"], "regions must be a JSON list of objects"),
+        ([{"name": "box", "lat_min": 0, "lat_max": 10, "lon_min": 0, "lon_max": 10},
+          {"name": "box", "lat_min": 20, "lat_max": 30, "lon_min": 0, "lon_max": 10}],
+         "region 'box' is given twice"),
+        ([{"name": "box", "lat_min": None, "lat_max": 10, "lon_min": 0, "lon_max": 10}],
+         "region 'box': "),
+    ])
+    def test_bad_regions_file_exit_2(self, tmp_path, synth_files, capsys, regions, message):
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(regions))
+        outdir = tmp_path / "ext"
+        assert run_cli("extremes", "--input", synth_files["pred"], "--reference",
+                       synth_files["ref"], "--variable", "T2m", "--regions", path,
+                       "--outdir", outdir) == 2
+        assert capsys.readouterr().err.startswith(f"rollstab: {path}: {message}")
+        assert not outdir.exists()
 
 
 class TestMemorizeCommand:
@@ -396,6 +442,87 @@ class TestAggregateCommand:
         doc = json.loads(out.read_text())
         entry = doc["metrics"]["blowup_day"]["T2m"]
         assert entry["mean"] == 90.0 and entry["std"] == 0.0
+
+
+def _report_doc():
+    """A report JSON with an uncensored blow-up, a censored seasonality entry
+    and resolved small-scale ratios, so every kind of key appears."""
+    return {
+        "name": "r", "horizon_days": 90.0, "variables": ["T2m"],
+        "blowup": {"T2m": {"censored": False, "day": 41.0, "triggered_by": "max",
+                           "r2": 0.97, "slope_sign": 1}},
+        "seasonality": {"T2m": {"censored": True, "horizon": 90.0, "multiplier": 2.0,
+                                "run_length": None}},
+        "small_scale": {"T2m": {"ratio_vs_reference": 1.5, "ratio_vs_self": 2.0,
+                                "window_days": 30.0, "truncated": False}},
+        "manifest": {"tool": "rollstab"},
+    }
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+_REPORT_KEYS = [
+    ("name",), ("horizon_days",), ("variables",), ("blowup",), ("seasonality",),
+    ("small_scale",), ("blowup", "T2m"), ("seasonality", "T2m"), ("small_scale", "T2m"),
+    *(("blowup", "T2m", k) for k in ("censored", "day", "triggered_by", "r2", "slope_sign")),
+    *(("seasonality", "T2m", k) for k in ("censored", "horizon", "multiplier", "run_length")),
+    *(("small_scale", "T2m", k)
+      for k in ("ratio_vs_reference", "ratio_vs_self", "window_days", "truncated")),
+]
+
+
+class TestAggregateReadsReportsStrictly:
+    """aggregate takes every key of a report as written and invents none."""
+
+    def _aggregate(self, tmp_path, doc):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(_report_doc()))
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "agg.json"
+        rc = run_cli("aggregate", good, bad, "-o", out)
+        return rc, out
+
+    def test_report_as_written_is_read(self, tmp_path):
+        rc, out = self._aggregate(tmp_path, _report_doc())
+        assert rc == 0
+        assert json.loads(out.read_text())["metrics"]["blowup_day"]["T2m"]["mean"] == 41.0
+
+    @pytest.mark.parametrize("path", _REPORT_KEYS, ids="/".join)
+    def test_missing_key_exit_2(self, tmp_path, capsys, path):
+        doc = _report_doc()
+        del _at(doc, path[:-1])[path[-1]]
+        rc, out = self._aggregate(tmp_path, doc)
+        assert rc == 2
+        assert f"missing key {path[-1]!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted({p[:-1] for p in _REPORT_KEYS}),
+                             ids=lambda p: "/".join(p) or "top")
+    def test_unknown_key_exit_2(self, tmp_path, capsys, path):
+        doc = _report_doc()
+        _at(doc, path)["bogus"] = 1
+        rc, out = self._aggregate(tmp_path, doc)
+        assert rc == 2
+        assert "unknown key 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("variables",), 5, "report: variables must be a list of names"),
+        (("variables",), [["T2m"]], "report: variables must be a list of names"),
+        (("blowup",), [], "blowup: expected a JSON object, got list"),
+        (("blowup", "T2m"), None, "blowup['T2m']: expected a JSON object, got NoneType"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, path, value, message):
+        doc = _report_doc()
+        _at(doc, path[:-1])[path[-1]] = value
+        rc, out = self._aggregate(tmp_path, doc)
+        assert rc == 2
+        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert not out.exists()
 
 
 class TestEverySubcommandByteStable:

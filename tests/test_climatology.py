@@ -1,3 +1,4 @@
+import json
 import re
 from datetime import datetime
 
@@ -126,13 +127,12 @@ class TestBuildEnvelope:
         assert np.all(env.max[59:] == 0.0)
         assert env.mean.shape == (365,)
 
-    def test_json_round_trip(self, two_year_reference, tmp_path):
+    def test_json_round_trip(self, two_year_reference):
         env = build_envelope(constant_statistic({2021: 1.0, 2022: 2.0})(two_year_reference))
-        p = tmp_path / "env.json"
-        env.save(p)
-        back = ClimatologyEnvelope.load(p)
-        assert np.allclose(back.mean, env.mean)
-        assert np.allclose(back.range, env.range)
+        back = ClimatologyEnvelope.from_dict(json.loads(json.dumps(env.to_dict())))
+        assert back.statistic == env.statistic
+        assert np.array_equal(back.mean, env.mean)
+        assert np.array_equal(back.range, env.range)
         assert back.year_span == env.year_span
 
 
@@ -177,15 +177,6 @@ class TestPooledPercentiles:
     def test_values_monotone_in_level(self, random_series):
         thr = pool_of(random_series, [0.1, 10, 20, 80, 90, 99.9])
         assert list(thr.values) == sorted(thr.values)
-
-    def test_threshold_set_round_trip(self, tmp_path):
-        thr = ThresholdSet(region="r", levels=(10.0, 90.0), values=(-1.0, 1.0),
-                           pooling="test")
-        back = ThresholdSet.from_dict(thr.to_dict())
-        assert back == thr
-        p = tmp_path / "thr.json"
-        thr.save(p)
-        assert ThresholdSet.load(p) == thr
 
     def test_value_for_each_level(self):
         thr = ThresholdSet(region="r", levels=(90.0, 10.0, 50.0), values=(1.0, -1.0, 0.25),

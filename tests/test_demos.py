@@ -1,5 +1,4 @@
-"""Smoke test of the demos that call the extremes API or drive the rollout
-loop: each runs to exit 0."""
+"""Smoke test of every demo: each runs to exit 0."""
 
 import os
 import subprocess
@@ -12,8 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", [
-    "01_grids_and_containers", "03_failure_regimes", "05_noise_harness",
-    "06_memorization_and_extremes",
+    "01_grids_and_containers", "02_spectra_and_bands", "03_failure_regimes",
+    "04_stability_report", "05_noise_harness", "06_memorization_and_extremes",
+    "07_cli_pipeline",
 ])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

@@ -32,6 +32,7 @@ from rollstab.gridio import (
     write_rollout,
     write_series_csv,
 )
+from rollstab.spectra import scan
 from conftest import global_extremes, make_series
 
 
@@ -407,6 +408,16 @@ class TestRolloutFile:
             del walk
             assert threading.active_count() == before
         assert f._f.closed
+
+    @pytest.mark.parametrize("variables", [("a", "b"), ("b", "a")])
+    def test_scan_stops_at_the_first_fill_cell(self, holed_in_every_step, variables):
+        # both variables hold fill cells in the first block: the first asked for is named
+        p, _ = holed_in_every_step
+        before = threading.active_count()
+        with RolloutFile(p) as f:
+            with pytest.raises(IncompleteFieldError, match=f"variable {variables[0]!r}") as exc:
+                scan(f, variables)
+            assert threading.active_count() == before, exc  # the traceback holds the walk
 
     def test_walk_failing_mid_file_ends_its_thread(self, tmp_path):
         data = np.random.default_rng(3).standard_normal((64, 2, 64, 128)).astype(np.float32)

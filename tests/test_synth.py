@@ -1,3 +1,5 @@
+import json
+from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
@@ -85,6 +87,11 @@ class TestSynthStep:
         e1 = zonal_spectrum(x, FINE)
         rel = np.abs(e1[1:] - e0[1:]) / np.maximum(e0[1:], 1e-30)
         assert rel.max() < 1e-6
+
+    def test_clock_before_epoch_rejected(self):
+        with pytest.raises(ValueError, match=r"clock 2001-01-01T00:00:00 ends before the "
+                                             r"config's epoch 2021-01-01T00:00:00"):
+            synth_step(np.zeros((16, 384)), datetime(2001, 1, 1), quiet_config())
 
 
 class TestGenerate:
@@ -210,6 +217,27 @@ class TestConfigJSON:
                            seed=7, year_jitter=0.1)
         back = config_from_dict(config_to_dict(cfg))
         assert config_to_dict(back) == config_to_dict(cfg)
+
+    def test_round_trip_keeps_every_field(self):
+        cfg = RegimeConfig(
+            regime="BLOWUP", grid=GridSpec.regular(8, 64, earth_radius_km=6000.0),
+            variables=("T2m", "U10"), g_large=0.9, g_medium=0.8, g_small=0.7,
+            seasonal_amplitude=3.0, tau_days=40.0, onset_day=150.0, growth_rate=0.05,
+            blowup_band="large", seed_amplitude=0.1, noise_large=0.01, noise_medium=0.03,
+            noise_small=0.04, cap=7.0, init_std=0.5, year_jitter=0.1, jitter_cycle_years=4,
+            epoch=datetime(2019, 3, 1, 6), seed=7,
+        )
+        default = RegimeConfig(regime="STABLE")
+        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        for f in fields(RegimeConfig):
+            a, b = getattr(cfg, f.name), getattr(back, f.name)
+            if f.name == "grid":
+                assert not a.same_geometry(default.grid)
+                assert np.array_equal(a.lats, b.lats) and np.array_equal(a.lons, b.lons)
+                assert a.earth_radius_km == b.earth_radius_km != default.grid.earth_radius_km
+            else:
+                assert a != getattr(default, f.name), f"{f.name} left at its default"
+                assert a == b, f.name
 
     def test_shorthand_grid(self):
         cfg = config_from_dict({"regime": "STABLE", "grid": {"n_lat": 8, "n_lon": 64}})
