@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -109,22 +109,36 @@ def _ratio_cell(ss) -> str:
     return f"{ss.ratio_vs_reference:.2g} ({ss.ratio_vs_self:.2g})"
 
 
-def _exclusive(args, flag: str, *others: str) -> None:
-    """Reject ``flag`` given together with any of ``others`` instead of
-    silently ignoring one of them."""
-    def given(f):
-        return getattr(args, f.lstrip("-").replace("-", "_"))
-
-    for other in others:
-        if given(flag) and given(other):
-            raise ValueError(f"{flag} cannot be combined with {other}")
+def _check_unused(args, defaults: dict, used, reason: str) -> None:
+    """Unless ``used``, reject the flags of ``defaults`` that were given,
+    naming them and ``reason``; then fill in the defaults. Such flags parse as
+    None, so a given one is caught, and the run and manifest see the value used."""
+    given = ["--" + d.replace("_", "-") for d in defaults if getattr(args, d) is not None]
+    if given and not used:
+        raise ValueError(f"{', '.join(given)}: {reason}")
+    for d, default in defaults.items():
+        if getattr(args, d) is None:
+            setattr(args, d, default)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+# synth flags that set a config field, and their defaults; --regime-config
+# sets every field, so they are unused with it
+_FIELD_DEFAULTS = {
+    "regime": "STABLE", "grid": "16x240", "variables": "T2m", "g_large": 0.95,
+    "g_medium": 0.95, "g_small": 0.95, "amplitude": 5.0, "tau_days": None,
+    "onset_days": None, "delta": None, "blowup_band": "medium", "seed_amplitude": 0.05,
+    "noise": 0.02, "noise_small": None, "cap": None, "init_std": 1.0, "year_jitter": 0.0,
+    "seed": 0,
+}
+
+
 def cmd_synth(args) -> int:
+    _check_unused(args, _FIELD_DEFAULTS, not args.regime_config,
+                  "unused with --regime-config, which sets every field; drop them")
     if args.regime_config:
         cfg = synth.load_config(args.regime_config)
     else:
@@ -191,8 +205,10 @@ def _series_steps_per_day(times: np.ndarray) -> float:
 
 
 def cmd_blowup(args) -> int:
-    _exclusive(args, "--input", "--min-csv", "--max-csv")
-    _exclusive(args, "--variable", "--min-csv", "--max-csv")
+    _check_unused(args, {"min_csv": None, "max_csv": None}, not args.input,
+                  "cannot be combined with --input")
+    _check_unused(args, {"variable": None}, not (args.min_csv or args.max_csv),
+                  "cannot be combined with --min-csv/--max-csv, which hold one series")
     rgf = None
     if args.input:
         with gridio.RolloutFile(args.input) as r:
@@ -220,11 +236,15 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_seasonality(args) -> int:
-    _exclusive(args, "--envelope", "--reference")
+    _check_unused(args, {"reference": None}, not args.envelope,
+                  "cannot be combined with --envelope")
     ref = None
     if args.envelope:
         with open(args.envelope) as f:
-            env = climatology.ClimatologyEnvelope.from_dict(json.load(f))
+            try:
+                env = climatology.ClimatologyEnvelope.from_dict(json.load(f))
+            except ValueError as e:  # name the file
+                raise ValueError(f"{args.envelope}: {e}") from None
     elif args.reference:
         with gridio.RolloutFile(args.reference) as r:
             ref_spec = spectra.spectrum_series(r, args.variable, daily=True)
@@ -283,28 +303,14 @@ def _load_adapter(spec_str: str, init_series, step_seconds: int):
     raise ValueError(f"unknown adapter kind {kind!r}; use synth:FILE or external:FILE")
 
 
-# perturb flags that only --kind uses, and their defaults. They parse as None,
-# so that one given without --kind is caught, and are filled in afterwards, so
-# that the run and its manifest see the value used.
-_KIND_DEFAULTS = {"k": 1.0, "correlation_length": 10.0, "target": "dynamic"}
-
-
-def _check_perturb_flags(args) -> None:
-    """Reject perturb flags the run would ignore, then fill in the defaults."""
-    given = [d for d in ("stats_from", *_KIND_DEFAULTS) if getattr(args, d) is not None]
-    if given and not args.kind:
-        flags = ", ".join("--" + d.replace("_", "-") for d in given)
-        raise ValueError(f"{flags}: only used with --kind; give --kind or drop them")
-    if args.seed is not None and not args.kind and args.time_shift_days is None:
-        raise ValueError("--seed is only used with --kind or --time-shift-days; "
-                         "give one of them or drop it")
-    for d, default in {**_KIND_DEFAULTS, "seed": 0}.items():
-        if getattr(args, d) is None:
-            setattr(args, d, default)
+# perturb flags that only a perturbation (--kind) uses, and their defaults
+_KIND_DEFAULTS = {"stats_from": None, "k": 1.0, "correlation_length": 10.0,
+                  "target": "dynamic", "seed": 0}
 
 
 def cmd_perturb(args) -> int:
-    _check_perturb_flags(args)
+    _check_unused(args, _KIND_DEFAULTS, args.kind,
+                  "only used with --kind; give --kind or drop them")
     init_series = gridio.read_rollout(args.init) if args.init else None
     adapter, adapter_path = _load_adapter(args.adapter, init_series, args.step_seconds)
 
@@ -313,13 +319,15 @@ def cmd_perturb(args) -> int:
         start = init_series.start_time
         if tuple(init_series.variables) != adapter.all_variables:
             raise ValueError("init file variables do not match the adapter")
-    elif isinstance(adapter, perturb.SynthAdapter):
+    else:  # only a synth adapter runs without --init
         state = adapter.initial_state()
         start = adapter.cfg.epoch
-    else:
-        raise ValueError("--init is required for this adapter")
     if args.start_time:
         start = datetime.fromisoformat(args.start_time)
+    if isinstance(adapter, perturb.SynthAdapter) and args.steps > 0:
+        # the first step, from the shifted clock, must end at or after the epoch
+        adapter.stepper.step_index(start + timedelta(days=args.time_shift_days or 0),
+                                   adapter.step_seconds)
 
     spec = None
     stats = None
@@ -330,7 +338,6 @@ def cmd_perturb(args) -> int:
             k=args.k,
             correlation_length=args.correlation_length,
             target=args.target,
-            time_shift_days=args.time_shift_days,
             seed=args.seed,
         )
         if not args.stats_from:
@@ -338,13 +345,9 @@ def cmd_perturb(args) -> int:
         ref = gridio.read_rollout(args.stats_from)
         stats = {v: perturb.variable_stats(ref, v) for v in adapter.all_variables
                  if v in ref.variables}
-    elif args.time_shift_days is not None:
-        spec = perturb.PerturbationSpec(kind="WHITE", k=1e-12, target="dynamic",
-                                        time_shift_days=args.time_shift_days,
-                                        seed=args.seed)
-        stats = {v: (0.0, 0.0) for v in adapter.all_variables}
 
-    out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec, stats=stats)
+    out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec, stats=stats,
+                              time_shift_days=args.time_shift_days)
     out.attrs["manifest"] = _manifest(args, {
         "init": init_series and (args.init, init_series.sha256),
         "adapter": adapter_path,
@@ -512,29 +515,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         return sp
 
     sp = add("synth", cmd_synth, "generate a synthetic rollout with a failure regime")
-    sp.add_argument("--regime", choices=synth.REGIMES, default="STABLE")
+    # the config-field flags parse as None; _FIELD_DEFAULTS holds their defaults
+    sp.add_argument("--regime", choices=synth.REGIMES, default=None)
     sp.add_argument("--regime-config", default=None,
-                    help="JSON regime config (overrides the individual flags)")
+                    help="JSON regime config, in place of the config-field flags")
     sp.add_argument("--horizon-days", type=float, required=True)
-    sp.add_argument("--grid", default="16x240", help="NLATxNLON regular grid")
-    sp.add_argument("--variables", default="T2m", help="comma-separated names")
-    sp.add_argument("--g-large", type=float, default=0.95)
-    sp.add_argument("--g-medium", type=float, default=0.95)
-    sp.add_argument("--g-small", type=float, default=0.95)
-    sp.add_argument("--amplitude", type=float, default=5.0, help="seasonal amplitude")
+    sp.add_argument("--grid", default=None, help="NLATxNLON regular grid")
+    sp.add_argument("--variables", default=None, help="comma-separated names")
+    sp.add_argument("--g-large", type=float, default=None)
+    sp.add_argument("--g-medium", type=float, default=None)
+    sp.add_argument("--g-small", type=float, default=None)
+    sp.add_argument("--amplitude", type=float, default=None, help="seasonal amplitude")
     sp.add_argument("--tau-days", type=float, default=None, help="DRIFT decay time")
     sp.add_argument("--onset-days", type=float, default=None, help="BLOWUP onset day")
     sp.add_argument("--delta", type=float, default=None, help="BLOWUP per-step growth")
-    sp.add_argument("--blowup-band", choices=("large", "medium", "small"), default="medium")
-    sp.add_argument("--seed-amplitude", type=float, default=0.05)
-    sp.add_argument("--noise", type=float, default=0.02, help="per-band noise std")
+    sp.add_argument("--blowup-band", choices=("large", "medium", "small"), default=None)
+    sp.add_argument("--seed-amplitude", type=float, default=None)
+    sp.add_argument("--noise", type=float, default=None, help="per-band noise std")
     sp.add_argument("--noise-small", type=float, default=None)
     sp.add_argument("--cap", type=float, default=None, help="SHARPEN amplitude clamp")
-    sp.add_argument("--init-std", type=float, default=1.0)
-    sp.add_argument("--year-jitter", type=float, default=0.0)
+    sp.add_argument("--init-std", type=float, default=None)
+    sp.add_argument("--year-jitter", type=float, default=None)
     sp.add_argument("--start-time", default=None, help="ISO-8601 start timestamp")
     sp.add_argument("--step-seconds", type=int, default=21600)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("-o", "--output", required=True, help="output RGF path")
     sp.add_argument("--labels", default=None, help="ground-truth labels JSON path")
 
@@ -592,13 +596,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="default 10.0; needs --kind")
     sp.add_argument("--target", choices=perturb.TARGETS, default=None,
                     help="default dynamic; needs --kind")
-    sp.add_argument("--time-shift-days", type=float, default=None)
-    sp.add_argument("--stats-from", default=None, help="reference RGF for (mu, sigma)")
+    sp.add_argument("--time-shift-days", type=float, default=None, help="adapter clock offset")
+    sp.add_argument("--stats-from", default=None, help="RGF giving (mu, sigma); needs --kind")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--step-seconds", type=int, default=21600)
     sp.add_argument("--start-time", default=None)
     sp.add_argument("--seed", type=int, default=None,
-                    help="default 0; needs --kind or --time-shift-days")
+                    help="default 0; needs --kind")
     sp.add_argument("-o", "--output", required=True, help="output rollout RGF")
 
     sp = add("extremes", cmd_extremes, "regional extreme-event statistics")

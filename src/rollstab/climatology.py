@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gridio import DailySeries, PreconditionError, folded_doy
+from .gridio import DailySeries, PreconditionError, check_keys, folded_doy
 
 
 class EnvelopeCoverageError(PreconditionError):
@@ -61,8 +61,11 @@ class ClimatologyEnvelope:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClimatologyEnvelope":
-        """Inverse of :meth:`to_dict`; other keys, such as a manifest, are ignored."""
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        """Inverse of :meth:`to_dict`, dropping the manifest of a written
+        envelope. A missing or unknown key raises ValueError naming it."""
+        names = [f.name for f in fields(cls)]
+        check_keys(d, names, "envelope", optional=("manifest",))
+        return cls(**{n: d[n] for n in names})
 
 
 def build_envelope(daily: DailySeries, name: str = "statistic") -> ClimatologyEnvelope:

@@ -26,6 +26,7 @@ from .gridio import (
     RolloutFile,
     RolloutSeries,
     cell_weights,
+    check_keys,
     require_finite,
 )
 from .spectra import BandUnresolvedError, SpectrumSeries, scan
@@ -305,13 +306,13 @@ class StabilityReport:
     def from_dict(cls, d: dict) -> "StabilityReport":
         """Inverse of :meth:`to_dict`, dropping the manifest of a written report.
         A missing or unknown key, at any level, raises ValueError naming it."""
-        _check_keys(d, [f.name for f in fields(cls)], "report", optional=("manifest",))
+        check_keys(d, [f.name for f in fields(cls)], "report", optional=("manifest",))
         variables = d["variables"]
         if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
             raise ValueError("report: variables must be a list of names")
         rep = cls(name=d["name"], horizon_days=d["horizon_days"], variables=tuple(variables))
         for key, kind in _RESULT_KINDS.items():
-            _check_keys(d[key], rep.variables, key)
+            check_keys(d[key], rep.variables, key)
             for v, entry in d[key].items():
                 # a None small-scale entry is an unresolved small band
                 getattr(rep, key)[v] = (None if entry is None and kind is SmallScaleResult
@@ -341,23 +342,12 @@ def _from_entry(kind, entry, where: str):
         censored = isinstance(entry, dict) and entry.get("censored")
         names = ["censored", "horizon" if censored else "day",
                  *(n for n in names if n != "day")]
-    _check_keys(entry, names, where)
+    check_keys(entry, names, where)
     entry = dict(entry)
     if entry.pop("censored", False):
         del entry["horizon"]
         entry["day"] = None
     return kind(**entry)
-
-
-def _check_keys(d, names, where: str, optional=()) -> None:
-    """Raise ValueError unless ``d`` is an object with the keys ``names``,
-    plus any of ``optional``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
-    for problem, keys in (("missing", [k for k in names if k not in d]),
-                          ("unknown", [k for k in d if k not in names and k not in optional])):
-        if keys:
-            raise ValueError(f"{where}: {problem} key {keys[0]!r}")
 
 
 def build_report(

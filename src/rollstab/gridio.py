@@ -226,6 +226,17 @@ def load_regions(path) -> dict[str, RegionSpec]:
     return regs
 
 
+def check_keys(d, names, where: str, optional=()) -> None:
+    """Raise ValueError unless ``d`` is an object with the keys ``names``,
+    plus any of ``optional``: the strict read of a result JSON."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    for problem, keys in (("missing", [k for k in names if k not in d]),
+                          ("unknown", [k for k in d if k not in names and k not in optional])):
+        if keys:
+            raise ValueError(f"{where}: {problem} key {keys[0]!r}")
+
+
 # ---------------------------------------------------------------------------
 # rollout series
 

@@ -21,6 +21,7 @@ from .gridio import (
     day_of_year,
     require_finite,
 )
+from .perturb import variable_stats
 
 MEMORIZED_THRESHOLD = 0.5
 
@@ -41,10 +42,6 @@ class NeighborIndex:
     stats: dict[str, tuple[float, float]]
     sqrt_weights: np.ndarray  # (n_lat, n_lon)
 
-    @property
-    def n_snapshots(self) -> int:
-        return self.vectors.shape[0]
-
     def embed(self, fields: np.ndarray) -> np.ndarray:
         """Standardize and weight one (n_var, lat, lon) sample (same path as
         the stored snapshots, so identical copies match exactly)."""
@@ -63,27 +60,19 @@ class NeighborIndex:
 def build_index(training: RolloutSeries, variables: tuple[str, ...] | None = None) -> NeighborIndex:
     """Index every timestep of the training series."""
     variables = tuple(variables) if variables else training.variables
-    stats = {}
-    for v in variables:
-        vals = require_finite(training, v)
-        stats[v] = (float(vals.mean()), float(vals.std()))
-    sqrt_w = np.sqrt(cell_weights(training.grid)).astype(np.float32)
     ts = training.timestamps
-    doys = day_of_year(ts)
-    years = ts.astype("datetime64[Y]").astype(int) + 1970
-    ids = tuple(str(t) for t in ts)
-
-    idx = NeighborIndex(
-        vectors=np.empty((training.n_time, 0), dtype=np.float32),
-        doys=doys, years=years, ids=ids, variables=variables,
-        stats=stats, sqrt_weights=sqrt_w,
-    )
     dim = len(variables) * training.grid.n_lat * training.grid.n_lon
-    vectors = np.empty((training.n_time, dim), dtype=np.float32)
+    idx = NeighborIndex(
+        stats={v: variable_stats(training, v) for v in variables},  # rejects fill cells first
+        vectors=np.empty((training.n_time, dim), dtype=np.float32),
+        doys=day_of_year(ts),
+        years=ts.astype("datetime64[Y]").astype(int) + 1970,
+        ids=tuple(str(t) for t in ts),
+        variables=variables,
+        sqrt_weights=np.sqrt(cell_weights(training.grid)).astype(np.float32),
+    )
     for t in range(training.n_time):
-        fields = np.stack([training.values(v)[t] for v in variables])
-        vectors[t] = idx.embed(fields)
-    idx.vectors = vectors
+        idx.vectors[t] = idx.embed(np.stack([training.values(v)[t] for v in variables]))
     return idx
 
 

@@ -42,7 +42,6 @@ class PerturbationSpec:
     k: float = 1.0  # amplitude in units of the variable's sigma
     correlation_length: float = 10.0  # pixels, GRF only
     target: str = "dynamic"
-    time_shift_days: float | None = None
     image: np.ndarray | None = None
     seed: int = 0
 
@@ -171,29 +170,23 @@ class ModelAdapter:
 
 
 class SynthAdapter(ModelAdapter):
-    """Adapter around the synthetic generator; statics pass through."""
+    """Adapter around the synthetic generator; all its variables are dynamic."""
 
     supports_time_shift = True
 
-    def __init__(self, cfg: RegimeConfig, static_variables: tuple[str, ...] = (),
-                 step_seconds: int = 21600):
+    def __init__(self, cfg: RegimeConfig, step_seconds: int = 21600):
         super().__init__(cfg.grid, step_seconds)
         self.cfg = cfg
         self.variables = tuple(cfg.variables)
-        self.static_variables = tuple(static_variables)
         self.stepper = Stepper(cfg)
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
-        out = np.array(state, dtype=np.float64, copy=True)
-        for vi in range(len(self.variables)):
-            out[vi] = self.stepper.step(out[vi], clock, self.step_seconds, vi)
-        return out
+        state = np.asarray(state, dtype=np.float64)
+        return np.stack([self.stepper.step(state[vi], clock, self.step_seconds, vi)
+                         for vi in range(len(self.variables))])
 
     def initial_state(self) -> np.ndarray:
-        fields = [initial_state(self.cfg, vi) for vi in range(len(self.variables))]
-        fields += [np.zeros((self.grid.n_lat, self.grid.n_lon))
-                   for _ in self.static_variables]
-        return np.stack(fields)
+        return np.stack([initial_state(self.cfg, vi) for vi in range(len(self.variables))])
 
 
 class ExternalProcessAdapter(ModelAdapter):
@@ -246,6 +239,7 @@ def run_rollout(
     n_steps: int,
     spec: PerturbationSpec | None = None,
     stats: dict[str, tuple[float, float]] | None = None,
+    time_shift_days: float | None = None,
 ) -> RolloutSeries:
     """Feed the adapter its own output for ``n_steps`` steps of
     ``adapter.step_seconds``, filling one float32 (n_steps + 1, variable,
@@ -253,9 +247,9 @@ def run_rollout(
     time-stepping loop; :func:`rollstab.synth.generate` runs it too.
 
     The perturbation (if any) applies to the initial state only. With
-    ``time_shift_days`` set, the clock handed to the adapter is offset while
-    output timestamps stay physical; adapters that do not support shifting
-    reject the spec. If the adapter fails, or returns a state of another
+    ``time_shift_days`` set, the clock handed to the adapter is offset by it
+    while output timestamps stay physical; an adapter that does not support
+    shifting is rejected. If the adapter fails, or returns a state of another
     shape or a non-finite one, the completed prefix is returned with an
     ``error`` annotation in ``attrs``.
     """
@@ -266,24 +260,23 @@ def run_rollout(
     if state.shape != frame:
         raise ValueError("initial state does not match adapter variables and grid")
     shift = timedelta(0)
+    if time_shift_days is not None:
+        if not adapter.supports_time_shift:
+            raise ValueError("adapter does not support time shifting")
+        shift = timedelta(days=time_shift_days)
+    attrs: dict = {}
     if spec is not None:
-        if spec.time_shift_days is not None:
-            if not adapter.supports_time_shift:
-                raise ValueError("adapter does not support time shifting")
-            shift = timedelta(days=spec.time_shift_days)
         if stats is None:
             raise ValueError("perturbation requires per-variable (mu, sigma) stats")
         state = apply_perturbation(state, spec, stats, adapter.all_variables,
                                    adapter.static_variables)
+        attrs["perturbation"] = {
+            "kind": spec.kind, "k": spec.k, "target": spec.target, "seed": spec.seed,
+            "time_shift_days": time_shift_days,
+        }
 
     data = np.empty((n_steps + 1, *frame), dtype=np.float32)
     data[0] = state
-    attrs: dict = {}
-    if spec is not None:
-        attrs["perturbation"] = {
-            "kind": spec.kind, "k": spec.k, "target": spec.target, "seed": spec.seed,
-            "time_shift_days": spec.time_shift_days,
-        }
     step = timedelta(seconds=adapter.step_seconds)
     clock, t = start_time, 0
     while t < n_steps:

@@ -214,19 +214,24 @@ class Stepper:
         doy = (clock_out - year_start).total_seconds() / 86400.0 + 1.0
         return a * math.sin(2.0 * math.pi * doy / _YEAR_DAYS) * self.pattern
 
+    def step_index(self, clock: datetime, step_seconds: int) -> int:
+        """Steps from the config's epoch to the end of a step from ``clock``,
+        which key its noise; a step ending before the epoch raises ValueError."""
+        out_seconds = (clock + timedelta(seconds=step_seconds) - self.cfg.epoch).total_seconds()
+        index = int(round(out_seconds / step_seconds))
+        if index < 0:
+            raise ValueError(f"a step from clock {clock.isoformat()} ends before the "
+                             f"config's epoch {self.cfg.epoch.isoformat()}")
+        return index
+
     def step(self, state: np.ndarray, clock: datetime, step_seconds: int,
              var_index: int) -> np.ndarray:
         """The field of variable ``var_index`` at ``clock + step_seconds``."""
         cfg = self.cfg
         grid = cfg.grid
+        step_index = self.step_index(clock, step_seconds)
         clock_out = clock + timedelta(seconds=step_seconds)
-        out_seconds = (clock_out - cfg.epoch).total_seconds()
-        t_out_days = out_seconds / 86400.0
-        step_index = int(round(out_seconds / step_seconds))
-        if step_index < 0:
-            # the noise is keyed by the step count from the epoch
-            raise ValueError(f"a step from clock {clock.isoformat()} ends before the "
-                             f"config's epoch {cfg.epoch.isoformat()}")
+        t_out_days = (clock_out - cfg.epoch).total_seconds() / 86400.0
 
         coeffs = np.fft.rfft(state, axis=-1)
         if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
@@ -375,10 +380,10 @@ def generate(
         labels.tau_days = cfg.tau_days
     if cfg.regime == "BLUR":
         labels.small_scale_direction = "lt1"
-        if cfg.noise_small > 0 and cfg.init_std > 0 and "small" in adapter.stepper.band_k:
-            m = np.intersect1d(adapter.stepper.band_k["small"],
-                               np.arange(1, (cfg.grid.n_lon + 1) // 2)).size
-            s_raw = cfg.noise_small * cfg.grid.n_lon / (2.0 * math.sqrt(m))
+        # the small-band noise injected, if any (none when it holds only the Nyquist k)
+        small = adapter.stepper.band_k.get("small")
+        s_raw = 0.0 if small is None else float(adapter.stepper.noise_sigma[small].max())
+        if s_raw > 0 and cfg.init_std > 0:
             steady = s_raw / math.sqrt(1.0 - cfg.g_small**2)
             init_coeff = cfg.init_std * math.sqrt(cfg.grid.n_lon / 2.0)
             labels.ratio_vs_self_estimate = steady / init_coeff

@@ -13,7 +13,7 @@ import rollstab
 from rollstab.cli import main
 from rollstab import GridSpec, RegimeConfig, RolloutSeries, generate, write_rollout
 from rollstab.gridio import write_series_csv
-from rollstab.synth import config_to_dict
+from rollstab.synth import config_to_dict, load_config
 from conftest import global_extremes, make_series
 
 
@@ -86,6 +86,18 @@ class TestSynthCommand:
         assert run_cli("synth", "--regime-config", cfg_path,
                        "--horizon-days", "60", "-o", out) == 0
         assert rollstab.read_rollout(out).grid.n_lon == 64
+
+    def test_regime_config_rejects_field_flags(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(
+            RegimeConfig(regime="STABLE", grid=GridSpec.regular(8, 64)))))
+        out = tmp_path / "x.rgf"
+        assert run_cli("synth", "--regime-config", cfg_path, "--regime", "BLOWUP",
+                       "--delta", "0.5", "--grid", "4x8", "--seed", "99",
+                       "--horizon-days", "60", "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "--regime, --grid, --delta, --seed: unused with --regime-config" in err, err
+        assert not out.exists()
 
 
 class TestSpectraCommand:
@@ -187,6 +199,16 @@ class TestSeasonalityCommand:
         assert run_cli("seasonality", "--input", synth_files["pred"],
                        "--variable", "T2m", "-o", tmp_path / "x.json") == 2
 
+    def test_envelope_that_is_not_one_exit_2(self, tmp_path, synth_files, capsys):
+        # a result JSON of another kind: the message names the file and the key
+        not_env, out = tmp_path / "se.json", tmp_path / "x.json"
+        not_env.write_text((synth_files["dir"] / "se.json").read_text())
+        assert run_cli("seasonality", "--input", synth_files["pred"], "--variable", "T2m",
+                       "--envelope", not_env, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert f"{not_env}: envelope: missing key 'statistic'" in err, err
+        assert not out.exists()
+
 
 class TestSmallscaleCommand:
     def test_unresolved_band_exit_3(self, tmp_path, synth_files):
@@ -262,6 +284,44 @@ class TestPerturbCommand:
                        "--steps", "2", "-o", out) == 2
         assert "target 'static' selects none of the variables" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_shift_only_run_is_the_shifted_rollout(self, tmp_path, synth_files):
+        shifted, plain = tmp_path / "shifted.rgf", tmp_path / "plain.rgf"
+        argv = ("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "8")
+        assert run_cli(*argv, "--time-shift-days", "90", "-o", shifted) == 0
+        assert run_cli(*argv, "-o", plain) == 0
+        ad = rollstab.SynthAdapter(load_config(synth_files["cfg"]))
+        want = rollstab.run_rollout(ad, ad.initial_state(), ad.cfg.epoch, 8,
+                                    time_shift_days=90.0)
+        got = rollstab.read_rollout(shifted)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.data.tobytes() != rollstab.read_rollout(plain).data.tobytes()
+        assert "perturbation" not in got.attrs
+        assert got.attrs["manifest"]["params"]["time_shift_days"] == 90.0
+
+    @pytest.mark.parametrize("clock, argv", [
+        ("2001-01-01T00:00:00", ["--start-time", "2001-01-01"]),
+        ("2020-12-02T00:00:00", ["--time-shift-days", "-30"]),
+        ("2020-12-02T00:00:00", ["--kind", "white", "--time-shift-days", "-30"]),
+    ])
+    def test_synth_clock_before_epoch_exit_2(self, tmp_path, synth_files, capsys, clock,
+                                             argv):
+        out = tmp_path / "x.rgf"
+        stats = ["--stats-from", synth_files["pred"]] if "--kind" in argv else []
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "3",
+                       *argv, *stats, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert f"clock {clock}" in err and "epoch 2021-01-01T00:00:00" in err, err
+        assert not out.exists()
+
+    def test_shift_brings_an_early_clock_to_the_epoch(self, tmp_path, synth_files):
+        # the shifted clock is the one a step is keyed by
+        out = tmp_path / "x.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "3",
+                       "--start-time", "2020-12-02", "--time-shift-days", "30",
+                       "-o", out) == 0
+        r = rollstab.read_rollout(out)
+        assert r.n_time == 4 and "error" not in r.attrs
 
 
 class TestStepLength:
@@ -719,7 +779,7 @@ class TestRejectedFlagPairs:
 
 
 class TestPerturbFlagsWithoutKind:
-    """Flags only --kind (or --time-shift-days) uses are rejected without it."""
+    """Flags only --kind uses are rejected without it."""
 
     @pytest.mark.parametrize("extra, named", [
         (["--k", "3"], ["--k"]),
@@ -729,7 +789,8 @@ class TestPerturbFlagsWithoutKind:
          ["--k", "--correlation-length", "--target"]),
         (["--k", "3", "--time-shift-days", "1"], ["--k", "--kind"]),
         (["--target", "static", "--time-shift-days", "1"], ["--target", "--kind"]),
-        (["--seed", "4"], ["--seed", "--kind", "--time-shift-days"]),
+        (["--seed", "4"], ["--seed", "--kind"]),
+        (["--seed", "4", "--time-shift-days", "1"], ["--seed", "--kind"]),
     ])
     def test_exit_2_naming_the_flags(self, tmp_path, synth_files, capsys, extra, named):
         out = tmp_path / "out.rgf"
@@ -740,7 +801,7 @@ class TestPerturbFlagsWithoutKind:
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
-        [], ["--time-shift-days", "1", "--seed", "4"],
+        [], ["--time-shift-days", "1"],
         ["--kind", "grf", "--k", "3", "--correlation-length", "50", "--target", "both",
          "--seed", "4"],
     ])

@@ -135,6 +135,18 @@ class TestBuildEnvelope:
         assert np.array_equal(back.range, env.range)
         assert back.year_span == env.year_span
 
+    def test_from_dict_is_strict_but_takes_a_manifest(self, two_year_reference):
+        doc = build_envelope(constant_statistic({2021: 1.0, 2022: 2.0})(
+            two_year_reference)).to_dict()
+        ClimatologyEnvelope.from_dict({**doc, "manifest": {"tool": "rollstab"}})
+        missing = {k: v for k, v in doc.items() if k != "max"}
+        with pytest.raises(ValueError, match="envelope: missing key 'max'"):
+            ClimatologyEnvelope.from_dict(missing)
+        with pytest.raises(ValueError, match="envelope: unknown key 'bogus'"):
+            ClimatologyEnvelope.from_dict({**doc, "bogus": 1})
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            ClimatologyEnvelope.from_dict([doc])
+
 
 class TestPooledPercentiles:
     def test_linear_interpolation_order_statistics(self, small_grid):

@@ -149,6 +149,27 @@ class TestDetectSeasonalityLoss:
         res = detect_seasonality_loss(daily(np.full(100, 2.0)), env)
         assert res.day is None
 
+    @settings(max_examples=40, deadline=None)
+    @given(run_days=st.integers(1, 60), start=st.integers(0, 50),
+           multiplier=st.sampled_from([0.5, 1.0, 2.0, 3.0]), sign=st.sampled_from([-1, 1]))
+    def test_run_boundary(self, run_days, start, multiplier, sign):
+        env = flat_envelope(0.0, 1.0)  # range exactly 1
+        # a deviation of exactly multiplier x range is not a violation
+        vals = np.full(start + run_days + 30, sign * multiplier)
+        res = detect_seasonality_loss(daily(vals), env, multiplier=multiplier,
+                                      run_days=run_days)
+        assert res.day is None
+        # a run of exactly run_days violations flags at its first day
+        vals[start:start + run_days] = sign * (multiplier + 1.0)
+        res = detect_seasonality_loss(daily(vals), env, multiplier=multiplier,
+                                      run_days=run_days)
+        assert (res.day, res.run_length) == (start, run_days)
+        # one day shorter does not
+        vals[start + run_days - 1] = sign * multiplier
+        res = detect_seasonality_loss(daily(vals), env, multiplier=multiplier,
+                                      run_days=run_days)
+        assert res.day is None
+
     def test_monotone_in_multiplier(self):
         rng = np.random.default_rng(3)
         env = flat_envelope(0.0, 1.0)

@@ -225,14 +225,9 @@ class TestRunRollout:
                            seasonal_amplitude=4.0, init_std=0.0)
         ad = SynthAdapter(cfg)
         init = ad.initial_state()
-        stats = {"T2m": (0.0, 1.0)}
         plain = run_rollout(ad, init, EPOCH, 8)
         half_year = 365.25 / 2
-        shifted = run_rollout(
-            ad, init, EPOCH, 8,
-            spec=PerturbationSpec(kind="WHITE", k=1e-15, seed=0,
-                                  time_shift_days=half_year),
-            stats=stats)
+        shifted = run_rollout(ad, init, EPOCH, 8, time_shift_days=half_year)
         # sin flips sign half a year later; output timestamps stay physical
         assert np.array_equal(shifted.timestamps, plain.timestamps)
         a = plain.data[1:, 0].astype(np.float64)
@@ -243,10 +238,10 @@ class TestRunRollout:
         manifest = {"command": ["true"], "workdir": str(tmp_path),
                     "variables": ["T2m"]}
         ad = ExternalProcessAdapter(manifest, grid=GridSpec.regular(4, 8))
-        spec = PerturbationSpec(kind="WHITE", time_shift_days=10.0, seed=0)
+        spec = PerturbationSpec(kind="WHITE", seed=0)
         with pytest.raises(ValueError, match="time shift"):
             run_rollout(ad, np.zeros((1, 4, 8)), EPOCH, 1, spec=spec,
-                        stats={"T2m": (0.0, 1.0)})
+                        stats={"T2m": (0.0, 1.0)}, time_shift_days=10.0)
 
     def test_perturbation_reproducible_rollout(self):
         cfg = RegimeConfig(regime="STABLE", seed=1, grid=GridSpec.regular(8, 64))

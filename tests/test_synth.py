@@ -145,6 +145,23 @@ class TestGenerate:
         assert hi > lo
         assert labels.noise_floor > 0
 
+    def test_blur_labels_when_small_band_is_only_nyquist(self):
+        # at 322 columns the small band is k=161, the noise-free Nyquist column
+        grid = GridSpec.regular(4, 322)
+        assert band_members(grid, "small").tolist() == [161]
+        _, labels = generate(RegimeConfig(regime="BLUR", g_small=0.5, grid=grid), 60)
+        assert labels.small_scale_direction == "lt1"
+        assert labels.ratio_vs_self_estimate is None
+
+    def test_blur_ratio_estimate_uses_the_injected_noise(self):
+        # at 323 columns k=161 is interior and carries the whole small-band noise
+        cfg = RegimeConfig(regime="BLUR", g_small=0.5, grid=GridSpec.regular(4, 323))
+        _, labels = generate(cfg, 60)
+        sigma = cfg.noise_small * 323 / 2.0  # one noisy wavenumber
+        steady = sigma / np.sqrt(1.0 - 0.5**2)
+        assert labels.ratio_vs_self_estimate == pytest.approx(
+            steady / (cfg.init_std * np.sqrt(323 / 2.0)), rel=1e-12)
+
     def test_horizon_too_short_rejected(self):
         with pytest.raises(ValueError):
             generate(RegimeConfig(regime="STABLE"), 30)
