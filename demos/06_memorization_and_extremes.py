@@ -47,9 +47,10 @@ ref_ext = ref_scan.regional["T2m"][region.name]
 mod_ext = rs.scan(model, ("T2m",), spectra=False, regions=[region]).regional["T2m"][region.name]
 thresholds = rs.pooled_percentiles(ref_scan.cells["T2m"][region.name], "T2m", region.name,
                                    [0.1, 10, 20, 80, 90, 99.9], reference.start_time)
-events = rs.event_series(mod_ext, model.timestamps, region.name, thresholds)
-print(f"{region.name}: P90={events.p90:.2f} P10={events.p10:.2f}, "
-      f"hot steps {int(events.hot.sum())}, cold steps {int(events.cold.sum())}")
+hot, cold = rs.event_series(mod_ext, thresholds)
+p90, p10 = thresholds.value_for(90.0), thresholds.value_for(10.0)
+print(f"{region.name}: P90={p90:.2f} P10={p10:.2f}, "
+      f"hot steps {int(hot.sum())}, cold steps {int(cold.sum())}")
 qq = rs.qq_tails(mod_ext.max, ref_ext.max, "hot")
 below = float((qq.model < qq.reference).mean())
 print(f"hot-tail QQ: {below:.0%} of levels below the diagonal "

@@ -46,7 +46,7 @@ from .detectors import (
     seasonal_cycle_rmse,
     small_scale_ratios,
 )
-from .synth import GroundTruthLabels, RegimeConfig, generate, synth_step
+from .synth import GroundTruthLabels, RegimeConfig, generate
 from .perturb import (
     ExternalProcessAdapter,
     ModelAdapter,
@@ -59,4 +59,4 @@ from .perturb import (
     variable_stats,
 )
 from .memorize import NeighborIndex, build_index, distance_ratio, memorization_series
-from .extremes import EventSeries, event_series, exceedance_curve, qq_tails
+from .extremes import event_series, exceedance_curve, qq_tails

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timedelta
@@ -142,7 +143,10 @@ def cmd_synth(args) -> int:
     if args.regime_config:
         cfg = synth.load_config(args.regime_config)
     else:
-        grid = gridio.GridSpec.regular(*map(int, args.grid.split("x")))
+        shape = re.fullmatch(r"([0-9]+)x([0-9]+)", args.grid)
+        if shape is None:
+            raise ValueError(f"--grid {args.grid!r}: expected NLATxNLON, e.g. 16x240")
+        grid = gridio.GridSpec.regular(*map(int, shape.groups()))
         cfg = synth.RegimeConfig(
             regime=args.regime,
             grid=grid,
@@ -240,11 +244,7 @@ def cmd_seasonality(args) -> int:
                   "cannot be combined with --envelope")
     ref = None
     if args.envelope:
-        with open(args.envelope) as f:
-            try:
-                env = climatology.ClimatologyEnvelope.from_dict(json.load(f))
-            except ValueError as e:  # name the file
-                raise ValueError(f"{args.envelope}: {e}") from None
+        env = gridio.read_json(args.envelope, climatology.ClimatologyEnvelope.from_dict)
     elif args.reference:
         with gridio.RolloutFile(args.reference) as r:
             ref_spec = spectra.spectrum_series(r, args.variable, daily=True)
@@ -390,8 +390,6 @@ def cmd_extremes(args) -> int:
         thr = climatology.pooled_percentiles(ref.cells[v][name], v, name, levels,
                                              reference.start_time)
         model_ext, ref_ext = model_regional[name], ref.regional[v][name]
-        ev_model = extremes.event_series(model_ext, mt, name, thr)
-        ev_ref = extremes.event_series(ref_ext, rt, name, thr)
 
         qqs, excs = [], []
         for side, stat, side_levels in (("hot", "max", hot_levels), ("cold", "min", cold_levels)):
@@ -414,9 +412,10 @@ def cmd_extremes(args) -> int:
                      _fmt(exc.ratio[i]) if exc.ratio_defined[i] else "undefined"]
                     for exc in excs for i, lv in enumerate(exc.levels)))
 
-        counts = {series: (int(ev.hot[sel].sum()), int(ev.cold[sel].sum()), int(sel.sum()))
-                  for series, ev, sel in (("model", ev_model, msel),
-                                          ("reference", ev_ref, rsel))}
+        counts = {}
+        for series, ext, sel in (("model", model_ext, msel), ("reference", ref_ext, rsel)):
+            hot, cold = extremes.event_series(ext, thr)
+            counts[series] = (int(hot[sel].sum()), int(cold[sel].sum()), int(sel.sum()))
         _write_csv(outdir / f"{name}_events.csv", manifest,
                    "event counts at pooled P90/P10 thresholds",
                    ["series", "hot_events", "cold_events", "n_timesteps"],
@@ -476,11 +475,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    reports = []
-    for path in args.reports:
-        with open(path) as f:
-            reports.append(detectors.StabilityReport.from_dict(json.load(f)))
-    agg = detectors.aggregate_runs(reports)
+    agg = detectors.aggregate_runs([gridio.read_json(p, detectors.StabilityReport.from_dict)
+                                    for p in args.reports])
     manifest = _manifest(args, {f"report_{i}": p for i, p in enumerate(args.reports)})
     _write_json(args.output, agg, manifest)
     if args.csv:
@@ -587,9 +583,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = add("perturb", cmd_perturb, "run a perturbed rollout through an adapter")
     sp.add_argument("--adapter", required=True, help="synth:CFG.json or external:MANIFEST.json")
     sp.add_argument("--init", default=None, help="initial state RGF (first timestep used)")
-    # IMAGE_INIT needs an image array, which no flag supplies
-    sp.add_argument("--kind", choices=[k.lower() for k in perturb.KINDS if k != "IMAGE_INIT"],
-                    default=None)
+    sp.add_argument("--kind", choices=[k.lower() for k in perturb.KINDS], default=None)
     sp.add_argument("--k", type=float, default=None,
                     help="amplitude in sigma units (default 1.0; needs --kind)")
     sp.add_argument("--correlation-length", type=float, default=None,
@@ -656,10 +650,10 @@ def _apply_config(argv: list[str], sps: dict) -> None:
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ValueError("--config needs a file argument")
-    with open(argv[i + 1]) as f:
-        overrides = json.load(f)
+    path = argv[i + 1]
+    overrides = gridio.read_json(path)
     if not isinstance(overrides, dict):
-        raise ValueError(f"{argv[i + 1]}: config must be a JSON object of flag defaults")
+        raise ValueError(f"{path}: config must be a JSON object of flag defaults")
     name = next((a for a in argv if not a.startswith("-")), None)
     sp = sps.get(name)
     if sp is None:
@@ -669,7 +663,7 @@ def _apply_config(argv: list[str], sps: dict) -> None:
     for key, value in overrides.items():
         dest = key.replace("-", "_")
         if dest not in flags:
-            raise ValueError(f"config key {key!r} is not a flag of 'rollstab {name}'")
+            raise ValueError(f"{path}: config key {key!r} is not a flag of 'rollstab {name}'")
         flags[dest].required = False
         applied[dest] = value
     sp.set_defaults(**applied)

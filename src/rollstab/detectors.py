@@ -27,6 +27,7 @@ from .gridio import (
     RolloutSeries,
     cell_weights,
     check_keys,
+    names_of,
     require_finite,
 )
 from .spectra import BandUnresolvedError, SpectrumSeries, scan
@@ -307,10 +308,8 @@ class StabilityReport:
         """Inverse of :meth:`to_dict`, dropping the manifest of a written report.
         A missing or unknown key, at any level, raises ValueError naming it."""
         check_keys(d, [f.name for f in fields(cls)], "report", optional=("manifest",))
-        variables = d["variables"]
-        if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
-            raise ValueError("report: variables must be a list of names")
-        rep = cls(name=d["name"], horizon_days=d["horizon_days"], variables=tuple(variables))
+        rep = cls(name=d["name"], horizon_days=d["horizon_days"],
+                  variables=names_of(d["variables"], "report: variables"))
         for key, kind in _RESULT_KINDS.items():
             check_keys(d[key], rep.variables, key)
             for v, entry in d[key].items():

@@ -21,35 +21,10 @@ HOT_DEFAULT_LEVELS = tuple(np.round(np.arange(900, 1000) / 10.0, 1))  # 90.0 .. 
 COLD_DEFAULT_LEVELS = tuple(np.round(np.arange(1, 101) / 10.0, 1))  # 0.1 .. 10.0
 
 
-@dataclass(frozen=True)
-class EventSeries:
-    """Regional extremes with hot/cold flags against a threshold set."""
-
-    region: str
-    timestamps: np.ndarray
-    max_values: np.ndarray
-    min_values: np.ndarray
-    hot: np.ndarray  # max > P90
-    cold: np.ndarray  # min < P10
-    p90: float
-    p10: float
-
-
-def event_series(ext: Extremes, timestamps: np.ndarray, region: str,
-                 thresholds: ThresholdSet) -> EventSeries:
-    """Hot/cold flags of one region's extremes (``scan(..., regions=...)``)."""
-    p90 = thresholds.value_for(90.0)
-    p10 = thresholds.value_for(10.0)
-    return EventSeries(
-        region=region,
-        timestamps=timestamps,
-        max_values=ext.max,
-        min_values=ext.min,
-        hot=ext.max > p90,
-        cold=ext.min < p10,
-        p90=p90,
-        p10=p10,
-    )
+def event_series(ext: Extremes, thresholds: ThresholdSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (hot, cold) flags of one region's extremes (``scan(...,
+    regions=...)``): its maximum above P90, its minimum below P10."""
+    return ext.max > thresholds.value_for(90.0), ext.min < thresholds.value_for(10.0)
 
 
 @dataclass(frozen=True)

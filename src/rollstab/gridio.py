@@ -208,22 +208,35 @@ def builtin_regions() -> dict[str, RegionSpec]:
 
 
 def load_regions(path) -> dict[str, RegionSpec]:
-    """Load region specs from a JSON file: a list of objects with the
-    RegionSpec field names, no name given twice."""
-    with open(path) as f:
-        raw = json.load(f)
+    """Load region specs from a JSON file: a list of objects with exactly the
+    RegionSpec field names and numeric bounds, no name given twice."""
+    return read_json(path, _regions)
+
+
+def _regions(raw) -> dict[str, RegionSpec]:
     if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
-        raise ValueError(f"{path}: regions must be a JSON list of objects")
+        raise ValueError("regions must be a JSON list of objects")
+    names = [f.name for f in fields(RegionSpec)]
     regs = {}
     for entry in raw:
-        try:  # the name, then the four bounds as numbers
-            r = RegionSpec(entry["name"], *(float(entry[f.name]) for f in fields(RegionSpec)[1:]))
-        except TypeError as e:
-            raise ValueError(f"{path}: region {entry['name']!r}: {e}") from None
+        where = f"region {entry.get('name')!r}"
+        check_keys(entry, names, where)
+        r = RegionSpec(json_value(entry["name"], "str", f"{where}: name"),
+                       *(float(json_value(entry[n], "float", f"{where}: {n}")) for n in names[1:]))
         if r.name in regs:
-            raise ValueError(f"{path}: region {r.name!r} is given twice")
+            raise ValueError(f"region {r.name!r} is given twice")
         regs[r.name] = r
     return regs
+
+
+def read_json(path, parse=lambda doc: doc):
+    """The JSON document in ``path``, passed through ``parse``. A ValueError
+    from either, such as a missing key, names the file."""
+    with open(path) as f:
+        try:
+            return parse(json.load(f))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def check_keys(d, names, where: str, optional=()) -> None:
@@ -235,6 +248,24 @@ def check_keys(d, names, where: str, optional=()) -> None:
                           ("unknown", [k for k in d if k not in names and k not in optional])):
         if keys:
             raise ValueError(f"{where}: {problem} key {keys[0]!r}")
+
+
+_JSON_TYPES = {"float": (int, float), "int": int, "str": str, "bool": bool, "list": list}
+
+
+def json_value(value, kind: str, where: str):
+    """``value`` if JSON gave it as a ``kind`` (a key of ``_JSON_TYPES``; true
+    and false are bools only), else ValueError naming ``where``."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{where}: expected {kind}, got {value!r}")
+    return value
+
+
+def names_of(value, where: str) -> tuple[str, ...]:
+    """``value`` as a tuple of names; ValueError unless it is a JSON list of strings."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{where} must be a list of names")
+    return tuple(value)
 
 
 # ---------------------------------------------------------------------------

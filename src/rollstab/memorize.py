@@ -36,7 +36,6 @@ class NeighborIndex:
 
     vectors: np.ndarray  # (n_snapshots, dim) float32
     doys: np.ndarray
-    years: np.ndarray
     ids: tuple[str, ...]
     variables: tuple[str, ...]
     stats: dict[str, tuple[float, float]]
@@ -66,7 +65,6 @@ def build_index(training: RolloutSeries, variables: tuple[str, ...] | None = Non
         stats={v: variable_stats(training, v) for v in variables},  # rejects fill cells first
         vectors=np.empty((training.n_time, dim), dtype=np.float32),
         doys=day_of_year(ts),
-        years=ts.astype("datetime64[Y]").astype(int) + 1970,
         ids=tuple(str(t) for t in ts),
         variables=variables,
         sqrt_weights=np.sqrt(cell_weights(training.grid)).astype(np.float32),

@@ -4,9 +4,8 @@ comparisons, and ensemble spread.
 Adapters advance a multi-variable state (n_var, lat, lon) one step given a
 clock; the rollout loop feeds each output back as the next input.
 Perturbations apply to the initial state only: additive white noise,
-additive Gaussian random fields with a prescribed correlation length,
-replacement by pure noise with the reference's scalar (mu, sigma), or
-replacement by an arbitrary image rescaled to (mu, sigma).
+additive Gaussian random fields with a prescribed correlation length, or
+replacement by pure noise with the reference's scalar (mu, sigma).
 """
 
 from __future__ import annotations
@@ -24,13 +23,17 @@ from .gridio import (
     GridSpec,
     RolloutSeries,
     cell_weights,
+    check_keys,
+    json_value,
+    names_of,
+    read_json,
     read_rollout,
     require_finite,
     write_rollout,
 )
 from .synth import RegimeConfig, Stepper, initial_state
 
-KINDS = ("WHITE", "GRF", "PURE_NOISE", "IMAGE_INIT")
+KINDS = ("WHITE", "GRF", "PURE_NOISE")
 TARGETS = ("dynamic", "static", "both")
 
 
@@ -42,7 +45,6 @@ class PerturbationSpec:
     k: float = 1.0  # amplitude in units of the variable's sigma
     correlation_length: float = 10.0  # pixels, GRF only
     target: str = "dynamic"
-    image: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -54,8 +56,6 @@ class PerturbationSpec:
             raise ValueError("correlation length must be >= 1 pixel")
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}")
-        if self.kind == "IMAGE_INIT" and self.image is None:
-            raise ValueError("IMAGE_INIT requires an image array")
 
 
 def variable_stats(reference: RolloutSeries, v: str) -> tuple[float, float]:
@@ -122,17 +122,6 @@ def apply_perturbation(
             state[vi] += spec.k * sigma * fld
         elif spec.kind == "PURE_NOISE":
             state[vi] = rng.normal(mu, sigma, shape)
-        elif spec.kind == "IMAGE_INIT":
-            img = np.asarray(spec.image, dtype=np.float64)
-            if img.shape != shape:
-                raise ValueError(
-                    f"image shape {img.shape} does not match state fields {shape}"
-                )
-            sd = img.std()
-            if sd == 0:
-                state[vi] = np.full(shape, mu)
-            else:
-                state[vi] = (img - img.mean()) / sd * sigma + mu
     return state
 
 
@@ -194,22 +183,29 @@ class ExternalProcessAdapter(ModelAdapter):
 
     Per step the harness writes ``state_in.rgf`` (a one-step rollout holding
     all variables) and ``clock.json``, invokes the configured command, and
-    reads ``state_out.rgf`` back. The manifest is a JSON object with keys
-    ``command`` (string or argv list), ``workdir``, ``variables``, and
-    optionally ``static_variables`` and ``supports_time_shift``.
+    reads ``state_out.rgf`` back. The manifest (a dict or a JSON file) has keys
+    ``command`` (string or argv list), ``workdir``, ``variables``, and optionally
+    ``static_variables`` and ``supports_time_shift`` (a bool), and no others.
     """
 
     def __init__(self, manifest, grid: GridSpec, step_seconds: int = 21600):
         super().__init__(grid, step_seconds)
         if isinstance(manifest, (str, Path)):
-            with open(manifest) as f:
-                manifest = json.load(f)
-        cmd = manifest["command"]
-        self.command = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
-        self.workdir = Path(manifest["workdir"])
-        self.variables = tuple(manifest["variables"])
-        self.static_variables = tuple(manifest.get("static_variables", ()))
-        self.supports_time_shift = bool(manifest.get("supports_time_shift", False))
+            read_json(manifest, self._configure)
+        else:
+            self._configure(manifest)
+
+    def _configure(self, m) -> None:
+        check_keys(m, ("command", "workdir", "variables"), "manifest",
+                   optional=("static_variables", "supports_time_shift"))
+        cmd = m["command"]
+        self.command = shlex.split(cmd) if isinstance(cmd, str) else [
+            json_value(a, "str", "command") for a in json_value(cmd, "list", "command")]
+        self.workdir = Path(json_value(m["workdir"], "str", "workdir"))
+        self.variables = names_of(m["variables"], "variables")
+        self.static_variables = names_of(m.get("static_variables", []), "static_variables")
+        self.supports_time_shift = json_value(m.get("supports_time_shift", False), "bool",
+                                              "supports_time_shift")
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
         self.workdir.mkdir(parents=True, exist_ok=True)
@@ -287,12 +283,13 @@ def run_rollout(
         except Exception as e:  # partial series with annotation
             attrs["error"] = f"adapter failed at step {t}: {e}"
             break
-        if not np.isfinite(state).all():
+        with np.errstate(over="ignore"):  # beyond float32's range is caught below
+            data[t + 1] = state
+        if not np.isfinite(data[t + 1]).all():  # the stored frame, as float32
             attrs["error"] = f"adapter produced non-finite fields at step {t}"
             break
         clock += step
         t += 1
-        data[t] = state
     return RolloutSeries(
         grid=adapter.grid,
         variables=adapter.all_variables,

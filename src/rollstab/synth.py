@@ -10,7 +10,8 @@ ground-truth oracle for validating the detectors.
 Regimes: STABLE (all gains <= 1), BLOWUP (one band's gain switches to
 1 + delta after an onset day, with a small mode planted at onset), DRIFT
 (seasonal amplitude decays with time constant tau), SHARPEN (small-band
-gain > 1 with a hard amplitude clamp), BLUR (small-band gain < 1).
+gain > 1 with a hard amplitude clamp), BLUR (small-band gain below 1 in
+magnitude).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .gridio import GridSpec, RolloutSeries, latitude_weights
+from .gridio import (EARTH_RADIUS_KM, GridSpec, RolloutSeries, check_keys, json_value,
+                     latitude_weights, names_of, read_json)
 from .spectra import BandUnresolvedError, band_members, scan
 from .climatology import ClimatologyEnvelope
 
@@ -81,6 +83,8 @@ class RegimeConfig:
                 raise ValueError("blowup_band must be large, medium, or small")
             if any(g > 1.0 for g in gains):
                 raise ValueError("BLOWUP base gains must be <= 1 before onset")
+        if self.regime == "BLUR" and not abs(self.g_small) < 1.0:
+            raise ValueError("BLUR requires |g_small| < 1")
         if self.regime == "SHARPEN":
             if not self.g_small > 1.0:
                 raise ValueError("SHARPEN requires g_small > 1")
@@ -102,39 +106,45 @@ def config_to_dict(cfg: RegimeConfig) -> dict:
     return d
 
 
+def _grid_from_dict(g) -> GridSpec:
+    """A config's grid: ``lats`` and ``lons`` with an optional ``earth_radius_km``,
+    or an ``{n_lat, n_lon}`` shorthand for a regular grid."""
+    if not (isinstance(g, dict) and "lats" in g):
+        check_keys(g, ("n_lat", "n_lon"), "grid")
+        return GridSpec.regular(*(json_value(g[k], "int", k) for k in ("n_lat", "n_lon")))
+    check_keys(g, ("lats", "lons"), "grid", optional=("earth_radius_km",))
+    lats, lons = (np.array([json_value(x, "float", k) for x in json_value(g[k], "list", k)])
+                  for k in ("lats", "lons"))
+    radius = json_value(g.get("earth_radius_km", EARTH_RADIUS_KM), "float", "earth_radius_km")
+    return GridSpec(lats=lats, lons=lons, earth_radius_km=float(radius))
+
+
 def config_from_dict(d: dict) -> RegimeConfig:
-    """Build a config from JSON; the grid accepts either explicit lat/lon
-    arrays or an {n_lat, n_lon} shorthand for a regular grid."""
+    """Build a config from JSON as :func:`config_to_dict` writes it, though
+    the grid may be given in shorthand. A missing ``regime``, an unknown key
+    or a value of the wrong kind raises ValueError naming the key."""
+    check_keys(d, ("regime",), "regime config",
+               optional=[f.name for f in fields(RegimeConfig)])
     d = dict(d)
-    g = d.pop("grid", None)
-    if g is None:
-        grid = _default_grid()
-    elif "lats" in g:
-        grid = GridSpec(
-            lats=np.array(g["lats"]),
-            lons=np.array(g["lons"]),
-            earth_radius_km=float(g.get("earth_radius_km", 6371.0)),
-        )
-    else:
-        grid = GridSpec.regular(int(g["n_lat"]), int(g["n_lon"]))
-    epoch = d.pop("epoch", None)
-    kwargs = {
-        "grid": grid,
-        "epoch": _DEFAULT_EPOCH if epoch is None else datetime.fromisoformat(epoch),
-    }
+    for f in fields(RegimeConfig):  # annotations are strings: "float | None", ...
+        kind, _, optional = f.type.partition(" | ")
+        if f.name in d and kind in ("float", "int", "str") and not (optional and d[f.name] is None):
+            json_value(d[f.name], kind, f.name)
+    if "grid" in d:
+        d["grid"] = _grid_from_dict(d["grid"])
     if "variables" in d:
-        d["variables"] = tuple(d["variables"])
-    unknown = [key for key in d if key not in RegimeConfig.__dataclass_fields__]
-    if unknown:
-        raise ValueError(f"unknown regime config field {unknown[0]!r}")
-    return RegimeConfig(**kwargs, **d)
+        d["variables"] = names_of(d["variables"], "variables")
+    if "epoch" in d:
+        try:
+            d["epoch"] = datetime.fromisoformat(d["epoch"])
+        except (TypeError, ValueError):
+            raise ValueError(f"epoch: expected an ISO-8601 string, got {d['epoch']!r}") from None
+    return RegimeConfig(**d)
 
 
 def load_config(path) -> RegimeConfig:
-    import json
-
-    with open(path) as f:
-        return config_from_dict(json.load(f))
+    """The config in a JSON file; an error names the file."""
+    return read_json(path, config_from_dict)
 
 
 class Stepper:
@@ -257,18 +267,6 @@ class Stepper:
         # same way once they leave the physical range
         np.clip(nxt, -_SATURATION, _SATURATION, out=nxt)
         return nxt
-
-
-def synth_step(state: np.ndarray, clock: datetime, cfg: RegimeConfig,
-               step_seconds: int = 21600, var_index: int = 0) -> np.ndarray:
-    """Advance one 2-D field from ``clock`` to ``clock + step_seconds``."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (cfg.grid.n_lat, cfg.grid.n_lon):
-        raise ValueError(
-            f"state shape {state.shape} does not match grid "
-            f"({cfg.grid.n_lat}, {cfg.grid.n_lon})"
-        )
-    return Stepper(cfg).step(state, clock, step_seconds, var_index)
 
 
 def initial_state(cfg: RegimeConfig, var_index: int = 0) -> np.ndarray:

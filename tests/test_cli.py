@@ -100,6 +100,46 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+class TestSynthInputsRejected:
+    """Every malformed synth input exits 2 naming its flag, or its file and key."""
+
+    @pytest.mark.parametrize("g_small", ["1.0", "-1.0"])
+    def test_blur_needs_small_gain_below_one(self, tmp_path, capsys, g_small):
+        out = tmp_path / "b.rgf"
+        assert run_cli("synth", "--regime", "BLUR", "--g-small", g_small, "--grid", "4x384",
+                       "--horizon-days", "60", "-o", out) == 2
+        assert "BLUR requires |g_small| < 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["16x240x5", "16x", "16 x 240", "x240"])
+    def test_grid_flag_is_nlat_x_nlon(self, tmp_path, capsys, grid):
+        out = tmp_path / "g.rgf"
+        assert run_cli("synth", "--grid", grid, "--horizon-days", "60", "-o", out) == 2
+        assert f"--grid {grid!r}: expected NLATxNLON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"variables": "T2m"}, "variables must be a list of names"),
+        ({"grid": {"n_lat": 4.7, "n_lon": 8}}, "n_lat: expected int, got 4.7"),
+        ({"grid": {"n_lat": 4, "n_lon": 8, "earth_radius_km": 6000}},
+         "grid: unknown key 'earth_radius_km'"),
+        ({"grid": {"lats": [90, "0", -90], "lons": [0, 180]}},
+         "lats: expected float, got '0'"),
+        ({"g_large": "0.9"}, "g_large: expected float, got '0.9'"),
+        ({"seed": True}, "seed: expected int, got True"),
+        ({"epoch": 123}, "epoch: expected an ISO-8601 string, got 123"),
+        ({"regime": None}, "regime: expected str, got None"),
+    ])
+    def test_regime_config_values_checked(self, tmp_path, capsys, change, message):
+        doc = {"regime": "STABLE", "grid": {"n_lat": 4, "n_lon": 8}} | change
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "c.rgf"
+        assert run_cli("synth", "--regime-config", cfg, "--horizon-days", "60", "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {cfg}: {message}\n"
+        assert not out.exists()
+
+
 class TestSpectraCommand:
     def test_csv_output_and_determinism(self, tmp_path, synth_files):
         a = tmp_path / "a.csv"
@@ -267,7 +307,6 @@ class TestPerturbCommand:
                        "-o", tmp_path / "x.rgf") == 2
 
     def test_image_init_not_offered(self, tmp_path, synth_files, capsys):
-        # no flag supplies the image IMAGE_INIT needs
         out = tmp_path / "x.rgf"
         with pytest.raises(SystemExit) as exc:
             main(["perturb", "--adapter", f"synth:{synth_files['cfg']}", "--kind", "image_init",
@@ -322,6 +361,30 @@ class TestPerturbCommand:
                        "-o", out) == 0
         r = rollstab.read_rollout(out)
         assert r.n_time == 4 and "error" not in r.attrs
+
+
+class TestAdapterManifestRead:
+    """An external adapter's manifest is read strictly and errors name the file."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"command": None}, "manifest: missing key 'command'"),
+        ({"bogus": 1}, "manifest: unknown key 'bogus'"),
+        ({"variables": "T2m"}, "variables must be a list of names"),
+        ({"static_variables": [1]}, "static_variables must be a list of names"),
+        ({"supports_time_shift": "false"},
+         "supports_time_shift: expected bool, got 'false'"),
+    ])
+    def test_bad_manifest_exit_2(self, tmp_path, synth_files, capsys, change, message):
+        echo = "import shutil; shutil.copy('state_in.rgf', 'state_out.rgf')"
+        doc = {"command": [sys.executable, "-c", echo], "workdir": str(tmp_path / "work"),
+               "variables": ["T2m"]} | change
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        out = tmp_path / "x.rgf"
+        assert run_cli("perturb", "--adapter", f"external:{manifest}", "--init",
+                       synth_files["pred"], "--steps", "1", "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {manifest}: {message}\n"
+        assert not out.exists()
 
 
 class TestStepLength:
@@ -409,6 +472,14 @@ class TestExtremesCommand:
          "region 'box' is given twice"),
         ([{"name": "box", "lat_min": None, "lat_max": 10, "lon_min": 0, "lon_max": 10}],
          "region 'box': "),
+        ([{"name": "box", "lat_max": 10, "lon_min": 0, "lon_max": 10}],
+         "region 'box': missing key 'lat_min'"),
+        ([{"name": "box", "lat_min": 0, "lat_max": 10, "lon_min": 0, "lon_max": 10, "x": 1}],
+         "region 'box': unknown key 'x'"),
+        ([{"name": "box", "lat_min": "0", "lat_max": 10, "lon_min": 0, "lon_max": 10}],
+         "region 'box': lat_min: expected float, got '0'"),
+        ([{"name": "box", "lat_min": 10, "lat_max": 0, "lon_min": 0, "lon_max": 10}],
+         "region 'box': lat_min must be < lat_max"),
     ])
     def test_bad_regions_file_exit_2(self, tmp_path, synth_files, capsys, regions, message):
         path = tmp_path / "regions.json"
@@ -581,7 +652,7 @@ class TestAggregateReadsReportsStrictly:
         _at(doc, path[:-1])[path[-1]] = value
         rc, out = self._aggregate(tmp_path, doc)
         assert rc == 2
-        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert capsys.readouterr().err == f"rollstab: {tmp_path / 'bad.json'}: {message}\n"
         assert not out.exists()
 
 

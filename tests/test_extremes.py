@@ -170,11 +170,11 @@ class TestEventSeries:
         r = make_series(small_grid, rng.standard_normal((200, 1, 8, 16)))
         ext, cells = region_scan(r, GLOBE)
         thr = pooled_percentiles(cells, "T2m", GLOBE.name, [10.0, 90.0], r.start_time)
-        ev = event_series(ext, r.timestamps, GLOBE.name, thr)
+        hot, cold = event_series(ext, thr)
         vals = r.values("T2m")
         for t in range(200):
-            assert ev.hot[t] == (vals[t].max() > ev.p90)
-            assert ev.cold[t] == (vals[t].min() < ev.p10)
+            assert hot[t] == (vals[t].max() > thr.value_for(90.0))
+            assert cold[t] == (vals[t].min() < thr.value_for(10.0))
 
 
 class TestQQTails:

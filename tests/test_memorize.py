@@ -76,7 +76,6 @@ class TestDistanceRatio:
                                  np.full((1, idx.vectors.shape[1]), 1e6,
                                          dtype=np.float32)])
         idx.doys = np.append(idx.doys, 15)
-        idx.years = np.append(idx.years, 1991)
         idx.ids = idx.ids + ("far-snapshot",)
         after = distance_ratio(q, when, idx)
         assert after.ratio == before.ratio

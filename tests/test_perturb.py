@@ -7,6 +7,7 @@ import pytest
 
 from rollstab import (
     GridSpec,
+    ModelAdapter,
     PerturbationSpec,
     RegimeConfig,
     RolloutSeries,
@@ -16,11 +17,11 @@ from rollstab import (
     error_trajectory,
     generate,
     run_rollout,
-    synth_step,
     variable_stats,
 )
 from rollstab.gridio import IncompleteFieldError
 from rollstab.perturb import ExternalProcessAdapter, gaussian_random_field
+from rollstab.synth import Stepper
 from rollstab.spectra import band_average, zonal_spectrum
 from conftest import make_series
 
@@ -107,21 +108,9 @@ class TestApplyPerturbation:
             for y in bands:
                 assert abs(x / y - 1.0) < 0.15
 
-    def test_image_init_rescaled(self):
-        img = np.arange(128.0).reshape(8, 16)
-        spec = PerturbationSpec(kind="IMAGE_INIT", image=img, seed=0)
-        out = apply_perturbation(self.state, spec, self.stats, self.variables,
-                                 self.statics)
-        assert out[0].mean() == pytest.approx(280.0)
-        assert out[0].std() == pytest.approx(10.0)
-        # spatial structure preserved up to the affine rescale
-        corr = np.corrcoef(out[0].ravel(), img.ravel())[0, 1]
-        assert corr == pytest.approx(1.0)
-
-    def test_image_dims_mismatch(self):
-        spec = PerturbationSpec(kind="IMAGE_INIT", image=np.zeros((4, 4)), seed=0)
-        with pytest.raises(ValueError, match="image"):
-            apply_perturbation(self.state, spec, self.stats, self.variables)
+    def test_image_init_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown perturbation kind"):
+            PerturbationSpec(kind="IMAGE_INIT", seed=0)
 
     def test_missing_stats_rejected(self):
         spec = PerturbationSpec(kind="WHITE", seed=0)
@@ -154,7 +143,7 @@ class TestRunRollout:
         x = init[0]
         clock = EPOCH
         for i in range(4):
-            x = synth_step(x, clock, cfg)
+            x = Stepper(cfg).step(x, clock, 21600, 0)
             clock += timedelta(seconds=21600)
             assert np.allclose(out.data[i + 1, 0], x.astype(np.float32))
 
@@ -215,6 +204,18 @@ class TestRunRollout:
         out = run_rollout(ad, ad.initial_state(), EPOCH, 3)
         assert out.n_time == 1
         assert "step 0" in out.attrs["error"] and "shape" in out.attrs["error"]
+
+    def test_float32_overflow_keeps_prefix(self):
+        # finite in float64, infinite once stored as float32
+        class Overflow(ModelAdapter):
+            variables = ("T2m",)
+
+            def step(self, state, clock):
+                return np.full((1, 4, 8), 1e39 if clock >= EPOCH + timedelta(days=1) else 2.0)
+
+        out = run_rollout(Overflow(GridSpec.regular(4, 8), 21600), np.zeros((1, 4, 8)), EPOCH, 8)
+        assert out.attrs["error"] == "adapter produced non-finite fields at step 4"
+        assert out.n_time == 5 and np.all(out.data[1:] == 2.0)
 
     def test_time_shift_advances_forcing_phase(self):
         # pure forcing response: gains 0, no noise

@@ -5,12 +5,12 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rollstab import GridSpec, RegimeConfig, generate, synth_step
+from rollstab import GridSpec, RegimeConfig, SynthAdapter, generate, run_rollout
 from rollstab.climatology import build_envelope
 from rollstab.detectors import detect_seasonality_loss
 from rollstab.gridio import DailySeries
 from rollstab.spectra import BandUnresolvedError, band_members, spectrum_series, zonal_spectrum
-from rollstab.synth import config_from_dict, config_to_dict, initial_state
+from rollstab.synth import Stepper, config_from_dict, config_to_dict, initial_state
 
 
 FINE = GridSpec.regular(16, 384)
@@ -30,14 +30,14 @@ class TestSynthStep:
         cfg = quiet_config()
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 384))
-        y = synth_step(x, EPOCH, cfg)
+        y = Stepper(cfg).step(x, EPOCH, 21600, 0)
         assert np.allclose(y, x, atol=1e-12)
 
     def test_zero_small_gain_removes_small_band(self):
         cfg = quiet_config(regime="BLUR", g_small=0.0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((16, 384))
-        y = synth_step(x, EPOCH, cfg)
+        y = Stepper(cfg).step(x, EPOCH, 21600, 0)
         spec = zonal_spectrum(y, FINE)
         idx = band_members(FINE, "small")
         assert np.all(spec[idx] < 1e-12)
@@ -58,7 +58,7 @@ class TestSynthStep:
 
         k0 = Stepper(cfg).planted_k
         for i in range(60):
-            x = synth_step(x, clock, cfg)
+            x = Stepper(cfg).step(x, clock, 21600, 0)
             clock += timedelta(seconds=21600)
             amps.append(zonal_spectrum(x, FINE)[k0])
         amps = np.array(amps)
@@ -69,8 +69,8 @@ class TestSynthStep:
         assert np.allclose(growth, 1.0 + delta, rtol=1e-6)
 
     def test_state_shape_checked(self):
-        with pytest.raises(ValueError):
-            synth_step(np.zeros((4, 4)), EPOCH, quiet_config())
+        with pytest.raises(ValueError, match="initial state does not match"):
+            run_rollout(SynthAdapter(quiet_config()), np.zeros((1, 4, 4)), EPOCH, 1)
 
     def test_energy_conserved_when_untouched(self):
         # gains 1, no noise, no forcing: relative drift < 1e-6 over 1000 steps
@@ -82,7 +82,7 @@ class TestSynthStep:
         from datetime import timedelta
 
         for _ in range(1000):
-            x = synth_step(x, clock, cfg)
+            x = Stepper(cfg).step(x, clock, 21600, 0)
             clock += timedelta(seconds=21600)
         e1 = zonal_spectrum(x, FINE)
         rel = np.abs(e1[1:] - e0[1:]) / np.maximum(e0[1:], 1e-30)
@@ -91,7 +91,7 @@ class TestSynthStep:
     def test_clock_before_epoch_rejected(self):
         with pytest.raises(ValueError, match=r"clock 2001-01-01T00:00:00 ends before the "
                                              r"config's epoch 2021-01-01T00:00:00"):
-            synth_step(np.zeros((16, 384)), datetime(2001, 1, 1), quiet_config())
+            Stepper(quiet_config()).step(np.zeros((16, 384)), datetime(2001, 1, 1), 21600, 0)
 
 
 class TestGenerate:
@@ -119,7 +119,7 @@ class TestGenerate:
         assert np.allclose(series.data[0, 0], x.astype(np.float32))
         clock = EPOCH
         for i in range(4):
-            x = synth_step(x, clock, cfg)
+            x = Stepper(cfg).step(x, clock, 21600, 0)
             clock += timedelta(seconds=21600)
             assert np.allclose(series.data[i + 1, 0], x.astype(np.float32))
 
