@@ -14,8 +14,8 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict
-from datetime import datetime, timedelta
+from dataclasses import asdict, fields
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +126,21 @@ def _check_unused(args, defaults: dict, used, reason: str) -> None:
 # subcommands
 
 
-# synth flags that set a config field, and their defaults; --regime-config
-# sets every field, so they are unused with it
-_FIELD_DEFAULTS = {
-    "regime": "STABLE", "grid": "16x240", "variables": "T2m", "g_large": 0.95,
-    "g_medium": 0.95, "g_small": 0.95, "amplitude": 5.0, "tau_days": None,
-    "onset_days": None, "delta": None, "blowup_band": "medium", "seed_amplitude": 0.05,
-    "noise": 0.02, "noise_small": None, "cap": None, "init_std": 1.0, "year_jitter": 0.0,
-    "seed": 0,
+# synth flags that set the RegimeConfig field named here, which gives their default
+_FLAG_FIELDS = {
+    "g_large": "g_large", "g_medium": "g_medium", "g_small": "g_small",
+    "amplitude": "seasonal_amplitude", "tau_days": "tau_days", "onset_days": "onset_day",
+    "delta": "growth_rate", "blowup_band": "blowup_band", "seed_amplitude": "seed_amplitude",
+    "noise": "noise_large", "noise_small": "noise_small", "cap": "cap",
+    "init_std": "init_std", "year_jitter": "year_jitter", "seed": "seed",
 }
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(synth.RegimeConfig)}
+# every synth flag that sets a config field, and its default; --regime-config
+# sets every field, so they are unused with it. The config holds objects for
+# the first three, and --noise-small's None stands for --noise.
+_FIELD_DEFAULTS = {"regime": "STABLE", "grid": "16x240", "variables": "T2m",
+                   **{flag: _CONFIG_DEFAULTS[f] for flag, f in _FLAG_FIELDS.items()},
+                   "noise_small": None}
 
 
 def cmd_synth(args) -> int:
@@ -146,29 +152,12 @@ def cmd_synth(args) -> int:
         shape = re.fullmatch(r"([0-9]+)x([0-9]+)", args.grid)
         if shape is None:
             raise ValueError(f"--grid {args.grid!r}: expected NLATxNLON, e.g. 16x240")
-        grid = gridio.GridSpec.regular(*map(int, shape.groups()))
+        values = {f: getattr(args, flag) for flag, f in _FLAG_FIELDS.items()}
+        values["noise_small"] = args.noise if args.noise_small is None else args.noise_small
         cfg = synth.RegimeConfig(
-            regime=args.regime,
-            grid=grid,
-            variables=tuple(args.variables.split(",")),
-            g_large=args.g_large,
-            g_medium=args.g_medium,
-            g_small=args.g_small,
-            seasonal_amplitude=args.amplitude,
-            tau_days=args.tau_days,
-            onset_day=args.onset_days,
-            growth_rate=args.delta,
-            blowup_band=args.blowup_band,
-            seed_amplitude=args.seed_amplitude,
-            noise_large=args.noise,
-            noise_medium=args.noise,
-            noise_small=args.noise_small if args.noise_small is not None else args.noise,
-            cap=args.cap,
-            init_std=args.init_std,
-            year_jitter=args.year_jitter,
-            seed=args.seed,
-        )
-    start = datetime.fromisoformat(args.start_time) if args.start_time else None
+            regime=args.regime, grid=gridio.GridSpec.regular(*map(int, shape.groups())),
+            variables=tuple(args.variables.split(",")), noise_medium=args.noise, **values)
+    start = args.start_time and gridio.utc_time(args.start_time, "--start-time")
     series, labels = synth.generate(cfg, args.horizon_days,
                                     step_seconds=args.step_seconds, start_time=start)
     manifest = _manifest(args, {"regime_config": args.regime_config})
@@ -303,9 +292,10 @@ def _load_adapter(spec_str: str, init_series, step_seconds: int):
     raise ValueError(f"unknown adapter kind {kind!r}; use synth:FILE or external:FILE")
 
 
-# perturb flags that only a perturbation (--kind) uses, and their defaults
-_KIND_DEFAULTS = {"stats_from": None, "k": 1.0, "correlation_length": 10.0,
-                  "target": "dynamic", "seed": 0}
+# perturb flags that only a perturbation (--kind) uses, and their defaults: the
+# PerturbationSpec fields but its kind, and --stats-from
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(perturb.PerturbationSpec) if f.name != "kind"}
+_KIND_DEFAULTS = {"stats_from": None, **_SPEC_DEFAULTS}
 
 
 def cmd_perturb(args) -> int:
@@ -323,23 +313,16 @@ def cmd_perturb(args) -> int:
         state = adapter.initial_state()
         start = adapter.cfg.epoch
     if args.start_time:
-        start = datetime.fromisoformat(args.start_time)
+        start = gridio.utc_time(args.start_time, "--start-time")
     if isinstance(adapter, perturb.SynthAdapter) and args.steps > 0:
         # the first step, from the shifted clock, must end at or after the epoch
         adapter.stepper.step_index(start + timedelta(days=args.time_shift_days or 0),
                                    adapter.step_seconds)
 
-    spec = None
-    stats = None
-    ref = None
+    spec = stats = ref = None
     if args.kind:
-        spec = perturb.PerturbationSpec(
-            kind=args.kind.upper(),
-            k=args.k,
-            correlation_length=args.correlation_length,
-            target=args.target,
-            seed=args.seed,
-        )
+        spec = perturb.PerturbationSpec(kind=args.kind.upper(),
+                                        **{f: getattr(args, f) for f in _SPEC_DEFAULTS})
         if not args.stats_from:
             raise ValueError("--stats-from REF.rgf is required with --kind")
         ref = gridio.read_rollout(args.stats_from)
@@ -376,11 +359,8 @@ def cmd_extremes(args) -> int:
                                 "regions": args.regions})
 
     mt, rt = model.timestamps, reference.timestamps
-    if args.match_window:
-        msel, rsel = extremes.match_windows(mt, rt)
-    else:
-        msel = np.ones(mt.size, dtype=bool)
-        rsel = np.ones(rt.size, dtype=bool)
+    msel, rsel = (extremes.match_windows(mt, rt) if args.match_window
+                  else (np.ones(mt.size, dtype=bool), np.ones(rt.size, dtype=bool)))
 
     hot_levels = list(np.round(np.arange(800, 1000) / 10.0, 1))  # P80..P99.9
     cold_levels = list(np.round(np.arange(1, 201) / 10.0, 1))  # P0.1..P20
@@ -525,7 +505,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--tau-days", type=float, default=None, help="DRIFT decay time")
     sp.add_argument("--onset-days", type=float, default=None, help="BLOWUP onset day")
     sp.add_argument("--delta", type=float, default=None, help="BLOWUP per-step growth")
-    sp.add_argument("--blowup-band", choices=("large", "medium", "small"), default=None)
+    sp.add_argument("--blowup-band", choices=spectra.BANDS, default=None)
     sp.add_argument("--seed-amplitude", type=float, default=None)
     sp.add_argument("--noise", type=float, default=None, help="per-band noise std")
     sp.add_argument("--noise-small", type=float, default=None)
@@ -585,18 +565,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--init", default=None, help="initial state RGF (first timestep used)")
     sp.add_argument("--kind", choices=[k.lower() for k in perturb.KINDS], default=None)
     sp.add_argument("--k", type=float, default=None,
-                    help="amplitude in sigma units (default 1.0; needs --kind)")
+                    help=f"amplitude in sigma units (default {_SPEC_DEFAULTS['k']}; needs --kind)")
     sp.add_argument("--correlation-length", type=float, default=None,
-                    help="default 10.0; needs --kind")
+                    help=f"default {_SPEC_DEFAULTS['correlation_length']}; needs --kind")
     sp.add_argument("--target", choices=perturb.TARGETS, default=None,
-                    help="default dynamic; needs --kind")
+                    help=f"default {_SPEC_DEFAULTS['target']}; needs --kind")
     sp.add_argument("--time-shift-days", type=float, default=None, help="adapter clock offset")
     sp.add_argument("--stats-from", default=None, help="RGF giving (mu, sigma); needs --kind")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--step-seconds", type=int, default=21600)
     sp.add_argument("--start-time", default=None)
     sp.add_argument("--seed", type=int, default=None,
-                    help="default 0; needs --kind")
+                    help=f"default {_SPEC_DEFAULTS['seed']}; needs --kind")
     sp.add_argument("-o", "--output", required=True, help="output rollout RGF")
 
     sp = add("extremes", cmd_extremes, "regional extreme-event statistics")
@@ -636,10 +616,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _apply_config(argv: list[str], sps: dict) -> None:
-    """Make the ``--config FILE`` JSON the invoked subcommand's flag defaults.
-
-    Any other spelling of the flag, and any key that is not a flag of the
-    subcommand, is rejected rather than ignored.
+    """Splice the ``--config FILE`` JSON into ``argv`` as flags right after the
+    subcommand, so argparse checks each value as it checks the flag and a flag
+    on the command line, coming later, wins. ``true`` or ``false`` selects a
+    flag that takes no value, ``null`` keeps the default, and any other value
+    is a JSON string or number. Any other spelling of ``--config``, and any
+    key that is not a flag of the subcommand, is rejected rather than ignored.
     """
     for tok in argv:
         opt = tok.partition("=")[0]
@@ -658,15 +640,24 @@ def _apply_config(argv: list[str], sps: dict) -> None:
     sp = sps.get(name)
     if sp is None:
         return  # argparse reports the missing or unknown subcommand
-    flags = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
-    applied = {}
+    flags = {a.dest: a for a in sp._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in flags:
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
             raise ValueError(f"{path}: config key {key!r} is not a flag of 'rollstab {name}'")
-        flags[dest].required = False
-        applied[dest] = value
-    sp.set_defaults(**applied)
+        opt, switch = flag.option_strings[-1], flag.nargs == 0  # --daily, --no-match-window
+        if value is not None and (switch != isinstance(value, bool)
+                                  or isinstance(value, (list, dict))):
+            want = "true or false" if switch else "a string or a number"
+            raise ValueError(f"{path}: config key {key!r}: expected {want}, got {value!r}")
+        if switch and value == flag.const:
+            tokens.append(opt)
+        elif not switch and value is not None:
+            tokens.append(f"{opt}={value}")  # with '=', a value like -1e-05 is not a flag
+    j = argv.index(name) + 1
+    argv[j:j] = tokens
 
 
 def main(argv=None) -> int:

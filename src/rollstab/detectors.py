@@ -33,6 +33,12 @@ from .gridio import (
 from .spectra import BandUnresolvedError, SpectrumSeries, scan
 
 
+# a blow-up window's fitted growth is at least this factor
+BLOWUP_GROWTH_FACTOR = 10.0
+# the small-scale self ratio divides by the prediction's first days
+_LEAD_DAYS = 2.0
+
+
 class SeriesTooShortError(PreconditionError):
     """Input series shorter than one detection window."""
 
@@ -52,7 +58,7 @@ class BlowupResult:
 
 
 def _scan_windows(series, steps_per_day, smoothing_days, window_days, r2_threshold,
-                  stride_days, growth_factor):
+                  stride_days):
     """First qualifying window start (in days) of one extremes series."""
     series = np.asarray(series, dtype=np.float64)
     n = series.size
@@ -84,7 +90,7 @@ def _scan_windows(series, steps_per_day, smoothing_days, window_days, r2_thresho
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ssy > 0, cov**2 / (stt * ssy), 0.0)
     growth = slope * span
-    hits = (r2 > r2_threshold) & (slope > 0) & (growth >= math.log(growth_factor))
+    hits = (r2 > r2_threshold) & (slope > 0) & (growth >= math.log(BLOWUP_GROWTH_FACTOR))
     if not hits.any():
         return None
     i = int(np.argmax(hits))
@@ -100,7 +106,6 @@ def detect_blowup(
     window_days: float = 30,
     r2_threshold: float = 0.9,
     stride_days: float = 1,
-    growth_factor: float = 10.0,
 ) -> BlowupResult:
     """Detect exponential blow-up from global min/max series at 6-h steps.
 
@@ -108,13 +113,13 @@ def detect_blowup(
     deviations (floored to avoid log of zero), smoothed with a rolling mean,
     and scanned with sliding windows of ``window_days``. A window flags when
     the log-deviation regression has R^2 above the threshold, positive
-    slope, and fitted growth of at least ``growth_factor`` across the
+    slope, and fitted growth of at least ``BLOWUP_GROWTH_FACTOR`` across the
     window. The earliest flagged window over the two series wins.
     """
     candidates = []
     for name, series in (("min", min_series), ("max", max_series)):
         hit = _scan_windows(series, steps_per_day, smoothing_days, window_days,
-                            r2_threshold, stride_days, growth_factor)
+                            r2_threshold, stride_days)
         if hit is not None:
             candidates.append((hit[0], name, hit[1], hit[2]))
     if not candidates:
@@ -185,14 +190,13 @@ def small_scale_ratios(
     ref_spec: SpectrumSeries,
     blowup_day: float | None = None,
     window_days: float = 30.0,
-    lead_days: float = 2.0,
 ) -> SmallScaleResult:
     """Ratios of mean small-band energy: prediction/reference and end/start.
 
     The window is the last ``window_days`` of the prediction, or the
     ``window_days`` ending at ``blowup_day`` when a blow-up was detected.
     The reference is averaged over the same calendar window. The self ratio
-    divides by the prediction's first ``lead_days``.
+    divides by the prediction's first two days.
     """
     pred_small = spec.band("small")
     ref_small = ref_spec.band("small")
@@ -222,7 +226,7 @@ def small_scale_ratios(
     if ref_mean == 0.0:
         raise ValueError("reference small-band mean is zero over the window")
 
-    lead = t < t[0] + np.timedelta64(int(round(lead_days * 86400)), "s")
+    lead = t < t[0] + np.timedelta64(int(round(_LEAD_DAYS * 86400)), "s")
     pred_mean = float(pred_small[win].mean())
     lead_mean = float(pred_small[lead].mean())
     if lead_mean == 0.0:

@@ -209,7 +209,8 @@ def builtin_regions() -> dict[str, RegionSpec]:
 
 def load_regions(path) -> dict[str, RegionSpec]:
     """Load region specs from a JSON file: a list of objects with exactly the
-    RegionSpec field names and numeric bounds, no name given twice."""
+    RegionSpec field names and numeric bounds, no name given twice. Names
+    become output file names, so each must be a plain file-name stem."""
     return read_json(path, _regions)
 
 
@@ -223,6 +224,9 @@ def _regions(raw) -> dict[str, RegionSpec]:
         check_keys(entry, names, where)
         r = RegionSpec(json_value(entry["name"], "str", f"{where}: name"),
                        *(float(json_value(entry[n], "float", f"{where}: {n}")) for n in names[1:]))
+        if r.name in ("", ".", "..") or "/" in r.name or "\\" in r.name:
+            raise ValueError(f"{where}: name must be a plain file-name stem, with no "
+                             "'/' or '\\' and not '.' or '..'")
         if r.name in regs:
             raise ValueError(f"region {r.name!r} is given twice")
         regs[r.name] = r
@@ -268,6 +272,30 @@ def names_of(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def numbers_of(value, where: str) -> np.ndarray:
+    """``value`` as a float64 array; ValueError unless it is a JSON list of numbers."""
+    return np.array([json_value(x, "float", where) for x in json_value(value, "list", where)],
+                    dtype=np.float64)
+
+
+def check_utc(t: datetime, where: str) -> datetime:
+    """``t`` unless it carries a UTC offset (every rollstab time is UTC), else ValueError."""
+    if t.tzinfo is not None:
+        raise ValueError(f"{where}: {t.isoformat()} carries a UTC offset; "
+                         "give the UTC time without one")
+    return t
+
+
+def utc_time(value, where: str) -> datetime:
+    """``value`` as a datetime if it is an ISO-8601 string with no UTC offset,
+    else ValueError naming ``where``."""
+    try:
+        t = datetime.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: expected an ISO-8601 string, got {value!r}") from None
+    return check_utc(t, where)
+
+
 # ---------------------------------------------------------------------------
 # rollout series
 
@@ -285,7 +313,7 @@ class _Rollout:
     @property
     def timestamps(self) -> np.ndarray:
         """datetime64[s] timestamps, start_time + i * step."""
-        t0 = np.datetime64(self.start_time.replace(tzinfo=None), "s")
+        t0 = np.datetime64(self.start_time, "s")
         return t0 + np.arange(self.n_time) * np.timedelta64(self.step_seconds, "s")
 
     def index_of(self, v: str) -> int:
@@ -297,8 +325,10 @@ class _Rollout:
             ) from None
 
 
-def _check_layout(shape, grid, variables, step_seconds, fill_value, attrs) -> None:
+def _check_layout(shape, grid, variables, start_time, step_seconds, fill_value,
+                  attrs) -> None:
     """The rules a series' header obeys, whatever its values."""
+    check_utc(start_time, "start_time")
     if len(shape) != 4:
         raise ValueError("data must be 4-D (time, variable, lat, lon)")
     if shape[0] < 1:
@@ -349,8 +379,8 @@ class RolloutSeries(_Rollout):
     def __post_init__(self):
         self.variables = tuple(self.variables)
         self.data = np.asarray(self.data, dtype=np.float32)
-        _check_layout(self.data.shape, self.grid, self.variables, self.step_seconds,
-                      self.fill_value, self.attrs)
+        _check_layout(self.data.shape, self.grid, self.variables, self.start_time,
+                      self.step_seconds, self.fill_value, self.attrs)
         if self.sha256 is None:
             _check_values(self.data, self.fill_value)
 
@@ -464,7 +494,7 @@ def write_rollout(r: RolloutSeries, path) -> None:
         "n_lon": int(r.grid.n_lon),
         "variables": list(r.variables),
         **r.grid.to_dict(),
-        "start_time": r.start_time.replace(tzinfo=None).isoformat(),
+        "start_time": r.start_time.isoformat(),
         "step_seconds": int(r.step_seconds),
         "fill_value": None if r.fill_value is None else float(r.fill_value),
         "attrs": r.attrs,
@@ -513,22 +543,23 @@ class RolloutFile(_Rollout):
         blob = f.read(hlen)
         try:
             header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # bad UTF-8 or JSON, or an integer too long to parse
             raise FormatError(f"{path}: header is not valid UTF-8 JSON: {e}") from None
         try:
-            n_time = int(header["n_time"])
-            n_var = int(header["n_var"])
-            n_lat = int(header["n_lat"])
-            n_lon = int(header["n_lon"])
-            variables = tuple(header["variables"])
-            lats = np.array(header["lats"], dtype=np.float64)
-            lons = np.array(header["lons"], dtype=np.float64)
-            earth_radius_km = float(header.get("earth_radius_km", EARTH_RADIUS_KM))
-            start_time = datetime.fromisoformat(header["start_time"])
-            step_seconds = int(header["step_seconds"])
+            sizes = ("n_time", "n_var", "n_lat", "n_lon", "step_seconds")
+            check_keys(header, (*sizes, "variables", "lats", "lons", "start_time"), "header",
+                       optional=("earth_radius_km", "fill_value", "attrs"))
+            n_time, n_var, n_lat, n_lon, step_seconds = (json_value(header[k], "int", k)
+                                                         for k in sizes)
+            variables = names_of(header["variables"], "variables")
+            lats, lons = (numbers_of(header[k], k) for k in ("lats", "lons"))
+            earth_radius_km = float(json_value(header.get("earth_radius_km", EARTH_RADIUS_KM),
+                                               "float", "earth_radius_km"))
+            start_time = utc_time(header["start_time"], "start_time")
             fill_value = header.get("fill_value")
-            fill_value = None if fill_value is None else float(fill_value)
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            if fill_value is not None:
+                fill_value = float(json_value(fill_value, "float", "fill_value"))
+        except (ValueError, OverflowError) as e:
             raise FormatError(f"{path}: missing or malformed header field: {e}") from None
         if len(variables) != n_var or lats.size != n_lat or lons.size != n_lon:
             raise HeaderMismatchError(f"{path}: header dims disagree with name/axis arrays")
@@ -545,8 +576,8 @@ class RolloutFile(_Rollout):
         attrs = header.get("attrs", {})
         try:
             grid = GridSpec(lats=lats, lons=lons, earth_radius_km=earth_radius_km)
-            _check_layout((n_time, n_var, n_lat, n_lon), grid, variables, step_seconds,
-                          fill_value, attrs)
+            _check_layout((n_time, n_var, n_lat, n_lon), grid, variables, start_time,
+                          step_seconds, fill_value, attrs)
         except ValueError as e:
             raise FormatError(f"{path}: invalid header or payload: {e}") from None
         self.grid, self.variables, self.start_time = grid, variables, start_time

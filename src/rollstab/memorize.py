@@ -2,7 +2,8 @@
 
 A sample is memorized when it sits much closer to its first neighbor in the
 training pool than to its second, within a +-10 calendar-day window around
-the sample's day of year (circular across the year boundary). Distances are
+the sample's day of year (circular across the year boundary; Feb 29 counts
+as Feb 28, see :func:`~rollstab.gridio.folded_doy`). Distances are
 latitude-weighted L2 over per-variable standardized fields; the
 standardization stats come from the training pool.
 """
@@ -18,7 +19,7 @@ from .gridio import (
     PreconditionError,
     RolloutSeries,
     cell_weights,
-    day_of_year,
+    folded_doy,
     require_finite,
 )
 from .perturb import variable_stats
@@ -35,7 +36,7 @@ class NeighborIndex:
     """Standardized, latitude-weighted, flattened training snapshots."""
 
     vectors: np.ndarray  # (n_snapshots, dim) float32
-    doys: np.ndarray
+    doys: np.ndarray  # folded days of year, 1..365
     ids: tuple[str, ...]
     variables: tuple[str, ...]
     stats: dict[str, tuple[float, float]]
@@ -64,7 +65,7 @@ def build_index(training: RolloutSeries, variables: tuple[str, ...] | None = Non
     idx = NeighborIndex(
         stats={v: variable_stats(training, v) for v in variables},  # rejects fill cells first
         vectors=np.empty((training.n_time, dim), dtype=np.float32),
-        doys=day_of_year(ts),
+        doys=folded_doy(ts),
         ids=tuple(str(t) for t in ts),
         variables=variables,
         sqrt_weights=np.sqrt(cell_weights(training.grid)).astype(np.float32),
@@ -99,10 +100,8 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
     Exhaustive search over candidates whose day of year lies within
     ``window_days`` of the sample's (wrapping across the year boundary).
     """
-    sample_doy = int(day_of_year(np.array([np.datetime64(sample_time, "s")]))[0])
-    sample_doy = min(sample_doy, 365)
-    doys = np.minimum(index.doys, 365)
-    cand = np.flatnonzero(_circular_doy_distance(doys, sample_doy) <= window_days)
+    sample_doy = int(folded_doy(np.datetime64(sample_time, "s")))
+    cand = np.flatnonzero(_circular_doy_distance(index.doys, sample_doy) <= window_days)
     if cand.size < 2:
         raise TooFewCandidatesError(
             f"only {cand.size} training snapshots within {window_days} days of "

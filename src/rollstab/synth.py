@@ -23,15 +23,20 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .gridio import (EARTH_RADIUS_KM, GridSpec, RolloutSeries, check_keys, json_value,
-                     latitude_weights, names_of, read_json)
-from .spectra import BandUnresolvedError, band_members, scan
+                     latitude_weights, names_of, numbers_of, read_json, utc_time)
+from .spectra import BANDS, BandUnresolvedError, band_members, scan
 from .climatology import ClimatologyEnvelope
+from .detectors import BLOWUP_GROWTH_FACTOR
 
 REGIMES = ("STABLE", "BLOWUP", "DRIFT", "SHARPEN", "BLUR")
 
 _DEFAULT_EPOCH = datetime(2021, 1, 1)
 _YEAR_DAYS = 365.25
 _SATURATION = 1e30
+# days past the analytic onset-plus-emergence estimate that a blow-up day may
+# still fall in, and past the DRIFT crossing for a seasonality-loss day
+_BLOWUP_SLACK_DAYS = 5.0
+_SEASONALITY_SLACK_DAYS = 60.0
 
 
 def _default_grid() -> GridSpec:
@@ -67,10 +72,10 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
-        gains = (self.g_large, self.g_medium, self.g_small)
-        if self.regime in ("STABLE", "BLUR", "DRIFT"):
-            if any(g > 1.0 for g in gains):
-                raise ValueError(f"{self.regime} requires all per-band gains <= 1")
+        if not (abs(self.g_large) <= 1.0 and abs(self.g_medium) <= 1.0):  # NaN fails too
+            raise ValueError(f"{self.regime} requires |g_large| and |g_medium| <= 1")
+        if self.regime in ("STABLE", "DRIFT", "BLOWUP") and not abs(self.g_small) <= 1.0:
+            raise ValueError(f"{self.regime} requires |g_small| <= 1")
         if self.regime == "DRIFT":
             if self.tau_days is None or self.tau_days <= 0:
                 raise ValueError("DRIFT requires a positive tau_days")
@@ -79,10 +84,8 @@ class RegimeConfig:
                 raise ValueError("BLOWUP requires growth_rate (delta) > 0")
             if self.onset_day is None or self.onset_day < 0:
                 raise ValueError("BLOWUP requires onset_day >= 0")
-            if self.blowup_band not in ("large", "medium", "small"):
-                raise ValueError("blowup_band must be large, medium, or small")
-            if any(g > 1.0 for g in gains):
-                raise ValueError("BLOWUP base gains must be <= 1 before onset")
+            if self.blowup_band not in BANDS:
+                raise ValueError(f"blowup_band must be one of {BANDS}")
         if self.regime == "BLUR" and not abs(self.g_small) < 1.0:
             raise ValueError("BLUR requires |g_small| < 1")
         if self.regime == "SHARPEN":
@@ -113,8 +116,7 @@ def _grid_from_dict(g) -> GridSpec:
         check_keys(g, ("n_lat", "n_lon"), "grid")
         return GridSpec.regular(*(json_value(g[k], "int", k) for k in ("n_lat", "n_lon")))
     check_keys(g, ("lats", "lons"), "grid", optional=("earth_radius_km",))
-    lats, lons = (np.array([json_value(x, "float", k) for x in json_value(g[k], "list", k)])
-                  for k in ("lats", "lons"))
+    lats, lons = (numbers_of(g[k], k) for k in ("lats", "lons"))
     radius = json_value(g.get("earth_radius_km", EARTH_RADIUS_KM), "float", "earth_radius_km")
     return GridSpec(lats=lats, lons=lons, earth_radius_km=float(radius))
 
@@ -135,10 +137,7 @@ def config_from_dict(d: dict) -> RegimeConfig:
     if "variables" in d:
         d["variables"] = names_of(d["variables"], "variables")
     if "epoch" in d:
-        try:
-            d["epoch"] = datetime.fromisoformat(d["epoch"])
-        except (TypeError, ValueError):
-            raise ValueError(f"epoch: expected an ISO-8601 string, got {d['epoch']!r}") from None
+        d["epoch"] = utc_time(d["epoch"], "epoch")
     return RegimeConfig(**d)
 
 
@@ -291,7 +290,6 @@ class GroundTruthLabels:
 
     def expected_seasonality_window(
         self, envelope: ClimatologyEnvelope, multiplier: float = 2.0,
-        slack_days: float = 60.0,
     ) -> tuple[float, float] | None:
         """DRIFT oracle: solve a * exp(-t/tau) = multiplier * mean range."""
         if self.regime != "DRIFT":
@@ -301,7 +299,7 @@ class GroundTruthLabels:
         if rbar <= 0 or a <= multiplier * rbar:
             return None
         t_star = self.tau_days * math.log(a / (multiplier * rbar))
-        return (t_star, t_star + slack_days)
+        return (t_star, t_star + _SEASONALITY_SLACK_DAYS)
 
 
 def _band_response_amplitude(cfg: RegimeConfig) -> float:
@@ -312,8 +310,7 @@ def _band_response_amplitude(cfg: RegimeConfig) -> float:
     return cfg.seasonal_amplitude * taper / (2.0 * (1.0 - cfg.g_large) * n_large)
 
 
-def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float,
-                   growth_factor: float = 10.0, slack_days: float = 5.0):
+def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float):
     v = series.variables[0]
     ext = scan(series, (v,), spectra=False, extremes=True).extremes[v]
     t_days = np.arange(series.n_time) / steps_per_day
@@ -326,12 +323,12 @@ def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: floa
         floors.append(np.abs(s[pre] - baseline).max())
     nf = float(max(floors))
     peak = 2.0 * cfg.seed_amplitude * float(np.cos(np.radians(cfg.grid.lats)).max())
-    ratio = growth_factor * nf / peak
+    ratio = BLOWUP_GROWTH_FACTOR * nf / peak
     emergence_steps = 0.0 if ratio <= 1.0 else math.ceil(
         math.log(ratio) / math.log1p(cfg.growth_rate)
     )
     emergence_days = emergence_steps / steps_per_day
-    window = (float(cfg.onset_day), float(cfg.onset_day) + emergence_days + slack_days)
+    window = (float(cfg.onset_day), float(cfg.onset_day) + emergence_days + _BLOWUP_SLACK_DAYS)
     return window, emergence_days, nf
 
 

@@ -8,9 +8,11 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rollstab
-from rollstab.cli import main
+from rollstab import perturb, spectra, synth
+from rollstab.cli import _apply_config, build_parser, main
 from rollstab import GridSpec, RegimeConfig, RolloutSeries, generate, write_rollout
 from rollstab.gridio import write_series_csv
 from rollstab.synth import config_to_dict, load_config
@@ -137,6 +139,39 @@ class TestSynthInputsRejected:
         out = tmp_path / "c.rgf"
         assert run_cli("synth", "--regime-config", cfg, "--horizon-days", "60", "-o", out) == 2
         assert capsys.readouterr().err == f"rollstab: {cfg}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--g-large", "-1.5"], "STABLE requires |g_large| and |g_medium| <= 1"),
+        (["--regime", "SHARPEN", "--g-small", "1.1", "--cap", "10", "--g-medium", "1.5"],
+         "SHARPEN requires |g_large| and |g_medium| <= 1"),
+        (["--regime", "DRIFT", "--tau-days", "30", "--g-small", "-1.5"],
+         "DRIFT requires |g_small| <= 1"),
+    ])
+    def test_gains_bounded_in_magnitude(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "g.rgf"
+        assert run_cli("synth", *flags, "--grid", "4x384", "--horizon-days", "60",
+                       "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert not out.exists()
+
+    def test_start_time_with_utc_offset_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.rgf"
+        assert run_cli("synth", "--start-time", "2021-01-01T00:00:00+05:00", "--grid", "4x8",
+                       "--horizon-days", "60", "-o", out) == 2
+        assert capsys.readouterr().err == (
+            "rollstab: --start-time: 2021-01-01T00:00:00+05:00 carries a UTC offset; "
+            "give the UTC time without one\n")
+        assert not out.exists()
+
+    def test_epoch_with_utc_offset_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"regime": "STABLE", "grid": {"n_lat": 4, "n_lon": 8},
+                                   "epoch": "2021-01-01T00:00:00+05:00"}))
+        out = tmp_path / "c.rgf"
+        assert run_cli("synth", "--regime-config", cfg, "--horizon-days", "60", "-o", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"rollstab: {cfg}: epoch: 2021-01-01T00:00:00+05:00 carries a UTC offset")
         assert not out.exists()
 
 
@@ -353,6 +388,14 @@ class TestPerturbCommand:
         assert f"clock {clock}" in err and "epoch 2021-01-01T00:00:00" in err, err
         assert not out.exists()
 
+    def test_start_time_with_utc_offset_exit_2(self, tmp_path, synth_files, capsys):
+        out = tmp_path / "x.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "3",
+                       "--start-time", "2021-01-01T00:00:00+05:00", "-o", out) == 2
+        assert "--start-time: 2021-01-01T00:00:00+05:00 carries a UTC offset" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_shift_brings_an_early_clock_to_the_epoch(self, tmp_path, synth_files):
         # the shifted clock is the one a step is keyed by
         out = tmp_path / "x.rgf"
@@ -490,6 +533,19 @@ class TestExtremesCommand:
                        "--outdir", outdir) == 2
         assert capsys.readouterr().err.startswith(f"rollstab: {path}: {message}")
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", ""])
+    def test_region_name_must_be_a_file_stem(self, tmp_path, synth_files, capsys, name):
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps([{"name": name, "lat_min": -20, "lat_max": 20,
+                                     "lon_min": 0, "lon_max": 360}]))
+        outdir = tmp_path / "out" / "sub"
+        assert run_cli("extremes", "--input", synth_files["pred"], "--reference",
+                       synth_files["ref"], "--variable", "T2m", "--regions", path,
+                       "--outdir", outdir) == 2
+        assert capsys.readouterr().err.startswith(
+            f"rollstab: {path}: region {name!r}: name must be a plain file-name stem")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMemorizeCommand:
@@ -1099,3 +1155,137 @@ class TestCliSurface:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "rollstab" in res.stdout
+
+
+def _numbers():
+    return st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+_START_TIMES = st.sampled_from(["2021-01-01", "2021-03-01T06:00:00"])
+# typed flags of synth and perturb with valid values; the required ones first
+_TYPED_FLAGS = {
+    "synth": ({"horizon-days": st.integers(60, 10**4) | st.floats(60, 1e4)}, {
+        "regime": st.sampled_from(synth.REGIMES), "grid": st.sampled_from(["4x8", "16x240"]),
+        "variables": st.sampled_from(["T2m", "T2m,Z500"]), "g-large": _numbers(),
+        "g-small": _numbers(), "tau-days": _numbers(), "noise": _numbers(),
+        "noise-small": _numbers(), "blowup-band": st.sampled_from(spectra.BANDS),
+        "start-time": _START_TIMES, "step-seconds": st.integers(1, 86400),
+        "seed": st.integers(0, 2**32 - 1), "labels": st.just("l.json"),
+    }),
+    "perturb": ({"adapter": st.just("synth:cfg.json"), "steps": st.integers(0, 10**4)}, {
+        "kind": st.sampled_from(["white", "grf", "pure_noise"]), "k": _numbers(),
+        "correlation-length": _numbers(), "target": st.sampled_from(perturb.TARGETS),
+        "time-shift-days": _numbers(), "stats-from": st.just("ref.rgf"),
+        "start-time": _START_TIMES, "step-seconds": st.integers(1, 86400),
+        "seed": st.integers(0, 2**32 - 1),
+    }),
+}
+
+
+class TestConfigFile:
+    """``--config`` values are spliced in as flags, so argparse checks each one."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["synth", "--grid", "4x8", "--horizon-days", "60"], {"labels": True}),
+        (["synth", "--grid", "4x8"], {"horizon-days": [60]}),
+        (["synth", "--horizon-days", "60"], {"grid": 16}),
+        (["perturb", "--adapter", "synth:CFG"], {"steps": 2.5}),
+        (["perturb", "--adapter", "synth:CFG", "--steps", "1", "--stats-from", "REF"],
+         {"kind": "WHITE"}),
+    ], ids=["bool_for_path", "list", "number_for_grid", "float_for_int", "bad_choice"])
+    def test_value_checked_as_its_flag(self, tmp_path, synth_files, argv, config):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "x.rgf"
+        argv = [a.replace("CFG", str(synth_files["cfg"])).replace("REF", str(synth_files["pred"]))
+                for a in argv]
+        res = subprocess.run([sys.executable, "-m", "rollstab.cli", *argv, "--config", str(conf),
+                              "-o", str(out)], capture_output=True, text=True)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr and next(iter(config)) in res.stderr, res.stderr
+        assert res.stdout == ""
+        assert not out.exists()
+
+    def test_true_or_false_selects_a_switch(self, tmp_path, synth_files):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"daily": True}))
+        spectra_argv = ["spectra", "--input", synth_files["pred"], "--variable", "T2m", "-o"]
+        assert run_cli(*spectra_argv, tmp_path / "a.csv", "--config", conf) == 0
+        assert run_cli(*spectra_argv, tmp_path / "b.csv", "--daily") == 0
+        rows = [[l for l in (tmp_path / f).read_text().splitlines() if not l.startswith("#")]
+                for f in ("a.csv", "b.csv")]
+        assert rows[0] == rows[1]
+
+        conf.write_text(json.dumps({"match-window": False}))
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps([{"name": "tropics", "lat_min": -20, "lat_max": 20,
+                                        "lon_min": 0, "lon_max": 360}]))
+        extremes_argv = ["extremes", "--input", synth_files["pred"], "--reference",
+                         synth_files["ref"], "--variable", "T2m", "--regions", regions,
+                         "--outdir"]
+        summaries = []
+        for d, extra in (("c", ["--config", conf]), ("f", ["--no-match-window"]), ("w", [])):
+            assert run_cli(*extremes_argv, tmp_path / d, *extra) == 0
+            summaries.append(json.loads((tmp_path / d / "summary.json").read_text()))
+        assert summaries[0]["manifest"]["params"]["match_window"] is False
+        assert summaries[0]["regions"] == summaries[1]["regions"] != summaries[2]["regions"]
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("spectra", {"daily": "yes"}), ("spectra", {"daily": 1}),
+        ("extremes", {"match-window": 0}),
+    ])
+    def test_switch_takes_only_true_or_false(self, tmp_path, synth_files, capsys, subcommand,
+                                             config):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = {"spectra": ["-o", out],
+                "extremes": ["--reference", synth_files["ref"], "--outdir", out]}[subcommand]
+        assert run_cli(subcommand, "--config", conf, "--input", synth_files["pred"],
+                       "--variable", "T2m", *argv) == 2
+        key, value = next(iter(config.items()))
+        assert capsys.readouterr().err == (
+            f"rollstab: {conf}: config key {key!r}: expected true or false, got {value!r}\n")
+        assert not out.exists()
+
+    def test_integer_for_a_float_flag_is_recorded_as_a_float(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"horizon-days": 60, "grid": "4x8"}))
+        out = tmp_path / "x.rgf"
+        assert run_cli("synth", "--config", conf, "-o", out) == 0
+        horizon = rollstab.read_rollout(out).attrs["manifest"]["params"]["horizon_days"]
+        assert horizon == 60.0 and isinstance(horizon, float)
+
+    def test_null_keeps_the_default_and_the_command_line_wins(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"horizon-days": 60, "grid": "4x8", "seed": None,
+                                    "init-std": 2.0}))
+        out = tmp_path / "x.rgf"
+        assert run_cli("synth", "--config", conf, "--init-std", "0.5", "-o", out) == 0
+        params = rollstab.read_rollout(out).attrs["manifest"]["params"]
+        assert (params["seed"], params["init_std"]) == (0, 0.5)
+
+    def test_positional_is_not_a_config_key(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"reports": ["a.json"]}))
+        assert run_cli("aggregate", "--config", conf, "b.json", "-o", tmp_path / "x.json") == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: {conf}: config key 'reports' is not a flag of 'rollstab aggregate'\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("subcommand", sorted(_TYPED_FLAGS))
+    def test_config_parses_like_the_command_line(self, tmp_path_factory, subcommand, data):
+        required, optional = _TYPED_FLAGS[subcommand]
+        values = data.draw(st.fixed_dictionaries(required, optional=optional))
+        conf = tmp_path_factory.getbasetemp() / f"{subcommand}-conf.json"
+        conf.write_text(json.dumps(values))
+        parser, sps = build_parser()
+        argv = [subcommand, "--config", str(conf), "-o", "o.rgf"]
+        _apply_config(argv, sps)
+        from_config = vars(parser.parse_args(argv))
+        typed = [f"--{key}={value}" for key, value in values.items()]
+        from_flags = vars(build_parser()[0].parse_args([subcommand, *typed, "-o", "o.rgf"]))
+        # equal values of equal types: the manifest records 60 and 60.0 differently
+        assert ({k: (type(v), v) for k, v in from_config.items()}
+                == {k: (type(v), v) for k, v in (from_flags | {"config": str(conf)}).items()})

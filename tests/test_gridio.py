@@ -152,6 +152,12 @@ class TestRolloutSeries:
         with pytest.raises(IncompleteFieldError):
             require_finite(r, "b")
 
+    def test_rejects_start_time_with_utc_offset(self, small_grid):
+        start = datetime.fromisoformat("2021-01-01T00:00:00+05:00")
+        with pytest.raises(ValueError, match=re.escape(
+                "start_time: 2021-01-01T00:00:00+05:00 carries a UTC offset")):
+            make_series(small_grid, np.zeros((1, 1, 8, 16)), start=start)
+
     def test_timestamps(self, small_grid):
         r = make_series(small_grid, np.zeros((3, 1, 8, 16)))
         ts = r.timestamps
@@ -241,6 +247,36 @@ class TestMalformedRGF:
         _rewrite_header(p, **changes)
         with pytest.raises(FormatError, match=re.escape(str(p))):
             read_rollout(p)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"step_seconds": 21600.9}, "step_seconds: expected int, got 21600.9"),
+        ({"step_seconds": "21600"}, "step_seconds: expected int, got '21600'"),
+        ({"n_time": 12.7}, "n_time: expected int, got 12.7"),  # the series has 12 steps
+        ({"variables": "T"}, "variables must be a list of names"),
+        ({"units": "K"}, "header: unknown key 'units'"),
+        ({"fill_value": "1e20"}, "fill_value: expected float, got '1e20'"),
+        ({"start_time": "2021-01-01T00:00:00+05:00"},
+         "start_time: 2021-01-01T00:00:00+05:00 carries a UTC offset"),
+    ], ids=["step_float", "step_str", "n_time_float", "variables_str", "unknown_key",
+            "fill_str", "start_offset"])
+    def test_header_is_read_strictly(self, tmp_path, random_series, changes, message):
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        _rewrite_header(p, **changes)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
+            read_rollout(p)
+
+    @pytest.mark.parametrize("key", ["earth_radius_km", "fill_value", "attrs"])
+    def test_optional_header_keys(self, tmp_path, random_series, key):
+        p = tmp_path / "x.rgf"
+        write_rollout(random_series, p)
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        header = json.loads(raw[12 : 12 + hlen])
+        del header[key]
+        blob = json.dumps(header).encode()
+        p.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + raw[12 + hlen :])
+        assert np.array_equal(read_rollout(p).data, random_series.data)
 
     def test_nan_payload_without_fill_value(self, tmp_path, random_series):
         p = tmp_path / "x.rgf"

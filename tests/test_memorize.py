@@ -64,6 +64,22 @@ class TestDistanceRatio:
             distance_ratio(np.zeros((1, 8, 16), dtype=np.float32),
                            datetime(2021, 1, 1), idx)
 
+    @pytest.mark.parametrize("index_day, inside, outside", [
+        (datetime(2021, 3, 1), datetime(2020, 3, 11), datetime(2020, 3, 12)),
+        (datetime(2020, 3, 11), datetime(2021, 3, 1), datetime(2021, 2, 28)),
+    ], ids=["common-year index", "leap-year index"])
+    def test_window_counts_calendar_days_across_leap_years(self, index_day, inside, outside):
+        """Feb 29 counts as Feb 28, so Mar 11 is ten days from Mar 1 in any year."""
+        rng = np.random.default_rng(12)
+        train = make_series(GridSpec.regular(8, 16), rng.standard_normal((2, 1, 8, 16)),
+                            start=index_day, step_seconds=21600)  # two snapshots that day
+        idx = build_index(train)
+        sample = np.zeros((1, 8, 16), dtype=np.float32)
+        res = distance_ratio(sample, inside, idx)
+        assert {res.first_id, res.second_id} == {str(t) for t in train.timestamps}
+        with pytest.raises(TooFewCandidatesError):
+            distance_ratio(sample, outside, idx)
+
     def test_far_snapshot_does_not_change_ratio(self):
         train = training_series(n_days=60, seed=6)
         idx = build_index(train)
