@@ -280,15 +280,15 @@ def cmd_cycle_rmse(args) -> int:
     return 0
 
 
-def _load_adapter(spec_str: str, init_series, step_seconds: int):
+def _load_adapter(spec_str: str, init, step_seconds: int):
     kind, _, path = spec_str.partition(":")
     if kind == "synth":
         cfg = synth.load_config(path)
         return perturb.SynthAdapter(cfg, step_seconds=step_seconds), path
     if kind == "external":
-        if init_series is None:
+        if init is None:
             raise ValueError("external adapters need --init to define the grid")
-        return perturb.ExternalProcessAdapter(path, init_series.grid, step_seconds), path
+        return perturb.ExternalProcessAdapter(path, init.grid, step_seconds), path
     raise ValueError(f"unknown adapter kind {kind!r}; use synth:FILE or external:FILE")
 
 
@@ -301,13 +301,18 @@ _KIND_DEFAULTS = {"stats_from": None, **_SPEC_DEFAULTS}
 def cmd_perturb(args) -> int:
     _check_unused(args, _KIND_DEFAULTS, args.kind,
                   "only used with --kind; give --kind or drop them")
-    init_series = gridio.read_rollout(args.init) if args.init else None
-    adapter, adapter_path = _load_adapter(args.adapter, init_series, args.step_seconds)
+    init = None
+    if args.init:  # frame 0 is the initial state; the rest is walked for the digest
+        with gridio.RolloutFile(args.init) as init:
+            walk = init.blocks(perturb.block_rows(init))
+            state = next(walk)[0].astype(np.float64)
+            for _ in walk:
+                pass
+    adapter, adapter_path = _load_adapter(args.adapter, init, args.step_seconds)
 
-    if init_series is not None:
-        state = init_series.data[0].astype(np.float64)
-        start = init_series.start_time
-        if tuple(init_series.variables) != adapter.all_variables:
+    if init is not None:
+        start = init.start_time
+        if tuple(init.variables) != adapter.all_variables:
             raise ValueError("init file variables do not match the adapter")
     else:  # only a synth adapter runs without --init
         state = adapter.initial_state()
@@ -325,18 +330,20 @@ def cmd_perturb(args) -> int:
                                         **{f: getattr(args, f) for f in _SPEC_DEFAULTS})
         if not args.stats_from:
             raise ValueError("--stats-from REF.rgf is required with --kind")
-        ref = gridio.read_rollout(args.stats_from)
-        stats = {v: perturb.variable_stats(ref, v) for v in adapter.all_variables
-                 if v in ref.variables}
+        with gridio.RolloutFile(args.stats_from) as ref:
+            stats = perturb.pooled_stats(ref, [v for v in adapter.all_variables
+                                               if v in ref.variables])
 
-    out = perturb.run_rollout(adapter, state, start, args.steps, spec=spec, stats=stats,
-                              time_shift_days=args.time_shift_days)
-    out.attrs["manifest"] = _manifest(args, {
-        "init": init_series and (args.init, init_series.sha256),
+    manifest = _manifest(args, {
+        "init": init and (args.init, init.sha256),
         "adapter": adapter_path,
         "stats_from": ref and (args.stats_from, ref.sha256),
     })
-    gridio.write_rollout(out, args.output)
+    with gridio.RolloutWriter(args.output, adapter.grid, adapter.all_variables, start,
+                              args.steps + 1, adapter.step_seconds,
+                              attrs={"manifest": manifest}) as out:
+        perturb.run_rollout(adapter, state, start, args.steps, spec=spec, stats=stats,
+                            time_shift_days=args.time_shift_days, sink=out)
     return 0
 
 
@@ -617,11 +624,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _apply_config(argv: list[str], sps: dict) -> None:
     """Splice the ``--config FILE`` JSON into ``argv`` as flags right after the
-    subcommand, so argparse checks each value as it checks the flag and a flag
-    on the command line, coming later, wins. ``true`` or ``false`` selects a
-    flag that takes no value, ``null`` keeps the default, and any other value
-    is a JSON string or number. Any other spelling of ``--config``, and any
-    key that is not a flag of the subcommand, is rejected rather than ignored.
+    subcommand, so a flag on the command line, coming later, wins. ``true`` or
+    ``false`` selects a flag that takes no value, ``null`` keeps the default,
+    and any other value is a JSON string or number, checked by its flag's
+    type and choices as argparse checks them, with an error naming FILE. Any
+    other spelling of ``--config``, and any key that is not a flag of the
+    subcommand, is rejected rather than ignored.
     """
     for tok in argv:
         opt = tok.partition("=")[0]
@@ -655,6 +663,10 @@ def _apply_config(argv: list[str], sps: dict) -> None:
         if switch and value == flag.const:
             tokens.append(opt)
         elif not switch and value is not None:
+            try:  # argparse's own check, here where the file can be named
+                sp._check_value(flag, sp._get_value(flag, str(value)))
+            except argparse.ArgumentError as e:
+                raise ValueError(f"{path}: config key {key!r}: {e}") from None
             tokens.append(f"{opt}={value}")  # with '=', a value like -1e-05 is not a flag
     j = argv.index(name) + 1
     argv[j:j] = tokens

@@ -9,13 +9,17 @@ row-major order.
 :meth:`RolloutFile.blocks` reads the payload into one reused buffer and
 hashes each block on one helper thread while the caller works on it: a
 block is read-only until the next one is taken, which refills the buffer.
+:class:`RolloutWriter` writes a file frame by frame, header first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
+import shutil
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -484,30 +488,109 @@ def folded_doy(dates: np.ndarray) -> np.ndarray:
 # RGF container
 
 
+class RolloutWriter:
+    """An RGF1 file written frame by frame: the one writer of every RGF file
+    rollstab makes.
+
+    The header declares ``n_time`` frames and holds ``attrs`` as they stand
+    when the first frame comes, so a caller may still add to them until then.
+    The file is opened, and the header written, with that first frame; each
+    :meth:`write` then appends float32 frames, cells that are not finite
+    replaced by ``fill_value`` (without one they are an error, raised before
+    anything is written). :meth:`close` checks the header against what was
+    written: if fewer frames came than declared, or ``attrs`` changed since,
+    the file is rewritten once through a temporary sibling with the header
+    as it stands. More frames than declared is an error. Used as a context
+    manager it closes on success and removes the file on an exception, so a
+    run that fails leaves no file.
+    """
+
+    def __init__(self, path, grid: GridSpec, variables, start_time: datetime, n_time: int,
+                 step_seconds: int = 21600, fill_value: float | None = None,
+                 attrs: dict | None = None):
+        self.path, self.grid, self.variables = path, grid, tuple(variables)
+        self.start_time, self.n_time, self.step_seconds = start_time, n_time, step_seconds
+        self.fill_value = fill_value
+        self.attrs = {} if attrs is None else attrs
+        self.n_written = 0
+        self._f = None
+
+    def _head(self, n_time: int) -> bytes:
+        """Magic, length and JSON header of a file holding ``n_time`` frames."""
+        shape = (n_time, len(self.variables), self.grid.n_lat, self.grid.n_lon)
+        _check_layout(shape, self.grid, self.variables, self.start_time, self.step_seconds,
+                      self.fill_value, self.attrs)
+        header = {
+            "n_time": int(n_time),
+            "n_var": len(self.variables),
+            "n_lat": int(self.grid.n_lat),
+            "n_lon": int(self.grid.n_lon),
+            "variables": list(self.variables),
+            **self.grid.to_dict(),
+            "start_time": self.start_time.isoformat(),
+            "step_seconds": int(self.step_seconds),
+            "fill_value": None if self.fill_value is None else float(self.fill_value),
+            "attrs": self.attrs,
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        return _MAGIC + struct.pack("<Q", len(blob)) + blob
+
+    def write(self, frames: np.ndarray) -> None:
+        """Append one (variable, lat, lon) frame or a (time, variable, lat, lon)
+        block. The block is written a frame at a time, so a fill substitution
+        or a contiguous copy never spans more than one frame."""
+        frame = (len(self.variables), self.grid.n_lat, self.grid.n_lon)
+        frames = np.asarray(frames, dtype=np.float32)
+        if frames.shape == frame:
+            frames = frames[None]
+        if frames.shape[1:] != frame:
+            raise ValueError(f"{self.path}: frames of shape {frames.shape[1:]} do not match "
+                             f"the header's {frame}")
+        if self.n_written + frames.shape[0] > self.n_time:
+            raise ValueError(f"{self.path}: more than the {self.n_time} frames declared")
+        if self.fill_value is None:
+            _check_values(frames, None)
+        if self._f is None:
+            self._written_head = self._head(self.n_time)
+            self._f = open(self.path, "wb")
+            self._f.write(self._written_head)
+        for step in frames:
+            if self.fill_value is not None:
+                step = np.where(np.isfinite(step), step, np.float32(self.fill_value))
+            self._f.write(np.ascontiguousarray(step, dtype="<f4"))
+        self.n_written += frames.shape[0]
+
+    def close(self) -> None:
+        """Finish the file, rewriting it if its header no longer holds."""
+        if self._f is None:
+            raise ValueError(f"{self.path}: no frame was written")
+        self._f.close()
+        head = self._head(self.n_written)
+        if head != self._written_head:
+            tmp = f"{self.path}.tmp"
+            with open(self.path, "rb") as src, open(tmp, "wb") as dst:
+                src.seek(len(self._written_head))
+                dst.write(head)
+                shutil.copyfileobj(src, dst, 1 << 20)
+            os.replace(tmp, self.path)
+
+    def __enter__(self) -> "RolloutWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        elif self._f is not None:  # a failed run leaves no file
+            self._f.close()
+            os.remove(self.path)
+
+
 def write_rollout(r: RolloutSeries, path) -> None:
-    """Write the series as an RGF1 file, one time step (fill value substituted)
-    at a time, so the payload is never copied whole. Round-trip is bit-exact."""
-    header = {
-        "n_time": int(r.n_time),
-        "n_var": len(r.variables),
-        "n_lat": int(r.grid.n_lat),
-        "n_lon": int(r.grid.n_lon),
-        "variables": list(r.variables),
-        **r.grid.to_dict(),
-        "start_time": r.start_time.isoformat(),
-        "step_seconds": int(r.step_seconds),
-        "fill_value": None if r.fill_value is None else float(r.fill_value),
-        "attrs": r.attrs,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for block in r.blocks(1):
-            if r.fill_value is not None:
-                block = np.where(np.isfinite(block), block, np.float32(r.fill_value))
-            f.write(np.ascontiguousarray(block, dtype="<f4"))
+    """Write the series as an RGF1 file through :class:`RolloutWriter`, which
+    never copies the payload whole. Round-trip is bit-exact."""
+    with RolloutWriter(path, r.grid, r.variables, r.start_time, r.n_time, r.step_seconds,
+                       r.fill_value, r.attrs) as w:
+        w.write(r.data)
 
 
 class RolloutFile(_Rollout):
@@ -664,19 +747,39 @@ def read_rollout(path) -> RolloutSeries:
 # ---------------------------------------------------------------------------
 # 1-D series CSV
 
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a (timestamp, value) CSV. Lines starting with '#' are skipped."""
+    """Read a series CSV as :func:`write_series_csv` writes it: lines starting
+    with '#' and blank lines are skipped, the first other line is the header
+    ``timestamp,value``, and every row after it holds exactly a UTC
+    ISO-8601 time with no offset and a finite decimal number. Anything else
+    raises ValueError naming the file and the line."""
     times, values = [], []
+    header = False
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            first, _, rest = line.partition(",")
-            if first == "timestamp":
-                continue
-            times.append(np.datetime64(first, "s"))
-            values.append(float(rest.split(",")[0]))
+            try:
+                if not header:
+                    if line != "timestamp,value":
+                        raise ValueError(f"expected the header 'timestamp,value', got {line!r}")
+                    header = True
+                    continue
+                cells = line.split(",")
+                if len(cells) != 2:
+                    raise ValueError(f"expected 2 cells (timestamp,value), got {len(cells)}")
+                t = utc_time(cells[0], "timestamp")
+                v = float(cells[1]) if _NUMBER.fullmatch(cells[1]) else math.inf
+                if not math.isfinite(v):
+                    raise ValueError(f"value: expected a finite number, got {cells[1]!r}")
+            except ValueError as e:
+                raise ValueError(f"{path}, line {n}: {e}") from None
+            times.append(np.datetime64(t, "s"))
+            values.append(v)
     if not times:
         raise ValueError(f"{path}: no data rows")
     return np.array(times, dtype="datetime64[s]"), np.array(values, dtype=np.float64)

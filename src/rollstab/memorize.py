@@ -22,7 +22,7 @@ from .gridio import (
     folded_doy,
     require_finite,
 )
-from .perturb import variable_stats
+from .perturb import pooled_stats
 
 MEMORIZED_THRESHOLD = 0.5
 
@@ -63,7 +63,7 @@ def build_index(training: RolloutSeries, variables: tuple[str, ...] | None = Non
     ts = training.timestamps
     dim = len(variables) * training.grid.n_lat * training.grid.n_lon
     idx = NeighborIndex(
-        stats={v: variable_stats(training, v) for v in variables},  # rejects fill cells first
+        stats=pooled_stats(training, variables),  # rejects fill cells first
         vectors=np.empty((training.n_time, dim), dtype=np.float32),
         doys=folded_doy(ts),
         ids=tuple(str(t) for t in ts),
@@ -107,9 +107,9 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
             f"only {cand.size} training snapshots within {window_days} days of "
             f"day-of-year {sample_doy}; need at least 2"
         )
-    vec = index.embed(sample_fields)
-    diff = index.vectors[cand].astype(np.float64) - vec.astype(np.float64)
-    dists = np.sqrt((diff * diff).sum(axis=1))
+    diff = index.vectors[cand].astype(np.float64)  # the one (candidates, dim) temporary
+    diff -= index.embed(sample_fields)
+    dists = np.sqrt(np.square(diff, out=diff).sum(axis=1))
     order = np.lexsort((cand, dists))  # distance, then snapshot index for ties
     i1, i2 = cand[order[0]], cand[order[1]]
     d1, d2 = float(dists[order[0]]), float(dists[order[1]])

@@ -11,6 +11,7 @@ replacement by pure noise with the reference's scalar (mu, sigma).
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -21,16 +22,19 @@ import numpy as np
 
 from .gridio import (
     GridSpec,
+    IncompleteFieldError,
+    RolloutFile,
     RolloutSeries,
+    RolloutWriter,
     cell_weights,
     check_keys,
     json_value,
     names_of,
     read_json,
     read_rollout,
-    require_finite,
     write_rollout,
 )
+from . import spectra
 from .synth import RegimeConfig, Stepper, initial_state
 
 KINDS = ("WHITE", "GRF", "PURE_NOISE")
@@ -58,10 +62,58 @@ class PerturbationSpec:
             raise ValueError(f"target must be one of {TARGETS}")
 
 
-def variable_stats(reference: RolloutSeries, v: str) -> tuple[float, float]:
-    """Scalar mean and std of a variable pooled over all pixels and steps."""
-    vals = require_finite(reference, v)
-    return float(vals.mean()), float(vals.std())
+def block_rows(source: RolloutSeries | RolloutFile) -> int:
+    """Time steps per block of a walk over whole frames: the float32 block and
+    a float64 copy of one of its variables fit in BLOCK_BYTES together."""
+    cells = source.grid.n_lat * source.grid.n_lon
+    return max(1, spectra.BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
+
+
+def pooled_stats(source: RolloutSeries | RolloutFile, variables) -> dict[str, tuple[float, float]]:
+    """Scalar mean and std of each of ``variables``, as float64 moments
+    pooled over every cell and step of ``source``, in one walk of its time
+    blocks (so a file's digest is complete once it returns).
+
+    Each step is reduced in float64 to its sum and its squared deviation from
+    its own mean. These n_time pairs are merged by the pairwise rule of Chan,
+    Golub & LeVeque (1983), with every sum taken exactly by
+    :func:`math.fsum`, so the result does not depend on the block size. A
+    fill cell raises :class:`IncompleteFieldError` at the first block that
+    holds one, naming the first such variable in ``variables`` order.
+    """
+    idx = {v: source.index_of(v) for v in variables}
+    cells = source.grid.n_lat * source.grid.n_lon
+    sums = {v: np.empty(source.n_time) for v in idx}
+    sq_devs = {v: np.empty(source.n_time) for v in idx}
+    rows = block_rows(source)
+    buf = np.empty((min(rows, source.n_time), cells))
+    s = 0
+    walk = source.blocks(rows)
+    for block in walk:
+        e = s + block.shape[0]
+        x = buf[: e - s]
+        for v, i in idx.items():
+            np.copyto(x, block[:, i].reshape(e - s, cells))
+            row_sums = sums[v][s:e] = x.sum(axis=1)
+            if not np.isfinite(row_sums).all():  # NaN marks a fill cell
+                walk.close()  # ends a file walk's hashing thread now
+                raise IncompleteFieldError(v)
+            x -= (row_sums / cells)[:, None]
+            np.square(x, out=x)
+            sq_devs[v][s:e] = x.sum(axis=1)
+        s = e
+    n = source.n_time * cells
+    stats = {}
+    for v in idx:
+        mu = math.fsum(sums[v]) / n
+        between = cells * math.fsum((sums[v] / cells - mu) ** 2)
+        stats[v] = (mu, math.sqrt((math.fsum(sq_devs[v]) + between) / n))
+    return stats
+
+
+def variable_stats(source: RolloutSeries | RolloutFile, v: str) -> tuple[float, float]:
+    """Scalar mean and std of one variable, by :func:`pooled_stats`."""
+    return pooled_stats(source, (v,))[v]
 
 
 def gaussian_random_field(shape: tuple[int, int], correlation_length: float,
@@ -228,6 +280,20 @@ class ExternalProcessAdapter(ModelAdapter):
 # rollout loop and comparisons
 
 
+class _Frames:
+    """:func:`run_rollout`'s in-memory frame sink: one float32 (n_time,
+    variable, lat, lon) array, filled from the front."""
+
+    def __init__(self, n_time: int, frame: tuple[int, int, int]):
+        self.data = np.empty((n_time, *frame), dtype=np.float32)
+        self.attrs: dict = {}
+        self.n_written = 0
+
+    def write(self, frame: np.ndarray) -> None:
+        self.data[self.n_written] = frame
+        self.n_written += 1
+
+
 def run_rollout(
     adapter: ModelAdapter,
     init_state: np.ndarray,
@@ -236,18 +302,27 @@ def run_rollout(
     spec: PerturbationSpec | None = None,
     stats: dict[str, tuple[float, float]] | None = None,
     time_shift_days: float | None = None,
-) -> RolloutSeries:
+    sink: RolloutWriter | None = None,
+) -> RolloutSeries | None:
     """Feed the adapter its own output for ``n_steps`` steps of
-    ``adapter.step_seconds``, filling one float32 (n_steps + 1, variable,
-    lat, lon) array from the initial state at index 0. This is the one
+    ``adapter.step_seconds``, handing each float32 frame, the initial state
+    first, to ``sink`` as soon as it is stepped. This is the one
     time-stepping loop; :func:`rollstab.synth.generate` runs it too.
+
+    ``sink`` is a :class:`~rollstab.gridio.RolloutWriter` declared for this
+    run: the adapter's variables, ``start_time``, the adapter's step and
+    ``n_steps + 1`` frames. The run adds its ``perturbation`` to the
+    writer's ``attrs`` before the first frame, and any ``error`` after the
+    last, and returns None. Without a sink the frames fill one float32
+    (n_steps + 1, variable, lat, lon) array, returned as a
+    :class:`RolloutSeries` with those ``attrs``.
 
     The perturbation (if any) applies to the initial state only. With
     ``time_shift_days`` set, the clock handed to the adapter is offset by it
     while output timestamps stay physical; an adapter that does not support
     shifting is rejected. If the adapter fails, or returns a state of another
-    shape or a non-finite one, the completed prefix is returned with an
-    ``error`` annotation in ``attrs``.
+    shape or a non-finite one, the run stops after the completed prefix with
+    an ``error`` annotation in ``attrs``.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
@@ -255,48 +330,53 @@ def run_rollout(
     frame = (len(adapter.all_variables), adapter.grid.n_lat, adapter.grid.n_lon)
     if state.shape != frame:
         raise ValueError("initial state does not match adapter variables and grid")
+    if sink is not None and (sink.variables, sink.start_time, sink.step_seconds,
+                             sink.n_time) != (adapter.all_variables, start_time,
+                                              adapter.step_seconds, n_steps + 1):
+        raise ValueError("the sink's header does not match the run")
     shift = timedelta(0)
     if time_shift_days is not None:
         if not adapter.supports_time_shift:
             raise ValueError("adapter does not support time shifting")
         shift = timedelta(days=time_shift_days)
-    attrs: dict = {}
+    out = _Frames(n_steps + 1, frame) if sink is None else sink
     if spec is not None:
         if stats is None:
             raise ValueError("perturbation requires per-variable (mu, sigma) stats")
         state = apply_perturbation(state, spec, stats, adapter.all_variables,
                                    adapter.static_variables)
-        attrs["perturbation"] = {
+        out.attrs["perturbation"] = {
             "kind": spec.kind, "k": spec.k, "target": spec.target, "seed": spec.seed,
             "time_shift_days": time_shift_days,
         }
 
-    data = np.empty((n_steps + 1, *frame), dtype=np.float32)
-    data[0] = state
+    out.write(state.astype(np.float32))
     step = timedelta(seconds=adapter.step_seconds)
-    clock, t = start_time, 0
-    while t < n_steps:
+    clock = start_time
+    for t in range(n_steps):
         try:
             state = adapter.step(state, clock + shift)
             if np.shape(state) != frame:
                 raise ValueError(f"returned a state of shape {np.shape(state)}, not {frame}")
-        except Exception as e:  # partial series with annotation
-            attrs["error"] = f"adapter failed at step {t}: {e}"
+        except Exception as e:  # the completed prefix, annotated
+            out.attrs["error"] = f"adapter failed at step {t}: {e}"
             break
         with np.errstate(over="ignore"):  # beyond float32's range is caught below
-            data[t + 1] = state
-        if not np.isfinite(data[t + 1]).all():  # the stored frame, as float32
-            attrs["error"] = f"adapter produced non-finite fields at step {t}"
+            stored = np.asarray(state, dtype=np.float32)
+        if not np.isfinite(stored).all():  # the stored frame, as float32
+            out.attrs["error"] = f"adapter produced non-finite fields at step {t}"
             break
+        out.write(stored)
         clock += step
-        t += 1
+    if sink is not None:
+        return None
     return RolloutSeries(
         grid=adapter.grid,
         variables=adapter.all_variables,
         start_time=start_time,
-        data=data[: t + 1],
+        data=out.data[: out.n_written],
         step_seconds=adapter.step_seconds,
-        attrs=attrs,
+        attrs=out.attrs,
     )
 
 

@@ -244,6 +244,24 @@ class TestBlowupCommand:
         doc = json.loads(out.read_text())
         assert abs(doc["blowup_day"] - 60.0) <= 1.0
 
+    @pytest.mark.parametrize("row, message", [
+        ("2021-01-01T06:00:00+05:00,1.5", "timestamp: 2021-01-01T06:00:00+05:00 carries a UTC "
+                                          "offset; give the UTC time without one"),
+        ("2021-01-01T06:00:00,1.5,2", "expected 2 cells (timestamp,value), got 3"),
+        ("2021-01-01T06:00:00,high", "value: expected a finite number, got 'high'"),
+    ], ids=["utc_offset", "extra_column", "not_a_number"])
+    def test_bad_csv_row_exit_2_naming_the_file_and_line(self, tmp_path, synth_files, capsys,
+                                                         row, message):
+        bad = tmp_path / "min.csv"
+        lines = synth_files["min"].read_text().splitlines()
+        lines[2] = row  # the second data row, after the header and one row
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        assert run_cli("blowup", "--min-csv", bad, "--max-csv", synth_files["max"],
+                       "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {bad}, line 3: {message}\n"
+        assert not out.exists()
+
     def test_short_series_exit_3(self, tmp_path):
         ts = (np.datetime64("2021-01-01", "s")
               + np.arange(8) * np.timedelta64(21600, "s"))
@@ -395,6 +413,33 @@ class TestPerturbCommand:
         assert "--start-time: 2021-01-01T00:00:00+05:00 carries a UTC offset" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    def test_peak_memory_flat_in_stats_horizon_and_steps(self, tmp_path, synth_files,
+                                                         monkeypatch):
+        """The stats file is reduced block by block and the run written frame by
+        frame, so neither a longer reference nor more steps raise the peak."""
+        grid = GridSpec.regular(8, 64)  # the synth_files adapter's grid
+        rng = np.random.default_rng(0)
+        for n in (1500, 3000):
+            write_rollout(make_series(grid, rng.standard_normal((n, 1, 8, 64))),
+                          tmp_path / f"ref{n}.rgf")
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 100 * 512 * 12)  # 100 steps a block
+
+        def peak(stats_steps, steps):
+            tracemalloc.start()
+            try:
+                assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}",
+                               "--kind", "white", "--stats-from",
+                               tmp_path / f"ref{stats_steps}.rgf", "--steps", steps,
+                               "-o", tmp_path / "out.rgf") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1500, 400)  # warm caches
+        base, frame = peak(1500, 400), 512 * 4
+        assert peak(3000, 400) - base < 1500 * frame / 10, base  # 1500 more stats steps
+        assert peak(1500, 800) - base < 400 * frame / 10, base  # 400 more run steps
 
     def test_shift_brings_an_early_clock_to_the_epoch(self, tmp_path, synth_files):
         # the shifted clock is the one a step is keyed by
@@ -1204,6 +1249,22 @@ class TestConfigFile:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr and next(iter(config)) in res.stderr, res.stderr
         assert res.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"steps": 2.5}, "argument --steps: invalid int value: '2.5'"),
+        ({"kind": "WHITE"}, "argument --kind: invalid choice: 'WHITE' (choose from "
+                            "'white', 'grf', 'pure_noise')"),
+    ])
+    def test_rejected_value_names_the_file_and_flag(self, tmp_path, synth_files, capsys,
+                                                    config, message):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "x.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", "1",
+                       "--stats-from", synth_files["pred"], "--config", conf, "-o", out) == 2
+        key = next(iter(config))
+        assert capsys.readouterr().err == f"rollstab: {conf}: config key {key!r}: {message}\n"
         assert not out.exists()
 
     def test_true_or_false_selects_a_switch(self, tmp_path, synth_files):

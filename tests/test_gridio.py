@@ -19,6 +19,7 @@ from rollstab.gridio import (
     IncompleteFieldError,
     RGFError,
     RolloutFile,
+    RolloutWriter,
     TruncatedPayloadError,
     UnknownVariableError,
     cell_weights,
@@ -344,6 +345,84 @@ class TestWriteMemory:
         assert read_rollout(p).data.tobytes() == data.tobytes()
 
 
+class TestRolloutWriter:
+    """Frame by frame: the header first, rewritten only when the run ends early."""
+
+    @pytest.fixture
+    def series(self):
+        data = np.random.default_rng(3).standard_normal((6, 2, 4, 8)).astype(np.float32)
+        return RolloutSeries(grid=GridSpec.regular(4, 8), variables=("a", "b"),
+                             start_time=datetime(2021, 1, 1), data=data, attrs={"x": 1})
+
+    def writer(self, path, r, n_time=None):
+        return RolloutWriter(path, r.grid, r.variables, r.start_time,
+                             r.n_time if n_time is None else n_time, r.step_seconds,
+                             r.fill_value, dict(r.attrs))
+
+    def test_header_written_with_the_first_frame(self, tmp_path, series):
+        whole, p = tmp_path / "whole.rgf", tmp_path / "x.rgf"
+        with self.writer(p, series) as w:
+            w.attrs["y"] = 2  # attrs may change until the first frame
+            assert not p.exists()
+            w.write(series.data[:2])
+            inode = p.stat().st_ino
+            w.write(series.data[2])
+            w.write(series.data[3:])
+        assert p.stat().st_ino == inode  # written once, not rewritten
+        series.attrs["y"] = 2
+        write_rollout(series, whole)
+        assert p.read_bytes() == whole.read_bytes()
+
+    def test_early_end_rewrites_the_header(self, tmp_path, series):
+        p = tmp_path / "x.rgf"
+        with self.writer(p, series, n_time=10) as w:
+            w.write(series.data[:4])
+            inode = p.stat().st_ino
+            w.attrs["error"] = "stopped"
+        assert p.stat().st_ino != inode
+        back = read_rollout(p)
+        assert back.n_time == 4 and back.attrs == {"x": 1, "error": "stopped"}
+        assert back.data.tobytes() == series.data[:4].tobytes()
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["x.rgf"]
+
+    def test_exception_leaves_no_file(self, tmp_path, series):
+        p = tmp_path / "x.rgf"
+        for frames in (0, 3):
+            with pytest.raises(RuntimeError), self.writer(p, series) as w:
+                if frames:
+                    w.write(series.data[:frames])
+                raise RuntimeError("run failed")
+            assert not p.exists()
+
+    def test_bad_frames_rejected(self, tmp_path, series):
+        p = tmp_path / "x.rgf"
+        nan = series.data[:1].copy()
+        nan[0, 1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite values present but no fill value"):
+            with self.writer(p, series) as w:
+                w.write(nan)
+        assert not p.exists()
+        with pytest.raises(ValueError, match="more than the 2 frames declared"):
+            with self.writer(p, series, n_time=2) as w:
+                w.write(series.data[:3])
+        with pytest.raises(ValueError, match=r"frames of shape \(1, 4, 8\)"):
+            with self.writer(p, series) as w:
+                w.write(series.data[:, :1])
+        with pytest.raises(ValueError, match="no frame was written"):
+            with self.writer(p, series):
+                pass
+
+    def test_fill_value_substituted(self, tmp_path, series):
+        p = tmp_path / "x.rgf"
+        series.data[2, 0, 1, 1] = np.nan
+        with RolloutWriter(p, series.grid, series.variables, series.start_time, 6,
+                           fill_value=-9e30) as w:
+            w.write(series.data)
+        back = read_rollout(p)
+        assert back.fill_value == -9e30 and np.isnan(back.data[2, 0, 1, 1])
+        assert np.array_equal(back.data, series.data, equal_nan=True)
+
+
 class TestRolloutFile:
     """The block reader: the same values, checks and digest as a whole read."""
 
@@ -618,6 +697,32 @@ class TestDailyHelpers:
 
 
 class TestSeriesCSV:
+    @pytest.mark.parametrize("row, message", [
+        ("2021-01-01T00:00:00+05:00,1.5",
+         "line 3: timestamp: 2021-01-01T00:00:00+05:00 carries a UTC offset"),
+        ("2021-01-01T00:00:00,1.5,7", "line 3: expected 2 cells (timestamp,value), got 3"),
+        ("2021-01-01T00:00:00", "line 3: expected 2 cells (timestamp,value), got 1"),
+        ("2021-01-01T00:00:00,1.5x", "line 3: value: expected a finite number, got '1.5x'"),
+        ("2021-01-01T00:00:00,nan", "line 3: value: expected a finite number, got 'nan'"),
+        ("2021-01-01T00:00:00,1e999", "line 3: value: expected a finite number, got '1e999'"),
+        ("2021-01-01T00:00:00,1_0", "line 3: value: expected a finite number, got '1_0'"),
+        ("2021-13-01T00:00:00,1.5", "line 3: timestamp: expected an ISO-8601 string"),
+    ])
+    def test_bad_row_names_the_file_and_line(self, tmp_path, row, message):
+        p = tmp_path / "s.csv"
+        p.write_text(f"# a comment\ntimestamp,value\n{row}\n2021-01-01T06:00:00,2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}, {message}")):
+            read_series_csv(p)
+
+    @pytest.mark.parametrize("header", ["timestamp,value,extra", "time,value",
+                                        "2021-01-01T00:00:00,1.5"])
+    def test_header_must_be_timestamp_value(self, tmp_path, header):
+        p = tmp_path / "s.csv"
+        p.write_text(f"{header}\n2021-01-01T06:00:00,2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}, line 1: expected the header 'timestamp,value', got {header!r}")):
+            read_series_csv(p)
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "s.csv"
         ts = np.array(["2021-01-01T00:00:00", "2021-01-01T06:00:00"],

@@ -4,6 +4,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rollstab import (
     GridSpec,
@@ -19,8 +21,15 @@ from rollstab import (
     run_rollout,
     variable_stats,
 )
-from rollstab.gridio import IncompleteFieldError
-from rollstab.perturb import ExternalProcessAdapter, gaussian_random_field
+from rollstab.gridio import (
+    FormatError,
+    IncompleteFieldError,
+    RolloutFile,
+    RolloutWriter,
+    read_rollout,
+    write_rollout,
+)
+from rollstab.perturb import ExternalProcessAdapter, gaussian_random_field, pooled_stats
 from rollstab.synth import Stepper
 from rollstab.spectra import band_average, zonal_spectrum
 from conftest import make_series
@@ -54,6 +63,80 @@ class TestVariableStats:
                           data=data, fill_value=-9e30)
         with pytest.raises(IncompleteFieldError, match="'T2m'"):
             variable_stats(r, "T2m")
+
+
+class _Rows:
+    """``source`` walked ``rows`` steps per block, whatever block size is asked for."""
+
+    def __init__(self, source, rows):
+        self.source, self.rows = source, rows
+
+    def __getattr__(self, name):
+        return getattr(self.source, name)
+
+    def blocks(self, _rows):
+        return self.source.blocks(self.rows)
+
+
+class TestPooledStats:
+    """One walk over any block source; the result does not depend on the blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_and_file_agree_exactly_and_match_numpy(self, tmp_path_factory, data):
+        shape = (data.draw(st.integers(1, 60)), data.draw(st.integers(1, 3)),
+                 data.draw(st.integers(1, 5)), data.draw(st.sampled_from([4, 8, 12])))
+        offset = data.draw(st.sampled_from([0.0, 280.0, -5e4]))
+        values = data.draw(arrays(np.float32, shape,
+                                  elements=st.floats(-1e3, 1e3, width=32)))
+        r = RolloutSeries(grid=GridSpec.regular(shape[2], shape[3]),
+                          variables=tuple(f"v{i}" for i in range(shape[1])),
+                          start_time=EPOCH, data=values + np.float32(offset))
+        want = pooled_stats(r, r.variables)
+        rows = data.draw(st.integers(1, 40))
+        for n in (1, 7, 40, rows):
+            assert pooled_stats(_Rows(r, n), r.variables) == want
+        path = tmp_path_factory.getbasetemp() / "pooled.rgf"
+        write_rollout(r, path)
+        with RolloutFile(path) as f:
+            assert pooled_stats(_Rows(f, rows), f.variables) == want
+        for vi, v in enumerate(r.variables):
+            x = r.data[:, vi].astype(np.float64)
+            scale = 1e-12 * float(np.abs(x).max())  # for a mean or std near 0
+            assert want[v][0] == pytest.approx(x.mean(), rel=1e-12, abs=scale)
+            assert want[v][1] == pytest.approx(x.std(), rel=1e-12, abs=scale)
+        assert variable_stats(r, r.variables[-1]) == want[r.variables[-1]]
+
+    @pytest.fixture
+    def holed(self):
+        data = np.random.default_rng(2).standard_normal((40, 2, 4, 8)).astype(np.float32)
+        data[30, 0, 1, 2] = np.nan  # a, in the block of steps 28..34
+        data[17, 1, 0, 0] = np.nan  # b, in the block of steps 14..20
+        return RolloutSeries(grid=GridSpec.regular(4, 8), variables=("a", "b"),
+                             start_time=EPOCH, data=data, fill_value=-9e30)
+
+    def test_fill_met_mid_walk_names_the_first_holed_block_s_variable(self, holed):
+        with pytest.raises(IncompleteFieldError, match="'b'"):
+            pooled_stats(_Rows(holed, 7), ("a", "b"))
+        with pytest.raises(IncompleteFieldError, match="'a'"):
+            pooled_stats(_Rows(holed, 7), ("a",))
+        with pytest.raises(IncompleteFieldError, match="'a'"):
+            pooled_stats(_Rows(holed, 40), ("a", "b"))  # one block: variables order
+
+    def test_file_fill_and_nan_mid_walk(self, holed, tmp_path):
+        p = tmp_path / "holed.rgf"
+        write_rollout(holed, p)
+        with RolloutFile(p) as f, pytest.raises(IncompleteFieldError, match="'b'"):
+            pooled_stats(_Rows(f, 7), ("a", "b"))
+        clean = RolloutSeries(grid=holed.grid, variables=holed.variables, start_time=EPOCH,
+                              data=np.nan_to_num(holed.data))
+        write_rollout(clean, p)
+        raw = bytearray(p.read_bytes())
+        raw[-400:-396] = np.float32(np.nan).tobytes()  # step 38, without a fill value
+        p.write_bytes(bytes(raw))
+        with RolloutFile(p) as f:
+            with pytest.raises(FormatError, match="non-finite values present"):
+                pooled_stats(_Rows(f, 7), ("a", "b"))
 
 
 class TestApplyPerturbation:
@@ -253,6 +336,48 @@ class TestRunRollout:
         a = run_rollout(ad, init, EPOCH, 5, spec=spec, stats=stats)
         b = run_rollout(ad, init, EPOCH, 5, spec=spec, stats=stats)
         assert np.array_equal(a.data, b.data)
+
+
+class TestRolloutIntoWriter:
+    """A run streamed into a RolloutWriter is the file of the same run held in memory."""
+
+    @staticmethod
+    def assert_same_file(tmp_path, adapter, init, n_steps, **kw):
+        whole, streamed = tmp_path / "whole.rgf", tmp_path / "streamed.rgf"
+        write_rollout(run_rollout(adapter, init, EPOCH, n_steps, **kw), whole)
+        with RolloutWriter(streamed, adapter.grid, adapter.all_variables, EPOCH, n_steps + 1,
+                           adapter.step_seconds) as out:
+            assert run_rollout(adapter, init, EPOCH, n_steps, sink=out, **kw) is None
+        assert streamed.read_bytes() == whole.read_bytes()
+        return read_rollout(streamed)
+
+    def test_successful_run(self, tmp_path):
+        ad = SynthAdapter(RegimeConfig(regime="STABLE", seed=1, grid=GridSpec.regular(8, 64),
+                                       variables=("T2m", "Z500")))
+        got = self.assert_same_file(tmp_path, ad, ad.initial_state(), 9,
+                                    spec=PerturbationSpec(kind="GRF", k=0.5, seed=2),
+                                    stats={"T2m": (0.0, 3.0), "Z500": (1.0, 2.0)})
+        assert got.n_time == 10 and got.attrs["perturbation"]["kind"] == "GRF"
+
+    def test_failing_external_adapter_leaves_the_prefix(self, tmp_path):
+        fail = ("import json, shutil, sys\n"
+                "if json.load(open('clock.json'))['time'] >= '2021-01-01T12:00:00':\n"
+                "    sys.exit(3)\n"
+                "shutil.copy('state_in.rgf', 'state_out.rgf')\n")
+        manifest = {"command": [sys.executable, "-c", fail], "workdir": str(tmp_path / "work"),
+                    "variables": ["T2m"]}
+        ad = ExternalProcessAdapter(manifest, grid=GridSpec.regular(4, 8))
+        got = self.assert_same_file(tmp_path, ad, np.full((1, 4, 8), 3.0), 6,
+                                    spec=PerturbationSpec(kind="WHITE", seed=1),
+                                    stats={"T2m": (0.0, 1.0)})
+        assert got.n_time == 3 and got.attrs["error"].startswith("adapter failed at step 2")
+
+    def test_header_mismatch_rejected(self, tmp_path):
+        ad = SynthAdapter(RegimeConfig(regime="STABLE", seed=1, grid=GridSpec.regular(8, 64)))
+        out = RolloutWriter(tmp_path / "x.rgf", ad.grid, ad.all_variables, EPOCH, 4)
+        with pytest.raises(ValueError, match="header does not match"):
+            run_rollout(ad, ad.initial_state(), EPOCH, 4, sink=out)
+        assert not (tmp_path / "x.rgf").exists()
 
 
 class TestErrorTrajectory:
