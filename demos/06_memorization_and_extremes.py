@@ -12,6 +12,7 @@ import numpy as np
 
 import rollstab as rs
 from rollstab.memorize import build_index, distance_ratio
+from rollstab.spectra import pooled_thresholds
 
 rng = np.random.default_rng(0)
 grid = rs.GridSpec.regular(16, 32)
@@ -39,14 +40,16 @@ model = rs.RolloutSeries(
     grid=grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
     data=(280 + 8 * rng.standard_normal((2000, 1, 16, 32))).astype(np.float32))
 
-# one scan per series gathers the region's cells and their per-step extremes;
-# the reference's cells are the pool the percentile thresholds come from
+# one scan per series takes the region's per-step extremes. The reference's
+# scan also histograms the region's values, the pool the percentile
+# thresholds come from, and a second walk keeps only the values in the bins
+# that hold the thresholds' ranks, so the pool itself is never held
 region = rs.RegionSpec("tropics", -20, 20, 0, 360)
-ref_scan = rs.scan(reference, ("T2m",), spectra=False, regions=[region])
+ref_scan = rs.scan(reference, ("T2m",), spectra=False, regions=[region],
+                   levels=[0.1, 10, 20, 80, 90, 99.9])
 ref_ext = ref_scan.regional["T2m"][region.name]
 mod_ext = rs.scan(model, ("T2m",), spectra=False, regions=[region]).regional["T2m"][region.name]
-thresholds = rs.pooled_percentiles(ref_scan.cells["T2m"][region.name], "T2m", region.name,
-                                   [0.1, 10, 20, 80, 90, 99.9], reference.start_time)
+thresholds = pooled_thresholds(reference, "T2m", [region], ref_scan.pools["T2m"])[region.name]
 hot, cold = rs.event_series(mod_ext, thresholds)
 p90, p10 = thresholds.value_for(90.0), thresholds.value_for(10.0)
 print(f"{region.name}: P90={p90:.2f} P10={p10:.2f}, "

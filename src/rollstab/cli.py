@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from datetime import timedelta
 from pathlib import Path
@@ -351,14 +352,20 @@ def cmd_extremes(args) -> int:
     v = args.variable
     regions = (gridio.load_regions(args.regions) if args.regions
                else gridio.builtin_regions()).values()
-    # one pass per input gathers every region's cells; the model's are only
-    # reduced to extremes, so they are dropped before the reference is walked
-    with gridio.RolloutFile(args.input) as model:
-        s = spectra.scan(model, (v,), spectra=False, regions=regions)
-    model_regional = s.regional[v]
-    del s
-    with gridio.RolloutFile(args.reference) as reference:
-        ref = spectra.scan(reference, (v,), spectra=False, regions=regions)
+    hot_levels = list(np.round(np.arange(800, 1000) / 10.0, 1))  # P80..P99.9
+    cold_levels = list(np.round(np.arange(1, 201) / 10.0, 1))  # P0.1..P20
+    levels = sorted(set(hot_levels + cold_levels + [10.0, 90.0]))
+    # the reference's hashed walk takes its regional extremes and counts its
+    # pools; the unhashed walk that gathers their thresholds' bins then runs
+    # on a worker thread while the model is walked for its regional extremes
+    with gridio.RolloutFile(args.input) as model, \
+            gridio.RolloutFile(args.reference) as reference, \
+            ThreadPoolExecutor(max_workers=1) as worker:
+        ref = spectra.scan(reference, (v,), spectra=False, regions=regions, levels=levels)
+        pooled = worker.submit(spectra.pooled_thresholds, reference, v, regions, ref.pools[v])
+        model_regional = spectra.scan(model, (v,), spectra=False,
+                                      regions=regions).regional[v]
+        thresholds = pooled.result()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, {"input": (args.input, model.sha256),
@@ -369,13 +376,9 @@ def cmd_extremes(args) -> int:
     msel, rsel = (extremes.match_windows(mt, rt) if args.match_window
                   else (np.ones(mt.size, dtype=bool), np.ones(rt.size, dtype=bool)))
 
-    hot_levels = list(np.round(np.arange(800, 1000) / 10.0, 1))  # P80..P99.9
-    cold_levels = list(np.round(np.arange(1, 201) / 10.0, 1))  # P0.1..P20
-    levels = sorted(set(hot_levels + cold_levels + [10.0, 90.0]))
     summary = {}
     for name in sorted(model_regional):
-        thr = climatology.pooled_percentiles(ref.cells[v][name], v, name, levels,
-                                             reference.start_time)
+        thr = thresholds[name]
         model_ext, ref_ext = model_regional[name], ref.regional[v][name]
 
         qqs, excs = [], []

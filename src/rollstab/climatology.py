@@ -3,11 +3,14 @@
 Envelopes hold the per-day mean/min/max of a daily statistic across the
 years of a reference period (365 buckets, Feb 29 folded into Feb 28).
 Thresholds are empirical percentiles of all region pixels pooled over all
-timesteps, using linear interpolation between order statistics. They are
-read from the sorted pool with numpy's own ``method="linear"`` arithmetic
-(Hyndman & Fan 1996, definition 7), so each one equals ``np.percentile``'s
-bit for bit, up to the sign of a zero threshold in a pool that holds both
-signed zeros (the sort decides which one sits at a rank).
+timesteps, using linear interpolation between order statistics. The pool is
+never held: :class:`PoolSelect` histograms it by key bits in one pass over
+its blocks and keeps, in a second, only the bins holding the two order
+statistics each level reads. Those are interpolated with numpy's own
+``method="linear"`` arithmetic (Hyndman & Fan 1996, definition 7), so each
+threshold equals ``np.percentile``'s bit for bit, up to the sign of a zero
+threshold in a pool that holds both signed zeros (the select ranks -0.0
+below +0.0; numpy's pick depends on the pool's order).
 """
 
 from __future__ import annotations
@@ -128,6 +131,151 @@ class ThresholdSet:
             raise KeyError(f"level {level} not present in threshold set {self.region!r}") from None
 
 
+# key bits a pool is histogrammed by: one bin is the sign, the exponent and
+# the top 9 mantissa bits of a float32, so no bin mixes finite and non-finite
+KEY_BITS = 18
+_SHIFT = 32 - KEY_BITS
+_NON_FINITE_BINS = 1 << (KEY_BITS - 9)  # at each end: the keys of +-inf and NaNs
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The raw bits of float32 ``values``; any other dtype is refused, not cast."""
+    if values.dtype != np.float32:
+        raise ValueError(f"pooled sample must be float32, got {values.dtype}")
+    return values.view(np.uint32)
+
+
+def _sort_keys(values: np.ndarray) -> np.ndarray:
+    """Order-preserving uint32 keys of float32 ``values``: the bits of a
+    non-negative value with the sign bit set, of a negative one all flipped.
+    So -0.0 sorts just below +0.0, and NaNs beyond the infinity of their sign."""
+    b = _bits(values)
+    keys = b >> 31
+    keys *= 0x7FFFFFFF
+    keys |= 0x80000000
+    keys ^= b
+    return keys
+
+
+def _values_of(keys: np.ndarray) -> np.ndarray:
+    """The float32 values of :func:`_sort_keys` keys."""
+    return (keys ^ np.where(keys >> 31, 0x80000000, 0xFFFFFFFF).astype(np.uint32)).view(
+        np.float32)
+
+
+def _top_bits(values: np.ndarray) -> np.ndarray:
+    """The top KEY_BITS bits of float32 ``values``, as intp indices, which
+    index an array about twice as fast as uint32 ones."""
+    return np.right_shift(_bits(values), _SHIFT, dtype=np.intp)
+
+
+class PoolChangedError(ValueError):
+    """A pool's second pass did not see the values its first pass counted."""
+
+
+class PoolSelect:
+    """Exact percentile thresholds of a pool seen twice, block by block: the
+    bucket select of Alabi et al., "Fast k-selection algorithms for graphics
+    processing units" (ACM JEA 2012), on :func:`_sort_keys` keys.
+
+    :meth:`count` histograms each block by the top KEY_BITS bits of its keys.
+    :meth:`plan` finds the bins that hold the two order statistics each
+    level reads, :meth:`gather` keeps the values in those bins as the same
+    blocks are seen again, and :meth:`thresholds` sorts what was kept and
+    reads each rank at its offset within its bin. Only those bins are held,
+    never the pool.
+
+    A key's top bits depend only on the value's top bits, so the passes bin
+    values by those and compute no keys. The bins are then in the order of
+    the raw bits, non-negative values first and then negative ones from -0.0
+    down; :meth:`plan` puts them in key order.
+    """
+
+    def __init__(self, levels):
+        self.levels = [float(x) for x in np.atleast_1d(levels)]
+        for lv in self.levels:
+            if not 0.0 < lv < 100.0:
+                raise ValueError(f"percentile level {lv} outside the open interval (0, 100)")
+        self._hist = np.zeros(1 << KEY_BITS, np.int64)  # by _top_bits
+
+    def count(self, cells: np.ndarray) -> None:
+        """First pass: add a block of the pool to the histogram."""
+        # np.add.at is as fast as np.bincount here, without a bincount's 2 MiB result
+        np.add.at(self._hist, (_bits(cells) >> _SHIFT).reshape(-1), 1)
+
+    def plan(self) -> None:
+        """Between the passes: find the bins the thresholds read. This drops
+        the histogram, and needs about half its size again while it runs."""
+        ends = self._hist  # put in key order, then summed in place
+        del self._hist
+        half = ends.size // 2
+        negative = ends[half:][::-1].copy()
+        ends[half:] = ends[:half]
+        ends[:half] = negative
+        del negative
+        if ends[:_NON_FINITE_BINS].any() or ends[-_NON_FINITE_BINS:].any():
+            raise ValueError("pooled sample contains fill/NaN values")
+        np.cumsum(ends, out=ends)
+        n = int(ends[-1])
+        if n == 0:
+            raise ValueError("pooled sample is empty")
+        virtual = (n - 1) * np.true_divide(self.levels, 100)
+        below = np.floor(virtual)
+        above = below + 1
+        top = virtual >= n - 1  # past the last rank both neighbours are the maximum
+        below[top] = above[top] = -1
+        self._gamma = virtual - below
+        ranks = np.concatenate([below, above]).astype(np.int64) % n
+        self._bins = np.searchsorted(ends, ranks, side="right")
+        # bin 0 holds only NaNs, so each bin found has a bin below it
+        self._within = ranks - ends[self._bins - 1]
+        self._needed = np.unique(self._bins)
+        self._counts = ends[self._needed] - ends[self._needed - 1]
+        needed = np.zeros(ends.size, bool)
+        needed[self._needed] = True
+        self._lut = np.concatenate([needed[half:], needed[:half][::-1]])  # by _top_bits
+        self._kept = np.empty(self._counts.sum(), np.float32)
+        self._held = 0
+
+    def gather(self, cells: np.ndarray) -> None:
+        """Second pass: keep the block's values that fall in a planned bin."""
+        kept = cells[self._lut[_top_bits(cells)]]
+        end = self._held + kept.size
+        if end > self._kept.size:
+            raise PoolChangedError("changed between passes")
+        self._kept[self._held:end] = kept
+        self._held = end
+
+    def thresholds(self, v: str, region: str, n_time: int,
+                   start_time: datetime) -> ThresholdSet:
+        """After the second pass: the thresholds of region ``region``'s pool of
+        variable ``v`` over ``n_time`` steps from ``start_time``."""
+        if self._held != self._kept.size:
+            raise PoolChangedError("changed between passes")
+        keys = _sort_keys(self._kept)
+        keys.sort()
+        first = np.searchsorted(keys >> _SHIFT, self._needed.astype(np.uint32))
+        if not np.array_equal(np.diff(first, append=keys.size), self._counts):
+            raise PoolChangedError("changed between passes")
+        at = first[np.searchsorted(self._needed, self._bins)] + self._within
+        a, b = np.split(_values_of(keys[at]), 2)
+        gamma = self._gamma
+        # numpy's lerp: b - a is taken in float32, so it overflows as numpy's does
+        diff = b - a
+        values = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=values, where=gamma >= 0.5)
+        span = (
+            f"{v}: all pixels of {region}, all {n_time} timesteps "
+            f"from {start_time.isoformat()}, linear order-statistic interpolation"
+        )
+        return ThresholdSet(
+            region=region,
+            levels=tuple(self.levels),
+            values=tuple(float(x) for x in values),
+            pooling=span,
+        )
+
+
 def pooled_percentiles(
     cells: np.ndarray,
     v: str,
@@ -137,41 +285,13 @@ def pooled_percentiles(
 ) -> ThresholdSet:
     """Empirical percentiles over all region pixels pooled across all timesteps.
 
-    ``cells`` is a region's (time, cells) sample of variable ``v`` from a
-    reference starting at ``start_time``, as :func:`~rollstab.spectra.scan`
-    gathers it. The pool is handed over, not copied: a contiguous ``cells``
-    is reordered in place.
+    ``cells`` is a region's float32 (time, cells) sample of variable ``v``
+    from a reference starting at ``start_time``. Its thresholds are the
+    :class:`PoolSelect` run over it as one block, the select ``rollstab
+    extremes`` runs over a file's blocks; ``cells`` is left as it is.
     """
-    levels = [float(x) for x in np.atleast_1d(levels)]
-    for lv in levels:
-        if not 0.0 < lv < 100.0:
-            raise ValueError(f"percentile level {lv} outside the open interval (0, 100)")
-    pool = cells.reshape(-1)
-    # a percentile depends only on the multiset of values: sort the pool once
-    # and read both neighbouring order statistics of each level by index
-    pool.sort()
-    # sorted, the pool is finite if both ends are: NaN sorts last, -inf first
-    if not (np.isfinite(pool[0]) and np.isfinite(pool[-1])):
-        raise ValueError("pooled sample contains fill/NaN values")
-    n = pool.size
-    virtual = (n - 1) * np.true_divide(levels, 100)
-    below = np.floor(virtual)
-    above = below + 1
-    top = virtual >= n - 1  # past the last rank both neighbours are the maximum
-    below[top] = above[top] = -1
-    gamma = virtual - below
-    a, b = pool[below.astype(np.intp)], pool[above.astype(np.intp)]
-    # numpy's lerp: b - a is taken in the pool's dtype, so it overflows as numpy's does
-    diff = b - a
-    values = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=values, where=gamma >= 0.5)
-    span = (
-        f"{v}: all pixels of {region}, all {cells.shape[0]} timesteps "
-        f"from {start_time.isoformat()}, linear order-statistic interpolation"
-    )
-    return ThresholdSet(
-        region=region,
-        levels=tuple(levels),
-        values=tuple(float(x) for x in values),
-        pooling=span,
-    )
+    select = PoolSelect(levels)
+    select.count(cells)
+    select.plan()
+    select.gather(cells)
+    return select.thresholds(v, region, cells.shape[0], start_time)

@@ -9,6 +9,7 @@ row-major order.
 :meth:`RolloutFile.blocks` reads the payload into one reused buffer and
 hashes each block on one helper thread while the caller works on it: a
 block is read-only until the next one is taken, which refills the buffer.
+A second walk of a file that has been hashed may skip the hash.
 :class:`RolloutWriter` writes a file frame by frame, header first.
 """
 
@@ -396,9 +397,10 @@ class RolloutSeries(_Rollout):
         """(time, lat, lon) float32 view of one variable."""
         return self.data[:, self.index_of(v)]
 
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+    def blocks(self, rows: int, hashed: bool = True) -> Iterator[np.ndarray]:
         """(time, variable, lat, lon) views of at most ``rows`` steps each,
-        the same walk :meth:`RolloutFile.blocks` makes over a file."""
+        the same walk :meth:`RolloutFile.blocks` makes over a file; there is
+        nothing to hash, whatever ``hashed`` says."""
         for start in range(0, self.n_time, rows):
             yield self.data[start : start + rows]
 
@@ -669,25 +671,26 @@ class RolloutFile(_Rollout):
         self._head = hashlib.sha256(prefix + blob)
         self._payload = 12 + hlen
 
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+    def blocks(self, rows: int, hashed: bool = True) -> Iterator[np.ndarray]:
         """Yield the payload as float32 (time, variable, lat, lon) blocks of at
         most ``rows`` steps, each read with one ``readinto`` into the same
         buffer, so a block is valid only until the next one is taken.
 
         Cells equal to the fill value come back as NaN; without a fill value
-        a non-finite cell is an error. The raw bytes also feed a SHA-256 of
-        the whole file, header included, which a complete walk leaves in
-        :attr:`sha256`. Each block is hashed on the walk's one helper thread
-        while it is checked and used, so it is read-only until the next one
-        is taken; the walk waits for the hash before it writes NaN into the
-        block and before it reads the next one. A walk left part way holds
-        its thread until the generator is closed or collected.
+        a non-finite cell is an error. Unless ``hashed`` is false, the raw
+        bytes also feed a SHA-256 of the whole file, header included, which a
+        complete walk leaves in :attr:`sha256`. Each block is hashed on the
+        walk's one helper thread while it is checked and used, so it is
+        read-only until the next one is taken; the walk waits for the hash
+        before it writes NaN into the block and before it reads the next
+        one. A walk left part way holds its thread until the generator is
+        closed or collected. An unhashed walk starts no thread.
         """
         frame = (len(self.variables), self.grid.n_lat, self.grid.n_lon)
         buf = np.empty((min(rows, self.n_time), *frame), dtype="<f4")
         digest = self._head.copy()
         self._f.seek(self._payload)
-        with ThreadPoolExecutor(max_workers=1) as hasher:
+        with ThreadPoolExecutor(max_workers=1) as hasher:  # its thread starts at a submit
             for start in range(0, self.n_time, buf.shape[0]):
                 block = buf[: self.n_time - start]
                 held = self._f.readinto(block)  # buffered: loops until full or end of file
@@ -697,7 +700,8 @@ class RolloutFile(_Rollout):
                         f"{self.path}: payload holds {held} bytes, header declares "
                         f"{self._expected}"
                     )
-                hashed = hasher.submit(digest.update, block)  # hashlib releases the GIL
+                # hashlib releases the GIL
+                wait = hasher.submit(digest.update, block).result if hashed else lambda: None
                 if self.fill_value is None:
                     try:
                         _check_values(block, None)
@@ -706,11 +710,12 @@ class RolloutFile(_Rollout):
                             f"{self.path}: invalid header or payload: {e}") from None
                 else:
                     holes = block == np.float32(self.fill_value)
-                    hashed.result()
+                    wait()
                     block[holes] = np.nan
                 yield block
-                hashed.result()  # the buffer is free again
-        self._sha256 = digest.hexdigest()
+                wait()  # the buffer is free again
+        if hashed:
+            self._sha256 = digest.hexdigest()
 
     @property
     def sha256(self) -> str:

@@ -18,9 +18,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
+from .climatology import PoolChangedError, PoolSelect, ThresholdSet
 from .gridio import (
     DailySeries,
     Extremes,
+    FormatError,
     GridSpec,
     IncompleteFieldError,
     PreconditionError,
@@ -200,15 +202,36 @@ class Scan(NamedTuple):
     spectra: dict[str, SpectrumSeries]
     extremes: dict[str, Extremes]
     regional: dict[str, dict[str, Extremes]]  # variable -> region name -> extremes
-    cells: dict[str, dict[str, np.ndarray]]  # variable -> region name -> (time, cells)
+    pools: dict[str, dict[str, PoolSelect]]  # variable -> region name -> counted pool
+
+
+def _rows(grid: GridSpec) -> int:
+    """Steps per block of a walk: at most BLOCK_BYTES of float64 per variable."""
+    return max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
+
+
+def _region_cells(grid: GridSpec, regions) -> dict[str, slice | np.ndarray]:
+    """Each region's cells on ``grid`` as an index into a flattened field, in
+    mask order: a slice where they are contiguous (a polar cap), so they are
+    not copied, else their flat indices."""
+    at = {}
+    for r in regions:
+        idx = np.flatnonzero(region_mask(grid, r)[0])
+        at[r.name] = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+    return at
 
 
 def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
-         spectra: bool = True, extremes: bool = False, regions=()) -> Scan:
+         spectra: bool = True, extremes: bool = False, regions=(),
+         levels=None) -> Scan:
     """One pass over ``source``'s time blocks that reduces every variable in
     ``variables`` to its zonal spectra (with ``spectra``), its spatial extremes
-    (with ``extremes``), and the cells of each :class:`RegionSpec` in
-    ``regions`` (masked on ``source``'s own grid) with their extremes.
+    (with ``extremes``), and the extremes of each :class:`RegionSpec` in
+    ``regions``, masked on ``source``'s own grid. Given percentile
+    ``levels``, each region's cells are also counted into a
+    :class:`PoolSelect` for those levels, planned once the walk has ended:
+    the first pass of the region's thresholds, which
+    :func:`pooled_thresholds` completes. No cells are kept past their block.
 
     ``source`` is an in-memory series or an open :class:`RolloutFile`; both
     are walked in blocks of at most BLOCK_BYTES of float64 per variable, so
@@ -223,15 +246,17 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     if spectra and grid.n_lon < 4:
         raise ValueError("zonal spectra need at least 4 longitude points")
     idx = {v: source.index_of(v) for v in variables}
-    masks = {r.name: region_mask(grid, r)[0] for r in regions}
+    region_at = _region_cells(grid, regions)
     n = source.n_time
     energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
     ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
            for v in idx} if extremes else {}
-    cells = {v: {k: np.empty((n, m.sum()), np.float32) for k, m in masks.items()} for v in idx}
-    rows = max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
+    regional = {v: {k: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
+                    for k in region_at} for v in idx}
+    pools = ({v: {k: PoolSelect(levels) for k in region_at} for v in idx}
+             if levels is not None else {})
     s = 0
-    walk = source.blocks(rows)
+    walk = source.blocks(_rows(grid))
     for block in walk:
         e = s + block.shape[0]
         for v, i in idx.items():
@@ -242,15 +267,48 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
                 raise IncompleteFieldError(v)
             if spectra:
                 energy[v][s:e] = _spectra(fields, grid)
+            flat = fields.reshape(e - s, -1)
             if extremes:
-                ext[v].min[s:e], ext[v].max[s:e] = Extremes.of(fields.reshape(e - s, -1))
-            for name, m in masks.items():
-                cells[v][name][s:e] = fields[:, m]
+                ext[v].min[s:e], ext[v].max[s:e] = Extremes.of(flat)
+            for name, at in region_at.items():
+                cells = flat[:, at]
+                regional[v][name].min[s:e], regional[v][name].max[s:e] = Extremes.of(cells)
+                if pools:
+                    pools[v][name].count(cells)
         s = e
+    block = fields = flat = cells = None  # views of the walk's buffer, whose room the plans need
+    for selects in pools.values():
+        for select in selects.values():
+            select.plan()
     timestamps = source.timestamps
     return Scan({v: _series(timestamps, en, grid, daily) for v, en in energy.items()}, ext,
-                {v: {name: Extremes.of(c) for name, c in cs.items()} for v, cs in cells.items()},
-                cells)
+                regional, pools)
+
+
+def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,
+                      pools: dict[str, PoolSelect]) -> dict[str, ThresholdSet]:
+    """Thresholds of each region's pool of variable ``v``, from the
+    :class:`PoolSelect` a ``scan(..., regions=regions, levels=...)`` of
+    ``source`` counted, by a second walk of ``source`` that gathers only the
+    bins holding the ranks the levels read.
+
+    A file was hashed by the scan, so this walk is not. Its values must fall
+    in the bins the scan counted; if they do not, the file changed between
+    the walks and :class:`FormatError` names it.
+    """
+    region_at = _region_cells(source.grid, regions)
+    i = source.index_of(v)
+    try:
+        for block in source.blocks(_rows(source.grid), hashed=False):
+            flat = block[:, i].reshape(block.shape[0], -1)
+            for name, at in region_at.items():
+                pools[name].gather(flat[:, at])
+        return {name: pools[name].thresholds(v, name, source.n_time, source.start_time)
+                for name in region_at}
+    except PoolChangedError as e:
+        if isinstance(source, RolloutFile):
+            raise FormatError(f"{source.path}: {e}") from None
+        raise
 
 
 def spectrum_series(r: RolloutSeries | RolloutFile, v: str,

@@ -3,7 +3,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rollstab import GridSpec, RolloutSeries, scan
+from rollstab import GridSpec, RolloutSeries, region_mask, scan
 
 
 @pytest.fixture
@@ -30,9 +30,10 @@ def global_extremes(r, v="T2m"):
 
 
 def region_scan(r, region, v="T2m"):
-    """One region's extremes and gathered (time, cells) sample, from one scan."""
-    s = scan(r, (v,), spectra=False, regions=[region])
-    return s.regional[v][region.name], s.cells[v][region.name]
+    """One region's extremes, from one scan, and its (time, cells) sample,
+    masked from the whole array."""
+    ext = scan(r, (v,), spectra=False, regions=[region]).regional[v][region.name]
+    return ext, r.values(v)[:, region_mask(r.grid, region)[0]]
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import json
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from datetime import datetime
 
@@ -591,6 +593,148 @@ class TestExtremesCommand:
         assert capsys.readouterr().err.startswith(
             f"rollstab: {path}: region {name!r}: name must be a plain file-name stem")
         assert not (tmp_path / "out").exists()
+
+
+def _golden_pair(d):
+    """A small seeded model and reference on a 16x48 grid, rounded to 0.1 so
+    the pools hold ties, the reference starting before the model."""
+    grid = GridSpec.regular(16, 48)
+    rng = np.random.default_rng(2024)
+    trend = 30.0 * np.cos(np.deg2rad(grid.lats))[:, None]
+    for name, n, start, scale in (("model", 400, datetime(2021, 1, 1), 6.0),
+                                  ("ref", 800, datetime(2020, 10, 1), 5.0)):
+        data = np.round(trend + scale * rng.standard_normal((n, 1, 16, 48)), 1)
+        write_rollout(make_series(grid, data, start=start), d / f"{name}.rgf")
+
+
+def _extremes_digest(outdir) -> str:
+    """SHA-256 over every output's name and its non-``#`` rows, or for
+    summary.json its regions."""
+    h = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        h.update(path.name.encode())
+        if path.suffix == ".csv":
+            rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        else:
+            rows = [json.dumps(json.loads(path.read_text())["regions"], sort_keys=True)]
+        h.update("\n".join(rows).encode())
+    return h.hexdigest()
+
+
+# the outputs of `_golden_pair` as the pooled-sort implementation wrote them
+EXTREMES_GOLDEN = {
+    "builtin": "c849b5f10d43b33e6474353d5fcc11bea1ee5ecbc81d3ee6de903da76f3826ea",
+    "box": "a2f02835c00ba6507eb58416bc09ed306123a9b1367f7606f8baa3d7cd4920a5",
+    "no_match_window": "12035920c50fc5c514362afd892ee903099c8c878764ff54bd9aea9dea991ff3",
+}
+
+
+class TestExtremesStreamed:
+    """`extremes` holds no region's cells: the model's regional extremes are
+    taken block by block, and the reference's thresholds come from a second,
+    unhashed walk that keeps only the bins holding the ranks they read."""
+
+    @pytest.mark.parametrize("run", sorted(EXTREMES_GOLDEN))
+    def test_outputs_pinned(self, tmp_path, run):
+        _golden_pair(tmp_path)
+        regions = tmp_path / "regions.json"
+        regions.write_text(json.dumps([{"name": "wrap", "lat_min": -40, "lat_max": 50,
+                                        "lon_min": -30, "lon_max": 40}]))
+        extra = {"builtin": [], "box": ["--regions", regions],
+                 "no_match_window": ["--no-match-window"]}[run]
+        outdir = tmp_path / "ext"
+        assert run_cli("extremes", "--input", tmp_path / "model.rgf", "--reference",
+                       tmp_path / "ref.rgf", "--variable", "T2m", *extra,
+                       "--outdir", outdir) == 0
+        assert _extremes_digest(outdir) == EXTREMES_GOLDEN[run]
+
+    @pytest.fixture(scope="class")
+    def horizons(self, synth_files, tmp_path_factory):
+        """The first 1600 and 3200 steps of the synthetic reference."""
+        d = tmp_path_factory.mktemp("horizons")
+        r = rollstab.read_rollout(synth_files["ref"])
+        for n in (1600, 3200):
+            write_rollout(RolloutSeries(grid=r.grid, variables=r.variables,
+                                        start_time=r.start_time, data=r.data[:n]),
+                          d / f"{n}.rgf")
+        return d
+
+    def test_peak_memory_flat_in_model_and_bounded_in_reference(self, tmp_path, horizons,
+                                                                 synth_files, monkeypatch):
+        """A longer model adds only its per-step extremes. A longer reference
+        adds the values in the bins its thresholds read, far fewer than the
+        cells the pooled sort held."""
+        grid = rollstab.read_rollout(synth_files["pred"]).grid
+        step = 4 * sum(rollstab.region_mask(grid, r)[1]
+                       for r in rollstab.builtin_regions().values())  # pool bytes
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 100 * grid.n_lat * grid.n_lon * 8)
+
+        def peak(model, reference):
+            tracemalloc.start()
+            try:
+                assert run_cli("extremes", "--input", model, "--reference", reference,
+                               "--variable", "T2m", "--outdir", tmp_path / "ext") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = horizons / "1600.rgf", horizons / "3200.rgf"
+        peak(short, short)  # warm caches
+        base = peak(short, short)
+        assert peak(long, short) - base < 1600 * step / 10, base
+        assert peak(short, long) - base < 1600 * step / 4, base
+
+    def test_reference_changed_between_walks_exit_2(self, tmp_path, monkeypatch, capsys):
+        """The second walk of the reference is not hashed: a reference whose
+        values move before it is rejected by its bins' counts."""
+        _golden_pair(tmp_path)
+        ref = tmp_path / "ref.rgf"
+        second_walk = spectra.pooled_thresholds
+
+        def rewrite_then_walk(source, *args):
+            raw = bytearray(ref.read_bytes())
+            last = len(raw) - 400 * 16 * 48 * 4  # the last 400 of its 800 steps
+            raw[last:] = (np.frombuffer(raw[last:], np.float32) + np.float32(50)).tobytes()
+            ref.write_bytes(bytes(raw))
+            return second_walk(source, *args)
+
+        monkeypatch.setattr(spectra, "pooled_thresholds", rewrite_then_walk)
+        outdir = tmp_path / "ext"
+        assert run_cli("extremes", "--input", tmp_path / "model.rgf", "--reference", ref,
+                       "--variable", "T2m", "--outdir", outdir) == 2
+        assert capsys.readouterr().err == f"rollstab: {ref}: changed between passes\n"
+        assert not outdir.exists()
+
+    def test_model_error_during_second_walk_leaves_no_thread(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """A fill value in the model, met while the reference's second walk
+        runs on the worker thread, fails as it would alone, and the command
+        returns only once that walk has ended."""
+        _golden_pair(tmp_path)
+        model = rollstab.read_rollout(tmp_path / "model.rgf")
+        data = model.data.copy()
+        data[200, 0, 3, 5] = np.nan
+        holed = tmp_path / "holed.rgf"
+        write_rollout(RolloutSeries(grid=model.grid, variables=model.variables,
+                                    start_time=model.start_time, data=data,
+                                    fill_value=-9e30), holed)
+        second_walk, walked = spectra.pooled_thresholds, []
+
+        def slow_walk(*args):
+            time.sleep(0.5)  # the model walk fails meanwhile
+            walked.append(second_walk(*args))
+            return walked[-1]
+
+        monkeypatch.setattr(spectra, "pooled_thresholds", slow_walk)
+        threads = threading.active_count()
+        outdir = tmp_path / "ext"
+        assert run_cli("extremes", "--input", holed, "--reference", tmp_path / "ref.rgf",
+                       "--variable", "T2m", "--outdir", outdir) == 2
+        assert capsys.readouterr().err == (
+            "rollstab: variable 'T2m' contains fill/NaN values; detectors require complete "
+            "fields\n")
+        assert walked and threading.active_count() == threads
+        assert not outdir.exists()
 
 
 class TestMemorizeCommand:

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -19,7 +20,13 @@ from rollstab import (
 from rollstab import spectra
 from rollstab.climatology import ThresholdSet
 from rollstab.extremes import match_windows
-from rollstab.gridio import EmptyRegionError, RolloutFile, region_mask, write_rollout
+from rollstab.gridio import (
+    EmptyRegionError,
+    FormatError,
+    RolloutFile,
+    region_mask,
+    write_rollout,
+)
 from conftest import global_extremes, make_series, region_scan
 
 
@@ -126,9 +133,10 @@ class TestRegionalScanProperties:
     )
     def test_equal_to_whole_array_masked_reduction(self, shape, seed, boxes, block_rows,
                                                    via_file):
-        """However the steps are blocked, one scan gathers each region's cells
-        exactly as masking the whole array does, so its extremes are the masked
-        min/max and its pooled thresholds those of the whole masked sample."""
+        """However the steps are blocked, one scan's regional extremes are the
+        masked min/max of the whole array, and the thresholds its pools give
+        after a second walk are ``np.percentile``'s of the whole masked sample,
+        byte for byte (by value where that sample holds both signed zeros)."""
         n_time, n_lat, n_lon = shape
         grid = GridSpec.regular(n_lat, n_lon)
         regions = [RegionSpec(f"r{i}", *b) for i, b in enumerate(boxes)]
@@ -148,20 +156,44 @@ class TestRegionalScanProperties:
                 write_rollout(r, Path(d) / "r.rgf")
                 with RolloutFile(Path(d) / "r.rgf") as f:
                     s = spectra.scan(f, ("T2m",), spectra=False, extremes=True,
-                                     regions=regions)
+                                     regions=regions, levels=EXTREMES_LEVELS)
+                    thr = spectra.pooled_thresholds(f, "T2m", regions, s.pools["T2m"])
             else:
-                s = spectra.scan(r, ("T2m",), spectra=False, extremes=True, regions=regions)
+                s = spectra.scan(r, ("T2m",), spectra=False, extremes=True, regions=regions,
+                                 levels=EXTREMES_LEVELS)
+                thr = spectra.pooled_thresholds(r, "T2m", regions, s.pools["T2m"])
         assert np.array_equal(s.extremes["T2m"].min, values.min(axis=(1, 2)))
         assert np.array_equal(s.extremes["T2m"].max, values.max(axis=(1, 2)))
-        levels = [0.1, 10.0, 50.0, 90.0, 99.9]
         for name, mask in masks.items():
             whole = values[:, mask]
-            ext, cells = s.regional["T2m"][name], s.cells["T2m"][name]
+            ext = s.regional["T2m"][name]
             assert np.array_equal(ext.min, whole.min(axis=1))
             assert np.array_equal(ext.max, whole.max(axis=1))
-            assert cells.dtype == np.float32 and np.array_equal(cells, whole)
-            thr = pooled_percentiles(cells, "T2m", name, levels, r.start_time)
-            assert np.array_equal(thr.values, np.percentile(whole, levels, method="linear"))
+            got = np.array(thr[name].values)
+            want = np.percentile(whole, EXTREMES_LEVELS, method="linear")
+            zero_signs = np.signbit(whole[whole == 0])
+            if zero_signs.any() and not zero_signs.all():
+                assert np.array_equal(got, want)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    def test_changed_reference_between_passes(self, tmp_path):
+        """The second walk is not hashed, so a file whose values move between
+        the walks is caught by the counts of its bins, naming the file."""
+        grid = GridSpec.regular(8, 16)
+        data = np.random.default_rng(3).standard_normal((40, 1, 8, 16))
+        path = tmp_path / "r.rgf"
+        write_rollout(make_series(grid, data), path)
+        regions = [GLOBE]
+        with RolloutFile(path) as f:
+            s = spectra.scan(f, ("T2m",), spectra=False, regions=regions,
+                             levels=[10.0, 90.0])
+            raw = bytearray(path.read_bytes())
+            raw[-20 * 512:] = (data[20:] + 100).astype(np.float32).tobytes()  # last 20 steps
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=f"{re.escape(str(path))}: changed between "
+                                                  "passes"):
+                spectra.pooled_thresholds(f, "T2m", regions, s.pools["T2m"])
 
 
 class TestEventSeries:
