@@ -12,6 +12,8 @@ to no band.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,9 +36,12 @@ from .gridio import (
     region_mask,
 )
 
-# float64 bytes of one variable's block of timesteps read and transformed at
-# once, so the working set of a scan does not grow with the horizon
+# float64 bytes of one variable's block of timesteps read at once, so the
+# working set of a scan does not grow with the horizon
 BLOCK_BYTES = 32 << 20
+# float64 bytes of the steps of a block transformed at once, by one worker of
+# the spectra pool, so each transform's temporaries stay in cache
+TILE_BYTES = 1 << 20
 
 LARGE_MIN_KM = 5000.0
 MEDIUM_MIN_KM = 250.0
@@ -55,9 +60,12 @@ class ThreadCountError(ValueError):
 
 
 def thread_count() -> int:
-    """FFT worker count: ROLLOUT_STAB_THREADS if set, else the CPU count."""
+    """Spectra worker count: ROLLOUT_STAB_THREADS if set, else the CPUs this
+    process may run on."""
     env = os.environ.get("ROLLOUT_STAB_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(env)
@@ -115,7 +123,7 @@ def zonal_spectrum(field: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(
             f"field shape {field.shape} does not match grid ({grid.n_lat}, {grid.n_lon})"
         )
-    return _spectra(field[None], grid)[0]
+    return _spectra(field[None], latitude_weights(grid))[0]
 
 
 def band_average(energy: np.ndarray, grid: GridSpec, band: str) -> np.ndarray:
@@ -167,11 +175,11 @@ class SpectrumSeries:
         return DailySeries(dates, self.band(name))
 
 
-def _spectra(fields: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Latitude-weighted amplitude spectra (time, n_k) of a (time, lat, lon) stack."""
-    amp = np.abs(scipy.fft.rfft(fields.astype(np.float64), axis=-1,
-                                workers=thread_count())) / grid.n_lon
-    return np.einsum("j,tjk->tk", latitude_weights(grid), amp)
+def _spectra(fields: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Amplitude spectra (time, n_k) of a (time, lat, lon) stack, weighted
+    over latitude by ``w``; written into ``out`` if given."""
+    amp = np.abs(scipy.fft.rfft(fields.astype(np.float64), axis=-1, workers=1)) / fields.shape[-1]
+    return np.einsum("j,tjk->tk", w, amp, out=out)
 
 
 def _series(timestamps: np.ndarray, energy: np.ndarray, grid: GridSpec,
@@ -205,9 +213,11 @@ class Scan(NamedTuple):
     pools: dict[str, dict[str, PoolSelect]]  # variable -> region name -> counted pool
 
 
-def _rows(grid: GridSpec) -> int:
-    """Steps per block of a walk: at most BLOCK_BYTES of float64 per variable."""
-    return max(1, BLOCK_BYTES // (grid.n_lat * grid.n_lon * 8))
+def _rows(grid: GridSpec, nbytes: int | None = None) -> int:
+    """Steps per block of a walk, at most BLOCK_BYTES of float64 per
+    variable, or per tile given ``nbytes``: a block is read at once, and its
+    spectra are taken in tiles of at most TILE_BYTES."""
+    return max(1, (nbytes or BLOCK_BYTES) // (grid.n_lat * grid.n_lon * 8))
 
 
 def _region_cells(grid: GridSpec, regions) -> dict[str, slice | np.ndarray]:
@@ -236,11 +246,13 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     ``source`` is an in-memory series or an open :class:`RolloutFile`; both
     are walked in blocks of at most BLOCK_BYTES of float64 per variable, so
     no whole field is held, and a file's digest is complete once the pass
-    returns. With ``daily=True`` the spectra are averaged into one per UTC
-    day. Every result needs complete fields, so the walk stops with
-    :class:`IncompleteFieldError` at the first block where a variable holds a
-    fill value; of several such variables it names the first in
-    ``variables`` order within that block.
+    returns. A block is read at once, but its spectra are taken in tiles of
+    at most TILE_BYTES of float64, on a pool of :func:`thread_count` workers
+    that lives only as long as the pass. With ``daily=True`` the spectra are
+    averaged into one per UTC day. Every result needs complete fields, so the
+    walk stops with :class:`IncompleteFieldError` at the first block where a
+    variable holds a fill value; of several such variables it names the first
+    in ``variables`` order within that block.
     """
     grid = source.grid
     if spectra and grid.n_lon < 4:
@@ -248,34 +260,42 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     idx = {v: source.index_of(v) for v in variables}
     region_at = _region_cells(grid, regions)
     n = source.n_time
+    rows, tile = _rows(grid), _rows(grid, TILE_BYTES)
     energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
+    w = latitude_weights(grid) if spectra else None
     ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
            for v in idx} if extremes else {}
     regional = {v: {k: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
                     for k in region_at} for v in idx}
     pools = ({v: {k: PoolSelect(levels) for k in region_at} for v in idx}
              if levels is not None else {})
+    # a worker per CPU, but none more than a block has tiles; it starts no
+    # thread before its first tile
+    pool = (ThreadPoolExecutor(min(thread_count(), -(-min(rows, n) // tile))) if spectra
+            else nullcontext())
     s = 0
-    walk = source.blocks(_rows(grid))
-    for block in walk:
-        e = s + block.shape[0]
-        for v, i in idx.items():
-            fields = block[:, i]
-            # without a fill value, the values are finite by now
-            if source.fill_value is not None and not all_finite(fields):
-                walk.close()  # ends a file walk's hashing thread now
-                raise IncompleteFieldError(v)
-            if spectra:
-                energy[v][s:e] = _spectra(fields, grid)
-            flat = fields.reshape(e - s, -1)
-            if extremes:
-                ext[v].min[s:e], ext[v].max[s:e] = Extremes.of(flat)
-            for name, at in region_at.items():
-                cells = flat[:, at]
-                regional[v][name].min[s:e], regional[v][name].max[s:e] = Extremes.of(cells)
-                if pools:
-                    pools[v][name].count(cells)
-        s = e
+    # on any exit, the pool's threads and a file walk's hashing thread end here
+    with closing(source.blocks(rows)) as walk, pool as tiles:
+        for block in walk:
+            e = s + block.shape[0]
+            for v, i in idx.items():
+                fields = block[:, i]
+                # without a fill value, the values are finite by now
+                if source.fill_value is not None and not all_finite(fields):
+                    raise IncompleteFieldError(v)
+                if spectra:
+                    out = energy[v][s:e]
+                    list(tiles.map(lambda a: _spectra(fields[a:a + tile], w, out[a:a + tile]),
+                                   range(0, e - s, tile)))
+                flat = fields.reshape(e - s, -1)
+                if extremes:
+                    ext[v].min[s:e], ext[v].max[s:e] = Extremes.of(flat)
+                for name, at in region_at.items():
+                    cells = flat[:, at]
+                    regional[v][name].min[s:e], regional[v][name].max[s:e] = Extremes.of(cells)
+                    if pools:
+                        pools[v][name].count(cells)
+            s = e
     block = fields = flat = cells = None  # views of the walk's buffer, whose room the plans need
     for selects in pools.values():
         for select in selects.values():

@@ -1,8 +1,27 @@
+import os
+import tempfile
+import threading
+import tracemalloc
+from datetime import datetime
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import example, given, settings, strategies as st
 
 from rollstab import GridSpec, band_average, spectrum_series, wavelength_of, zonal_spectrum
 from rollstab import spectra
+from rollstab.gridio import (
+    IncompleteFieldError,
+    RolloutFile,
+    RolloutSeries,
+    TruncatedPayloadError,
+    daily_mean,
+    latitude_weights,
+    write_rollout,
+)
 from rollstab.spectra import (
     BandUnresolvedError,
     band_members,
@@ -182,3 +201,140 @@ class TestSpectrumSeries:
         assert len(daily) == 2
         with pytest.raises(ValueError, match="daily=True"):
             spectrum_series(r, "T2m").daily_band("large")
+
+
+def whole_array_spectra(x, grid):
+    """The spectra of a (time, lat, lon) stack in one whole-array transform."""
+    amp = np.abs(scipy.fft.rfft(x.astype(np.float64), axis=-1)) / grid.n_lon
+    return np.einsum("j,tjk->tk", latitude_weights(grid), amp)
+
+
+class TestTiledScan:
+    """A block is read at once but transformed in tiles on a worker pool;
+    neither the tiling nor the pool may change a byte of the spectra."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # (time, lat, lon); a grid needs 3 latitudes for a row off the poles
+        shape=st.tuples(st.integers(1, 30), st.integers(3, 9), st.integers(4, 40)),
+        seed=st.integers(0, 2**32 - 1),
+        block_rows=st.integers(1, 12),
+        tile_bytes=st.none() | st.integers(1, 6000),  # None keeps TILE_BYTES
+        threads=st.integers(1, 4),
+        via_file=st.booleans(),
+        fill=st.booleans(),
+        daily=st.booleans(),
+    )
+    # a step of 1.05 MB exceeds the real TILE_BYTES, so each tile is one step
+    @example(shape=(5, 128, 1025), seed=0, block_rows=3, tile_bytes=None, threads=2,
+             via_file=True, fill=False, daily=False)
+    def test_equal_to_whole_array_transform(self, shape, seed, block_rows, tile_bytes,
+                                            threads, via_file, fill, daily):
+        n_time, n_lat, n_lon = shape
+        grid = GridSpec.regular(n_lat, n_lon)
+        data = np.random.default_rng(seed).standard_normal((n_time, 1, n_lat, n_lon)) * 30
+        r = RolloutSeries(grid=grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
+                          data=data.astype(np.float32), fill_value=-9e30 if fill else None)
+        want = whole_array_spectra(r.values("T2m"), grid)
+        if daily:
+            want = daily_mean(r.timestamps, want).values
+        patches = {"BLOCK_BYTES": block_rows * n_lat * n_lon * 8}
+        if tile_bytes is not None:
+            patches["TILE_BYTES"] = tile_bytes
+        with mock.patch.multiple(spectra, **patches), \
+                mock.patch.dict(os.environ, {"ROLLOUT_STAB_THREADS": str(threads)}), \
+                tempfile.TemporaryDirectory() as d:
+            if via_file:
+                write_rollout(r, Path(d) / "r.rgf")
+                with RolloutFile(Path(d) / "r.rgf") as f:
+                    got = spectra.scan(f, ("T2m",), daily=daily).spectra["T2m"].energy
+            else:
+                got = spectra.scan(r, ("T2m",), daily=daily).spectra["T2m"].energy
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_grows_by_the_block_buffer_only(self, tmp_path, monkeypatch):
+        """Quadrupling BLOCK_BYTES adds about the extra float32 block the
+        walk reads into to a scan's traced peak, and no float64 or complex
+        copy of it: those are made per tile."""
+        grid = GridSpec.regular(64, 128)  # 64 KiB of float64 a step: 16 steps a tile
+        cells = grid.n_lat * grid.n_lon
+        data = np.random.default_rng(0).standard_normal((256, 1, 64, 128))
+        write_rollout(make_series(grid, data), tmp_path / "r.rgf")
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", "2")
+        peaks = []
+        for rows in (64, 256):
+            monkeypatch.setattr(spectra, "BLOCK_BYTES", rows * cells * 8)
+            with RolloutFile(tmp_path / "r.rgf") as f:
+                tracemalloc.start()
+                try:
+                    spectra.scan(f, ("T2m",), extremes=True)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        extra = (256 - 64) * cells * 4  # 6 MiB more of float32 block buffer
+        assert peaks[1] - peaks[0] < 1.5 * extra, peaks
+
+    @pytest.fixture
+    def holed(self, tmp_path):
+        """A 60-step file with a fill cell at step 25 of variable b."""
+        data = np.random.default_rng(1).standard_normal((60, 2, 16, 384)).astype(np.float32)
+        data[25, 1, 3, 5] = np.nan
+        p = tmp_path / "holed.rgf"
+        write_rollout(RolloutSeries(grid=GridSpec.regular(16, 384), variables=("a", "b"),
+                                    start_time=datetime(2021, 1, 1), data=data,
+                                    fill_value=-9e30), p)
+        return p
+
+    @pytest.mark.parametrize("ending", ["complete", "fill value", "truncated", "tile fails"])
+    def test_no_thread_outlives_a_scan(self, holed, monkeypatch, ending):
+        """However a scan ends, its tile pool and its file walk's hashing
+        thread are gone when it returns or raises."""
+        step = 16 * 384 * 8
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 10 * step)  # 10 steps a block
+        monkeypatch.setattr(spectra, "TILE_BYTES", 3 * step)  # 3 steps a tile
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
+        transform, seen = spectra._spectra, []
+
+        def counted(*args):
+            seen.append(threading.active_count())
+            if ending == "tile fails" and len(seen) == 9:
+                raise RuntimeError("tile failed")
+            transform(*args)
+
+        monkeypatch.setattr(spectra, "_spectra", counted)
+        variables = ("a",) if ending != "fill value" else ("a", "b")
+        before = threading.active_count()
+        with RolloutFile(holed) as f:
+            if ending == "truncated":  # after the open's size check: 20 of 60 steps left
+                holed.write_bytes(holed.read_bytes()[:-40 * step])  # a frame: 2 float32 fields
+            if ending == "complete":
+                spectra.scan(f, variables)
+                assert len(seen) == 6 * 4
+            else:
+                error = {"fill value": IncompleteFieldError, "truncated": TruncatedPayloadError,
+                         "tile fails": RuntimeError}[ending]
+                with pytest.raises(error):
+                    spectra.scan(f, variables)
+            assert threading.active_count() == before
+        # the walk's hasher and at most three tile workers ran meanwhile
+        assert before < max(seen) <= before + 4
+
+
+class TestThreadCount:
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("ROLLOUT_STAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert spectra.thread_count() == 1
+
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("ROLLOUT_STAB_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert spectra.thread_count() == 3
+
+    @pytest.mark.parametrize("value", ["1", "2", "4"])
+    def test_env_var_sets_the_count(self, monkeypatch, value):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", value)
+        assert spectra.thread_count() == int(value)
