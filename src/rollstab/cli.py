@@ -270,12 +270,9 @@ def cmd_smallscale(args) -> int:
 
 
 def cmd_cycle_rmse(args) -> int:
-    a = gridio.read_rollout(args.input)
-    b = gridio.read_rollout(args.reference)
-    doc = {
-        "seasonal_cycle_rmse": detectors.seasonal_cycle_rmse(a, b, args.variable),
-        "units": "variable units",
-    }
+    with gridio.RolloutFile(args.input) as a, gridio.RolloutFile(args.reference) as b:
+        rmse = detectors.seasonal_cycle_rmse(a, b, args.variable)
+    doc = {"seasonal_cycle_rmse": rmse, "units": "variable units"}
     _write_json(args.output, doc, _manifest(args, {"input": (args.input, a.sha256),
                                                    "reference": (args.reference, b.sha256)}))
     return 0
@@ -305,7 +302,7 @@ def cmd_perturb(args) -> int:
     init = None
     if args.init:  # frame 0 is the initial state; the rest is walked for the digest
         with gridio.RolloutFile(args.init) as init:
-            walk = init.blocks(perturb.block_rows(init))
+            walk = init.blocks(spectra.block_rows(init))
             state = next(walk)[0].astype(np.float64)
             for _ in walk:
                 pass
@@ -422,11 +419,10 @@ def cmd_extremes(args) -> int:
 
 
 def cmd_memorize(args) -> int:
-    rollout = gridio.read_rollout(args.rollout)
-    training = gridio.read_rollout(args.index)
     variables = tuple(args.variables.split(",")) if args.variables else None
-    index = memorize.build_index(training, variables)
-    results = memorize.memorization_series(rollout, index, window_days=args.window_days)
+    with gridio.RolloutFile(args.rollout) as rollout, gridio.RolloutFile(args.index) as training:
+        index = memorize.build_index(training, variables)
+        results = memorize.memorization_series(rollout, index, window_days=args.window_days)
     _write_csv(args.output, _manifest(args, {"rollout": (args.rollout, rollout.sha256),
                                              "index": (args.index, training.sha256)}),
                "dimensionless distance ratio; d1/d2 in weighted L2",

@@ -28,9 +28,9 @@ from .gridio import (
     cell_weights,
     check_keys,
     names_of,
-    require_finite,
+    walk,
 )
-from .spectra import BandUnresolvedError, SpectrumSeries, scan
+from .spectra import BandUnresolvedError, SpectrumSeries, block_rows, scan
 
 
 # a blow-up window's fitted growth is at least this factor
@@ -243,14 +243,15 @@ def small_scale_ratios(
 # seasonal-cycle RMSE
 
 
-def seasonal_cycle_rmse(rollout: RolloutSeries, reference: RolloutSeries, v: str) -> float:
+def seasonal_cycle_rmse(rollout: RolloutSeries | RolloutFile,
+                        reference: RolloutSeries | RolloutFile, v: str) -> float:
     """Latitude-weighted RMSE between monthly seasonal cycles.
 
-    Both series must cover the same whole calendar months, with every
-    calendar month appearing the same number of times (N whole years). The
-    per-cell cycle is the mean over all steps falling in each calendar
-    month; the RMSE averages squared differences over the 12 months with
-    area weights.
+    Both series must cover the same whole calendar months, each calendar
+    month the same number of times (N whole years), which the timestamps
+    show before any value is read. The per-cell cycle is the mean over all
+    steps falling in each calendar month; the RMSE averages squared
+    differences over the 12 months with area weights.
     """
     if not rollout.grid.same_geometry(reference.grid):
         raise ValueError("rollout and reference grids differ")
@@ -258,7 +259,6 @@ def seasonal_cycle_rmse(rollout: RolloutSeries, reference: RolloutSeries, v: str
     if ts_a.size != ts_b.size or np.any(ts_a != ts_b):
         raise ValueError("rollout and reference must share identical timestamps")
     months = ts_a.astype("datetime64[M]")
-    month_num = (months.astype(int) % 12) + 1
 
     # whole-month coverage: every present (year, month) must be fully sampled
     uniq_months, inverse = np.unique(months, return_inverse=True)
@@ -271,13 +271,18 @@ def seasonal_cycle_rmse(rollout: RolloutSeries, reference: RolloutSeries, v: str
     if np.any(instances == 0) or np.unique(instances).size != 1:
         raise ValueError("series must span whole years: every calendar month N times")
 
-    a = require_finite(rollout, v).astype(np.float64)
-    b = require_finite(reference, v).astype(np.float64)
+    # per-cell monthly means, summed a step at a time in time order: mean(axis=0)'s bits
+    month = months.astype(int) % 12
+    cycles = np.zeros((2, 12, rollout.grid.n_lat, rollout.grid.n_lon))
+    for r, sums in zip((rollout, reference), cycles):
+        month_of = iter(month)
+        for block in walk(r, block_rows(r), (v,)):
+            for step in block[:, r.index_of(v)]:
+                sums[next(month_of)] += step
+    cycles /= np.bincount(month, minlength=12)[:, None, None]
     w = cell_weights(rollout.grid)
     sq = 0.0
-    for m in range(1, 13):
-        sel = month_num == m
-        diff = a[sel].mean(axis=0) - b[sel].mean(axis=0)
+    for diff in cycles[0] - cycles[1]:
         sq += float((w * diff**2).sum())
     return math.sqrt(sq / 12.0)
 

@@ -9,7 +9,8 @@ row-major order.
 :meth:`RolloutFile.blocks` reads the payload into one reused buffer and
 hashes each block on one helper thread while the caller works on it: a
 block is read-only until the next one is taken, which refills the buffer.
-A second walk of a file that has been hashed may skip the hash.
+A second walk of a file that has been hashed may skip the hash. Analyses
+read through :func:`walk`, which owns the rule that a fill cell ends one.
 :class:`RolloutWriter` writes a file frame by frame, header first.
 """
 
@@ -23,6 +24,7 @@ import re
 import shutil
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from typing import Iterator, NamedTuple
@@ -414,12 +416,19 @@ class IncompleteFieldError(ValueError):
         )
 
 
-def require_finite(r: RolloutSeries, v: str) -> np.ndarray:
-    """Return values(v) after rejecting fill values, as detectors must."""
-    vals = r.values(v)
-    if not all_finite(vals):
-        raise IncompleteFieldError(v)
-    return vals
+def walk(source: RolloutSeries | RolloutFile, rows: int, variables) -> Iterator[np.ndarray]:
+    """``source.blocks(rows)``, as every analysis reads its input. It stops with
+    :class:`IncompleteFieldError` at the first block where one of ``variables``
+    holds a fill cell, naming the first in ``variables`` order; without a fill
+    value the reader has checked every cell. However it ends, so does ``source``'s."""
+    idx = [(v, source.index_of(v)) for v in variables]
+    with closing(source.blocks(rows)) as blocks:
+        for block in blocks:
+            if source.fill_value is not None:
+                for v, i in idx:
+                    if not all_finite(block[:, i]):
+                        raise IncompleteFieldError(v)
+            yield block
 
 
 class Extremes(NamedTuple):

@@ -16,13 +16,16 @@ from datetime import datetime
 import numpy as np
 
 from .gridio import (
+    GridSpec,
     PreconditionError,
+    RolloutFile,
     RolloutSeries,
     cell_weights,
     folded_doy,
-    require_finite,
+    walk,
 )
 from .perturb import pooled_stats
+from .spectra import block_rows
 
 MEMORIZED_THRESHOLD = 0.5
 
@@ -41,37 +44,51 @@ class NeighborIndex:
     variables: tuple[str, ...]
     stats: dict[str, tuple[float, float]]
     sqrt_weights: np.ndarray  # (n_lat, n_lon)
+    grid: GridSpec  # the training grid
 
     def embed(self, fields: np.ndarray) -> np.ndarray:
         """Standardize and weight one (n_var, lat, lon) sample (same path as
         the stored snapshots, so identical copies match exactly)."""
-        fields = np.asarray(fields, dtype=np.float32)
+        fields = np.array(fields, dtype=np.float32)
         if fields.shape != (len(self.variables), *self.sqrt_weights.shape):
             raise ValueError("sample shape does not match the index variables/grid")
-        parts = []
+        return self._standardize(fields).ravel()
+
+    def _standardize(self, x: np.ndarray) -> np.ndarray:
+        """Standardize and weight float32 (..., n_var, lat, lon) samples in place."""
         for vi, v in enumerate(self.variables):
             mu, sigma = self.stats[v]
             scale = np.float32(1.0 / sigma) if sigma > 0 else np.float32(0.0)
-            parts.append(((fields[vi] - np.float32(mu)) * scale
-                          * self.sqrt_weights).ravel())
-        return np.concatenate(parts)
+            x[..., vi, :, :] -= np.float32(mu)
+            x[..., vi, :, :] *= scale
+            x[..., vi, :, :] *= self.sqrt_weights
+        return x
 
 
-def build_index(training: RolloutSeries, variables: tuple[str, ...] | None = None) -> NeighborIndex:
-    """Index every timestep of the training series."""
+def build_index(training: RolloutSeries | RolloutFile, variables=None) -> NeighborIndex:
+    """Index every timestep of the training series in one walk, which copies
+    its frames into the float32 array that, standardized in place, is ``vectors``."""
     variables = tuple(variables) if variables else training.variables
-    ts = training.timestamps
-    dim = len(variables) * training.grid.n_lat * training.grid.n_lon
+    grid, ts = training.grid, training.timestamps
+    cols = [training.index_of(v) for v in variables]
+    x = np.empty((training.n_time, len(cols), grid.n_lat, grid.n_lon), dtype=np.float32)
+    s = 0
+    for block in walk(training, block_rows(training), variables):
+        for j, i in enumerate(cols):
+            x[s : s + len(block), j] = block[:, i]
+        s += len(block)
+    block = None  # a view of the walk's buffer, whose room pooled_stats needs
     idx = NeighborIndex(
-        stats=pooled_stats(training, variables),  # rejects fill cells first
-        vectors=np.empty((training.n_time, dim), dtype=np.float32),
+        vectors=x.reshape(len(x), -1),
         doys=folded_doy(ts),
         ids=tuple(str(t) for t in ts),
         variables=variables,
-        sqrt_weights=np.sqrt(cell_weights(training.grid)).astype(np.float32),
+        stats=pooled_stats(RolloutSeries(grid=grid, variables=variables, data=x,
+                                         start_time=training.start_time), variables),
+        sqrt_weights=np.sqrt(cell_weights(grid)).astype(np.float32),
+        grid=grid,
     )
-    for t in range(training.n_time):
-        idx.vectors[t] = idx.embed(np.stack([training.values(v)[t] for v in variables]))
+    idx._standardize(x)
     return idx
 
 
@@ -118,15 +135,17 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
                          first_id=index.ids[i1], second_id=index.ids[i2])
 
 
-def memorization_series(rollout: RolloutSeries, index: NeighborIndex,
+def memorization_series(rollout: RolloutSeries | RolloutFile, index: NeighborIndex,
                         window_days: int = 10) -> list[DistanceRatio]:
-    """Distance ratio of every rollout timestep against the index."""
-    for v in index.variables:
-        require_finite(rollout, v)
+    """Distance ratio of every rollout timestep against the index, scored in
+    one walk of the rollout, which must lie on the index's grid."""
+    if not rollout.grid.same_geometry(index.grid):
+        raise ValueError("rollout and index grids differ")
+    cols = [rollout.index_of(v) for v in index.variables]
     ts = rollout.timestamps
     out = []
-    for t in range(rollout.n_time):
-        fields = np.stack([rollout.values(v)[t] for v in index.variables])
-        out.append(distance_ratio(fields, ts[t].astype(datetime), index,
-                                  window_days=window_days))
+    for block in walk(rollout, block_rows(rollout), index.variables):
+        for frame in block:
+            out.append(distance_ratio(frame[cols], ts[len(out)].astype(datetime), index,
+                                      window_days=window_days))
     return out

@@ -22,7 +22,6 @@ import numpy as np
 
 from .gridio import (
     GridSpec,
-    IncompleteFieldError,
     RolloutFile,
     RolloutSeries,
     RolloutWriter,
@@ -32,9 +31,10 @@ from .gridio import (
     names_of,
     read_json,
     read_rollout,
+    walk,
     write_rollout,
 )
-from . import spectra
+from .spectra import block_rows
 from .synth import RegimeConfig, Stepper, initial_state
 
 KINDS = ("WHITE", "GRF", "PURE_NOISE")
@@ -62,13 +62,6 @@ class PerturbationSpec:
             raise ValueError(f"target must be one of {TARGETS}")
 
 
-def block_rows(source: RolloutSeries | RolloutFile) -> int:
-    """Time steps per block of a walk over whole frames: the float32 block and
-    a float64 copy of one of its variables fit in BLOCK_BYTES together."""
-    cells = source.grid.n_lat * source.grid.n_lon
-    return max(1, spectra.BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
-
-
 def pooled_stats(source: RolloutSeries | RolloutFile, variables) -> dict[str, tuple[float, float]]:
     """Scalar mean and std of each of ``variables``, as float64 moments
     pooled over every cell and step of ``source``, in one walk of its time
@@ -77,9 +70,8 @@ def pooled_stats(source: RolloutSeries | RolloutFile, variables) -> dict[str, tu
     Each step is reduced in float64 to its sum and its squared deviation from
     its own mean. These n_time pairs are merged by the pairwise rule of Chan,
     Golub & LeVeque (1983), with every sum taken exactly by
-    :func:`math.fsum`, so the result does not depend on the block size. A
-    fill cell raises :class:`IncompleteFieldError` at the first block that
-    holds one, naming the first such variable in ``variables`` order.
+    :func:`math.fsum`, so the result does not depend on the block size. The
+    walk is a :func:`~rollstab.gridio.walk`, so a fill cell ends it.
     """
     idx = {v: source.index_of(v) for v in variables}
     cells = source.grid.n_lat * source.grid.n_lon
@@ -88,16 +80,12 @@ def pooled_stats(source: RolloutSeries | RolloutFile, variables) -> dict[str, tu
     rows = block_rows(source)
     buf = np.empty((min(rows, source.n_time), cells))
     s = 0
-    walk = source.blocks(rows)
-    for block in walk:
+    for block in walk(source, rows, idx):
         e = s + block.shape[0]
         x = buf[: e - s]
         for v, i in idx.items():
             np.copyto(x, block[:, i].reshape(e - s, cells))
             row_sums = sums[v][s:e] = x.sum(axis=1)
-            if not np.isfinite(row_sums).all():  # NaN marks a fill cell
-                walk.close()  # ends a file walk's hashing thread now
-                raise IncompleteFieldError(v)
             x -= (row_sums / cells)[:, None]
             np.square(x, out=x)
             sq_devs[v][s:e] = x.sum(axis=1)
@@ -235,7 +223,8 @@ class ExternalProcessAdapter(ModelAdapter):
 
     Per step the harness writes ``state_in.rgf`` (a one-step rollout holding
     all variables) and ``clock.json``, invokes the configured command, and
-    reads ``state_out.rgf`` back. The manifest (a dict or a JSON file) has keys
+    reads ``state_out.rgf`` back, which must hold one step of every variable,
+    in order, on the run's grid. The manifest (a dict or a JSON file) has keys
     ``command`` (string or argv list), ``workdir``, ``variables``, and optionally
     ``static_variables`` and ``supports_time_shift`` (a bool), and no others.
     """
@@ -273,7 +262,12 @@ class ExternalProcessAdapter(ModelAdapter):
             json.dump({"time": clock.isoformat(), "step_seconds": self.step_seconds},
                       f, sort_keys=True)
         subprocess.run(self.command, cwd=self.workdir, check=True)
-        return read_rollout(self.workdir / "state_out.rgf").data[0].astype(np.float64)
+        out = read_rollout(self.workdir / "state_out.rgf")
+        grid = "" if out.grid.same_geometry(self.grid) else " on another grid"
+        if (out.n_time, out.variables, grid) != (1, self.all_variables, ""):
+            raise ValueError(f"state_out.rgf holds {out.n_time} step(s) of {list(out.variables)}"
+                             f"{grid}, not one of {list(self.all_variables)} on the run's grid")
+        return out.data[0].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,13 @@ from .gridio import (
     Extremes,
     FormatError,
     GridSpec,
-    IncompleteFieldError,
     PreconditionError,
     RolloutFile,
     RolloutSeries,
-    all_finite,
     daily_mean,
     latitude_weights,
     region_mask,
+    walk,
 )
 
 # float64 bytes of one variable's block of timesteps read at once, so the
@@ -220,6 +219,13 @@ def _rows(grid: GridSpec, nbytes: int | None = None) -> int:
     return max(1, (nbytes or BLOCK_BYTES) // (grid.n_lat * grid.n_lon * 8))
 
 
+def block_rows(source: RolloutSeries | RolloutFile) -> int:
+    """Time steps per block of a walk over whole frames: the float32 block and
+    a float64 copy of one of its variables fit in BLOCK_BYTES together."""
+    cells = source.grid.n_lat * source.grid.n_lon
+    return max(1, BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
+
+
 def _region_cells(grid: GridSpec, regions) -> dict[str, slice | np.ndarray]:
     """Each region's cells on ``grid`` as an index into a flattened field, in
     mask order: a slice where they are contiguous (a polar cap), so they are
@@ -250,9 +256,8 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     at most TILE_BYTES of float64, on a pool of :func:`thread_count` workers
     that lives only as long as the pass. With ``daily=True`` the spectra are
     averaged into one per UTC day. Every result needs complete fields, so the
-    walk stops with :class:`IncompleteFieldError` at the first block where a
-    variable holds a fill value; of several such variables it names the first
-    in ``variables`` order within that block.
+    pass is a :func:`~rollstab.gridio.walk`, which stops at the first block
+    where one of ``variables`` holds a fill cell.
     """
     grid = source.grid
     if spectra and grid.n_lon < 4:
@@ -275,14 +280,11 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
             else nullcontext())
     s = 0
     # on any exit, the pool's threads and a file walk's hashing thread end here
-    with closing(source.blocks(rows)) as walk, pool as tiles:
-        for block in walk:
+    with closing(walk(source, rows, idx)) as blocks, pool as tiles:
+        for block in blocks:
             e = s + block.shape[0]
             for v, i in idx.items():
                 fields = block[:, i]
-                # without a fill value, the values are finite by now
-                if source.fill_value is not None and not all_finite(fields):
-                    raise IncompleteFieldError(v)
                 if spectra:
                     out = energy[v][s:e]
                     list(tiles.map(lambda a: _spectra(fields[a:a + tile], w, out[a:a + tile]),

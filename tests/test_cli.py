@@ -1494,3 +1494,112 @@ class TestConfigFile:
         # equal values of equal types: the manifest records 60 and 60.0 differently
         assert ({k: (type(v), v) for k, v in from_config.items()}
                 == {k: (type(v), v) for k, v in (from_flags | {"config": str(conf)}).items()})
+
+
+class TestMemorizeGrids:
+    """The rollout must lie on the index's grid, not only match its shape."""
+
+    def test_latitudes_stored_south_to_north_exit_2(self, tmp_path, capsys):
+        grid = GridSpec.regular(8, 16)
+        rng = np.random.default_rng(21)
+        train = make_series(grid, rng.standard_normal((200, 1, 8, 16)),
+                            start=datetime(2021, 1, 1), step_seconds=86400)
+        data = rng.standard_normal((20, 1, 8, 16)).astype(np.float32)
+        data[0] = train.data[0]  # a planted copy at 2021-01-01T00
+        roll = make_series(grid, data, start=datetime(2021, 1, 1), step_seconds=86400)
+        flipped = RolloutSeries(grid=GridSpec(lats=grid.lats[::-1], lons=grid.lons),
+                                variables=roll.variables, start_time=roll.start_time,
+                                data=roll.data[:, :, ::-1], step_seconds=86400)
+        for name, r in (("train", train), ("roll", roll), ("flipped", flipped)):
+            write_rollout(r, tmp_path / f"{name}.rgf")
+        out = tmp_path / "ratios.csv"
+        assert run_cli("memorize", "--rollout", tmp_path / "roll.rgf",
+                       "--index", tmp_path / "train.rgf", "-o", out) == 0
+        first = next(l for l in out.read_text().splitlines() if l.startswith("2021-01-01T"))
+        assert first.split(",")[1] == "0"
+        out.unlink()
+        assert run_cli("memorize", "--rollout", tmp_path / "flipped.rgf",
+                       "--index", tmp_path / "train.rgf", "-o", out) == 2
+        assert capsys.readouterr().err == "rollstab: rollout and index grids differ\n"
+        assert not out.exists()
+
+
+class TestCycleRmseIncompleteInputs:
+    """cycle-rmse walks its inputs, so a fill cell or a NaN without a fill
+    value exits as it does for every other subcommand."""
+
+    @pytest.fixture(scope="class")
+    def years(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("years")
+        data = np.random.default_rng(0).standard_normal((365 * 4, 1, 4, 8)).astype(np.float32)
+        clean = make_series(GridSpec.regular(4, 8), data)
+        write_rollout(clean, d / "year.rgf")
+        holed = data.copy()
+        holed[900, 0, 1, 2] = np.nan
+        write_rollout(RolloutSeries(grid=clean.grid, variables=clean.variables,
+                                    start_time=clean.start_time, data=holed,
+                                    fill_value=-9e30), d / "year_fill.rgf")
+        raw = bytearray((d / "year.rgf").read_bytes())
+        raw[-400:-396] = np.float32(np.nan).tobytes()
+        (d / "year_nan.rgf").write_bytes(bytes(raw))
+        return d
+
+    @pytest.mark.parametrize("bad_input", ["input", "reference"])
+    @pytest.mark.parametrize("hole", ["fill", "nan"])
+    def test_error_and_exit_code(self, tmp_path, years, capsys, bad_input, hole):
+        bad = years / f"year_{hole}.rgf"
+        paths = {"input": years / "year.rgf", "reference": years / "year.rgf", bad_input: bad}
+        out = tmp_path / "out.json"
+        assert run_cli("cycle-rmse", "--input", paths["input"], "--reference",
+                       paths["reference"], "--variable", "T2m", "-o", out) == 2
+        want = ("variable 'T2m' contains fill/NaN values; detectors require complete fields"
+                if hole == "fill" else
+                f"{bad}: invalid header or payload: "
+                "non-finite values present but no fill value declared")
+        assert capsys.readouterr().err == f"rollstab: {want}\n"
+        assert not out.exists()
+
+
+class TestOneReadPath:
+    """Every subcommand walks its RGF inputs in blocks; none reads one whole."""
+
+    def test_every_subcommand_runs_without_read_rollout(self, tmp_path, synth_files,
+                                                        monkeypatch):
+        f, d = synth_files, tmp_path
+        write_rollout(make_series(GridSpec.regular(4, 8), np.random.default_rng(0)
+                                  .standard_normal((365 * 4, 1, 4, 8))), d / "year.rgf")
+        assert run_cli("synth", "--regime-config", f["cfg"], "--horizon-days", "60",
+                       "-o", d / "init.rgf") == 0
+
+        def whole_read(path):
+            raise AssertionError(f"{path} was read whole")
+
+        for module in (rollstab, rollstab.gridio, perturb):
+            monkeypatch.setattr(module, "read_rollout", whole_read)
+        runs = {
+            # a grid that resolves the small band, for smallscale
+            "synth": ["synth", "--grid", "8x384", "--horizon-days", "60", "-o", d / "fine.rgf"],
+            "spectra": ["spectra", "--input", f["pred"], "--variable", "T2m",
+                        "-o", d / "sp.csv"],
+            "blowup": ["blowup", "--input", f["pred"], "--variable", "T2m",
+                       "-o", d / "b.json"],
+            "seasonality": ["seasonality", "--input", f["pred"], "--variable", "T2m",
+                            "--reference", f["ref"], "-o", d / "se.json"],
+            "smallscale": ["smallscale", "--input", d / "fine.rgf", "--reference",
+                           d / "fine.rgf", "--variable", "T2m", "-o", d / "ss.json"],
+            "cycle-rmse": ["cycle-rmse", "--input", d / "year.rgf", "--reference",
+                           d / "year.rgf", "--variable", "T2m", "-o", d / "c.json"],
+            "perturb": ["perturb", "--adapter", f"synth:{f['cfg']}", "--init", d / "init.rgf",
+                        "--kind", "white", "--stats-from", d / "init.rgf", "--steps", "2",
+                        "-o", d / "p.rgf"],
+            "extremes": ["extremes", "--input", f["pred"], "--reference", f["ref"],
+                         "--variable", "T2m", "--outdir", d / "ext"],
+            "memorize": ["memorize", "--rollout", f["pred"], "--index", f["pred"],
+                         "-o", d / "m.csv"],
+            "report": ["report", "--prediction", f["pred"], "--reference", f["ref"],
+                       "-o", d / "r.json"],
+            "aggregate": ["aggregate", d / "r.json", d / "r.json", "-o", d / "a.json"],
+        }
+        assert sorted(runs) == sorted(build_parser()[1])
+        for name, argv in runs.items():
+            assert run_cli(*argv) == 0, name

@@ -1,6 +1,11 @@
 import json
+import math
+import tempfile
+import threading
 import tracemalloc
 from datetime import datetime
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from rollstab import (
     GridSpec,
     RegimeConfig,
+    RolloutSeries,
     detect_blowup,
     detect_seasonality_loss,
     generate,
@@ -26,7 +32,13 @@ from rollstab.detectors import (
     small_scale_ratios,
 )
 from rollstab import spectra
-from rollstab.gridio import DailySeries, RolloutFile, write_rollout
+from rollstab.gridio import (
+    DailySeries,
+    IncompleteFieldError,
+    RolloutFile,
+    cell_weights,
+    write_rollout,
+)
 from rollstab.spectra import SpectrumSeries, spectrum_series
 from conftest import global_extremes, make_series
 
@@ -483,3 +495,107 @@ class TestBuildReport:
                 tracemalloc.stop()
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def whole_array_cycle_rmse(a, b, v):
+    """The seasonal-cycle RMSE as a whole-array formula: each series cast to
+    float64 whole and averaged per calendar month by ``mean(axis=0)``."""
+    month = a.timestamps.astype("datetime64[M]").astype(int) % 12
+    x, y = a.values(v).astype(np.float64), b.values(v).astype(np.float64)
+    w = cell_weights(a.grid)
+    sq = 0.0
+    for m in range(12):
+        diff = x[month == m].mean(axis=0) - y[month == m].mean(axis=0)
+        sq += float((w * diff**2).sum())
+    return math.sqrt(sq / 12.0)
+
+
+def whole_years(grid, years, first_year, steps_per_day, seed, variables=("T2m", "Z500"),
+                fill_value=None):
+    """``years`` whole calendar years of random fields from Jan 1 of ``first_year``."""
+    start = datetime(first_year, 1, 1)
+    days = (datetime(first_year + years, 1, 1) - start).days
+    rng = np.random.default_rng(seed)
+    data = 280 + 10 * rng.standard_normal((days * steps_per_day, len(variables),
+                                           grid.n_lat, grid.n_lon))
+    return RolloutSeries(grid=grid, variables=variables, start_time=start,
+                         data=data.astype(np.float32), step_seconds=86400 // steps_per_day,
+                         fill_value=fill_value)
+
+
+class TestSeasonalCycleRmseWalked:
+    """Each input is reduced in one walk to per-cell monthly sums; that gives
+    the whole-array formula's bytes however the walk is blocked."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # (lat, lon); a grid needs 3 latitudes for a row off the poles
+        shape=st.tuples(st.integers(3, 6), st.integers(1, 9)),
+        years=st.integers(1, 2),
+        first_year=st.sampled_from([2019, 2020, 2021]),  # 2020 is a leap year
+        steps_per_day=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        block_rows=st.integers(1, 400),
+        fill=st.booleans(),
+        v=st.sampled_from(["T2m", "Z500"]),
+    )
+    def test_equal_to_whole_array_formula(self, shape, years, first_year, steps_per_day,
+                                          seed, block_rows, fill, v):
+        grid = GridSpec.regular(*shape)
+        fill_value = -9e30 if fill else None
+        a = whole_years(grid, years, first_year, steps_per_day, seed, fill_value=fill_value)
+        b = whole_years(grid, years, first_year, steps_per_day, seed + 1)
+        want = whole_array_cycle_rmse(a, b, v)
+        cells = grid.n_lat * grid.n_lon
+        # a ragged last block, for block_rows that do not divide the horizon
+        with mock.patch.object(spectra, "BLOCK_BYTES", block_rows * cells * (2 * 4 + 8)), \
+                tempfile.TemporaryDirectory() as d:
+            assert spectra.block_rows(a) == block_rows
+            write_rollout(a, Path(d) / "a.rgf")
+            write_rollout(b, Path(d) / "b.rgf")
+            with RolloutFile(Path(d) / "a.rgf") as fa, RolloutFile(Path(d) / "b.rgf") as fb:
+                got_files = seasonal_cycle_rmse(fa, fb, v)
+            got_series = seasonal_cycle_rmse(a, b, v)
+        assert np.float64(got_files).tobytes() == np.float64(want).tobytes()
+        assert np.float64(got_series).tobytes() == np.float64(want).tobytes()
+
+    def test_peak_memory_flat_when_the_horizon_doubles(self, tmp_path, monkeypatch):
+        """The traced peak of one year against one year and of two against
+        two differ by far less than the float64 copy of a year the
+        whole-array formula held per input (11.2 MB here)."""
+        grid = GridSpec.regular(16, 60)
+        cells = grid.n_lat * grid.n_lon
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 50 * cells * (4 + 8))  # 50 steps a block
+        peaks = []
+        for years in (1, 2):
+            p = tmp_path / f"{years}.rgf"
+            write_rollout(whole_years(grid, years, 2021, 4, 0, variables=("T2m",)), p)
+            with RolloutFile(p) as a, RolloutFile(p) as b:
+                tracemalloc.start()
+                try:
+                    seasonal_cycle_rmse(a, b, "T2m")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        year_float64 = 365 * 4 * cells * 8
+        assert peaks[1] - peaks[0] < year_float64 / 20, peaks
+
+    @pytest.mark.parametrize("holed", ["rollout", "reference"])
+    def test_fill_cell_stops_the_walk_and_its_thread(self, tmp_path, holed):
+        grid = GridSpec.regular(4, 8)
+        clean = whole_years(grid, 1, 2021, 4, 0)
+        data = clean.data.copy()
+        data[1000, 1, 2, 3] = np.nan
+        write_rollout(clean, tmp_path / "clean.rgf")
+        write_rollout(RolloutSeries(grid=grid, variables=clean.variables,
+                                    start_time=clean.start_time, data=data,
+                                    step_seconds=clean.step_seconds, fill_value=-9e30),
+                      tmp_path / "holed.rgf")
+        paths = {"rollout": tmp_path / "clean.rgf", "reference": tmp_path / "clean.rgf",
+                 holed: tmp_path / "holed.rgf"}
+        threads = threading.active_count()
+        with RolloutFile(paths["rollout"]) as a, RolloutFile(paths["reference"]) as b:
+            assert seasonal_cycle_rmse(a, b, "T2m") == 0.0  # the hole is in Z500
+            with pytest.raises(IncompleteFieldError, match="'Z500'"):
+                seasonal_cycle_rmse(a, b, "Z500")
+            assert threading.active_count() == threads

@@ -29,7 +29,7 @@ from rollstab.gridio import (
     read_rollout,
     read_series_csv,
     region_mask,
-    require_finite,
+    walk,
     write_rollout,
     write_series_csv,
 )
@@ -137,21 +137,22 @@ class TestRolloutSeries:
                           data=np.zeros((1, 1, 8, 16)), fill_value=fill_value)
 
     def test_finiteness_checks_allocate_no_copy(self):
-        """Building a series and requiring a variable finite scan the values
-        without a boolean temporary (4 MB for this 16 MB payload)."""
+        """Building a series and walking a variable that must be complete scan
+        the values without a boolean temporary (4 MB for this 16 MB payload)."""
         data = np.random.default_rng(0).standard_normal((64, 2, 128, 256)).astype(np.float32)
         tracemalloc.start()
         try:
             r = RolloutSeries(grid=GridSpec.regular(128, 256), variables=("a", "b"),
                               start_time=datetime(2021, 1, 1), data=data)
-            require_finite(r, "b")
+            r.fill_value = -9e30  # a walk checks for fill cells only where there may be some
+            list(walk(r, 16, ("b",)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
         data[5, 1, 7, 9] = -np.inf
         with pytest.raises(IncompleteFieldError):
-            require_finite(r, "b")
+            list(walk(r, 16, ("b",)))
 
     def test_rejects_start_time_with_utc_offset(self, small_grid):
         start = datetime.fromisoformat("2021-01-01T00:00:00+05:00")

@@ -1,9 +1,15 @@
+import tempfile
+import threading
 from datetime import datetime
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rollstab import GridSpec, RolloutSeries, build_index, distance_ratio
+from rollstab import GridSpec, RolloutSeries, build_index, distance_ratio, spectra
+from rollstab.gridio import IncompleteFieldError, RolloutFile, read_rollout, write_rollout
 from rollstab.memorize import TooFewCandidatesError, memorization_series
 from conftest import make_series
 
@@ -132,3 +138,92 @@ class TestMemorizationSeries:
             fields = np.stack([roll.values("T2m")[list(roll.timestamps).index(t)]])
             single = distance_ratio(fields, t.astype(datetime), idx)
             assert res.ratio == pytest.approx(single.ratio)
+
+
+class TestIndexWalked:
+    """The index is read in one walk into the array that becomes ``vectors``;
+    a file and the same data in memory give the same bytes, and those of
+    embedding each snapshot on its own."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_time=st.integers(2, 60),
+        n_var=st.integers(1, 3),
+        shape=st.tuples(st.integers(3, 6), st.integers(1, 8)),
+        seed=st.integers(0, 2**32 - 1),
+        block_rows=st.integers(1, 25),
+        fill=st.booleans(),
+        data=st.data(),
+    )
+    def test_file_and_memory_agree(self, n_time, n_var, shape, seed, block_rows, fill, data):
+        names = tuple(f"v{i}" for i in range(n_var))
+        chosen = data.draw(st.none() | st.lists(st.sampled_from(names), min_size=1,
+                                                max_size=3, unique=True).map(tuple))
+        grid = GridSpec.regular(*shape)
+        values = np.random.default_rng(seed).standard_normal((n_time, n_var, *shape)) * 50 + 9
+        train = RolloutSeries(grid=grid, variables=names, start_time=datetime(2020, 2, 20),
+                              data=values.astype(np.float32), step_seconds=21600,
+                              fill_value=-9e30 if fill else None)
+        cells = shape[0] * shape[1]
+        with mock.patch.object(spectra, "BLOCK_BYTES", block_rows * cells * (4 * n_var + 8)), \
+                tempfile.TemporaryDirectory() as d:
+            write_rollout(train, Path(d) / "train.rgf")
+            with RolloutFile(Path(d) / "train.rgf") as f:
+                from_file = build_index(f, chosen)
+            in_memory = build_index(train, chosen)
+        assert from_file.vectors.tobytes() == in_memory.vectors.tobytes()
+        assert from_file.stats == in_memory.stats
+        assert from_file.ids == in_memory.ids and np.array_equal(from_file.doys, in_memory.doys)
+        cols = [names.index(v) for v in in_memory.variables]
+        one_by_one = np.stack([in_memory.embed(frame[cols]) for frame in train.data])
+        assert one_by_one.tobytes() == in_memory.vectors.tobytes()
+
+
+class TestWalksStopAtAFillCell:
+    """Indexing and scoring stop at the first fill cell of a chosen variable,
+    and the walk's hashing thread ends with them."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((120, 2, 8, 16)).astype(np.float32)
+        clean = RolloutSeries(grid=GridSpec.regular(8, 16), variables=("a", "b"),
+                              start_time=datetime(1990, 1, 1), data=data, step_seconds=86400)
+        write_rollout(clean, tmp_path / "clean.rgf")
+        data = data.copy()
+        data[70, 1, 4, 4] = np.nan
+        write_rollout(RolloutSeries(grid=clean.grid, variables=clean.variables,
+                                    start_time=clean.start_time, data=data,
+                                    step_seconds=86400, fill_value=-9e30),
+                      tmp_path / "holed.rgf")
+        return tmp_path / "clean.rgf", tmp_path / "holed.rgf"
+
+    def test_index(self, files, monkeypatch):
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 16 * 8 * 16 * 16)  # 16 steps a block
+        threads = threading.active_count()
+        with RolloutFile(files[1]) as f:
+            assert build_index(f, ("a",)).vectors.shape == (120, 128)
+            with pytest.raises(IncompleteFieldError, match="'b'"):
+                build_index(f)
+        assert threading.active_count() == threads
+
+    def test_rollout(self, files, monkeypatch):
+        monkeypatch.setattr(spectra, "BLOCK_BYTES", 16 * 8 * 16 * 16)
+        with RolloutFile(files[0]) as f:
+            index = build_index(f)
+        threads = threading.active_count()
+        with RolloutFile(files[1]) as f:
+            with pytest.raises(IncompleteFieldError, match="'b'"):
+                memorization_series(f, index)
+        assert threading.active_count() == threads
+
+    def test_rollout_on_another_grid(self, files):
+        with RolloutFile(files[0]) as f:
+            index = build_index(f)
+        train = read_rollout(files[0])
+        flipped = RolloutSeries(grid=GridSpec(lats=train.grid.lats[::-1], lons=train.grid.lons),
+                                variables=train.variables, start_time=train.start_time,
+                                data=train.data[:, :, ::-1], step_seconds=86400)
+        assert memorization_series(train, index)[5].ratio == 0.0
+        with pytest.raises(ValueError, match="rollout and index grids differ"):
+            memorization_series(flipped, index)

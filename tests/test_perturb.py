@@ -1,6 +1,7 @@
 import json
 import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rollstab import (
     run_rollout,
     variable_stats,
 )
+from rollstab import gridio
 from rollstab.gridio import (
     FormatError,
     IncompleteFieldError,
@@ -447,3 +449,39 @@ class TestEnsembleSpread:
     def test_requires_two_members(self, random_series):
         with pytest.raises(ValueError):
             ensemble_spread([random_series], "T2m")
+
+
+class TestExternalStateOut:
+    """state_out.rgf must hold one step of the run's variables, in order, on
+    the run's grid; anything else fails the step, and the run keeps the
+    completed prefix with the usual annotation."""
+
+    MODELS = {
+        "reversed variables": "r.variables = r.variables[::-1]; r.data = r.data[:, ::-1]",
+        "two steps": "r.data = np.concatenate([r.data, r.data])",
+        "latitudes south to north": ("r.grid = gridio.GridSpec(lats=r.grid.lats[::-1], "
+                                     "lons=r.grid.lons); r.data = r.data[:, :, ::-1]"),
+    }
+
+    @pytest.mark.parametrize("change", [None, *MODELS])
+    def test_header_checked(self, tmp_path, change):
+        src = str(Path(gridio.__file__).resolve().parent.parent)
+        model = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+                 "from rollstab import gridio; r = gridio.read_rollout('state_in.rgf'); "
+                 f"{self.MODELS.get(change, 'pass')}; "
+                 "gridio.write_rollout(gridio.RolloutSeries(grid=r.grid, variables=r.variables, "
+                 "start_time=r.start_time, data=r.data, step_seconds=r.step_seconds), "
+                 "'state_out.rgf')")
+        manifest = {"command": [sys.executable, "-c", model], "workdir": str(tmp_path),
+                    "variables": ["a", "b"]}
+        ad = ExternalProcessAdapter(manifest, grid=GridSpec.regular(4, 8))
+        init = np.stack([np.full((4, 8), 1.0), np.full((4, 8), 2.0)])
+        init[:, 0] += 0.5  # the first row differs, so a flip would show
+        out = run_rollout(ad, init, EPOCH, 2)
+        if change is None:
+            assert out.n_time == 3 and "error" not in out.attrs
+            assert np.array_equal(out.data[2], init.astype(np.float32))
+            return
+        assert out.n_time == 1
+        assert out.attrs["error"].startswith("adapter failed at step 0: state_out.rgf holds ")
+        assert out.attrs["error"].endswith(", not one of ['a', 'b'] on the run's grid")
