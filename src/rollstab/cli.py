@@ -205,6 +205,8 @@ def cmd_blowup(args) -> int:
                   "cannot be combined with --min-csv/--max-csv, which hold one series")
     rgf = None
     if args.input:
+        if args.variable is None:
+            raise ValueError("--variable is required with --input")
         with gridio.RolloutFile(args.input) as r:
             s = spectra.scan(r, (args.variable,), spectra=False, extremes=True)
         rgf = (args.input, r.sha256)
@@ -302,10 +304,14 @@ def cmd_perturb(args) -> int:
     init = None
     if args.init:  # frame 0 is the initial state; the rest is walked for the digest
         with gridio.RolloutFile(args.init) as init:
-            walk = init.blocks(spectra.block_rows(init))
+            walk = gridio.walk(init, ())
             state = next(walk)[0].astype(np.float64)
             for _ in walk:
                 pass
+        for v, frame in zip(init.variables, state):
+            if not gridio.all_finite(frame):
+                raise gridio.IncompleteFieldError(
+                    f"{args.init}: variable {v!r} holds fill cells in frame 0, the initial state")
     adapter, adapter_path = _load_adapter(args.adapter, init, args.step_seconds)
 
     if init is not None:

@@ -30,7 +30,7 @@ from .gridio import (
     names_of,
     walk,
 )
-from .spectra import BandUnresolvedError, SpectrumSeries, block_rows, scan
+from .spectra import BandUnresolvedError, SpectrumSeries, scan
 
 
 # a blow-up window's fitted growth is at least this factor
@@ -276,7 +276,7 @@ def seasonal_cycle_rmse(rollout: RolloutSeries | RolloutFile,
     cycles = np.zeros((2, 12, rollout.grid.n_lat, rollout.grid.n_lon))
     for r, sums in zip((rollout, reference), cycles):
         month_of = iter(month)
-        for block in walk(r, block_rows(r), (v,)):
+        for block in walk(r, (v,)):
             for step in block[:, r.index_of(v)]:
                 sums[next(month_of)] += step
     cycles /= np.bincount(month, minlength=12)[:, None, None]

@@ -10,7 +10,7 @@ row-major order.
 hashes each block on one helper thread while the caller works on it: a
 block is read-only until the next one is taken, which refills the buffer.
 A second walk of a file that has been hashed may skip the hash. Analyses
-read through :func:`walk`, which owns the rule that a fill cell ends one.
+read through :func:`walk`, which sizes their blocks and ends one at a fill cell.
 :class:`RolloutWriter` writes a file frame by frame, header first.
 """
 
@@ -35,6 +35,9 @@ EARTH_RADIUS_KM = 6371.0
 
 _MAGIC = b"RGF1"
 _F32_MAX = float(np.finfo(np.float32).max)
+# bytes of one block of a walk and a float64 copy of one of its variables, so
+# the working set of a pass grows with neither the horizon nor the variables
+BLOCK_BYTES = 32 << 20
 
 
 class RGFError(Exception):
@@ -215,8 +218,8 @@ def builtin_regions() -> dict[str, RegionSpec]:
 
 
 def load_regions(path) -> dict[str, RegionSpec]:
-    """Load region specs from a JSON file: a list of objects with exactly the
-    RegionSpec field names and numeric bounds, no name given twice. Names
+    """Load region specs from a JSON file: a non-empty list of objects with
+    exactly the RegionSpec field names and numeric bounds, no name given twice. Names
     become output file names, so each must be a plain file-name stem."""
     return read_json(path, _regions)
 
@@ -224,6 +227,8 @@ def load_regions(path) -> dict[str, RegionSpec]:
 def _regions(raw) -> dict[str, RegionSpec]:
     if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
         raise ValueError("regions must be a JSON list of objects")
+    if not raw:
+        raise ValueError("regions must name at least one region")
     names = [f.name for f in fields(RegionSpec)]
     regs = {}
     for entry in raw:
@@ -355,7 +360,7 @@ def _check_layout(shape, grid, variables, start_time, step_seconds, fill_value,
 def all_finite(x: np.ndarray) -> bool:
     """Whether every value of ``x`` is finite. NaN propagates through min and
     max and an infinity lands at one end, so this allocates no boolean copy."""
-    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+    return x.size == 0 or (math.isfinite(x.min()) and math.isfinite(x.max()))
 
 
 def _check_values(data: np.ndarray, fill_value) -> None:
@@ -410,24 +415,28 @@ class RolloutSeries(_Rollout):
 class IncompleteFieldError(ValueError):
     """A variable holds fill/NaN cells where detectors need complete fields."""
 
-    def __init__(self, v: str):
-        super().__init__(
-            f"variable {v!r} contains fill/NaN values; detectors require complete fields"
-        )
+
+def block_rows(source: RolloutSeries | RolloutFile) -> int:
+    """Time steps per block of a walk over ``source``'s whole frames: the
+    float32 block and a float64 copy of one of its variables fit in
+    BLOCK_BYTES together, whatever the number of variables."""
+    cells = source.grid.n_lat * source.grid.n_lon
+    return max(1, BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
 
 
-def walk(source: RolloutSeries | RolloutFile, rows: int, variables) -> Iterator[np.ndarray]:
-    """``source.blocks(rows)``, as every analysis reads its input. It stops with
-    :class:`IncompleteFieldError` at the first block where one of ``variables``
-    holds a fill cell, naming the first in ``variables`` order; without a fill
-    value the reader has checked every cell. However it ends, so does ``source``'s."""
+def walk(source: RolloutSeries | RolloutFile, variables) -> Iterator[np.ndarray]:
+    """``source.blocks(block_rows(source))``, as every analysis reads its input.
+    It stops with :class:`IncompleteFieldError` at the first block where one of
+    ``variables`` holds a fill cell, naming the first in ``variables`` order; without
+    a fill value the reader has checked every cell. However it ends, so does ``source``'s."""
     idx = [(v, source.index_of(v)) for v in variables]
-    with closing(source.blocks(rows)) as blocks:
+    with closing(source.blocks(block_rows(source))) as blocks:
         for block in blocks:
             if source.fill_value is not None:
                 for v, i in idx:
                     if not all_finite(block[:, i]):
-                        raise IncompleteFieldError(v)
+                        raise IncompleteFieldError(f"variable {v!r} contains fill/NaN values; "
+                                                   "detectors require complete fields")
             yield block
 
 

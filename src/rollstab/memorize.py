@@ -25,7 +25,6 @@ from .gridio import (
     walk,
 )
 from .perturb import pooled_stats
-from .spectra import block_rows
 
 MEMORIZED_THRESHOLD = 0.5
 
@@ -73,7 +72,7 @@ def build_index(training: RolloutSeries | RolloutFile, variables=None) -> Neighb
     cols = [training.index_of(v) for v in variables]
     x = np.empty((training.n_time, len(cols), grid.n_lat, grid.n_lon), dtype=np.float32)
     s = 0
-    for block in walk(training, block_rows(training), variables):
+    for block in walk(training, variables):
         for j, i in enumerate(cols):
             x[s : s + len(block), j] = block[:, i]
         s += len(block)
@@ -144,7 +143,7 @@ def memorization_series(rollout: RolloutSeries | RolloutFile, index: NeighborInd
     cols = [rollout.index_of(v) for v in index.variables]
     ts = rollout.timestamps
     out = []
-    for block in walk(rollout, block_rows(rollout), index.variables):
+    for block in walk(rollout, index.variables):
         for frame in block:
             out.append(distance_ratio(frame[cols], ts[len(out)].astype(datetime), index,
                                       window_days=window_days))

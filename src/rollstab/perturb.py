@@ -25,6 +25,7 @@ from .gridio import (
     RolloutFile,
     RolloutSeries,
     RolloutWriter,
+    all_finite,
     cell_weights,
     check_keys,
     json_value,
@@ -34,7 +35,6 @@ from .gridio import (
     walk,
     write_rollout,
 )
-from .spectra import block_rows
 from .synth import RegimeConfig, Stepper, initial_state
 
 KINDS = ("WHITE", "GRF", "PURE_NOISE")
@@ -77,11 +77,11 @@ def pooled_stats(source: RolloutSeries | RolloutFile, variables) -> dict[str, tu
     cells = source.grid.n_lat * source.grid.n_lon
     sums = {v: np.empty(source.n_time) for v in idx}
     sq_devs = {v: np.empty(source.n_time) for v in idx}
-    rows = block_rows(source)
-    buf = np.empty((min(rows, source.n_time), cells))
+    buf = None
     s = 0
-    for block in walk(source, rows, idx):
+    for block in walk(source, idx):
         e = s + block.shape[0]
+        buf = np.empty((e - s, cells)) if buf is None else buf  # the first block is the largest
         x = buf[: e - s]
         for v, i in idx.items():
             np.copyto(x, block[:, i].reshape(e - s, cells))
@@ -357,7 +357,7 @@ def run_rollout(
             break
         with np.errstate(over="ignore"):  # beyond float32's range is caught below
             stored = np.asarray(state, dtype=np.float32)
-        if not np.isfinite(stored).all():  # the stored frame, as float32
+        if not all_finite(stored):  # the stored frame, as float32
             out.attrs["error"] = f"adapter produced non-finite fields at step {t}"
             break
         out.write(stored)

@@ -29,15 +29,13 @@ from .gridio import (
     PreconditionError,
     RolloutFile,
     RolloutSeries,
+    block_rows,
     daily_mean,
     latitude_weights,
     region_mask,
     walk,
 )
 
-# float64 bytes of one variable's block of timesteps read at once, so the
-# working set of a scan does not grow with the horizon
-BLOCK_BYTES = 32 << 20
 # float64 bytes of the steps of a block transformed at once, by one worker of
 # the spectra pool, so each transform's temporaries stay in cache
 TILE_BYTES = 1 << 20
@@ -212,20 +210,6 @@ class Scan(NamedTuple):
     pools: dict[str, dict[str, PoolSelect]]  # variable -> region name -> counted pool
 
 
-def _rows(grid: GridSpec, nbytes: int | None = None) -> int:
-    """Steps per block of a walk, at most BLOCK_BYTES of float64 per
-    variable, or per tile given ``nbytes``: a block is read at once, and its
-    spectra are taken in tiles of at most TILE_BYTES."""
-    return max(1, (nbytes or BLOCK_BYTES) // (grid.n_lat * grid.n_lon * 8))
-
-
-def block_rows(source: RolloutSeries | RolloutFile) -> int:
-    """Time steps per block of a walk over whole frames: the float32 block and
-    a float64 copy of one of its variables fit in BLOCK_BYTES together."""
-    cells = source.grid.n_lat * source.grid.n_lon
-    return max(1, BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
-
-
 def _region_cells(grid: GridSpec, regions) -> dict[str, slice | np.ndarray]:
     """Each region's cells on ``grid`` as an index into a flattened field, in
     mask order: a slice where they are contiguous (a polar cap), so they are
@@ -249,15 +233,15 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     the first pass of the region's thresholds, which
     :func:`pooled_thresholds` completes. No cells are kept past their block.
 
-    ``source`` is an in-memory series or an open :class:`RolloutFile`; both
-    are walked in blocks of at most BLOCK_BYTES of float64 per variable, so
-    no whole field is held, and a file's digest is complete once the pass
-    returns. A block is read at once, but its spectra are taken in tiles of
-    at most TILE_BYTES of float64, on a pool of :func:`thread_count` workers
-    that lives only as long as the pass. With ``daily=True`` the spectra are
-    averaged into one per UTC day. Every result needs complete fields, so the
-    pass is a :func:`~rollstab.gridio.walk`, which stops at the first block
-    where one of ``variables`` holds a fill cell.
+    ``source`` is an in-memory series or an open :class:`RolloutFile`. The pass
+    is a :func:`~rollstab.gridio.walk`, whose blocks of whole frames stay within
+    ``gridio.BLOCK_BYTES`` however many variables a frame holds, so no whole
+    field is held, and a file's digest is complete once the pass returns. The
+    walk stops at the first block where one of ``variables`` holds a fill cell.
+    A block is read at once, but its spectra are taken in tiles of at most
+    TILE_BYTES of float64, on a pool of :func:`thread_count` workers that lives
+    only as long as the pass. With ``daily=True`` the spectra are averaged into
+    one per UTC day.
     """
     grid = source.grid
     if spectra and grid.n_lon < 4:
@@ -265,7 +249,7 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     idx = {v: source.index_of(v) for v in variables}
     region_at = _region_cells(grid, regions)
     n = source.n_time
-    rows, tile = _rows(grid), _rows(grid, TILE_BYTES)
+    tile = max(1, TILE_BYTES // (grid.n_lat * grid.n_lon * 8))
     energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
     w = latitude_weights(grid) if spectra else None
     ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
@@ -276,11 +260,11 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
              if levels is not None else {})
     # a worker per CPU, but none more than a block has tiles; it starts no
     # thread before its first tile
-    pool = (ThreadPoolExecutor(min(thread_count(), -(-min(rows, n) // tile))) if spectra
-            else nullcontext())
+    pool = (ThreadPoolExecutor(min(thread_count(), -(-min(block_rows(source), n) // tile)))
+            if spectra else nullcontext())
     s = 0
     # on any exit, the pool's threads and a file walk's hashing thread end here
-    with closing(walk(source, rows, idx)) as blocks, pool as tiles:
+    with closing(walk(source, idx)) as blocks, pool as tiles:
         for block in blocks:
             e = s + block.shape[0]
             for v, i in idx.items():
@@ -321,7 +305,7 @@ def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,
     region_at = _region_cells(source.grid, regions)
     i = source.index_of(v)
     try:
-        for block in source.blocks(_rows(source.grid), hashed=False):
+        for block in source.blocks(block_rows(source), hashed=False):
             flat = block[:, i].reshape(block.shape[0], -1)
             for name, at in region_at.items():
                 pools[name].gather(flat[:, at])

@@ -231,6 +231,12 @@ class TestBlowupCommand:
         assert doc["censored"] is True
         assert doc["manifest"]["subcommand"] == "blowup"
 
+    def test_input_needs_variable(self, tmp_path, synth_files, capsys):
+        out = tmp_path / "b.json"
+        assert run_cli("blowup", "--input", synth_files["pred"], "-o", out) == 2
+        assert capsys.readouterr().err == "rollstab: --variable is required with --input\n"
+        assert not out.exists()
+
     def test_from_csv_series(self, tmp_path):
         t = np.arange(200 * 4)
         ts = (np.datetime64("2021-01-01", "s")
@@ -425,7 +431,7 @@ class TestPerturbCommand:
         for n in (1500, 3000):
             write_rollout(make_series(grid, rng.standard_normal((n, 1, 8, 64))),
                           tmp_path / f"ref{n}.rgf")
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 100 * 512 * 12)  # 100 steps a block
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 100 * 512 * 12)  # 100 steps a block
 
         def peak(stats_steps, steps):
             tracemalloc.start()
@@ -543,7 +549,7 @@ class TestExtremesCommand:
         regions = tmp_path / "regions.json"
         regions.write_text(json.dumps([{"name": "box", "lat_min": 30, "lat_max": 60,
                                         "lon_min": -20, "lon_max": 40}]))
-        monkeypatch.setattr(rollstab.spectra, "BLOCK_BYTES", 64 * 32 * 64 * 8)
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 64 * 32 * 64 * 12)
         tracemalloc.start()
         try:
             assert run_cli("extremes", "--input", path, "--reference", path,
@@ -570,6 +576,7 @@ class TestExtremesCommand:
          "region 'box': lat_min: expected float, got '0'"),
         ([{"name": "box", "lat_min": 10, "lat_max": 0, "lon_min": 0, "lon_max": 10}],
          "region 'box': lat_min must be < lat_max"),
+        ([], "regions must name at least one region"),
     ])
     def test_bad_regions_file_exit_2(self, tmp_path, synth_files, capsys, regions, message):
         path = tmp_path / "regions.json"
@@ -667,7 +674,7 @@ class TestExtremesStreamed:
         grid = rollstab.read_rollout(synth_files["pred"]).grid
         step = 4 * sum(rollstab.region_mask(grid, r)[1]
                        for r in rollstab.builtin_regions().values())  # pool bytes
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 100 * grid.n_lat * grid.n_lon * 8)
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 100 * grid.n_lat * grid.n_lon * 12)
 
         def peak(model, reference):
             tracemalloc.start()
@@ -993,7 +1000,7 @@ class TestThreadCountByteStable:
         regions = tmp_path / "regions.json"
         regions.write_text(json.dumps([{"name": "across_0", "lat_min": 20, "lat_max": 70,
                                         "lon_min": -30, "lon_max": 40}]))
-        monkeypatch.setattr(rollstab.spectra, "BLOCK_BYTES", 50 * 16 * 240 * 8)  # 50 steps
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 12)  # 50 steps
         out = tmp_path / "out"
         runs = [
             ["extremes", "--input", pred, "--reference", ref, "--variable", "T2m",
@@ -1256,6 +1263,31 @@ class TestIncompleteInputs:
                 "non-finite values present but no fill value declared")
         assert capsys.readouterr().err == f"rollstab: {want}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("frame", [0, 5])
+    def test_perturb_init_needs_a_complete_frame_0(self, tmp_path, holed, capsys, frame):
+        """Frame 0 is the initial state, so a fill cell there exits 2 naming the
+        file and the variable; later frames are only walked for the digest."""
+        clean, init = tmp_path / "clean.rgf", tmp_path / "init.rgf"
+        assert run_cli("synth", "--regime-config", holed["cfg"], "--horizon-days", "60",
+                       "-o", clean) == 0
+        r = rollstab.read_rollout(clean)
+        data = r.data.copy()
+        data[frame, 0, 3, 5] = np.nan
+        write_rollout(RolloutSeries(grid=r.grid, variables=r.variables, start_time=r.start_time,
+                                    data=data, fill_value=-9999.0), init)
+        out = tmp_path / "out.rgf"
+        code = run_cli("perturb", "--adapter", f"synth:{holed['cfg']}", "--init", init,
+                       "--steps", "2", "-o", out)
+        if frame == 0:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"rollstab: {init}: variable 'T2m' holds fill cells in frame 0, the initial "
+                "state\n")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert rollstab.read_rollout(out).n_time == 3
 
     def test_types_from_build_report(self, holed):
         d = holed["dir"]

@@ -31,7 +31,7 @@ from rollstab.detectors import (
     seasonal_cycle_rmse,
     small_scale_ratios,
 )
-from rollstab import spectra
+from rollstab import gridio
 from rollstab.gridio import (
     DailySeries,
     IncompleteFieldError,
@@ -464,7 +464,7 @@ class TestBuildReport:
         write_rollout(pred, tmp_path / "pred.rgf")
         write_rollout(ref, tmp_path / "ref.rgf")
         # 10 rows per block: 101 and 731 steps leave a 1-row tail block
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 10 * 16 * 384 * 8)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 16)
         with RolloutFile(tmp_path / "pred.rgf") as p, RolloutFile(tmp_path / "ref.rgf") as r:
             from_file = build_report(p, r, name="two")
         assert from_file == in_memory
@@ -481,7 +481,7 @@ class TestBuildReport:
             return make_series(grid, data, step_seconds=86400)
 
         write_rollout(rollout(730), tmp_path / "ref.rgf")
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 64 * 128 * 64 * 8)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 64 * 128 * 64 * 12)
         peaks = []
         for days in (730, 1460):  # a 24 MB, then a 48 MB prediction
             write_rollout(rollout(days), tmp_path / "pred.rgf")
@@ -548,9 +548,9 @@ class TestSeasonalCycleRmseWalked:
         want = whole_array_cycle_rmse(a, b, v)
         cells = grid.n_lat * grid.n_lon
         # a ragged last block, for block_rows that do not divide the horizon
-        with mock.patch.object(spectra, "BLOCK_BYTES", block_rows * cells * (2 * 4 + 8)), \
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * cells * (2 * 4 + 8)), \
                 tempfile.TemporaryDirectory() as d:
-            assert spectra.block_rows(a) == block_rows
+            assert gridio.block_rows(a) == block_rows
             write_rollout(a, Path(d) / "a.rgf")
             write_rollout(b, Path(d) / "b.rgf")
             with RolloutFile(Path(d) / "a.rgf") as fa, RolloutFile(Path(d) / "b.rgf") as fb:
@@ -565,7 +565,7 @@ class TestSeasonalCycleRmseWalked:
         whole-array formula held per input (11.2 MB here)."""
         grid = GridSpec.regular(16, 60)
         cells = grid.n_lat * grid.n_lon
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 50 * cells * (4 + 8))  # 50 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 50 * cells * (4 + 8))  # 50 steps a block
         peaks = []
         for years in (1, 2):
             p = tmp_path / f"{years}.rgf"

@@ -17,7 +17,7 @@ from rollstab import (
     pooled_percentiles,
     qq_tails,
 )
-from rollstab import spectra
+from rollstab import gridio, spectra
 from rollstab.climatology import ThresholdSet
 from rollstab.extremes import match_windows
 from rollstab.gridio import (
@@ -149,8 +149,8 @@ class TestRegionalScanProperties:
         data = np.random.default_rng(seed).standard_normal((n_time, 1, n_lat, n_lon))
         r = make_series(grid, np.round(data, 1))  # rounding makes ties
         values = r.values("T2m")
-        block_bytes = block_rows * n_lat * n_lon * 8
-        with mock.patch.object(spectra, "BLOCK_BYTES", block_bytes), \
+        block_bytes = block_rows * n_lat * n_lon * 12
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_bytes), \
                 tempfile.TemporaryDirectory() as d:
             if via_file:
                 write_rollout(r, Path(d) / "r.rgf")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rollstab import GridSpec, RegionSpec, RolloutSeries, builtin_regions
+from rollstab import GridSpec, RegionSpec, RolloutSeries, builtin_regions, gridio
 from rollstab.gridio import (
     EmptyRegionError,
     FormatError,
@@ -136,23 +136,24 @@ class TestRolloutSeries:
             RolloutSeries(grid=small_grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
                           data=np.zeros((1, 1, 8, 16)), fill_value=fill_value)
 
-    def test_finiteness_checks_allocate_no_copy(self):
+    def test_finiteness_checks_allocate_no_copy(self, monkeypatch):
         """Building a series and walking a variable that must be complete scan
         the values without a boolean temporary (4 MB for this 16 MB payload)."""
         data = np.random.default_rng(0).standard_normal((64, 2, 128, 256)).astype(np.float32)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 128 * 256 * 16)  # 16 steps a block
         tracemalloc.start()
         try:
             r = RolloutSeries(grid=GridSpec.regular(128, 256), variables=("a", "b"),
                               start_time=datetime(2021, 1, 1), data=data)
             r.fill_value = -9e30  # a walk checks for fill cells only where there may be some
-            list(walk(r, 16, ("b",)))
+            list(walk(r, ("b",)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
         data[5, 1, 7, 9] = -np.inf
         with pytest.raises(IncompleteFieldError):
-            list(walk(r, 16, ("b",)))
+            list(walk(r, ("b",)))
 
     def test_rejects_start_time_with_utc_offset(self, small_grid):
         start = datetime.fromisoformat("2021-01-01T00:00:00+05:00")

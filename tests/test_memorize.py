@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollstab import GridSpec, RolloutSeries, build_index, distance_ratio, spectra
+from rollstab import GridSpec, RolloutSeries, build_index, distance_ratio, gridio
 from rollstab.gridio import IncompleteFieldError, RolloutFile, read_rollout, write_rollout
 from rollstab.memorize import TooFewCandidatesError, memorization_series
 from conftest import make_series
@@ -165,7 +165,7 @@ class TestIndexWalked:
                               data=values.astype(np.float32), step_seconds=21600,
                               fill_value=-9e30 if fill else None)
         cells = shape[0] * shape[1]
-        with mock.patch.object(spectra, "BLOCK_BYTES", block_rows * cells * (4 * n_var + 8)), \
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * cells * (4 * n_var + 8)), \
                 tempfile.TemporaryDirectory() as d:
             write_rollout(train, Path(d) / "train.rgf")
             with RolloutFile(Path(d) / "train.rgf") as f:
@@ -199,7 +199,7 @@ class TestWalksStopAtAFillCell:
         return tmp_path / "clean.rgf", tmp_path / "holed.rgf"
 
     def test_index(self, files, monkeypatch):
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 16 * 8 * 16 * 16)  # 16 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 16)  # 16 steps a block
         threads = threading.active_count()
         with RolloutFile(files[1]) as f:
             assert build_index(f, ("a",)).vectors.shape == (120, 128)
@@ -208,7 +208,7 @@ class TestWalksStopAtAFillCell:
         assert threading.active_count() == threads
 
     def test_rollout(self, files, monkeypatch):
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 16 * 8 * 16 * 16)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 16)
         with RolloutFile(files[0]) as f:
             index = build_index(f)
         threads = threading.active_count()

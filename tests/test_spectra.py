@@ -12,7 +12,7 @@ import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 from rollstab import GridSpec, band_average, spectrum_series, wavelength_of, zonal_spectrum
-from rollstab import spectra
+from rollstab import gridio, spectra
 from rollstab.gridio import (
     IncompleteFieldError,
     RolloutFile,
@@ -188,7 +188,7 @@ class TestSpectrumSeries:
         one_block = spectrum_series(r, "T2m")
         one_daily = spectrum_series(r, "T2m", daily=True)
         # 5 rows per block: 83 steps leave a 3-row tail block
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 5 * 16 * 384 * 8)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 5 * 16 * 384 * 12)
         many = spectrum_series(r, "T2m")
         many_daily = spectrum_series(r, "T2m", daily=True)
         assert np.array_equal(one_block.energy, many.energy)
@@ -238,10 +238,8 @@ class TestTiledScan:
         want = whole_array_spectra(r.values("T2m"), grid)
         if daily:
             want = daily_mean(r.timestamps, want).values
-        patches = {"BLOCK_BYTES": block_rows * n_lat * n_lon * 8}
-        if tile_bytes is not None:
-            patches["TILE_BYTES"] = tile_bytes
-        with mock.patch.multiple(spectra, **patches), \
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * n_lat * n_lon * 12), \
+                mock.patch.object(spectra, "TILE_BYTES", tile_bytes or spectra.TILE_BYTES), \
                 mock.patch.dict(os.environ, {"ROLLOUT_STAB_THREADS": str(threads)}), \
                 tempfile.TemporaryDirectory() as d:
             if via_file:
@@ -263,7 +261,7 @@ class TestTiledScan:
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "2")
         peaks = []
         for rows in (64, 256):
-            monkeypatch.setattr(spectra, "BLOCK_BYTES", rows * cells * 8)
+            monkeypatch.setattr(gridio, "BLOCK_BYTES", rows * cells * 12)
             with RolloutFile(tmp_path / "r.rgf") as f:
                 tracemalloc.start()
                 try:
@@ -273,6 +271,29 @@ class TestTiledScan:
                     tracemalloc.stop()
         extra = (256 - 64) * cells * 4  # 6 MiB more of float32 block buffer
         assert peaks[1] - peaks[0] < 1.5 * extra, peaks
+
+    def test_peak_memory_does_not_grow_with_the_variables(self, tmp_path, monkeypatch):
+        """A block of four variables' whole frames stays within BLOCK_BYTES:
+        the scan's traced peak is that block plus a few tiles' float64 and
+        complex copies, where a block of BLOCK_BYTES of float64 per variable
+        would hold 2 x BLOCK_BYTES of float32 alone."""
+        grid = GridSpec.regular(64, 128)  # 64 KiB of float64 a step: 16 steps a tile
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((128, 4, 64, 128), dtype=np.float32)
+        write_rollout(make_series(grid, data, variables=("a", "b", "c", "d")),
+                      tmp_path / "r.rgf")
+        del data
+        block = 8 << 20
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", block)
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", "1")
+        with RolloutFile(tmp_path / "r.rgf") as f:
+            tracemalloc.start()
+            try:
+                spectra.scan(f, f.variables, extremes=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < block + 4 * spectra.TILE_BYTES, peak
 
     @pytest.fixture
     def holed(self, tmp_path):
@@ -290,7 +311,7 @@ class TestTiledScan:
         """However a scan ends, its tile pool and its file walk's hashing
         thread are gone when it returns or raises."""
         step = 16 * 384 * 8
-        monkeypatch.setattr(spectra, "BLOCK_BYTES", 10 * step)  # 10 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 16)  # 10 steps a block
         monkeypatch.setattr(spectra, "TILE_BYTES", 3 * step)  # 3 steps a tile
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
         transform, seen = spectra._spectra, []
