@@ -35,8 +35,9 @@ series = rs.RolloutSeries(
     data=rng.standard_normal((8, 2, grid.n_lat, grid.n_lon)).astype(np.float32),
     step_seconds=21600,
 )
-# one pass over the time steps reduces each field to its min and max
-ext = rs.scan(series, ("T2m",), spectra=False, extremes=True).extremes["T2m"]
+# one pass over the time steps reduces each field to its min and max over
+# a region; GLOBE is the whole grid
+ext = rs.scan(series, ("T2m",), spectra=None, regions=[rs.GLOBE]).regional["T2m"]["globe"]
 print(f"T2m global extremes at t0: min={ext.min[0]:+.3f} max={ext.max[0]:+.3f}")
 
 with tempfile.TemporaryDirectory() as d:

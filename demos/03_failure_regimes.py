@@ -19,7 +19,7 @@ print(f"STABLE:  {stable.n_time} steps, label={labels.small_scale_direction}, "
 # small mode is planted there; the label is the analytic detection window
 cfg = rs.RegimeConfig(regime="BLOWUP", growth_rate=0.05, onset_day=60, seed=2)
 run, labels = rs.generate(cfg, 240)
-ext = rs.scan(run, ("T2m",), spectra=False, extremes=True).extremes["T2m"]
+ext = rs.scan(run, ("T2m",), spectra=None, regions=[rs.GLOBE]).regional["T2m"]["globe"]
 res = detect_blowup(ext.min, ext.max)
 lo, hi = labels.blowup_window
 print(f"BLOWUP:  onset 60, emergence {labels.emergence_days:.1f} d, "

@@ -45,10 +45,10 @@ model = rs.RolloutSeries(
 # thresholds come from, and a second walk keeps only the values in the bins
 # that hold the thresholds' ranks, so the pool itself is never held
 region = rs.RegionSpec("tropics", -20, 20, 0, 360)
-ref_scan = rs.scan(reference, ("T2m",), spectra=False, regions=[region],
+ref_scan = rs.scan(reference, ("T2m",), spectra=None, regions=[region],
                    levels=[0.1, 10, 20, 80, 90, 99.9])
 ref_ext = ref_scan.regional["T2m"][region.name]
-mod_ext = rs.scan(model, ("T2m",), spectra=False, regions=[region]).regional["T2m"][region.name]
+mod_ext = rs.scan(model, ("T2m",), spectra=None, regions=[region]).regional["T2m"][region.name]
 thresholds = pooled_thresholds(reference, "T2m", [region], ref_scan.pools["T2m"])[region.name]
 hot, cold = rs.event_series(mod_ext, thresholds)
 p90, p10 = thresholds.value_for(90.0), thresholds.value_for(10.0)

@@ -9,6 +9,7 @@ generator with controllable failure regimes.
 __version__ = "0.1.0"
 
 from .gridio import (
+    GLOBE,
     DailySeries,
     GridSpec,
     RegionSpec,

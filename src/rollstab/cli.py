@@ -208,9 +208,9 @@ def cmd_blowup(args) -> int:
         if args.variable is None:
             raise ValueError("--variable is required with --input")
         with gridio.RolloutFile(args.input) as r:
-            s = spectra.scan(r, (args.variable,), spectra=False, extremes=True)
+            s = spectra.scan(r, (args.variable,), spectra=None, regions=(gridio.GLOBE,))
         rgf = (args.input, r.sha256)
-        mn, mx = s.extremes[args.variable]
+        mn, mx = s.regional[args.variable][gridio.GLOBE.name]
         steps_per_day = 86400.0 / r.step_seconds
     else:
         if not (args.min_csv and args.max_csv):
@@ -355,19 +355,16 @@ def cmd_extremes(args) -> int:
     v = args.variable
     regions = (gridio.load_regions(args.regions) if args.regions
                else gridio.builtin_regions()).values()
-    hot_levels = list(np.round(np.arange(800, 1000) / 10.0, 1))  # P80..P99.9
-    cold_levels = list(np.round(np.arange(1, 201) / 10.0, 1))  # P0.1..P20
-    levels = sorted(set(hot_levels + cold_levels + [10.0, 90.0]))
-    # the reference's hashed walk takes its regional extremes and counts its
-    # pools; the unhashed walk that gathers their thresholds' bins then runs
+    levels = sorted(set(extremes.HOT_THRESHOLD_LEVELS + extremes.COLD_THRESHOLD_LEVELS))
+    # the reference's first walk hashes it and counts its pools; the second,
+    # with the digest known, is not hashed and gathers their thresholds' bins
     # on a worker thread while the model is walked for its regional extremes
     with gridio.RolloutFile(args.input) as model, \
             gridio.RolloutFile(args.reference) as reference, \
             ThreadPoolExecutor(max_workers=1) as worker:
-        ref = spectra.scan(reference, (v,), spectra=False, regions=regions, levels=levels)
+        ref = spectra.scan(reference, (v,), spectra=None, regions=regions, levels=levels)
         pooled = worker.submit(spectra.pooled_thresholds, reference, v, regions, ref.pools[v])
-        model_regional = spectra.scan(model, (v,), spectra=False,
-                                      regions=regions).regional[v]
+        model_regional = spectra.scan(model, (v,), spectra=None, regions=regions).regional[v]
         thresholds = pooled.result()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -385,11 +382,12 @@ def cmd_extremes(args) -> int:
         model_ext, ref_ext = model_regional[name], ref.regional[v][name]
 
         qqs, excs = [], []
-        for side, stat, side_levels in (("hot", "max", hot_levels), ("cold", "min", cold_levels)):
+        for side, stat, side_levels in (("hot", "max", extremes.HOT_THRESHOLD_LEVELS),
+                                        ("cold", "min", extremes.COLD_THRESHOLD_LEVELS)):
             m, r = getattr(model_ext, stat)[msel], getattr(ref_ext, stat)[rsel]
             qqs.append(extremes.qq_tails(m, r, side))
             side_thr = climatology.ThresholdSet(
-                region=name, levels=tuple(side_levels),
+                region=name, levels=side_levels,
                 values=tuple(thr.value_for(lv) for lv in side_levels), pooling=thr.pooling)
             excs.append(extremes.exceedance_curve(m, r, side_thr, side))
         _write_csv(outdir / f"{name}_qq.csv", manifest, "tail quantiles in variable units",

@@ -21,6 +21,7 @@ from scipy.ndimage import uniform_filter1d
 
 from .climatology import ClimatologyEnvelope, build_envelope
 from .gridio import (
+    GLOBE,
     DailySeries,
     PreconditionError,
     RolloutFile,
@@ -371,20 +372,20 @@ def build_report(
     """Run all three detectors for every variable shared by both series.
 
     Each input is read in one :func:`~rollstab.spectra.scan` over all shared
-    variables (spectra of both, extremes of the prediction), so an open
-    :class:`RolloutFile` is never held whole; the detectors then work on the
-    reduced series.
+    variables (daily spectra of both, ``GLOBE`` extremes of the prediction), so
+    an open :class:`RolloutFile` is never held whole; the detectors then work
+    on the reduced series.
     """
     shared = tuple(v for v in prediction.variables if v in reference.variables)
     if not shared:
         raise ValueError("prediction and reference share no variables")
     steps_per_day = 86400.0 / prediction.step_seconds
     rep = StabilityReport(name=name, horizon_days=prediction.horizon_days, variables=shared)
-    pred = scan(prediction, shared, daily=True, extremes=True)
-    ref = scan(reference, shared, daily=True)
+    pred = scan(prediction, shared, spectra="daily", regions=(GLOBE,))
+    ref = scan(reference, shared, spectra="daily")
 
     for v in shared:
-        ext = pred.extremes[v]
+        ext = pred.regional[v][GLOBE.name]
         rep.blowup[v] = detect_blowup(
             ext.min, ext.max, steps_per_day=steps_per_day, window_days=window_days,
             smoothing_days=smoothing_days, r2_threshold=r2_threshold,

@@ -17,8 +17,11 @@ import numpy as np
 from .climatology import ThresholdSet
 from .gridio import Extremes
 
+# the tail quantile levels, and the exceedance curves' levels, which hold P90 and P10
 HOT_DEFAULT_LEVELS = tuple(np.round(np.arange(900, 1000) / 10.0, 1))  # 90.0 .. 99.9
 COLD_DEFAULT_LEVELS = tuple(np.round(np.arange(1, 101) / 10.0, 1))  # 0.1 .. 10.0
+HOT_THRESHOLD_LEVELS = tuple(np.round(np.arange(800, 1000) / 10.0, 1))  # 80.0 .. 99.9
+COLD_THRESHOLD_LEVELS = tuple(np.round(np.arange(1, 201) / 10.0, 1))  # 0.1 .. 20.0
 
 
 def event_series(ext: Extremes, thresholds: ThresholdSet) -> tuple[np.ndarray, np.ndarray]:
@@ -37,17 +40,11 @@ class QQPairs:
     model: np.ndarray
 
 
-def qq_tails(model_series, reference_series, side: str, levels=None) -> QQPairs:
-    """Tail quantile pairs: hot defaults to levels 90..99.9, cold 0.1..10."""
+def qq_tails(model_series, reference_series, side: str) -> QQPairs:
+    """Tail quantile pairs: hot at levels 90..99.9, cold at 0.1..10."""
     if side not in ("hot", "cold"):
         raise ValueError("side must be 'hot' or 'cold'")
-    if levels is None:
-        levels = HOT_DEFAULT_LEVELS if side == "hot" else COLD_DEFAULT_LEVELS
-    levels = np.atleast_1d(np.asarray(levels, dtype=np.float64))
-    if levels.size == 0:
-        raise ValueError("empty quantile level set")
-    if np.any(levels <= 0) or np.any(levels >= 100):
-        raise ValueError("levels must lie in the open interval (0, 100)")
+    levels = np.array(HOT_DEFAULT_LEVELS if side == "hot" else COLD_DEFAULT_LEVELS)
     model_series = np.asarray(model_series, dtype=np.float64)
     reference_series = np.asarray(reference_series, dtype=np.float64)
     if model_series.size == 0 or reference_series.size == 0:

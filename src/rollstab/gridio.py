@@ -9,8 +9,9 @@ row-major order.
 :meth:`RolloutFile.blocks` reads the payload into one reused buffer and
 hashes each block on one helper thread while the caller works on it: a
 block is read-only until the next one is taken, which refills the buffer.
-A second walk of a file that has been hashed may skip the hash. Analyses
-read through :func:`walk`, which sizes their blocks and ends one at a fill cell.
+A walk hashes only while the file's digest is unknown, so a file is hashed
+once. Every analysis reads through :func:`walk`, which sizes its blocks and
+ends it at a fill cell.
 :class:`RolloutWriter` writes a file frame by frame, header first.
 """
 
@@ -217,6 +218,9 @@ def builtin_regions() -> dict[str, RegionSpec]:
     return {r.name: r for r in regs}
 
 
+GLOBE = RegionSpec("globe", -90.0, 90.0, 0.0, 360.0)  # the whole grid
+
+
 def load_regions(path) -> dict[str, RegionSpec]:
     """Load region specs from a JSON file: a non-empty list of objects with
     exactly the RegionSpec field names and numeric bounds, no name given twice. Names
@@ -404,10 +408,9 @@ class RolloutSeries(_Rollout):
         """(time, lat, lon) float32 view of one variable."""
         return self.data[:, self.index_of(v)]
 
-    def blocks(self, rows: int, hashed: bool = True) -> Iterator[np.ndarray]:
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
         """(time, variable, lat, lon) views of at most ``rows`` steps each,
-        the same walk :meth:`RolloutFile.blocks` makes over a file; there is
-        nothing to hash, whatever ``hashed`` says."""
+        the same walk :meth:`RolloutFile.blocks` makes over a file."""
         for start in range(0, self.n_time, rows):
             yield self.data[start : start + rows]
 
@@ -424,19 +427,25 @@ def block_rows(source: RolloutSeries | RolloutFile) -> int:
     return max(1, BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
 
 
+def named(source: RolloutSeries | RolloutFile, message: str) -> str:
+    """``message`` prefixed with ``source``'s path if it is a file."""
+    return f"{source.path}: {message}" if isinstance(source, RolloutFile) else message
+
+
 def walk(source: RolloutSeries | RolloutFile, variables) -> Iterator[np.ndarray]:
     """``source.blocks(block_rows(source))``, as every analysis reads its input.
-    It stops with :class:`IncompleteFieldError` at the first block where one of
-    ``variables`` holds a fill cell, naming the first in ``variables`` order; without
-    a fill value the reader has checked every cell. However it ends, so does ``source``'s."""
+    It stops with :class:`IncompleteFieldError` naming the file and the first of
+    ``variables`` with a fill cell, at the first block holding one; without a
+    fill value the reader has checked every cell. However it ends, so does ``source``'s."""
     idx = [(v, source.index_of(v)) for v in variables]
     with closing(source.blocks(block_rows(source))) as blocks:
         for block in blocks:
             if source.fill_value is not None:
                 for v, i in idx:
                     if not all_finite(block[:, i]):
-                        raise IncompleteFieldError(f"variable {v!r} contains fill/NaN values; "
-                                                   "detectors require complete fields")
+                        raise IncompleteFieldError(named(
+                            source, f"variable {v!r} contains fill/NaN values; "
+                                    "detectors require complete fields"))
             yield block
 
 
@@ -445,11 +454,6 @@ class Extremes(NamedTuple):
 
     min: np.ndarray
     max: np.ndarray
-
-    @classmethod
-    def of(cls, cells: np.ndarray) -> "Extremes":
-        """Minimum and maximum of each row of a (time, cells) array."""
-        return cls(cells.min(axis=1), cells.max(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -689,21 +693,22 @@ class RolloutFile(_Rollout):
         self._head = hashlib.sha256(prefix + blob)
         self._payload = 12 + hlen
 
-    def blocks(self, rows: int, hashed: bool = True) -> Iterator[np.ndarray]:
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
         """Yield the payload as float32 (time, variable, lat, lon) blocks of at
         most ``rows`` steps, each read with one ``readinto`` into the same
         buffer, so a block is valid only until the next one is taken.
 
         Cells equal to the fill value come back as NaN; without a fill value
-        a non-finite cell is an error. Unless ``hashed`` is false, the raw
-        bytes also feed a SHA-256 of the whole file, header included, which a
-        complete walk leaves in :attr:`sha256`. Each block is hashed on the
-        walk's one helper thread while it is checked and used, so it is
-        read-only until the next one is taken; the walk waits for the hash
-        before it writes NaN into the block and before it reads the next
-        one. A walk left part way holds its thread until the generator is
-        closed or collected. An unhashed walk starts no thread.
+        a non-finite cell is an error. While :attr:`sha256` is unknown, the
+        raw bytes also feed a SHA-256 of the whole file, header included,
+        which a complete walk leaves there; a later walk starts no thread.
+        Each block is hashed on the walk's one helper thread while it is
+        checked and used, so it is read-only until the next one is taken; the
+        walk waits for the hash before it writes NaN into the block and before
+        it reads on. A walk left part way holds its thread until closed or
+        collected, and leaves the digest unknown.
         """
+        hashed = self._sha256 is None
         frame = (len(self.variables), self.grid.n_lat, self.grid.n_lon)
         buf = np.empty((min(rows, self.n_time), *frame), dtype="<f4")
         digest = self._head.copy()

@@ -32,6 +32,7 @@ from .gridio import (
     block_rows,
     daily_mean,
     latitude_weights,
+    named,
     region_mask,
     walk,
 )
@@ -205,15 +206,14 @@ class Scan(NamedTuple):
     """Per-variable results of one pass over a rollout's time blocks."""
 
     spectra: dict[str, SpectrumSeries]
-    extremes: dict[str, Extremes]
     regional: dict[str, dict[str, Extremes]]  # variable -> region name -> extremes
     pools: dict[str, dict[str, PoolSelect]]  # variable -> region name -> counted pool
 
 
 def _region_cells(grid: GridSpec, regions) -> dict[str, slice | np.ndarray]:
     """Each region's cells on ``grid`` as an index into a flattened field, in
-    mask order: a slice where they are contiguous (a polar cap), so they are
-    not copied, else their flat indices."""
+    mask order: a slice where they are contiguous (a polar cap, or
+    ``GLOBE``'s whole grid), so they are not copied, else their flat indices."""
     at = {}
     for r in regions:
         idx = np.flatnonzero(region_mask(grid, r)[0])
@@ -221,17 +221,17 @@ def _region_cells(grid: GridSpec, regions) -> dict[str, slice | np.ndarray]:
     return at
 
 
-def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
-         spectra: bool = True, extremes: bool = False, regions=(),
-         levels=None) -> Scan:
+def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "steps",
+         regions=(), levels=None) -> Scan:
     """One pass over ``source``'s time blocks that reduces every variable in
-    ``variables`` to its zonal spectra (with ``spectra``), its spatial extremes
-    (with ``extremes``), and the extremes of each :class:`RegionSpec` in
-    ``regions``, masked on ``source``'s own grid. Given percentile
-    ``levels``, each region's cells are also counted into a
-    :class:`PoolSelect` for those levels, planned once the walk has ended:
-    the first pass of the region's thresholds, which
-    :func:`pooled_thresholds` completes. No cells are kept past their block.
+    ``variables`` to its zonal spectra, a spectrum per step (``"steps"``), their
+    mean over each UTC day (``"daily"``) or none (None), and to the extremes of
+    each :class:`RegionSpec` in ``regions`` (``gridio.GLOBE`` for the whole
+    grid), masked on ``source``'s own grid. Given percentile ``levels``, each
+    region's cells are also counted into a :class:`PoolSelect` for those
+    levels, planned once the walk has ended: the first pass of the region's
+    thresholds, which :func:`pooled_thresholds` completes. No cells are kept
+    past their block.
 
     ``source`` is an in-memory series or an open :class:`RolloutFile`. The pass
     is a :func:`~rollstab.gridio.walk`, whose blocks of whole frames stay within
@@ -240,9 +240,10 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     walk stops at the first block where one of ``variables`` holds a fill cell.
     A block is read at once, but its spectra are taken in tiles of at most
     TILE_BYTES of float64, on a pool of :func:`thread_count` workers that lives
-    only as long as the pass. With ``daily=True`` the spectra are averaged into
-    one per UTC day.
+    only as long as the pass.
     """
+    if spectra not in ("steps", "daily", None):
+        raise ValueError(f"spectra must be 'steps', 'daily' or None, got {spectra!r}")
     grid = source.grid
     if spectra and grid.n_lon < 4:
         raise ValueError("zonal spectra need at least 4 longitude points")
@@ -252,8 +253,6 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
     tile = max(1, TILE_BYTES // (grid.n_lat * grid.n_lon * 8))
     energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
     w = latitude_weights(grid) if spectra else None
-    ext = {v: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
-           for v in idx} if extremes else {}
     regional = {v: {k: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
                     for k in region_at} for v in idx}
     pools = ({v: {k: PoolSelect(levels) for k in region_at} for v in idx}
@@ -274,11 +273,10 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
                     list(tiles.map(lambda a: _spectra(fields[a:a + tile], w, out[a:a + tile]),
                                    range(0, e - s, tile)))
                 flat = fields.reshape(e - s, -1)
-                if extremes:
-                    ext[v].min[s:e], ext[v].max[s:e] = Extremes.of(flat)
                 for name, at in region_at.items():
                     cells = flat[:, at]
-                    regional[v][name].min[s:e], regional[v][name].max[s:e] = Extremes.of(cells)
+                    lo, hi = regional[v][name]
+                    lo[s:e], hi[s:e] = cells.min(axis=1), cells.max(axis=1)
                     if pools:
                         pools[v][name].count(cells)
             s = e
@@ -287,8 +285,8 @@ def scan(source: RolloutSeries | RolloutFile, variables, daily: bool = False,
         for select in selects.values():
             select.plan()
     timestamps = source.timestamps
-    return Scan({v: _series(timestamps, en, grid, daily) for v, en in energy.items()}, ext,
-                regional, pools)
+    return Scan({v: _series(timestamps, en, grid, spectra == "daily")
+                 for v, en in energy.items()}, regional, pools)
 
 
 def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,
@@ -298,23 +296,21 @@ def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,
     ``source`` counted, by a second walk of ``source`` that gathers only the
     bins holding the ranks the levels read.
 
-    A file was hashed by the scan, so this walk is not. Its values must fall
-    in the bins the scan counted; if they do not, the file changed between
-    the walks and :class:`FormatError` names it.
+    The scan left a file's digest known, so this walk does not hash it. Its
+    values must fall in the bins the scan counted; if they do not, the source
+    changed between the walks and :class:`FormatError` names a file.
     """
     region_at = _region_cells(source.grid, regions)
     i = source.index_of(v)
     try:
-        for block in source.blocks(block_rows(source), hashed=False):
+        for block in walk(source, (v,)):
             flat = block[:, i].reshape(block.shape[0], -1)
             for name, at in region_at.items():
                 pools[name].gather(flat[:, at])
         return {name: pools[name].thresholds(v, name, source.n_time, source.start_time)
                 for name in region_at}
     except PoolChangedError as e:
-        if isinstance(source, RolloutFile):
-            raise FormatError(f"{source.path}: {e}") from None
-        raise
+        raise FormatError(named(source, str(e))) from None
 
 
 def spectrum_series(r: RolloutSeries | RolloutFile, v: str,
@@ -324,4 +320,4 @@ def spectrum_series(r: RolloutSeries | RolloutFile, v: str,
     With ``daily=True`` the spectra are averaged into one per UTC day (the
     mean of the sub-daily spectra, typically 4 six-hourly ones).
     """
-    return scan(r, (v,), daily=daily).spectra[v]
+    return scan(r, (v,), spectra="daily" if daily else "steps").spectra[v]

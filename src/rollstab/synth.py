@@ -22,7 +22,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .gridio import (EARTH_RADIUS_KM, GridSpec, RolloutSeries, check_keys, json_value,
+from .gridio import (EARTH_RADIUS_KM, GLOBE, GridSpec, RolloutSeries, check_keys, json_value,
                      latitude_weights, names_of, numbers_of, read_json, utc_time)
 from .spectra import BANDS, BandUnresolvedError, band_members, scan
 from .climatology import ClimatologyEnvelope
@@ -312,7 +312,7 @@ def _band_response_amplitude(cfg: RegimeConfig) -> float:
 
 def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float):
     v = series.variables[0]
-    ext = scan(series, (v,), spectra=False, extremes=True).extremes[v]
+    ext = scan(series, (v,), spectra=None, regions=(GLOBE,)).regional[v][GLOBE.name]
     t_days = np.arange(series.n_time) / steps_per_day
     pre = t_days < cfg.onset_day
     base_steps = min(int(round(30 * steps_per_day)), series.n_time)

@@ -3,7 +3,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from rollstab import GridSpec, RolloutSeries, region_mask, scan
+from rollstab import GLOBE, GridSpec, RolloutSeries, region_mask, scan
 
 
 @pytest.fixture
@@ -26,13 +26,13 @@ def make_series(grid, data, start=datetime(2021, 1, 1), step_seconds=21600,
 
 def global_extremes(r, v="T2m"):
     """Per-step spatial extremes of ``v`` over the whole grid, from one scan."""
-    return scan(r, (v,), spectra=False, extremes=True).extremes[v]
+    return scan(r, (v,), spectra=None, regions=(GLOBE,)).regional[v][GLOBE.name]
 
 
 def region_scan(r, region, v="T2m"):
     """One region's extremes, from one scan, and its (time, cells) sample,
     masked from the whole array."""
-    ext = scan(r, (v,), spectra=False, regions=[region]).regional[v][region.name]
+    ext = scan(r, (v,), spectra=None, regions=[region]).regional[v][region.name]
     return ext, r.values(v)[:, region_mask(r.grid, region)[0]]
 
 

@@ -738,8 +738,8 @@ class TestExtremesStreamed:
         assert run_cli("extremes", "--input", holed, "--reference", tmp_path / "ref.rgf",
                        "--variable", "T2m", "--outdir", outdir) == 2
         assert capsys.readouterr().err == (
-            "rollstab: variable 'T2m' contains fill/NaN values; detectors require complete "
-            "fields\n")
+            f"rollstab: {holed}: variable 'T2m' contains fill/NaN values; detectors require "
+            "complete fields\n")
         assert walked and threading.active_count() == threads
         assert not outdir.exists()
 
@@ -1259,9 +1259,8 @@ class TestIncompleteInputs:
         assert run_cli(*argv, "--outdir" if case.startswith("extremes") else "-o", out) == 2
         want = ("variable 'T2m' contains fill/NaN values; detectors require complete fields"
                 if hole == "fill" else
-                f"{bad}: invalid header or payload: "
-                "non-finite values present but no fill value declared")
-        assert capsys.readouterr().err == f"rollstab: {want}\n"
+                "invalid header or payload: non-finite values present but no fill value declared")
+        assert capsys.readouterr().err == f"rollstab: {bad}: {want}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("frame", [0, 5])
@@ -1586,9 +1585,8 @@ class TestCycleRmseIncompleteInputs:
                        paths["reference"], "--variable", "T2m", "-o", out) == 2
         want = ("variable 'T2m' contains fill/NaN values; detectors require complete fields"
                 if hole == "fill" else
-                f"{bad}: invalid header or payload: "
-                "non-finite values present but no fill value declared")
-        assert capsys.readouterr().err == f"rollstab: {want}\n"
+                "invalid header or payload: non-finite values present but no fill value declared")
+        assert capsys.readouterr().err == f"rollstab: {bad}: {want}\n"
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rollstab import (
+    GLOBE,
     GridSpec,
     RegionSpec,
     builtin_regions,
@@ -27,10 +28,7 @@ from rollstab.gridio import (
     region_mask,
     write_rollout,
 )
-from conftest import global_extremes, make_series, region_scan
-
-
-GLOBE = RegionSpec("globe", -90, 90, 0, 360)
+from conftest import make_series, region_scan
 
 
 class TestRegionalExtremes:
@@ -60,10 +58,10 @@ class TestRegionalExtremes:
             assert ext.min[t] == min(sel)
 
     def test_positional_order_matches_attributes(self, random_series):
-        for ext in (global_extremes(random_series), region_scan(random_series, GLOBE)[0]):
-            lo, hi = ext
-            assert lo is ext.min and hi is ext.max
-            assert np.all(lo < hi)
+        ext = region_scan(random_series, GLOBE)[0]
+        lo, hi = ext
+        assert lo is ext.min and hi is ext.max
+        assert np.all(lo < hi)
 
 
 def _boxes():
@@ -155,15 +153,15 @@ class TestRegionalScanProperties:
             if via_file:
                 write_rollout(r, Path(d) / "r.rgf")
                 with RolloutFile(Path(d) / "r.rgf") as f:
-                    s = spectra.scan(f, ("T2m",), spectra=False, extremes=True,
-                                     regions=regions, levels=EXTREMES_LEVELS)
+                    s = spectra.scan(f, ("T2m",), spectra=None, regions=[*regions, GLOBE],
+                                     levels=EXTREMES_LEVELS)
                     thr = spectra.pooled_thresholds(f, "T2m", regions, s.pools["T2m"])
             else:
-                s = spectra.scan(r, ("T2m",), spectra=False, extremes=True, regions=regions,
+                s = spectra.scan(r, ("T2m",), spectra=None, regions=[*regions, GLOBE],
                                  levels=EXTREMES_LEVELS)
                 thr = spectra.pooled_thresholds(r, "T2m", regions, s.pools["T2m"])
-        assert np.array_equal(s.extremes["T2m"].min, values.min(axis=(1, 2)))
-        assert np.array_equal(s.extremes["T2m"].max, values.max(axis=(1, 2)))
+        assert np.array_equal(s.regional["T2m"]["globe"].min, values.min(axis=(1, 2)))
+        assert np.array_equal(s.regional["T2m"]["globe"].max, values.max(axis=(1, 2)))
         for name, mask in masks.items():
             whole = values[:, mask]
             ext = s.regional["T2m"][name]
@@ -186,7 +184,7 @@ class TestRegionalScanProperties:
         write_rollout(make_series(grid, data), path)
         regions = [GLOBE]
         with RolloutFile(path) as f:
-            s = spectra.scan(f, ("T2m",), spectra=False, regions=regions,
+            s = spectra.scan(f, ("T2m",), spectra=None, regions=regions,
                              levels=[10.0, 90.0])
             raw = bytearray(path.read_bytes())
             raw[-20 * 512:] = (data[20:] + 100).astype(np.float32).tobytes()  # last 20 steps
@@ -246,10 +244,6 @@ class TestQQTails:
         qq2 = qq_tails(3.0 * a + 1.0, 3.0 * b + 1.0, "hot")
         assert np.allclose(qq2.model, 3.0 * qq.model + 1.0)
         assert np.allclose(qq2.reference, 3.0 * qq.reference + 1.0)
-
-    def test_empty_levels_rejected(self):
-        with pytest.raises(ValueError):
-            qq_tails(np.ones(10), np.ones(10), "hot", levels=[])
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

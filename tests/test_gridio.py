@@ -5,6 +5,7 @@ import struct
 import threading
 import tracemalloc
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,6 +527,43 @@ class TestRolloutFile:
             assert threading.active_count() == before
         assert f._f.closed
 
+    def test_a_file_is_hashed_once(self, holed):
+        """A complete walk leaves the digest known, so the next walk starts no
+        hashing thread and keeps it, even if the bytes have changed since."""
+        p, _ = holed
+        before = threading.active_count()
+        with RolloutFile(p) as f:
+            for _ in f.blocks(5):
+                pass
+            digest = f.sha256
+            raw = bytearray(p.read_bytes())
+            raw[-4:] = np.float32(1.5).tobytes()  # the same size, another digest
+            p.write_bytes(bytes(raw))
+            for _ in f.blocks(5):
+                assert threading.active_count() == before
+            assert f.sha256 == digest != hashlib.sha256(raw).hexdigest()
+
+    def test_a_walk_after_a_partial_one_hashes(self, holed):
+        p, _ = holed
+        before = threading.active_count()
+        with RolloutFile(p) as f:
+            walk = f.blocks(5)
+            next(walk)
+            walk.close()
+            for _ in f.blocks(5):
+                assert threading.active_count() == before + 1
+            assert f.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+
+    def test_fill_cell_error_names_the_file(self, holed):
+        p, _ = holed
+        message = "variable 'b' contains fill/NaN values; detectors require complete fields"
+        with RolloutFile(p) as f, pytest.raises(IncompleteFieldError) as exc:
+            list(walk(f, ("b",)))
+        assert str(exc.value) == f"{p}: {message}"
+        with pytest.raises(IncompleteFieldError) as exc:
+            list(walk(read_rollout(p), ("b",)))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("variables", [("a", "b"), ("b", "a")])
     def test_scan_stops_at_the_first_fill_cell(self, holed_in_every_step, variables):
         # both variables hold fill cells in the first block: the first asked for is named
@@ -555,6 +593,15 @@ class TestRolloutFile:
                 next(walk)
             assert threading.active_count() == before
         assert f._f.closed
+
+
+def test_only_gridio_calls_blocks():
+    """Every pass reads through ``walk`` (and ``read_rollout`` through one
+    block), so no other module of the package calls ``.blocks(``."""
+    src = Path(gridio.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "gridio.py" and ".blocks(" in p.read_text()]
+    assert callers == []
 
 
 @pytest.fixture(scope="module")

@@ -202,6 +202,14 @@ class TestSpectrumSeries:
         with pytest.raises(ValueError, match="daily=True"):
             spectrum_series(r, "T2m").daily_band("large")
 
+    @pytest.mark.parametrize("mode", ["hourly", "Daily", True, False, 1])
+    def test_unknown_spectra_mode_rejected(self, fine_grid, mode):
+        """``spectra`` is "steps", "daily" or None; nothing else is read as one."""
+        r = make_series(fine_grid, np.ones((8, 1, 16, 384)))
+        with pytest.raises(ValueError, match=f"spectra must be 'steps', 'daily' or None, "
+                                             f"got {mode!r}"):
+            spectra.scan(r, ("T2m",), spectra=mode)
+
 
 def whole_array_spectra(x, grid):
     """The spectra of a (time, lat, lon) stack in one whole-array transform."""
@@ -236,6 +244,7 @@ class TestTiledScan:
         r = RolloutSeries(grid=grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
                           data=data.astype(np.float32), fill_value=-9e30 if fill else None)
         want = whole_array_spectra(r.values("T2m"), grid)
+        mode = "daily" if daily else "steps"
         if daily:
             want = daily_mean(r.timestamps, want).values
         with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * n_lat * n_lon * 12), \
@@ -245,9 +254,9 @@ class TestTiledScan:
             if via_file:
                 write_rollout(r, Path(d) / "r.rgf")
                 with RolloutFile(Path(d) / "r.rgf") as f:
-                    got = spectra.scan(f, ("T2m",), daily=daily).spectra["T2m"].energy
+                    got = spectra.scan(f, ("T2m",), spectra=mode).spectra["T2m"].energy
             else:
-                got = spectra.scan(r, ("T2m",), daily=daily).spectra["T2m"].energy
+                got = spectra.scan(r, ("T2m",), spectra=mode).spectra["T2m"].energy
         assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_grows_by_the_block_buffer_only(self, tmp_path, monkeypatch):
@@ -265,7 +274,7 @@ class TestTiledScan:
             with RolloutFile(tmp_path / "r.rgf") as f:
                 tracemalloc.start()
                 try:
-                    spectra.scan(f, ("T2m",), extremes=True)
+                    spectra.scan(f, ("T2m",), regions=(gridio.GLOBE,))
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -289,7 +298,7 @@ class TestTiledScan:
         with RolloutFile(tmp_path / "r.rgf") as f:
             tracemalloc.start()
             try:
-                spectra.scan(f, f.variables, extremes=True)
+                spectra.scan(f, f.variables, regions=(gridio.GLOBE,))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
