@@ -423,6 +423,8 @@ def cmd_extremes(args) -> int:
 
 
 def cmd_memorize(args) -> int:
+    if args.window_days < 0:  # before any input is read
+        raise ValueError(f"--window-days must be >= 0, got {args.window_days}")
     variables = tuple(args.variables.split(",")) if args.variables else None
     with gridio.RolloutFile(args.rollout) as rollout, gridio.RolloutFile(args.index) as training:
         index = memorize.build_index(training, variables)

@@ -196,12 +196,17 @@ class PoolSelect:
         for lv in self.levels:
             if not 0.0 < lv < 100.0:
                 raise ValueError(f"percentile level {lv} outside the open interval (0, 100)")
-        self._hist = np.zeros(1 << KEY_BITS, np.int64)  # by _top_bits
+        self._hist = np.zeros(1 << KEY_BITS, np.int32)  # by _top_bits; see count
+        self._n = 0
 
     def count(self, cells: np.ndarray) -> None:
         """First pass: add a block of the pool to the histogram."""
-        # np.add.at is as fast as np.bincount here, without a bincount's 2 MiB result
-        np.add.at(self._hist, (_bits(cells) >> _SHIFT).reshape(-1), 1)
+        keys = (_bits(cells) >> _SHIFT).reshape(-1)
+        self._n += keys.size
+        if self._n > np.iinfo(self._hist.dtype).max:  # a bin of int32 could overflow
+            self._hist = self._hist.astype(np.int64)
+        # as fast as np.bincount, without its result, if 1 has the histogram's type
+        np.add.at(self._hist, keys, self._hist.dtype.type(1))
 
     def plan(self) -> None:
         """Between the passes: find the bins the thresholds read. This drops

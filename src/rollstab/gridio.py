@@ -39,6 +39,8 @@ _F32_MAX = float(np.finfo(np.float32).max)
 # bytes of one block of a walk and a float64 copy of one of its variables, so
 # the working set of a pass grows with neither the horizon nor the variables
 BLOCK_BYTES = 32 << 20
+# float64 bytes a per-block reduction works on at once, so they stay in cache
+TILE_BYTES = 1 << 20
 
 
 class RGFError(Exception):
@@ -351,6 +353,9 @@ def _check_layout(shape, grid, variables, start_time, step_seconds, fill_value,
         raise ValueError("series must contain at least one timestep")
     if shape[1] != len(variables):
         raise ValueError("data variable axis does not match variable names")
+    repeated = [v for i, v in enumerate(variables) if v in variables[:i]]
+    if repeated:
+        raise ValueError(f"variable {repeated[0]!r} is named more than once")
     if tuple(shape[2:]) != (grid.n_lat, grid.n_lon):
         raise ValueError("spatial slices do not match grid dimensions")
     if step_seconds <= 0:
@@ -421,10 +426,16 @@ class IncompleteFieldError(ValueError):
 
 def block_rows(source: RolloutSeries | RolloutFile) -> int:
     """Time steps per block of a walk over ``source``'s whole frames: the
-    float32 block and a float64 copy of one of its variables fit in
+    float32 block and room for a float64 copy of one of its variables (which
+    no reduction makes: they work in :func:`tile_rows` tiles) fit in
     BLOCK_BYTES together, whatever the number of variables."""
     cells = source.grid.n_lat * source.grid.n_lon
     return max(1, BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
+
+
+def tile_rows(values: int) -> int:
+    """Rows of ``values`` float64 each in a tile: those in TILE_BYTES, or one."""
+    return max(1, TILE_BYTES // (values * 8))
 
 
 def named(source: RolloutSeries | RolloutFile, message: str) -> str:

@@ -10,21 +10,17 @@ standardization stats come from the training pool.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
 
-from .gridio import (
-    GridSpec,
-    PreconditionError,
-    RolloutFile,
-    RolloutSeries,
-    cell_weights,
-    folded_doy,
-    walk,
-)
+from .gridio import (GridSpec, PreconditionError, RolloutFile, RolloutSeries, cell_weights,
+                     folded_doy, tile_rows, walk)
 from .perturb import pooled_stats
+from .spectra import thread_count
 
 MEMORIZED_THRESHOLD = 0.5
 
@@ -76,7 +72,7 @@ def build_index(training: RolloutSeries | RolloutFile, variables=None) -> Neighb
         for j, i in enumerate(cols):
             x[s : s + len(block), j] = block[:, i]
         s += len(block)
-    block = None  # a view of the walk's buffer, whose room pooled_stats needs
+    block = None  # a view of the walk's buffer, freed before the stats walk
     idx = NeighborIndex(
         vectors=x.reshape(len(x), -1),
         doys=folded_doy(ts),
@@ -114,7 +110,8 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
     """First-to-second neighbor distance ratio inside the calendar window.
 
     Exhaustive search over candidates whose day of year lies within
-    ``window_days`` of the sample's (wrapping across the year boundary).
+    ``window_days`` of the sample's (wrapping across the year boundary), in
+    float64 a :func:`~rollstab.gridio.tile_rows` tile of candidates at a time.
     """
     sample_doy = int(folded_doy(np.datetime64(sample_time, "s")))
     cand = np.flatnonzero(_circular_doy_distance(index.doys, sample_doy) <= window_days)
@@ -123,9 +120,13 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
             f"only {cand.size} training snapshots within {window_days} days of "
             f"day-of-year {sample_doy}; need at least 2"
         )
-    diff = index.vectors[cand].astype(np.float64)  # the one (candidates, dim) temporary
-    diff -= index.embed(sample_fields)
-    dists = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    e, tile = index.embed(sample_fields), tile_rows(index.vectors.shape[1])
+    dists = np.empty(cand.size)
+    for lo in range(0, cand.size, tile):
+        diff = index.vectors[cand[lo:lo + tile]].astype(np.float64)
+        diff -= e
+        dists[lo:lo + tile] = np.square(diff, out=diff).sum(axis=1)
+    np.sqrt(dists, out=dists)
     order = np.lexsort((cand, dists))  # distance, then snapshot index for ties
     i1, i2 = cand[order[0]], cand[order[1]]
     d1, d2 = float(dists[order[0]]), float(dists[order[1]])
@@ -137,14 +138,18 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
 def memorization_series(rollout: RolloutSeries | RolloutFile, index: NeighborIndex,
                         window_days: int = 10) -> list[DistanceRatio]:
     """Distance ratio of every rollout timestep against the index, scored in
-    one walk of the rollout, which must lie on the index's grid."""
+    one walk of the rollout, which must lie on the index's grid. Each block's
+    frames are all scored, in order, on a pool of :func:`~rollstab.spectra.thread_count`
+    workers before the walk refills its buffer with the next block."""
     if not rollout.grid.same_geometry(index.grid):
         raise ValueError("rollout and index grids differ")
     cols = [rollout.index_of(v) for v in index.variables]
-    ts = rollout.timestamps
+    ts = rollout.timestamps.astype(datetime)
     out = []
-    for block in walk(rollout, index.variables):
-        for frame in block:
-            out.append(distance_ratio(frame[cols], ts[len(out)].astype(datetime), index,
-                                      window_days=window_days))
+    # on any exit, the pool's threads and a file walk's hashing thread end here
+    with closing(walk(rollout, index.variables)) as blocks, \
+            ThreadPoolExecutor(min(thread_count(), rollout.n_time)) as pool:
+        for block in blocks:
+            out.extend(pool.map(lambda f, t: distance_ratio(f[cols], t, index, window_days),
+                                block, ts[len(out):len(out) + len(block)]))
     return out

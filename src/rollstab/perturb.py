@@ -32,6 +32,7 @@ from .gridio import (
     names_of,
     read_json,
     read_rollout,
+    tile_rows,
     walk,
     write_rollout,
 )
@@ -67,29 +68,32 @@ def pooled_stats(source: RolloutSeries | RolloutFile, variables) -> dict[str, tu
     pooled over every cell and step of ``source``, in one walk of its time
     blocks (so a file's digest is complete once it returns).
 
-    Each step is reduced in float64 to its sum and its squared deviation from
-    its own mean. These n_time pairs are merged by the pairwise rule of Chan,
-    Golub & LeVeque (1983), with every sum taken exactly by
-    :func:`math.fsum`, so the result does not depend on the block size. The
-    walk is a :func:`~rollstab.gridio.walk`, so a fill cell ends it.
+    Each step is reduced in float64, in one scratch of a
+    :func:`~rollstab.gridio.tile_rows` tile, to its sum and its squared
+    deviation from its own mean. These n_time pairs are merged by the pairwise
+    rule of Chan, Golub & LeVeque (1983), with every sum taken exactly by
+    :func:`math.fsum`, so the result does not depend on the block or tile
+    size. The walk is a :func:`~rollstab.gridio.walk`, so a fill cell ends it.
     """
     idx = {v: source.index_of(v) for v in variables}
     cells = source.grid.n_lat * source.grid.n_lon
     sums = {v: np.empty(source.n_time) for v in idx}
     sq_devs = {v: np.empty(source.n_time) for v in idx}
-    buf = None
+    tile = tile_rows(cells)
+    buf = np.empty((min(tile, source.n_time), cells))
     s = 0
     for block in walk(source, idx):
-        e = s + block.shape[0]
-        buf = np.empty((e - s, cells)) if buf is None else buf  # the first block is the largest
-        x = buf[: e - s]
         for v, i in idx.items():
-            np.copyto(x, block[:, i].reshape(e - s, cells))
-            row_sums = sums[v][s:e] = x.sum(axis=1)
-            x -= (row_sums / cells)[:, None]
-            np.square(x, out=x)
-            sq_devs[v][s:e] = x.sum(axis=1)
-        s = e
+            fields = block[:, i].reshape(len(block), cells)
+            for a in range(0, len(block), tile):
+                rows = fields[a:a + tile]
+                x, at = buf[: len(rows)], slice(s + a, s + a + len(rows))
+                np.copyto(x, rows)
+                row_sums = sums[v][at] = x.sum(axis=1)
+                x -= (row_sums / cells)[:, None]
+                np.square(x, out=x)
+                sq_devs[v][at] = x.sum(axis=1)
+        s += len(block)
     n = source.n_time * cells
     stats = {}
     for v in idx:

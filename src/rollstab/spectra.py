@@ -34,12 +34,9 @@ from .gridio import (
     latitude_weights,
     named,
     region_mask,
+    tile_rows,
     walk,
 )
-
-# float64 bytes of the steps of a block transformed at once, by one worker of
-# the spectra pool, so each transform's temporaries stay in cache
-TILE_BYTES = 1 << 20
 
 LARGE_MIN_KM = 5000.0
 MEDIUM_MIN_KM = 250.0
@@ -58,8 +55,8 @@ class ThreadCountError(ValueError):
 
 
 def thread_count() -> int:
-    """Spectra worker count: ROLLOUT_STAB_THREADS if set, else the CPUs this
-    process may run on."""
+    """Worker count of the spectra and memorize pools: ROLLOUT_STAB_THREADS if
+    set, else the CPUs this process may run on."""
     env = os.environ.get("ROLLOUT_STAB_THREADS")
     if not env:
         if hasattr(os, "sched_getaffinity"):
@@ -238,9 +235,9 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
     ``gridio.BLOCK_BYTES`` however many variables a frame holds, so no whole
     field is held, and a file's digest is complete once the pass returns. The
     walk stops at the first block where one of ``variables`` holds a fill cell.
-    A block is read at once, but its spectra are taken in tiles of at most
-    TILE_BYTES of float64, on a pool of :func:`thread_count` workers that lives
-    only as long as the pass.
+    A block is read at once, but its spectra are taken in tiles of
+    :func:`~rollstab.gridio.tile_rows` steps, on a pool of :func:`thread_count`
+    workers that lives only as long as the pass.
     """
     if spectra not in ("steps", "daily", None):
         raise ValueError(f"spectra must be 'steps', 'daily' or None, got {spectra!r}")
@@ -250,7 +247,7 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
     idx = {v: source.index_of(v) for v in variables}
     region_at = _region_cells(grid, regions)
     n = source.n_time
-    tile = max(1, TILE_BYTES // (grid.n_lat * grid.n_lon * 8))
+    tile = tile_rows(grid.n_lat * grid.n_lon)
     energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
     w = latitude_weights(grid) if spectra else None
     regional = {v: {k: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))

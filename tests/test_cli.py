@@ -49,6 +49,13 @@ def synth_files(tmp_path_factory):
 
 
 class TestSynthCommand:
+    def test_repeated_variable_exit_2_and_no_file(self, tmp_path, capsys):
+        out, labels = tmp_path / "d.rgf", tmp_path / "labels.json"
+        assert run_cli("synth", "--variables", "T2m,T2m", "--grid", "4x16", "--horizon-days",
+                       60, "-o", out, "--labels", labels) == 2
+        assert "variable 'T2m' is named more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_rollout_and_labels(self, tmp_path):
         out = tmp_path / "run.rgf"
         labels = tmp_path / "labels.json"
@@ -762,6 +769,31 @@ class TestMemorizeCommand:
         assert len(rows) == 6
 
 
+    def test_repeated_variable_exit_2(self, tmp_path, synth_files, capsys):
+        out = tmp_path / "ratios.csv"
+        assert run_cli("memorize", "--rollout", synth_files["pred"], "--index",
+                       synth_files["pred"], "--variables", "T2m,T2m", "-o", out) == 2
+        assert "variable 'T2m' is named more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_with_a_repeated_variable_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "twice.rgf"
+        write_rollout(make_series(GridSpec.regular(4, 16), np.zeros((8, 2, 4, 16)),
+                                  variables=("T2m", "T3m")), p)
+        p.write_bytes(p.read_bytes().replace(b'"T3m"', b'"T2m"', 1))  # same header length
+        assert run_cli("memorize", "--rollout", p, "--index", p, "-o", tmp_path / "r.csv") == 2
+        assert "variable 'T2m' is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_negative_window_exit_2_before_any_input_is_read(self, tmp_path, capsys):
+        """Bad input, not an unmet precondition; the inputs named do not exist,
+        so any attempt to read one would fail with another message."""
+        assert run_cli("memorize", "--rollout", tmp_path / "none.rgf", "--index",
+                       tmp_path / "none.rgf", "--window-days", "-1", "-o", tmp_path / "r.csv") == 2
+        assert "--window-days must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReportCommand:
     def test_stable_run_fully_censored(self, tmp_path, synth_files):
         out = tmp_path / "report.json"
@@ -1022,6 +1054,24 @@ class TestThreadCountByteStable:
             outputs.append({p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
         assert len(outputs[0]) == 4 + 2 + 1  # extremes' 3 CSVs and summary, report's 2, one RGF
         assert outputs[0] == outputs[1]
+
+
+    def test_memorize_unset_one_and_three_threads_agree(self, tmp_path, synth_files,
+                                                        monkeypatch):
+        """ROLLOUT_STAB_THREADS sizes memorize's scoring pool too; the ratios
+        are the same bytes whatever its size."""
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 12)  # 50 steps
+        out = tmp_path / "ratios.csv"
+        outputs = []
+        for threads in (None, "1", "3"):
+            if threads is None:
+                monkeypatch.delenv("ROLLOUT_STAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ROLLOUT_STAB_THREADS", threads)
+            assert run_cli("memorize", "--rollout", synth_files["pred"],
+                           "--index", synth_files["pred"], "-o", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _manifest_inputs(path):

@@ -12,6 +12,7 @@ from rollstab import GridSpec, RegionSpec, pooled_percentiles
 from rollstab.climatology import (
     ClimatologyEnvelope,
     EnvelopeCoverageError,
+    PoolSelect,
     ThresholdSet,
     build_envelope,
 )
@@ -146,6 +147,29 @@ class TestBuildEnvelope:
             ClimatologyEnvelope.from_dict({**doc, "bogus": 1})
         with pytest.raises(ValueError, match="expected a JSON object"):
             ClimatologyEnvelope.from_dict([doc])
+
+
+class TestPoolSelectCounts:
+    """The histogram counts in int32, and in int64 from the block that would
+    bring the values counted to 2**31; the thresholds do not change."""
+
+    def test_switch_to_int64_keeps_the_thresholds(self):
+        cells = np.random.default_rng(5).standard_normal((4, 50)).astype(np.float32)
+        levels = [1.0, 50.0, 99.0]
+        want = pooled_percentiles(cells, "T2m", "r", levels, datetime(2021, 1, 1))
+        select = PoolSelect(levels)
+        select.count(cells[:2])
+        assert select._hist.dtype == np.int32
+        # stand in for 2**31 - 51 values counted before: the next 50 still fit
+        select._n = 2**31 - 1 - 50
+        select.count(cells[2])
+        assert select._hist.dtype == np.int32
+        select.count(cells[3])
+        assert select._hist.dtype == np.int64
+        select.plan()
+        select.gather(cells)
+        got = select.thresholds("T2m", "r", 4, datetime(2021, 1, 1))
+        assert got.values == want.values and got.pooling == want.pooling
 
 
 class TestPooledPercentiles:

@@ -162,6 +162,17 @@ class TestRolloutSeries:
                 "start_time: 2021-01-01T00:00:00+05:00 carries a UTC offset")):
             make_series(small_grid, np.zeros((1, 1, 8, 16)), start=start)
 
+    def test_rejects_a_repeated_variable(self, small_grid, tmp_path):
+        """A second variable of one name could never be read; no series is
+        made with one, and no file is written."""
+        with pytest.raises(ValueError, match="variable 'U10' is named more than once"):
+            make_series(small_grid, np.zeros((1, 3, 8, 16)), variables=("U10", "T2m", "U10"))
+        p = tmp_path / "x.rgf"
+        writer = RolloutWriter(p, small_grid, ("T2m", "T2m"), datetime(2021, 1, 1), n_time=1)
+        with pytest.raises(ValueError, match="variable 'T2m' is named more than once"), writer:
+            writer.write(np.zeros((1, 2, 8, 16), np.float32))
+        assert not p.exists()
+
     def test_timestamps(self, small_grid):
         r = make_series(small_grid, np.zeros((3, 1, 8, 16)))
         ts = r.timestamps
@@ -250,6 +261,14 @@ class TestMalformedRGF:
         write_rollout(random_series, p)
         _rewrite_header(p, **changes)
         with pytest.raises(FormatError, match=re.escape(str(p))):
+            read_rollout(p)
+
+    def test_repeated_variable_is_format_error(self, tmp_path, small_grid):
+        p = tmp_path / "x.rgf"
+        write_rollout(make_series(small_grid, np.zeros((2, 2, 8, 16)), variables=("T2m", "U10")),
+                      p)
+        _rewrite_header(p, variables=["T2m", "T2m"])
+        with pytest.raises(FormatError, match=re.escape(str(p)) + ".*variable 'T2m' is named"):
             read_rollout(p)
 
     @pytest.mark.parametrize("changes, message", [
@@ -602,6 +621,21 @@ def test_only_gridio_calls_blocks():
     callers = [p.name for p in sorted(src.glob("*.py"))
                if p.name != "gridio.py" and ".blocks(" in p.read_text()]
     assert callers == []
+
+
+def test_only_gridio_reads_tile_bytes():
+    """Every reduction sizes its tiles by ``tile_rows``, so no other module
+    of the package names ``TILE_BYTES``."""
+    src = Path(gridio.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "gridio.py" and "TILE_BYTES" in p.read_text()]
+    assert readers == []
+
+
+@pytest.mark.parametrize("values, rows", [(1, 1 << 17), (8192, 16), (1 << 17, 1), (1 << 20, 1)])
+def test_tile_rows(values, rows):
+    """As many rows of float64 as fit in TILE_BYTES, and at least one."""
+    assert gridio.tile_rows(values) == rows
 
 
 @pytest.fixture(scope="module")

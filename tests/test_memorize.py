@@ -1,5 +1,7 @@
+import os
 import tempfile
 import threading
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 from unittest import mock
@@ -8,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollstab import GridSpec, RolloutSeries, build_index, distance_ratio, gridio
-from rollstab.gridio import IncompleteFieldError, RolloutFile, read_rollout, write_rollout
+from rollstab import GridSpec, RolloutSeries, build_index, distance_ratio, gridio, memorize
+from rollstab.gridio import (IncompleteFieldError, RolloutFile, folded_doy, read_rollout,
+                             write_rollout)
 from rollstab.memorize import TooFewCandidatesError, memorization_series
 from conftest import make_series
 
@@ -227,3 +230,118 @@ class TestWalksStopAtAFillCell:
         assert memorization_series(train, index)[5].ratio == 0.0
         with pytest.raises(ValueError, match="rollout and index grids differ"):
             memorization_series(flipped, index)
+
+
+def whole_set_ratio(frame, when, index, window_days):
+    """(ratio, d1, d2, first id, second id) of one sample from one float64
+    difference to its whole candidate set, the search before it was tiled."""
+    doy = int(folded_doy(np.datetime64(when, "s")))
+    cand = np.flatnonzero(memorize._circular_doy_distance(index.doys, doy) <= window_days)
+    if cand.size < 2:
+        raise TooFewCandidatesError(f"{cand.size} candidates")
+    diff = index.vectors[cand].astype(np.float64)  # the one (candidates, dim) temporary
+    diff -= index.embed(frame)
+    dists = np.sqrt(np.square(diff, out=diff).sum(axis=1))
+    order = np.lexsort((cand, dists))
+    d1, d2 = float(dists[order[0]]), float(dists[order[1]])
+    ratio = 0.0 if d1 == 0.0 else (float("inf") if d2 == 0.0 else d1 / d2)
+    return ratio, d1, d2, index.ids[cand[order[0]]], index.ids[cand[order[1]]]
+
+
+class TestTiledScoring:
+    """Candidates are differenced in tiles and a block's frames are scored on
+    a worker pool; neither may change a byte of any result."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_index=st.integers(2, 40),
+        n_roll=st.integers(1, 12),
+        n_var=st.integers(1, 2),
+        shape=st.tuples(st.integers(3, 5), st.integers(2, 6)),
+        # Feb 29 of a leap year, and New Year
+        start=st.sampled_from([datetime(2020, 2, 25), datetime(2019, 12, 27)]),
+        step_seconds=st.sampled_from([21600, 86400]),
+        window_days=st.integers(0, 12),
+        tile_rows=st.integers(1, 40),  # 1 vector a tile, up to every candidate
+        threads=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equal_to_whole_candidate_set(self, n_index, n_roll, n_var, shape, start,
+                                          step_seconds, window_days, tile_rows, threads,
+                                          seed, data):
+        rng = np.random.default_rng(seed)
+        grid = GridSpec.regular(*shape)
+        names = tuple(f"v{i}" for i in range(n_var))
+        train = rng.standard_normal((n_index, n_var, *shape)).astype(np.float32)
+        for j, k in data.draw(st.lists(st.tuples(st.integers(0, n_index - 1),
+                                                 st.integers(0, n_index - 1)), max_size=4)):
+            train[j] = train[k]  # duplicated snapshots: exact ties
+        roll = rng.standard_normal((n_roll, n_var, *shape)).astype(np.float32)
+        for j in data.draw(st.lists(st.integers(0, n_roll - 1), max_size=3)):
+            roll[j] = train[j % n_index]  # planted copies: zero distances
+        index = build_index(make_series(grid, train, start=start, step_seconds=step_seconds,
+                                        variables=names))
+        rollout = make_series(grid, roll, start=start, step_seconds=step_seconds,
+                              variables=names)
+        try:
+            want = [whole_set_ratio(frame, t.astype(datetime), index, window_days)
+                    for frame, t in zip(rollout.data, rollout.timestamps)]
+        except TooFewCandidatesError:
+            want = TooFewCandidatesError
+        dim = n_var * shape[0] * shape[1]
+        with mock.patch.object(gridio, "TILE_BYTES", tile_rows * dim * 8), \
+                mock.patch.dict(os.environ, {"ROLLOUT_STAB_THREADS": str(threads)}):
+            if want is TooFewCandidatesError:
+                with pytest.raises(TooFewCandidatesError):
+                    memorization_series(rollout, index, window_days)
+                return
+            got = memorization_series(rollout, index, window_days)
+        assert [(r.ratio, r.d1, r.d2, r.first_id, r.second_id) for r in got] == want
+
+    def test_peak_memory_does_not_grow_with_the_candidates(self):
+        """Doubling the candidates adds no float64 copy of them to a search's
+        traced peak: they are differenced a tile at a time."""
+        grid = GridSpec.regular(32, 64)  # 16 KiB of float64 a vector: 64 vectors a tile
+        rng = np.random.default_rng(14)
+        peaks = []
+        for n in (256, 512):  # every snapshot on one day, so every one a candidate
+            train = make_series(grid, rng.standard_normal((n, 1, 32, 64)), step_seconds=60)
+            index = build_index(train)
+            tracemalloc.start()
+            try:
+                distance_ratio(train.data[0], datetime(2021, 1, 1), index)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 256 more candidates hold 2 MiB of float32 and 4 MiB of float64 vectors
+        assert peaks[1] - peaks[0] < 64 << 10, peaks
+
+    @pytest.mark.parametrize("ending", ["too few candidates", "fill cell"])
+    def test_no_thread_outlives_a_walk_stopped_part_way(self, tmp_path, monkeypatch, ending):
+        """Scoring stops in a pool worker, or in the walk of a later block; the
+        error reaches the caller, and the pool's threads and the file walk's
+        hashing thread are gone when it does."""
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 12)  # 16 steps a block
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
+        index = build_index(training_series(n_days=60))  # Jan 1 to Mar 1
+        start = "1990-02-01" if ending == "too few candidates" else "1990-01-01"
+        rollout = training_series(n_days=60, start=start, seed=1)
+        rollout.data[40, 0, 2, 3] = np.nan if ending == "fill cell" else 0.0
+        rollout.fill_value = -9e30
+        write_rollout(rollout, tmp_path / "r.rgf")
+        score, seen = memorize.distance_ratio, []
+
+        def counted(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(memorize, "distance_ratio", counted)
+        before = threading.active_count()
+        # the first step, in step order, that has too few; or the block of step 40
+        error, match = ((TooFewCandidatesError, "day-of-year 70;") if ending != "fill cell"
+                        else (IncompleteFieldError, "'T2m'"))
+        with RolloutFile(tmp_path / "r.rgf") as f, pytest.raises(error, match=match):
+            memorization_series(f, index)
+        assert threading.active_count() == before
+        assert seen and threading.main_thread() not in seen

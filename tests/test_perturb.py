@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -139,6 +140,36 @@ class TestPooledStats:
         with RolloutFile(p) as f:
             with pytest.raises(FormatError, match="non-finite values present"):
                 pooled_stats(_Rows(f, 7), ("a", "b"))
+
+
+class TestPooledStatsTiled:
+    """Each block is reduced a tile of steps at a time, in one tile-sized
+    float64 scratch, never one the size of a block."""
+
+    @pytest.mark.parametrize("tile_rows", [1, 2, 3, 7, 16, 49])
+    def test_tiles_change_no_byte(self, monkeypatch, tile_rows):
+        data = np.random.default_rng(3).standard_normal((50, 2, 6, 20)) * 40 + 280
+        r = make_series(GridSpec.regular(6, 20), data, variables=("a", "b"))
+        want = pooled_stats(_Rows(r, 50), r.variables)
+        monkeypatch.setattr(gridio, "TILE_BYTES", tile_rows * 6 * 20 * 8)
+        assert pooled_stats(_Rows(r, 50), r.variables) == want
+        assert pooled_stats(_Rows(r, 9), r.variables) == want
+
+    def test_peak_memory_is_one_block_and_a_tile(self, tmp_path, monkeypatch):
+        grid = GridSpec.regular(64, 128)  # 64 KiB of float64 a step: 16 steps a tile
+        cells = grid.n_lat * grid.n_lon
+        data = np.random.default_rng(4).standard_normal((256, 1, 64, 128), dtype=np.float32)
+        write_rollout(make_series(grid, data), tmp_path / "r.rgf")
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 128 * cells * 12)  # 128 steps a block
+        with RolloutFile(tmp_path / "r.rgf") as f:
+            tracemalloc.start()
+            try:
+                pooled_stats(f, ("T2m",))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = 128 * cells * 4  # the walk's float32 buffer; a float64 copy is twice that
+        assert peak < block + 4 * gridio.TILE_BYTES, (peak, block)
 
 
 class TestApplyPerturbation:

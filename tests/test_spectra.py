@@ -248,7 +248,7 @@ class TestTiledScan:
         if daily:
             want = daily_mean(r.timestamps, want).values
         with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * n_lat * n_lon * 12), \
-                mock.patch.object(spectra, "TILE_BYTES", tile_bytes or spectra.TILE_BYTES), \
+                mock.patch.object(gridio, "TILE_BYTES", tile_bytes or gridio.TILE_BYTES), \
                 mock.patch.dict(os.environ, {"ROLLOUT_STAB_THREADS": str(threads)}), \
                 tempfile.TemporaryDirectory() as d:
             if via_file:
@@ -302,7 +302,7 @@ class TestTiledScan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < block + 4 * spectra.TILE_BYTES, peak
+        assert peak < block + 4 * gridio.TILE_BYTES, peak
 
     @pytest.fixture
     def holed(self, tmp_path):
@@ -321,7 +321,7 @@ class TestTiledScan:
         thread are gone when it returns or raises."""
         step = 16 * 384 * 8
         monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 16)  # 10 steps a block
-        monkeypatch.setattr(spectra, "TILE_BYTES", 3 * step)  # 3 steps a tile
+        monkeypatch.setattr(gridio, "TILE_BYTES", 3 * step)  # 3 steps a tile
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
         transform, seen = spectra._spectra, []
 
