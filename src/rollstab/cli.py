@@ -157,7 +157,8 @@ def cmd_synth(args) -> int:
         values["noise_small"] = args.noise if args.noise_small is None else args.noise_small
         cfg = synth.RegimeConfig(
             regime=args.regime, grid=gridio.GridSpec.regular(*map(int, shape.groups())),
-            variables=tuple(args.variables.split(",")), noise_medium=args.noise, **values)
+            variables=gridio.names_of(args.variables.split(","), "--variables"),
+            noise_medium=args.noise, **values)
     start = args.start_time and gridio.utc_time(args.start_time, "--start-time")
     series, labels = synth.generate(cfg, args.horizon_days,
                                     step_seconds=args.step_seconds, start_time=start)
@@ -325,8 +326,7 @@ def cmd_perturb(args) -> int:
         start = gridio.utc_time(args.start_time, "--start-time")
     if isinstance(adapter, perturb.SynthAdapter) and args.steps > 0:
         # the first step, from the shifted clock, must end at or after the epoch
-        adapter.stepper.step_index(start + timedelta(days=args.time_shift_days or 0),
-                                   adapter.step_seconds)
+        adapter.step_index(start + timedelta(days=args.time_shift_days or 0))
 
     spec = stats = ref = None
     if args.kind:
@@ -423,9 +423,10 @@ def cmd_extremes(args) -> int:
 
 
 def cmd_memorize(args) -> int:
-    if args.window_days < 0:  # before any input is read
+    if args.window_days < 0:  # these two checks come before any input is read
         raise ValueError(f"--window-days must be >= 0, got {args.window_days}")
-    variables = tuple(args.variables.split(",")) if args.variables else None
+    variables = (None if args.variables is None
+                 else gridio.names_of(args.variables.split(","), "--variables"))
     with gridio.RolloutFile(args.rollout) as rollout, gridio.RolloutFile(args.index) as training:
         index = memorize.build_index(training, variables)
         results = memorize.memorization_series(rollout, index, window_days=args.window_days)

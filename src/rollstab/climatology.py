@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gridio import DailySeries, PreconditionError, check_keys, folded_doy
+from .gridio import (DailySeries, PreconditionError, check_fields, check_keys, folded_doy,
+                     json_value, numbers_of)
 
 
 class EnvelopeCoverageError(PreconditionError):
@@ -60,15 +61,21 @@ class ClimatologyEnvelope:
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()} | {
+            "year_span": list(self.year_span)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClimatologyEnvelope":
         """Inverse of :meth:`to_dict`, dropping the manifest of a written
         envelope. A missing or unknown key raises ValueError naming it."""
-        names = [f.name for f in fields(cls)]
-        check_keys(d, names, "envelope", optional=("manifest",))
-        return cls(**{n: d[n] for n in names})
+        check_keys(d, [f.name for f in fields(cls)], "envelope", optional=("manifest",))
+        check_fields(d, cls, "envelope")
+        span = json_value(d["year_span"], "list", "envelope: year_span")
+        if len(span) != 2:
+            raise ValueError(f"envelope: year_span: expected two years, got {span!r}")
+        return cls(statistic=d["statistic"],
+                   **{n: numbers_of(d[n], f"envelope: {n}") for n in ("mean", "min", "max")},
+                   year_span=tuple(json_value(y, "int", "envelope: year_span") for y in span))
 
 
 def build_envelope(daily: DailySeries, name: str = "statistic") -> ClimatologyEnvelope:

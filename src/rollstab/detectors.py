@@ -27,7 +27,9 @@ from .gridio import (
     RolloutFile,
     RolloutSeries,
     cell_weights,
+    check_fields,
     check_keys,
+    json_value,
     names_of,
     walk,
 )
@@ -202,25 +204,24 @@ def small_scale_ratios(
     pred_small = spec.band("small")
     ref_small = ref_spec.band("small")
     t = spec.timestamps
+    end = t[-1]
     if blowup_day is not None:
-        # the 30 days strictly before the blow-up time
         end = t[0] + np.timedelta64(int(round(blowup_day * 86400)), "s")
-        start = end - np.timedelta64(int(round(window_days * 86400)), "s")
-        win = (t >= start) & (t < end)
-    else:
-        end = t[-1]
-        start = end - np.timedelta64(int(round(window_days * 86400)), "s")
-        win = (t > start) & (t <= end)
+    start = end - np.timedelta64(int(round(window_days * 86400)), "s")
+
+    def window(times):
+        """Steps strictly before a blow-up, or up to and including the horizon."""
+        if blowup_day is None:
+            return (times > start) & (times <= end)
+        return (times >= start) & (times < end)
+
+    win = window(t)
     truncated = bool(start < t[0])
     if not win.any():
         raise ValueError("ratio window selects no prediction timesteps")
     used_days = min(window_days, (end - t[0]) / np.timedelta64(1, "D"))
 
-    rt = ref_spec.timestamps
-    if blowup_day is not None:
-        ref_win = (rt >= start) & (rt < end)
-    else:
-        ref_win = (rt > start) & (rt <= end)
+    ref_win = window(ref_spec.timestamps)
     if not ref_win.any():
         raise ValueError("reference spectra do not cover the ratio window")
     ref_mean = float(ref_small[ref_win].mean())
@@ -318,6 +319,7 @@ class StabilityReport:
         """Inverse of :meth:`to_dict`, dropping the manifest of a written report.
         A missing or unknown key, at any level, raises ValueError naming it."""
         check_keys(d, [f.name for f in fields(cls)], "report", optional=("manifest",))
+        check_fields(d, cls, "report")
         rep = cls(name=d["name"], horizon_days=d["horizon_days"],
                   variables=names_of(d["variables"], "report: variables"))
         for key, kind in _RESULT_KINDS.items():
@@ -352,9 +354,10 @@ def _from_entry(kind, entry, where: str):
         names = ["censored", "horizon" if censored else "day",
                  *(n for n in names if n != "day")]
     check_keys(entry, names, where)
+    check_fields(entry, kind, where)
     entry = dict(entry)
-    if entry.pop("censored", False):
-        del entry["horizon"]
+    if "censored" in entry and json_value(entry.pop("censored"), "bool", f"{where}: censored"):
+        json_value(entry.pop("horizon"), "float", f"{where}: horizon")
         entry["day"] = None
     return kind(**entry)
 

@@ -240,8 +240,8 @@ def _regions(raw) -> dict[str, RegionSpec]:
     for entry in raw:
         where = f"region {entry.get('name')!r}"
         check_keys(entry, names, where)
-        r = RegionSpec(json_value(entry["name"], "str", f"{where}: name"),
-                       *(float(json_value(entry[n], "float", f"{where}: {n}")) for n in names[1:]))
+        check_fields(entry, RegionSpec, where)
+        r = RegionSpec(entry["name"], *(float(entry[n]) for n in names[1:]))
         if r.name in ("", ".", "..") or "/" in r.name or "\\" in r.name:
             raise ValueError(f"{where}: name must be a plain file-name stem, with no "
                              "'/' or '\\' and not '.' or '..'")
@@ -284,10 +284,26 @@ def json_value(value, kind: str, where: str):
 
 
 def names_of(value, where: str) -> tuple[str, ...]:
-    """``value`` as a tuple of names; ValueError unless it is a JSON list of strings."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+    """``value`` as a tuple of names; ValueError unless it is a list or tuple
+    of strings, none of them empty and none given twice."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
         raise ValueError(f"{where} must be a list of names")
+    if "" in value:
+        raise ValueError(f"{where}: a name is empty")
+    repeated = [v for i, v in enumerate(value) if v in value[:i]]
+    if repeated:
+        raise ValueError(f"{where}: variable {repeated[0]!r} is named more than once")
     return tuple(value)
+
+
+def check_fields(d: dict, cls, where: str = "") -> None:
+    """ValueError naming the key unless each key of ``d`` that is a field of
+    dataclass ``cls`` typed ``float``, ``int``, ``str`` or ``bool`` (or ``| None``) holds one."""
+    for f in fields(cls):  # annotations are strings: "float | None", ...
+        kind, _, optional = f.type.partition(" | ")
+        if f.name in d and kind in ("float", "int", "str", "bool") and not (
+                optional and d[f.name] is None):
+            json_value(d[f.name], kind, f"{where}: {f.name}" if where else f.name)
 
 
 def numbers_of(value, where: str) -> np.ndarray:
@@ -353,9 +369,7 @@ def _check_layout(shape, grid, variables, start_time, step_seconds, fill_value,
         raise ValueError("series must contain at least one timestep")
     if shape[1] != len(variables):
         raise ValueError("data variable axis does not match variable names")
-    repeated = [v for i, v in enumerate(variables) if v in variables[:i]]
-    if repeated:
-        raise ValueError(f"variable {repeated[0]!r} is named more than once")
+    names_of(variables, "variables")
     if tuple(shape[2:]) != (grid.n_lat, grid.n_lon):
         raise ValueError("spatial slices do not match grid dimensions")
     if step_seconds <= 0:

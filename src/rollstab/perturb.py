@@ -2,7 +2,9 @@
 comparisons, and ensemble spread.
 
 Adapters advance a multi-variable state (n_var, lat, lon) one step given a
-clock; the rollout loop feeds each output back as the next input.
+clock; the rollout loop feeds each output back as the next input. The
+synthetic generator is one, :class:`SynthAdapter`; :mod:`rollstab.synth`
+keeps its regimes, configs and labels.
 Perturbations apply to the initial state only: additive white noise,
 additive Gaussian random fields with a prescribed correlation length, or
 replacement by pure noise with the reference's scalar (mu, sigma).
@@ -36,10 +38,13 @@ from .gridio import (
     walk,
     write_rollout,
 )
-from .synth import RegimeConfig, Stepper, initial_state
+from .spectra import BandUnresolvedError, band_members
+from .synth import RegimeConfig, initial_state
 
 KINDS = ("WHITE", "GRF", "PURE_NOISE")
 TARGETS = ("dynamic", "static", "both")
+_YEAR_DAYS = 365.25
+_SATURATION = 1e30
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,9 @@ class ModelAdapter:
 
 
 class SynthAdapter(ModelAdapter):
-    """Adapter around the synthetic generator; all its variables are dynamic."""
+    """The synthetic generator of :mod:`rollstab.synth`; all its variables are
+    dynamic. Its gain, noise, forcing and planted-mode tables are built once
+    and shared by every variable, which differ only in the noise they draw."""
 
     supports_time_shift = True
 
@@ -211,12 +218,104 @@ class SynthAdapter(ModelAdapter):
         super().__init__(cfg.grid, step_seconds)
         self.cfg = cfg
         self.variables = tuple(cfg.variables)
-        self.stepper = Stepper(cfg)
+        n = cfg.grid.n_lon
+        self.gain = np.ones(n // 2 + 1)
+        # band-limited noise: complex coefficient sigma per wavenumber, chosen
+        # so the injected field has the configured std per band; k=0 and the
+        # Nyquist column stay noise-free
+        self.noise_sigma = np.zeros(n // 2 + 1)
+        interior = np.arange(1, (n + 1) // 2)
+        self.band_k: dict[str, np.ndarray] = {}
+        for band, g, sigma in (("large", cfg.g_large, cfg.noise_large),
+                               ("medium", cfg.g_medium, cfg.noise_medium),
+                               ("small", cfg.g_small, cfg.noise_small)):
+            try:
+                idx = band_members(cfg.grid, band)
+            except BandUnresolvedError:
+                if cfg.regime == "SHARPEN" and band == "small":
+                    raise
+                continue
+            self.band_k[band] = idx
+            self.gain[idx] = g
+            noisy = np.intersect1d(idx, interior)
+            if sigma > 0 and noisy.size:
+                self.noise_sigma[noisy] = sigma * n / (2.0 * math.sqrt(noisy.size))
+        self.noisy_k = np.flatnonzero(self.noise_sigma > 0)
+
+        lat_rad = np.radians(cfg.grid.lats)
+        lon_rad = np.radians(cfg.grid.lons)
+        self.pattern = np.cos(lat_rad)[:, None] * np.cos(lon_rad)[None, :]
+        self.gain_after_onset = self.gain.copy()
+        if cfg.regime == "BLOWUP":
+            if cfg.blowup_band not in self.band_k:
+                raise BandUnresolvedError(f"blow-up band {cfg.blowup_band!r} unresolved "
+                                          "on this grid")
+            k_band = self.band_k[cfg.blowup_band]
+            self.gain_after_onset[k_band] = 1.0 + cfg.growth_rate
+            # the planted mode: the band's middle wavenumber, or its last if that is 0
+            self.planted_k = k0 = int(k_band[len(k_band) // 2]) or int(k_band[-1])
+            self.planted = 2.0 * cfg.seed_amplitude * (
+                np.cos(lat_rad)[:, None] * np.cos(k0 * lon_rad)[None, :]
+            )
+
+    def _forcing(self, clock_out: datetime, t_out_days: float) -> np.ndarray | float:
+        """The seasonal forcing at ``clock_out``: a (lat, lon) field, or 0.0."""
+        cfg = self.cfg
+        a = cfg.seasonal_amplitude
+        if cfg.regime == "DRIFT":
+            a *= math.exp(-t_out_days / cfg.tau_days)
+        if cfg.year_jitter > 0:
+            # deterministic evenly spaced per-year factors spanning +-jitter,
+            # so a reference covering one cycle has an exactly known range
+            pos = (clock_out.year - cfg.epoch.year) % cfg.jitter_cycle_years
+            frac = pos / (cfg.jitter_cycle_years - 1)
+            a *= 1.0 + cfg.year_jitter * (2.0 * frac - 1.0)
+        if a == 0.0:
+            return 0.0
+        year_start = datetime(clock_out.year, 1, 1)
+        doy = (clock_out - year_start).total_seconds() / 86400.0 + 1.0
+        return a * math.sin(2.0 * math.pi * doy / _YEAR_DAYS) * self.pattern
+
+    def step_index(self, clock: datetime) -> int:
+        """Steps from the config's epoch to the end of a step from ``clock``,
+        which key its noise; a step ending before the epoch raises ValueError."""
+        out_seconds = (clock + timedelta(seconds=self.step_seconds)
+                       - self.cfg.epoch).total_seconds()
+        index = int(round(out_seconds / self.step_seconds))
+        if index < 0:
+            raise ValueError(f"a step from clock {clock.isoformat()} ends before the "
+                             f"config's epoch {self.cfg.epoch.isoformat()}")
+        return index
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
-        state = np.asarray(state, dtype=np.float64)
-        return np.stack([self.stepper.step(state[vi], clock, self.step_seconds, vi)
-                         for vi in range(len(self.variables))])
+        cfg = self.cfg
+        index = self.step_index(clock)
+        clock_out = clock + timedelta(seconds=self.step_seconds)
+        t_out_days = (clock_out - cfg.epoch).total_seconds() / 86400.0
+
+        coeffs = np.fft.rfft(np.asarray(state, dtype=np.float64), axis=-1)
+        if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
+            coeffs *= self.gain_after_onset
+        else:
+            coeffs *= self.gain
+        if self.noisy_k.size:
+            shape = (cfg.grid.n_lat, self.noisy_k.size)
+            sig = self.noise_sigma[self.noisy_k]
+            for vi, c in enumerate(coeffs):  # in variable order, each from its own key
+                rng = np.random.default_rng([cfg.seed, vi, index])
+                c[:, self.noisy_k] += sig * (rng.standard_normal(shape)
+                                             + 1j * rng.standard_normal(shape))
+        nxt = np.fft.irfft(coeffs, n=cfg.grid.n_lon, axis=-1)
+        nxt += self._forcing(clock_out, t_out_days)
+        if cfg.regime == "BLOWUP":  # planted by the step that crosses the onset
+            if t_out_days - self.step_seconds / 86400.0 < cfg.onset_day <= t_out_days:
+                nxt += self.planted
+        if cfg.regime == "SHARPEN":
+            np.clip(nxt, -cfg.cap, cfg.cap, out=nxt)
+        # keep blown-up fields finite in float32; diverging models saturate the
+        # same way once they leave the physical range
+        np.clip(nxt, -_SATURATION, _SATURATION, out=nxt)
+        return nxt
 
     def initial_state(self) -> np.ndarray:
         return np.stack([initial_state(self.cfg, vi) for vi in range(len(self.variables))])

@@ -1,11 +1,12 @@
-"""Synthetic spectral rollout generator with controllable failure regimes.
+"""Synthetic rollout regimes: configs, ground-truth labels and runs.
 
-Each step transforms the field row-wise to zonal Fourier space, applies
-per-band gains, injects band-limited white noise, transforms back, and adds
-a seasonal forcing (a wavenumber-1 zonal wave tapered by cos(lat), with a
-sinusoidal annual cycle). The system is linear, so the expected response of
-every detector is analytically derivable: the generator doubles as the
-ground-truth oracle for validating the detectors.
+The generator is :class:`rollstab.perturb.SynthAdapter`: each step applies
+per-band gains and band-limited noise in zonal Fourier space, then adds a
+seasonal forcing (a wavenumber-1 zonal wave tapered by cos(lat), with a
+sinusoidal annual cycle). This module keeps the regimes, their config I/O,
+the initial state, the analytic labels and :func:`generate`. The system is
+linear, so every detector's expected response is analytically derivable:
+the generator doubles as the ground-truth oracle for the detectors.
 
 Regimes: STABLE (all gains <= 1), BLOWUP (one band's gain switches to
 1 + delta after an onset day, with a small mode planted at onset), DRIFT
@@ -18,21 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
-from .gridio import (EARTH_RADIUS_KM, GLOBE, GridSpec, RolloutSeries, check_keys, json_value,
-                     latitude_weights, names_of, numbers_of, read_json, utc_time)
-from .spectra import BANDS, BandUnresolvedError, band_members, scan
+from .gridio import (EARTH_RADIUS_KM, GLOBE, GridSpec, RolloutSeries, check_fields, check_keys,
+                     json_value, latitude_weights, names_of, numbers_of, read_json, utc_time)
+from .spectra import BANDS, band_members, scan
 from .climatology import ClimatologyEnvelope
 from .detectors import BLOWUP_GROWTH_FACTOR
 
 REGIMES = ("STABLE", "BLOWUP", "DRIFT", "SHARPEN", "BLUR")
 
 _DEFAULT_EPOCH = datetime(2021, 1, 1)
-_YEAR_DAYS = 365.25
-_SATURATION = 1e30
 # days past the analytic onset-plus-emergence estimate that a blow-up day may
 # still fall in, and past the DRIFT crossing for a seasonality-loss day
 _BLOWUP_SLACK_DAYS = 5.0
@@ -127,11 +126,8 @@ def config_from_dict(d: dict) -> RegimeConfig:
     or a value of the wrong kind raises ValueError naming the key."""
     check_keys(d, ("regime",), "regime config",
                optional=[f.name for f in fields(RegimeConfig)])
+    check_fields(d, RegimeConfig)
     d = dict(d)
-    for f in fields(RegimeConfig):  # annotations are strings: "float | None", ...
-        kind, _, optional = f.type.partition(" | ")
-        if f.name in d and kind in ("float", "int", "str") and not (optional and d[f.name] is None):
-            json_value(d[f.name], kind, f.name)
     if "grid" in d:
         d["grid"] = _grid_from_dict(d["grid"])
     if "variables" in d:
@@ -144,128 +140,6 @@ def config_from_dict(d: dict) -> RegimeConfig:
 def load_config(path) -> RegimeConfig:
     """The config in a JSON file; an error names the file."""
     return read_json(path, config_from_dict)
-
-
-class Stepper:
-    """Advances fields of one config: its spectral machinery is precomputed
-    once, and :meth:`step` takes one field one step forward."""
-
-    def __init__(self, cfg: RegimeConfig):
-        self.cfg = cfg
-        grid = cfg.grid
-        n = grid.n_lon
-        n_k = n // 2 + 1
-        self.gain = np.ones(n_k)
-        self.band_k: dict[str, np.ndarray] = {}
-        for band, g in (("large", cfg.g_large), ("medium", cfg.g_medium), ("small", cfg.g_small)):
-            try:
-                idx = band_members(grid, band)
-            except BandUnresolvedError:
-                if cfg.regime == "SHARPEN" and band == "small":
-                    raise
-                continue
-            self.band_k[band] = idx
-            self.gain[idx] = g
-        self.gain_after_onset = self.gain.copy()
-        if cfg.regime == "BLOWUP":
-            if cfg.blowup_band not in self.band_k:
-                raise BandUnresolvedError(
-                    f"blow-up band {cfg.blowup_band!r} unresolved on this grid"
-                )
-            self.gain_after_onset[self.band_k[cfg.blowup_band]] = 1.0 + cfg.growth_rate
-
-        # band-limited noise: complex coefficient sigma per wavenumber, chosen
-        # so the injected field has the configured std per band; k=0 and the
-        # Nyquist column stay noise-free
-        self.noise_sigma = np.zeros(n_k)
-        interior = np.arange(1, (n + 1) // 2)
-        for band, sigma in (("large", cfg.noise_large), ("medium", cfg.noise_medium),
-                            ("small", cfg.noise_small)):
-            if sigma <= 0 or band not in self.band_k:
-                continue
-            idx = np.intersect1d(self.band_k[band], interior)
-            if idx.size == 0:
-                continue
-            self.noise_sigma[idx] = sigma * n / (2.0 * math.sqrt(idx.size))
-        self.noisy_k = np.flatnonzero(self.noise_sigma > 0)
-
-        lat_rad = np.radians(grid.lats)
-        lon_rad = np.radians(grid.lons)
-        self.pattern = np.cos(lat_rad)[:, None] * np.cos(lon_rad)[None, :]
-        if cfg.regime == "BLOWUP":
-            k_band = self.band_k[cfg.blowup_band]
-            k0 = int(k_band[len(k_band) // 2])
-            if k0 == 0:
-                k0 = int(k_band[-1])
-            self.planted = 2.0 * cfg.seed_amplitude * (
-                np.cos(lat_rad)[:, None] * np.cos(k0 * lon_rad)[None, :]
-            )
-            self.planted_k = k0
-
-    def _seasonal_amplitude(self, clock_out: datetime, t_out_days: float) -> float:
-        cfg = self.cfg
-        a = cfg.seasonal_amplitude
-        if cfg.regime == "DRIFT":
-            a *= math.exp(-t_out_days / cfg.tau_days)
-        if cfg.year_jitter > 0:
-            # deterministic evenly spaced per-year factors spanning +-jitter,
-            # so a reference covering one cycle has an exactly known range
-            pos = (clock_out.year - cfg.epoch.year) % cfg.jitter_cycle_years
-            frac = pos / (cfg.jitter_cycle_years - 1)
-            a *= 1.0 + cfg.year_jitter * (2.0 * frac - 1.0)
-        return a
-
-    def _forcing(self, clock_out: datetime, t_out_days: float) -> np.ndarray:
-        a = self._seasonal_amplitude(clock_out, t_out_days)
-        if a == 0.0:
-            return np.zeros_like(self.pattern)
-        year_start = datetime(clock_out.year, 1, 1)
-        doy = (clock_out - year_start).total_seconds() / 86400.0 + 1.0
-        return a * math.sin(2.0 * math.pi * doy / _YEAR_DAYS) * self.pattern
-
-    def step_index(self, clock: datetime, step_seconds: int) -> int:
-        """Steps from the config's epoch to the end of a step from ``clock``,
-        which key its noise; a step ending before the epoch raises ValueError."""
-        out_seconds = (clock + timedelta(seconds=step_seconds) - self.cfg.epoch).total_seconds()
-        index = int(round(out_seconds / step_seconds))
-        if index < 0:
-            raise ValueError(f"a step from clock {clock.isoformat()} ends before the "
-                             f"config's epoch {self.cfg.epoch.isoformat()}")
-        return index
-
-    def step(self, state: np.ndarray, clock: datetime, step_seconds: int,
-             var_index: int) -> np.ndarray:
-        """The field of variable ``var_index`` at ``clock + step_seconds``."""
-        cfg = self.cfg
-        grid = cfg.grid
-        step_index = self.step_index(clock, step_seconds)
-        clock_out = clock + timedelta(seconds=step_seconds)
-        t_out_days = (clock_out - cfg.epoch).total_seconds() / 86400.0
-
-        coeffs = np.fft.rfft(state, axis=-1)
-        if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
-            coeffs *= self.gain_after_onset
-        else:
-            coeffs *= self.gain
-        if self.noisy_k.size:
-            rng = np.random.default_rng([cfg.seed, var_index, step_index])
-            shape = (grid.n_lat, self.noisy_k.size)
-            sig = self.noise_sigma[self.noisy_k]
-            coeffs[:, self.noisy_k] += sig * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            )
-        nxt = np.fft.irfft(coeffs, n=grid.n_lon, axis=-1)
-        nxt += self._forcing(clock_out, t_out_days)
-        if cfg.regime == "BLOWUP" and cfg.onset_day is not None:
-            prev_days = t_out_days - step_seconds / 86400.0
-            if prev_days < cfg.onset_day <= t_out_days:
-                nxt += self.planted
-        if cfg.regime == "SHARPEN":
-            np.clip(nxt, -cfg.cap, cfg.cap, out=nxt)
-        # keep blown-up fields finite in float32; diverging models saturate the
-        # same way once they leave the physical range
-        np.clip(nxt, -_SATURATION, _SATURATION, out=nxt)
-        return nxt
 
 
 def initial_state(cfg: RegimeConfig, var_index: int = 0) -> np.ndarray:
@@ -376,8 +250,8 @@ def generate(
     if cfg.regime == "BLUR":
         labels.small_scale_direction = "lt1"
         # the small-band noise injected, if any (none when it holds only the Nyquist k)
-        small = adapter.stepper.band_k.get("small")
-        s_raw = 0.0 if small is None else float(adapter.stepper.noise_sigma[small].max())
+        small = adapter.band_k.get("small")
+        s_raw = 0.0 if small is None else float(adapter.noise_sigma[small].max())
         if s_raw > 0 and cfg.init_std > 0:
             steady = s_raw / math.sqrt(1.0 - cfg.g_small**2)
             init_coeff = cfg.init_std * math.sqrt(cfg.grid.n_lon / 2.0)

@@ -16,7 +16,7 @@ import rollstab
 from rollstab import perturb, spectra, synth
 from rollstab.cli import _apply_config, build_parser, main
 from rollstab import GridSpec, RegimeConfig, RolloutSeries, generate, write_rollout
-from rollstab.gridio import write_series_csv
+from rollstab.gridio import RolloutFile, write_series_csv
 from rollstab.synth import config_to_dict, load_config
 from conftest import global_extremes, make_series
 
@@ -54,6 +54,13 @@ class TestSynthCommand:
         assert run_cli("synth", "--variables", "T2m,T2m", "--grid", "4x16", "--horizon-days",
                        60, "-o", out, "--labels", labels) == 2
         assert "variable 'T2m' is named more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_variable_name_exit_2_and_no_file(self, tmp_path, capsys):
+        out, labels = tmp_path / "d.rgf", tmp_path / "labels.json"
+        assert run_cli("synth", "--variables", "", "--grid", "4x16", "--horizon-days",
+                       60, "-o", out, "--labels", labels) == 2
+        assert "--variables: a name is empty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_writes_rollout_and_labels(self, tmp_path):
@@ -315,6 +322,24 @@ class TestSeasonalityCommand:
                        "--envelope", not_env, "-o", out) == 2
         err = capsys.readouterr().err
         assert f"{not_env}: envelope: missing key 'statistic'" in err, err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mean", ["1.0"] * 365, "envelope: mean: expected float, got '1.0'"),
+        ("statistic", 5, "envelope: statistic: expected str, got 5"),
+        ("year_span", ["x", "y"], "envelope: year_span: expected int, got 'x'"),
+        ("year_span", [2021], "envelope: year_span: expected two years, got [2021]"),
+    ])
+    def test_envelope_value_of_the_wrong_kind_exit_2(self, tmp_path, synth_files, capsys,
+                                                     key, value, message):
+        env, out = tmp_path / "env.json", tmp_path / "x.json"
+        doc = json.loads(synth_files["env"].read_text())
+        doc[key] = value
+        env.write_text(json.dumps(doc))
+        assert run_cli("seasonality", "--input", synth_files["pred"], "--variable", "T2m",
+                       "--envelope", env, "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {env}: {message}\n"
         assert not out.exists()
 
 
@@ -785,6 +810,27 @@ class TestMemorizeCommand:
         assert "variable 'T2m' is named more than once" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("names, message", [
+        ("T2m,T2m", "--variables: variable 'T2m' is named more than once"),
+        ("", "--variables: a name is empty"),
+    ])
+    def test_bad_variable_list_exit_2_before_a_block_is_read(self, tmp_path, synth_files,
+                                                             capsys, monkeypatch, names,
+                                                             message):
+        entered = []
+        blocks = RolloutFile.blocks
+
+        def counted(self, rows):
+            entered.append(rows)
+            return blocks(self, rows)
+
+        monkeypatch.setattr(RolloutFile, "blocks", counted)
+        out = tmp_path / "ratios.csv"
+        assert run_cli("memorize", "--rollout", synth_files["pred"], "--index",
+                       synth_files["pred"], "--variables", names, "-o", out) == 2
+        assert message in capsys.readouterr().err
+        assert entered == [] and not out.exists()
+
     def test_negative_window_exit_2_before_any_input_is_read(self, tmp_path, capsys):
         """Bad input, not an unmet precondition; the inputs named do not exist,
         so any attempt to read one would fail with another message."""
@@ -932,6 +978,28 @@ class TestAggregateReadsReportsStrictly:
         (("blowup", "T2m"), None, "blowup['T2m']: expected a JSON object, got NoneType"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, path, value, message):
+        doc = _report_doc()
+        _at(doc, path[:-1])[path[-1]] = value
+        rc, out = self._aggregate(tmp_path, doc)
+        assert rc == 2
+        assert capsys.readouterr().err == f"rollstab: {tmp_path / 'bad.json'}: {message}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("name",), 5, "report: name: expected str, got 5"),
+        (("horizon_days",), "90", "report: horizon_days: expected float, got '90'"),
+        (("blowup", "T2m", "day"), "12", "blowup['T2m']: day: expected float, got '12'"),
+        (("blowup", "T2m", "slope_sign"), 1.0,
+         "blowup['T2m']: slope_sign: expected int, got 1.0"),
+        (("seasonality", "T2m", "censored"), "yes",
+         "seasonality['T2m']: censored: expected bool, got 'yes'"),
+        (("seasonality", "T2m", "horizon"), "90",
+         "seasonality['T2m']: horizon: expected float, got '90'"),
+        (("small_scale", "T2m", "truncated"), 0,
+         "small_scale['T2m']: truncated: expected bool, got 0"),
+    ])
+    def test_value_of_the_wrong_kind_exit_2(self, tmp_path, capsys, path, value, message):
         doc = _report_doc()
         _at(doc, path[:-1])[path[-1]] = value
         rc, out = self._aggregate(tmp_path, doc)

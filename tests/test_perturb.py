@@ -33,7 +33,6 @@ from rollstab.gridio import (
     write_rollout,
 )
 from rollstab.perturb import ExternalProcessAdapter, gaussian_random_field, pooled_stats
-from rollstab.synth import Stepper
 from rollstab.spectra import band_average, zonal_spectrum
 from conftest import make_series
 
@@ -259,7 +258,7 @@ class TestRunRollout:
         x = init[0]
         clock = EPOCH
         for i in range(4):
-            x = Stepper(cfg).step(x, clock, 21600, 0)
+            x = SynthAdapter(cfg).step(x[None], clock)[0]
             clock += timedelta(seconds=21600)
             assert np.allclose(out.data[i + 1, 0], x.astype(np.float32))
 

@@ -1,16 +1,18 @@
+import hashlib
 import json
-from dataclasses import fields
-from datetime import datetime
+from dataclasses import asdict, fields, replace
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from rollstab import GridSpec, RegimeConfig, SynthAdapter, generate, run_rollout
+from rollstab import (GridSpec, PerturbationSpec, RegimeConfig, SynthAdapter, generate,
+                      run_rollout)
 from rollstab.climatology import build_envelope
 from rollstab.detectors import detect_seasonality_loss
 from rollstab.gridio import DailySeries
 from rollstab.spectra import BandUnresolvedError, band_members, spectrum_series, zonal_spectrum
-from rollstab.synth import Stepper, config_from_dict, config_to_dict, initial_state
+from rollstab.synth import config_from_dict, config_to_dict, initial_state
 
 
 FINE = GridSpec.regular(16, 384)
@@ -30,14 +32,14 @@ class TestSynthStep:
         cfg = quiet_config()
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 384))
-        y = Stepper(cfg).step(x, EPOCH, 21600, 0)
+        y = SynthAdapter(cfg).step(x[None], EPOCH)[0]
         assert np.allclose(y, x, atol=1e-12)
 
     def test_zero_small_gain_removes_small_band(self):
         cfg = quiet_config(regime="BLUR", g_small=0.0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((16, 384))
-        y = Stepper(cfg).step(x, EPOCH, 21600, 0)
+        y = SynthAdapter(cfg).step(x[None], EPOCH)[0]
         spec = zonal_spectrum(y, FINE)
         idx = band_members(FINE, "small")
         assert np.all(spec[idx] < 1e-12)
@@ -54,11 +56,9 @@ class TestSynthStep:
 
         amps = []
         k0 = None
-        from rollstab.synth import Stepper
-
-        k0 = Stepper(cfg).planted_k
+        k0 = SynthAdapter(cfg).planted_k
         for i in range(60):
-            x = Stepper(cfg).step(x, clock, 21600, 0)
+            x = SynthAdapter(cfg).step(x[None], clock)[0]
             clock += timedelta(seconds=21600)
             amps.append(zonal_spectrum(x, FINE)[k0])
         amps = np.array(amps)
@@ -67,6 +67,32 @@ class TestSynthStep:
         assert a0 > 0
         growth = amps[10:] / amps[9:-1]
         assert np.allclose(growth, 1.0 + delta, rtol=1e-6)
+
+    def test_variable_zero_does_not_see_a_second_variable(self):
+        two = RegimeConfig(regime="BLOWUP", growth_rate=0.05, onset_day=0.5, seed=4,
+                           variables=("T2m", "Z500"))
+        ad1, ad2 = SynthAdapter(replace(two, variables=("T2m",))), SynthAdapter(two)
+        x1, x2 = ad1.initial_state(), ad2.initial_state()
+        clock = EPOCH
+        for _ in range(8):  # the blow-up mode is planted at step 2
+            x1, x2 = ad1.step(x1, clock), ad2.step(x2, clock)
+            assert x2[0].tobytes() == x1[0].tobytes()
+            clock += timedelta(seconds=21600)
+
+    def test_one_transform_pair_per_step_for_any_number_of_variables(self, monkeypatch):
+        calls = []
+
+        def counted(name, fft):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fft(*args, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        ad = SynthAdapter(RegimeConfig(regime="STABLE", variables=("T2m", "Z500", "U10")))
+        ad.step(ad.initial_state(), EPOCH)
+        assert calls == ["rfft", "irfft"]
 
     def test_state_shape_checked(self):
         with pytest.raises(ValueError, match="initial state does not match"):
@@ -82,7 +108,7 @@ class TestSynthStep:
         from datetime import timedelta
 
         for _ in range(1000):
-            x = Stepper(cfg).step(x, clock, 21600, 0)
+            x = SynthAdapter(cfg).step(x[None], clock)[0]
             clock += timedelta(seconds=21600)
         e1 = zonal_spectrum(x, FINE)
         rel = np.abs(e1[1:] - e0[1:]) / np.maximum(e0[1:], 1e-30)
@@ -91,7 +117,7 @@ class TestSynthStep:
     def test_clock_before_epoch_rejected(self):
         with pytest.raises(ValueError, match=r"clock 2001-01-01T00:00:00 ends before the "
                                              r"config's epoch 2021-01-01T00:00:00"):
-            Stepper(quiet_config()).step(np.zeros((16, 384)), datetime(2001, 1, 1), 21600, 0)
+            SynthAdapter(quiet_config()).step(np.zeros((16, 384))[None], datetime(2001, 1, 1))[0]
 
 
 class TestGenerate:
@@ -119,7 +145,7 @@ class TestGenerate:
         assert np.allclose(series.data[0, 0], x.astype(np.float32))
         clock = EPOCH
         for i in range(4):
-            x = Stepper(cfg).step(x, clock, 21600, 0)
+            x = SynthAdapter(cfg).step(x[None], clock)[0]
             clock += timedelta(seconds=21600)
             assert np.allclose(series.data[i + 1, 0], x.astype(np.float32))
 
@@ -263,3 +289,55 @@ class TestConfigJSON:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"regime": "STABLE", "bogus": 1})
+
+
+def _sha256(data: np.ndarray, doc) -> str:
+    """One digest of a float32 frame array and a JSON-able document."""
+    h = hashlib.sha256(np.ascontiguousarray(data, dtype=np.float32).tobytes())
+    h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# 16x240 resolves the large and medium bands; SHARPEN and BLUR act on the
+# small band, which a grid resolves from 324 columns up
+_GOLDEN_GRID = GridSpec.regular(16, 240)
+_SMALL_BAND_GRID = GridSpec.regular(16, 384)
+_GOLDEN_RUNS = {
+    "STABLE": dict(regime="STABLE", seed=11),
+    "BLOWUP": dict(regime="BLOWUP", growth_rate=0.1, onset_day=20.0, seed=12),
+    "DRIFT": dict(regime="DRIFT", tau_days=30.0, year_jitter=0.2, seed=13,
+                  epoch=datetime(2020, 12, 1)),
+    "SHARPEN": dict(regime="SHARPEN", g_small=1.05, cap=5.0, seed=14, grid=_SMALL_BAND_GRID),
+    "BLUR": dict(regime="BLUR", g_small=0.5, seed=15, grid=_SMALL_BAND_GRID),
+    "STABLE-4var": dict(regime="STABLE", variables=("T2m", "Z500", "U10", "V10"), seed=16),
+}
+_GOLDEN_DIGESTS = {
+    "STABLE": "de67374b3e45b1f95f33408512569f454114302235b88ff1f66b388dcdc0cb4b",
+    "BLOWUP": "b84bb62bc7c83d961dd8331909c1e651f6569290115239c3e9f3157fdb189041",
+    "DRIFT": "3efff875c7c2f782cfd0d9553aa816e6e84b6ff9ee7ee668f866f89fb94eee03",
+    "SHARPEN": "ca17054a917b7158ab16046f3e0d2c1a3f30b17dc47421e466cc4d5902accab7",
+    "BLUR": "2a5b97433af69d2a714ee4437903a2db647c043bd21e61afef1cb22b5560f8db",
+    "STABLE-4var": "a6190913b6a4b4476181a5a1133b162b682c5468ef8d9a28a067ee731a03a008",
+    "rollout": "abf47130b66de40789a3a4d8f55ff02c990662bb9c41f439c6232f35771674f0",
+}
+
+
+class TestGolden:
+    """Frames and labels of fixed runs, digested: any change to the generator's
+    arithmetic, noise keys or step order shows as a new digest. The digests
+    were taken with numpy 2.4 on x86-64; another FFT build may round otherwise."""
+
+    @pytest.mark.parametrize("case", list(_GOLDEN_RUNS))
+    def test_generate(self, case):
+        series, labels = generate(RegimeConfig(**{"grid": _GOLDEN_GRID, **_GOLDEN_RUNS[case]}), 60)
+        assert _sha256(series.data, asdict(labels)) == _GOLDEN_DIGESTS[case]
+
+    def test_perturbed_shifted_rollout(self):
+        cfg = RegimeConfig(regime="BLOWUP", growth_rate=0.05, onset_day=10.0, seed=17,
+                           variables=("T2m", "Z500"), grid=_GOLDEN_GRID)
+        ad = SynthAdapter(cfg)
+        spec = PerturbationSpec(kind="GRF", k=0.5, correlation_length=4.0, seed=3)
+        run = run_rollout(ad, ad.initial_state(), EPOCH, 120, spec=spec,
+                          stats={"T2m": (0.5, 2.0), "Z500": (1.0, 3.0)},
+                          time_shift_days=10.5)
+        assert _sha256(run.data, run.attrs) == _GOLDEN_DIGESTS["rollout"]
