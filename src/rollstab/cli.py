@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import climatology, detectors, extremes, gridio, memorize, perturb, spectra, synth
-from .gridio import PreconditionError
+from .gridio import PreconditionError, RolloutFile
 
 
 def _sha256(path) -> str:
@@ -38,8 +38,8 @@ def _manifest(args, inputs: dict) -> dict:
     """The run manifest: subcommand, parameters, and the path and SHA-256 of
     every input that was given (``None`` entries are left out).
 
-    An RGF input is given as ``(path, sha256)`` with the digest its reader
-    took from the bytes it read; any other input is a path, hashed here.
+    An RGF input is given as its open :class:`RolloutFile`, with the digest its
+    reader took from the bytes it read; any other input is a path, hashed here.
     """
     params = {
         k: v for k, v in sorted(vars(args).items())
@@ -48,7 +48,7 @@ def _manifest(args, inputs: dict) -> dict:
     entries = {}
     for name, p in inputs.items():
         if p:
-            path, digest = p if isinstance(p, tuple) else (p, _sha256(p))
+            path, digest = (p.path, p.sha256) if isinstance(p, RolloutFile) else (p, _sha256(p))
             entries[name] = {"path": str(path), "sha256": digest}
     return {
         "tool": "rollstab",
@@ -174,7 +174,7 @@ def cmd_synth(args) -> int:
 def cmd_spectra(args) -> int:
     with gridio.RolloutFile(args.input) as r:
         spec = spectra.spectrum_series(r, args.variable, daily=args.daily)
-    manifest = _manifest(args, {"input": (args.input, r.sha256)})
+    manifest = _manifest(args, {"input": r})
     bands = [spec.band_large, spec.band_medium, spec.band_small]
     _write_csv(
         args.output, manifest, "band energies in variable units (zonal Fourier amplitude)",
@@ -208,11 +208,10 @@ def cmd_blowup(args) -> int:
     if args.input:
         if args.variable is None:
             raise ValueError("--variable is required with --input")
-        with gridio.RolloutFile(args.input) as r:
-            s = spectra.scan(r, (args.variable,), spectra=None, regions=(gridio.GLOBE,))
-        rgf = (args.input, r.sha256)
+        with gridio.RolloutFile(args.input) as rgf:
+            s = spectra.scan(rgf, (args.variable,), spectra=None, regions=(gridio.GLOBE,))
         mn, mx = s.regional[args.variable][gridio.GLOBE.name]
-        steps_per_day = 86400.0 / r.step_seconds
+        steps_per_day = 86400.0 / rgf.step_seconds
     else:
         if not (args.min_csv and args.max_csv):
             raise ValueError("need either --input RGF or both --min-csv and --max-csv")
@@ -239,17 +238,15 @@ def cmd_seasonality(args) -> int:
     if args.envelope:
         env = gridio.read_json(args.envelope, climatology.ClimatologyEnvelope.from_dict)
     elif args.reference:
-        with gridio.RolloutFile(args.reference) as r:
-            ref_spec = spectra.spectrum_series(r, args.variable, daily=True)
-        ref = (args.reference, r.sha256)
+        with gridio.RolloutFile(args.reference) as ref:
+            ref_spec = spectra.spectrum_series(ref, args.variable, daily=True)
         env = climatology.build_envelope(ref_spec.daily_band("large"),
                                          name=f"band_large[{args.variable}]")
     else:
         raise ValueError("need --envelope or --reference to define the climatology")
     with gridio.RolloutFile(args.input) as r:
         spec = spectra.spectrum_series(r, args.variable, daily=True)
-    manifest = _manifest(args, {"input": (args.input, r.sha256), "envelope": args.envelope,
-                                "reference": ref})
+    manifest = _manifest(args, {"input": r, "envelope": args.envelope, "reference": ref})
     if args.save_envelope:
         _write_json(args.save_envelope, env.to_dict(), manifest)
     res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
@@ -267,8 +264,7 @@ def cmd_smallscale(args) -> int:
     res = detectors.small_scale_ratios(spec, ref_spec, blowup_day=args.blowup_day,
                                        window_days=args.window_days)
     doc = _result_doc(res, "dimensionless energy ratios")
-    _write_json(args.output, doc, _manifest(args, {"input": (args.input, pred.sha256),
-                                                   "reference": (args.reference, ref.sha256)}))
+    _write_json(args.output, doc, _manifest(args, {"input": pred, "reference": ref}))
     return 0
 
 
@@ -276,8 +272,7 @@ def cmd_cycle_rmse(args) -> int:
     with gridio.RolloutFile(args.input) as a, gridio.RolloutFile(args.reference) as b:
         rmse = detectors.seasonal_cycle_rmse(a, b, args.variable)
     doc = {"seasonal_cycle_rmse": rmse, "units": "variable units"}
-    _write_json(args.output, doc, _manifest(args, {"input": (args.input, a.sha256),
-                                                   "reference": (args.reference, b.sha256)}))
+    _write_json(args.output, doc, _manifest(args, {"input": a, "reference": b}))
     return 0
 
 
@@ -338,11 +333,7 @@ def cmd_perturb(args) -> int:
             stats = perturb.pooled_stats(ref, [v for v in adapter.all_variables
                                                if v in ref.variables])
 
-    manifest = _manifest(args, {
-        "init": init and (args.init, init.sha256),
-        "adapter": adapter_path,
-        "stats_from": ref and (args.stats_from, ref.sha256),
-    })
+    manifest = _manifest(args, {"init": init, "adapter": adapter_path, "stats_from": ref})
     with gridio.RolloutWriter(args.output, adapter.grid, adapter.all_variables, start,
                               args.steps + 1, adapter.step_seconds,
                               attrs={"manifest": manifest}) as out:
@@ -368,8 +359,7 @@ def cmd_extremes(args) -> int:
         thresholds = pooled.result()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, {"input": (args.input, model.sha256),
-                                "reference": (args.reference, reference.sha256),
+    manifest = _manifest(args, {"input": model, "reference": reference,
                                 "regions": args.regions})
 
     mt, rt = model.timestamps, reference.timestamps
@@ -430,8 +420,7 @@ def cmd_memorize(args) -> int:
     with gridio.RolloutFile(args.rollout) as rollout, gridio.RolloutFile(args.index) as training:
         index = memorize.build_index(training, variables)
         results = memorize.memorization_series(rollout, index, window_days=args.window_days)
-    _write_csv(args.output, _manifest(args, {"rollout": (args.rollout, rollout.sha256),
-                                             "index": (args.index, training.sha256)}),
+    _write_csv(args.output, _manifest(args, {"rollout": rollout, "index": training}),
                "dimensionless distance ratio; d1/d2 in weighted L2",
                ["timestamp", "ratio", "d1", "d2", "first_neighbor", "second_neighbor"],
                ([str(t), _fmt(res.ratio), _fmt(res.d1), _fmt(res.d2),
@@ -447,8 +436,7 @@ def cmd_report(args) -> int:
             window_days=args.window_days, smoothing_days=args.smoothing_days,
             r2_threshold=args.r2_threshold,
         )
-    manifest = _manifest(args, {"prediction": (args.prediction, pred.sha256),
-                                "reference": (args.reference, ref.sha256)})
+    manifest = _manifest(args, {"prediction": pred, "reference": ref})
     _write_json(args.output, rep.to_dict(), manifest)
     if args.csv:
         variables = rep.variables

@@ -22,6 +22,7 @@ from scipy.ndimage import uniform_filter1d
 from .climatology import ClimatologyEnvelope, build_envelope
 from .gridio import (
     GLOBE,
+    Buckets,
     DailySeries,
     PreconditionError,
     RolloutFile,
@@ -274,14 +275,12 @@ def seasonal_cycle_rmse(rollout: RolloutSeries | RolloutFile,
         raise ValueError("series must span whole years: every calendar month N times")
 
     # per-cell monthly means, summed a step at a time in time order: mean(axis=0)'s bits
-    month = months.astype(int) % 12
-    cycles = np.zeros((2, 12, rollout.grid.n_lat, rollout.grid.n_lon))
-    for r, sums in zip((rollout, reference), cycles):
-        month_of = iter(month)
+    cycles = []
+    for r in (rollout, reference):
+        months_of = Buckets(months.astype(int) % 12, (r.grid.n_lat, r.grid.n_lon))
         for block in walk(r, (v,)):
-            for step in block[:, r.index_of(v)]:
-                sums[next(month_of)] += step
-    cycles /= np.bincount(month, minlength=12)[:, None, None]
+            months_of.add(block[:, r.index_of(v)])
+        cycles.append(months_of.means())
     w = cell_weights(rollout.grid)
     sq = 0.0
     for diff in cycles[0] - cycles[1]:

@@ -11,7 +11,8 @@ hashes each block on one helper thread while the caller works on it: a
 block is read-only until the next one is taken, which refills the buffer.
 A walk hashes only while the file's digest is unknown, so a file is hashed
 once. Every analysis reads through :func:`walk`, which sizes its blocks and
-ends it at a fill cell.
+ends it at a fill cell, and a pass that averages over time (by step, UTC
+day or calendar month) sums its rows into :class:`Buckets` as it walks.
 :class:`RolloutWriter` writes a file frame by frame, header first.
 """
 
@@ -482,7 +483,7 @@ class Extremes(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# daily series helpers
+# time buckets and daily series
 
 
 @dataclass(frozen=True)
@@ -504,30 +505,37 @@ class DailySeries:
         return self.dates.size
 
 
-def daily_mean(timestamps: np.ndarray, values: np.ndarray) -> DailySeries:
-    """Average sub-daily samples into one value (or row) per UTC day.
+class Buckets:
+    """Float64 sums of rows of ``shape``, one per distinct key, and their means.
 
-    Time runs along the first axis of ``values``; trailing axes are kept.
+    ``keys`` gives the key of each row (a step, a UTC day, a calendar month)
+    in the order the rows come to :meth:`add`, which adds each row into its
+    key's sum on its own, in that order: the order of ``np.add.at`` and of a
+    whole-array ``mean(axis=0)`` over a key's rows, so the means have their
+    bits. ``self.keys`` holds the distinct keys, sorted, one per sum.
     """
-    days = np.asarray(timestamps, dtype="datetime64[s]").astype("datetime64[D]")
-    uniq, inverse = np.unique(days, return_inverse=True)
-    values = np.asarray(values, dtype=np.float64)
-    sums = np.zeros(uniq.shape + values.shape[1:])
-    np.add.at(sums, inverse, values)
-    counts = np.bincount(inverse).reshape((-1,) + (1,) * (values.ndim - 1))
-    return DailySeries(uniq, sums / counts)
 
+    def __init__(self, keys, shape):
+        self.keys, self._at = np.unique(keys, return_inverse=True)
+        self.sums = np.zeros((self.keys.size, *shape))
+        self._n = 0
 
-def day_of_year(dates: np.ndarray) -> np.ndarray:
-    """1-based day of year for datetime64 dates."""
-    d = np.asarray(dates, dtype="datetime64[D]")
-    return (d - d.astype("datetime64[Y]")).astype(int) + 1
+    def add(self, rows: np.ndarray) -> None:
+        """Add each of the next ``len(rows)`` rows into its key's sum."""
+        for k, row in zip(self._at[self._n:self._n + len(rows)], rows):
+            self.sums[k] += row
+        self._n += len(rows)
+
+    def means(self) -> np.ndarray:
+        """The sums, divided in place by the number of rows each key has."""
+        self.sums /= np.bincount(self._at).reshape(-1, *(1,) * (self.sums.ndim - 1))
+        return self.sums
 
 
 def folded_doy(dates: np.ndarray) -> np.ndarray:
     """Day of year in 1..365; Feb 29 folds into the Feb 28 bucket."""
     d = np.asarray(dates, dtype="datetime64[D]")
-    doy = day_of_year(d)
+    doy = (d - d.astype("datetime64[Y]")).astype(int) + 1
     years = d.astype("datetime64[Y]").astype(int) + 1970
     leap = ((years % 4 == 0) & (years % 100 != 0)) | (years % 400 == 0)
     return doy - (leap & (doy >= 60)).astype(int)

@@ -348,6 +348,7 @@ class ExternalProcessAdapter(ModelAdapter):
         self.workdir = Path(json_value(m["workdir"], "str", "workdir"))
         self.variables = names_of(m["variables"], "variables")
         self.static_variables = names_of(m.get("static_variables", []), "static_variables")
+        names_of(self.all_variables, "manifest")  # no name in both lists
         self.supports_time_shift = json_value(m.get("supports_time_shift", False), "bool",
                                               "supports_time_shift")
 

@@ -22,6 +22,7 @@ import scipy.fft
 
 from .climatology import PoolChangedError, PoolSelect, ThresholdSet
 from .gridio import (
+    Buckets,
     DailySeries,
     Extremes,
     FormatError,
@@ -30,7 +31,6 @@ from .gridio import (
     RolloutFile,
     RolloutSeries,
     block_rows,
-    daily_mean,
     latitude_weights,
     named,
     region_mask,
@@ -135,7 +135,7 @@ def band_average(energy: np.ndarray, grid: GridSpec, band: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Per-timestep zonal spectra plus band-averaged series.
+    """Zonal spectra, one per step or one per UTC day, plus band-averaged series.
 
     A band entry is None when that band contains no wavenumbers on the grid
     (the small band on coarse grids); consumers that need it get an explicit
@@ -177,11 +177,7 @@ def _spectra(fields: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -
     return np.einsum("j,tjk->tk", w, amp, out=out)
 
 
-def _series(timestamps: np.ndarray, energy: np.ndarray, grid: GridSpec,
-            daily: bool) -> SpectrumSeries:
-    if daily:
-        days = daily_mean(timestamps, energy)
-        timestamps, energy = days.dates.astype("datetime64[s]"), days.values
+def _series(timestamps: np.ndarray, energy: np.ndarray, grid: GridSpec) -> SpectrumSeries:
     bands = {}
     for name in BANDS:
         try:
@@ -237,7 +233,10 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
     walk stops at the first block where one of ``variables`` holds a fill cell.
     A block is read at once, but its spectra are taken in tiles of
     :func:`~rollstab.gridio.tile_rows` steps, on a pool of :func:`thread_count`
-    workers that lives only as long as the pass.
+    workers that lives only as long as the pass, into one block-sized buffer.
+    From there each variable's spectra are added, in time order, into a
+    :class:`~rollstab.gridio.Buckets` keyed by step or by UTC day, so a daily
+    scan never holds a spectrum per step.
     """
     if spectra not in ("steps", "daily", None):
         raise ValueError(f"spectra must be 'steps', 'daily' or None, got {spectra!r}")
@@ -247,8 +246,10 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
     idx = {v: source.index_of(v) for v in variables}
     region_at = _region_cells(grid, regions)
     n = source.n_time
-    tile = tile_rows(grid.n_lat * grid.n_lon)
-    energy = {v: np.empty((n, grid.n_lon // 2 + 1)) for v in idx} if spectra else {}
+    rows, tile = min(block_rows(source), n), tile_rows(grid.n_lat * grid.n_lon)
+    keys = source.timestamps.astype("datetime64[D]" if spectra == "daily" else "datetime64[s]")
+    energy = {v: Buckets(keys, (grid.n_lon // 2 + 1,)) for v in idx} if spectra else {}
+    buf = np.empty((rows, grid.n_lon // 2 + 1)) if spectra else None
     w = latitude_weights(grid) if spectra else None
     regional = {v: {k: Extremes(np.empty(n, np.float32), np.empty(n, np.float32))
                     for k in region_at} for v in idx}
@@ -256,8 +257,7 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
              if levels is not None else {})
     # a worker per CPU, but none more than a block has tiles; it starts no
     # thread before its first tile
-    pool = (ThreadPoolExecutor(min(thread_count(), -(-min(block_rows(source), n) // tile)))
-            if spectra else nullcontext())
+    pool = ThreadPoolExecutor(min(thread_count(), -(-rows // tile))) if spectra else nullcontext()
     s = 0
     # on any exit, the pool's threads and a file walk's hashing thread end here
     with closing(walk(source, idx)) as blocks, pool as tiles:
@@ -266,9 +266,10 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
             for v, i in idx.items():
                 fields = block[:, i]
                 if spectra:
-                    out = energy[v][s:e]
-                    list(tiles.map(lambda a: _spectra(fields[a:a + tile], w, out[a:a + tile]),
+                    spec = buf[:e - s]
+                    list(tiles.map(lambda a: _spectra(fields[a:a + tile], w, spec[a:a + tile]),
                                    range(0, e - s, tile)))
+                    energy[v].add(spec)
                 flat = fields.reshape(e - s, -1)
                 for name, at in region_at.items():
                     cells = flat[:, at]
@@ -281,9 +282,8 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
     for selects in pools.values():
         for select in selects.values():
             select.plan()
-    timestamps = source.timestamps
-    return Scan({v: _series(timestamps, en, grid, spectra == "daily")
-                 for v, en in energy.items()}, regional, pools)
+    return Scan({v: _series(b.keys.astype("datetime64[s]"), b.means(), grid)
+                 for v, b in energy.items()}, regional, pools)
 
 
 def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,

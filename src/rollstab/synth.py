@@ -71,6 +71,8 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
+        if not self.variables:
+            raise ValueError("variables must name at least one variable")
         if not (abs(self.g_large) <= 1.0 and abs(self.g_medium) <= 1.0):  # NaN fails too
             raise ValueError(f"{self.regime} requires |g_large| and |g_medium| <= 1")
         if self.regime in ("STABLE", "DRIFT", "BLOWUP") and not abs(self.g_small) <= 1.0:

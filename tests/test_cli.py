@@ -147,6 +147,7 @@ class TestSynthInputsRejected:
         ({"seed": True}, "seed: expected int, got True"),
         ({"epoch": 123}, "epoch: expected an ISO-8601 string, got 123"),
         ({"regime": None}, "regime: expected str, got None"),
+        ({"variables": []}, "variables must name at least one variable"),
     ])
     def test_regime_config_values_checked(self, tmp_path, capsys, change, message):
         doc = {"regime": "STABLE", "grid": {"n_lat": 4, "n_lon": 8}} | change
@@ -501,6 +502,7 @@ class TestAdapterManifestRead:
         ({"static_variables": [1]}, "static_variables must be a list of names"),
         ({"supports_time_shift": "false"},
          "supports_time_shift: expected bool, got 'false'"),
+        ({"static_variables": ["T2m"]}, "manifest: variable 'T2m' is named more than once"),
     ])
     def test_bad_manifest_exit_2(self, tmp_path, synth_files, capsys, change, message):
         echo = "import shutil; shutil.copy('state_in.rgf', 'state_out.rgf')"
@@ -774,6 +776,86 @@ class TestExtremesStreamed:
             "complete fields\n")
         assert walked and threading.active_count() == threads
         assert not outdir.exists()
+
+
+# inputs of the spectra golden runs, each made by `synth` in one working
+# directory: a 2-variable BLOWUP prediction at 5-hour steps from 03 UTC, so
+# its days are partial and hold 4 or 5 steps; a 2-year 12-hourly reference on
+# the same 4x384 grid, which resolves the small band; two whole years for
+# cycle-rmse
+_SPECTRA_INPUTS = [
+    ["--regime", "BLOWUP", "--delta", "0.05", "--onset-days", "40", "--grid", "4x384",
+     "--variables", "T2m,Z500", "--horizon-days", "90", "--seed", "4",
+     "--start-time", "2021-03-01T03:00:00", "--step-seconds", "18000", "-o", "pred.rgf"],
+    ["--regime", "STABLE", "--grid", "4x384", "--variables", "T2m,Z500",
+     "--horizon-days", "740", "--seed", "3", "--step-seconds", "43200", "-o", "ref.rgf"],
+    ["--regime", "STABLE", "--grid", "4x32", "--horizon-days", "364.75", "--seed", "5",
+     "--start-time", "2021-01-01T00:00:00", "-o", "ya.rgf"],
+    ["--regime", "DRIFT", "--tau-days", "100", "--grid", "4x32", "--horizon-days", "364.75",
+     "--seed", "6", "--start-time", "2021-01-01T00:00:00", "-o", "yb.rgf"],
+]
+# the runs, each in that directory
+SPECTRA_RUNS = {
+    "report": ["report", "--prediction", "pred.rgf", "--reference", "ref.rgf",
+               "-o", "r.json", "--csv", "r.csv"],
+    "seasonality": ["seasonality", "--input", "pred.rgf", "--variable", "T2m",
+                    "--reference", "ref.rgf", "--save-envelope", "e.json", "-o", "se.json"],
+    "smallscale": ["smallscale", "--input", "pred.rgf", "--reference", "ref.rgf",
+                   "--variable", "Z500", "-o", "ss.json"],
+    "spectra": ["spectra", "--input", "pred.rgf", "--variable", "T2m", "-o", "sp.csv",
+                "--full-output", "spf.csv"],
+    "spectra-daily": ["spectra", "--input", "pred.rgf", "--variable", "T2m", "--daily",
+                      "-o", "spd.csv", "--full-output", "spdf.csv"],
+    "cycle-rmse": ["cycle-rmse", "--input", "ya.rgf", "--reference", "yb.rgf",
+                   "--variable", "T2m", "-o", "c.json"],
+}
+# the SHA-256 of every output of each run
+SPECTRA_GOLDEN = {
+    "report": {
+        "r.json": "a71c7bdb5d995462a68fe0d5765c3b522a1153adc5fcd32fb4d6ed949d7b1908",
+        "r.csv": "4ec0d7f26f4e28d6a3b3bbcc52a86fea5128b2c142f097a0bb6e92ec6b8e7d2c",
+    },
+    "seasonality": {
+        "e.json": "07d67ba8b4be55be53d0760d44fcab842b3d126aff3c41c0d98aea92c5736583",
+        "se.json": "ac1772fc9eabcd6081d7df7fed3ee8f0506b0b8344f3f72b33d73a44ac2972d0",
+    },
+    "smallscale": {
+        "ss.json": "79b88ed7b23e6b5827357715221a11189f77e4664f627b98b532eeed210d5e15",
+    },
+    "spectra": {
+        "sp.csv": "3edbbf401be5b6c95f169462df64eed9a1173300f1801090ac4739f2e2b5adeb",
+        "spf.csv": "74687157f86374b7b4b9d09401249252198f7b141846d44409604e7f9c30f956",
+    },
+    "spectra-daily": {
+        "spd.csv": "cb558fcdb985d66aa01fde8e354c175d7b4cd848c6cd0b8032ec32f9885951ea",
+        "spdf.csv": "643362612114c743e3970c4f776188a67ebb282f85f0c7367a8a5966398af09f",
+    },
+    "cycle-rmse": {
+        "c.json": "a16ffcb34c59e6c189ef1efcb8f152fa46c8a4262223520e199633f8abee761f",
+    },
+}
+
+
+class TestSpectraOutputsGolden:
+    """Every output of the subcommands that read spectra or time-bucket means,
+    digested whole, manifest included: a change to the arithmetic or the order
+    of the sums shows as a new digest. Taken with numpy 2.4 on x86-64."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("spectra_golden")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(d)
+            for argv in _SPECTRA_INPUTS:
+                assert run_cli("synth", *argv) == 0, argv[-1]
+        return d
+
+    @pytest.mark.parametrize("case", sorted(SPECTRA_RUNS))
+    def test_outputs_pinned(self, workdir, monkeypatch, case):
+        monkeypatch.chdir(workdir)
+        assert run_cli(*SPECTRA_RUNS[case]) == 0
+        want = SPECTRA_GOLDEN[case]
+        assert {name: _sha(workdir / name) for name in want} == want
 
 
 class TestMemorizeCommand:

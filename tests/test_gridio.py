@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from rollstab import GridSpec, RegionSpec, RolloutSeries, builtin_regions, gridio
 from rollstab.gridio import (
+    Buckets,
     EmptyRegionError,
     FormatError,
     HeaderMismatchError,
@@ -24,7 +25,6 @@ from rollstab.gridio import (
     TruncatedPayloadError,
     UnknownVariableError,
     cell_weights,
-    daily_mean,
     folded_doy,
     latitude_weights,
     read_rollout,
@@ -763,12 +763,13 @@ class TestRegions:
 
 
 class TestDailyHelpers:
-    def test_daily_mean_groups_four_steps(self, small_grid):
+    def test_buckets_group_four_steps_by_day(self, small_grid):
         r = make_series(small_grid, np.zeros((8, 1, 8, 16)))
-        vals = np.arange(8.0)
-        daily = daily_mean(r.timestamps, vals)
-        assert len(daily) == 2
-        assert daily.values == pytest.approx([1.5, 5.5])
+        days = Buckets(r.timestamps.astype("datetime64[D]"), ())
+        days.add(np.arange(3.0))  # blocks need not end at a day's end
+        days.add(np.arange(3.0, 8.0))
+        assert days.keys.astype(str).tolist() == ["2021-01-01", "2021-01-02"]
+        assert days.means() == pytest.approx([1.5, 5.5])
 
     def test_folded_doy_leap(self):
         assert folded_doy(np.array(["2020-02-28"], dtype="datetime64[D]"))[0] == 59

@@ -2,7 +2,7 @@ import os
 import tempfile
 import threading
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +18,6 @@ from rollstab.gridio import (
     RolloutFile,
     RolloutSeries,
     TruncatedPayloadError,
-    daily_mean,
     latitude_weights,
     write_rollout,
 )
@@ -232,21 +231,32 @@ class TestTiledScan:
         via_file=st.booleans(),
         fill=st.booleans(),
         daily=st.booleans(),
+        start_s=st.integers(0, 86399),  # the first step at any second of its day
+        step_s=st.integers(600, 2 * 86400),
     )
     # a step of 1.05 MB exceeds the real TILE_BYTES, so each tile is one step
     @example(shape=(5, 128, 1025), seed=0, block_rows=3, tile_bytes=None, threads=2,
-             via_file=True, fill=False, daily=False)
+             via_file=True, fill=False, daily=False, start_s=0, step_s=21600)
+    # 5-hour steps from 03 UTC: days of 4 and 5 steps, a partial first and last
+    @example(shape=(30, 3, 8), seed=0, block_rows=7, tile_bytes=200, threads=3,
+             via_file=False, fill=False, daily=True, start_s=3 * 3600, step_s=5 * 3600)
     def test_equal_to_whole_array_transform(self, shape, seed, block_rows, tile_bytes,
-                                            threads, via_file, fill, daily):
+                                            threads, via_file, fill, daily, start_s, step_s):
+        """Per-step spectra, or their means over each UTC day summed as the
+        scan walks, are the bytes of a whole-array transform and mean."""
         n_time, n_lat, n_lon = shape
         grid = GridSpec.regular(n_lat, n_lon)
         data = np.random.default_rng(seed).standard_normal((n_time, 1, n_lat, n_lon)) * 30
-        r = RolloutSeries(grid=grid, variables=("T2m",), start_time=datetime(2021, 1, 1),
-                          data=data.astype(np.float32), fill_value=-9e30 if fill else None)
-        want = whole_array_spectra(r.values("T2m"), grid)
+        r = RolloutSeries(grid=grid, variables=("T2m",),
+                          start_time=datetime(2021, 1, 1) + timedelta(seconds=start_s),
+                          data=data.astype(np.float32), step_seconds=step_s,
+                          fill_value=-9e30 if fill else None)
+        want, times = whole_array_spectra(r.values("T2m"), grid), r.timestamps
         mode = "daily" if daily else "steps"
-        if daily:
-            want = daily_mean(r.timestamps, want).values
+        if daily:  # each UTC day's whole-array mean
+            days = times.astype("datetime64[D]")
+            times = np.unique(days)
+            want = np.stack([want[days == d].mean(axis=0) for d in times])
         with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * n_lat * n_lon * 12), \
                 mock.patch.object(gridio, "TILE_BYTES", tile_bytes or gridio.TILE_BYTES), \
                 mock.patch.dict(os.environ, {"ROLLOUT_STAB_THREADS": str(threads)}), \
@@ -254,10 +264,37 @@ class TestTiledScan:
             if via_file:
                 write_rollout(r, Path(d) / "r.rgf")
                 with RolloutFile(Path(d) / "r.rgf") as f:
-                    got = spectra.scan(f, ("T2m",), spectra=mode).spectra["T2m"].energy
+                    got = spectra.scan(f, ("T2m",), spectra=mode).spectra["T2m"]
             else:
-                got = spectra.scan(r, ("T2m",), spectra=mode).spectra["T2m"].energy
-        assert got.tobytes() == want.tobytes()
+                got = spectra.scan(r, ("T2m",), spectra=mode).spectra["T2m"]
+        assert np.array_equal(got.timestamps, times.astype("datetime64[s]"))
+        assert got.energy.tobytes() == want.tobytes()
+
+    def test_peak_memory_grows_by_the_series_it_returns(self, monkeypatch):
+        """Doubling the horizon adds to a daily scan's traced peak about the
+        daily spectra it returns, not the 4x larger per-step ones; a per-step
+        scan adds those and about nothing else."""
+        grid = GridSpec.regular(3, 512)
+        n_k, names = grid.n_lon // 2 + 1, ("a", "b", "c", "d")
+        data = np.random.default_rng(0).standard_normal((480, 4, 3, 512), dtype=np.float32)
+        monkeypatch.setenv("ROLLOUT_STAB_THREADS", "1")
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 60 * 3 * 512 * (4 * 4 + 8))  # 60 steps
+
+        def peak(n, mode):
+            r = make_series(grid, data[:n], variables=names)
+            tracemalloc.start()
+            try:
+                spectra.scan(r, names, spectra=mode, regions=(gridio.GLOBE,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(240, "daily")  # warm caches
+        added_days, added_steps = (len(names) * k * n_k * 8 for k in (60, 240))
+        daily = peak(480, "daily") - peak(240, "daily")
+        assert daily < 1.25 * added_days, (daily, added_days)
+        steps = peak(480, "steps") - peak(240, "steps")
+        assert added_steps <= steps < 1.1 * added_steps, (steps, added_steps)
 
     def test_peak_memory_grows_by_the_block_buffer_only(self, tmp_path, monkeypatch):
         """Quadrupling BLOCK_BYTES adds about the extra float32 block the

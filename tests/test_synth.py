@@ -243,6 +243,10 @@ class TestRegimeValidation:
         with pytest.raises(ValueError):
             RegimeConfig(regime="DRIFT")
 
+    def test_no_variables(self):
+        with pytest.raises(ValueError, match="variables must name at least one variable"):
+            RegimeConfig(regime="STABLE", variables=())
+
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             RegimeConfig(regime="CHAOS")
