@@ -347,16 +347,21 @@ def cmd_extremes(args) -> int:
     regions = (gridio.load_regions(args.regions) if args.regions
                else gridio.builtin_regions()).values()
     levels = sorted(set(extremes.HOT_THRESHOLD_LEVELS + extremes.COLD_THRESHOLD_LEVELS))
-    # the reference's first walk hashes it and counts its pools; the second,
-    # with the digest known, is not hashed and gathers their thresholds' bins
-    # on a worker thread while the model is walked for its regional extremes
+    # the model is walked for its regional extremes on a worker thread while
+    # the reference's first walk hashes it and counts its pools. Once both
+    # have ended, the reference's second walk, with the digest known, is not
+    # hashed and gathers their thresholds' bins. Errors rank in that order: a
+    # model error replaces one of the second walk
     with gridio.RolloutFile(args.input) as model, \
             gridio.RolloutFile(args.reference) as reference, \
             ThreadPoolExecutor(max_workers=1) as worker:
+        walked = worker.submit(spectra.scan, model, (v,), spectra=None, regions=regions)
         ref = spectra.scan(reference, (v,), spectra=None, regions=regions, levels=levels)
-        pooled = worker.submit(spectra.pooled_thresholds, reference, v, regions, ref.pools[v])
-        model_regional = spectra.scan(model, (v,), spectra=None, regions=regions).regional[v]
-        thresholds = pooled.result()
+        walked.exception()  # waits for the model's walk, so its block is freed
+        try:
+            thresholds = spectra.pooled_thresholds(reference, v, regions, ref.pools[v])
+        finally:
+            model_regional = walked.result().regional[v]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, {"input": model, "reference": reference,

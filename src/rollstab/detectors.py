@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import uniform_filter1d
 
 from .climatology import ClimatologyEnvelope, build_envelope
 from .gridio import (
@@ -61,6 +60,15 @@ class BlowupResult:
     slope_sign: int | None
 
 
+def _running_mean(x: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a centred window of ``size`` steps, edges repeated: the bytes
+    of ``scipy.ndimage.uniform_filter1d(x, size, mode="nearest")``, whose
+    running sum this takes in the same order."""
+    ext = np.pad(x, (size // 2, size - size // 2 - 1), mode="edge")
+    sums = np.cumsum(np.concatenate((np.cumsum(ext[:size])[-1:], ext[size:] - ext[:-size])))
+    return sums / size
+
+
 def _scan_windows(series, steps_per_day, smoothing_days, window_days, r2_threshold,
                   stride_days):
     """First qualifying window start (in days) of one extremes series."""
@@ -77,8 +85,7 @@ def _scan_windows(series, steps_per_day, smoothing_days, window_days, r2_thresho
     base = series[:wsteps].mean()
     eps = 1e-9 * max(series[:wsteps].std(), 1e-12)
     dev = np.maximum(np.abs(series - base), eps)
-    sm = uniform_filter1d(dev, size=max(1, int(round(smoothing_days * steps_per_day))),
-                          mode="nearest")
+    sm = _running_mean(dev, max(1, int(round(smoothing_days * steps_per_day))))
     logd = np.log(sm)
 
     stride = max(1, int(round(stride_days * steps_per_day)))

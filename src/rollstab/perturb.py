@@ -241,10 +241,21 @@ class SynthAdapter(ModelAdapter):
             if sigma > 0 and noisy.size:
                 self.noise_sigma[noisy] = sigma * n / (2.0 * math.sqrt(noisy.size))
         self.noisy_k = np.flatnonzero(self.noise_sigma > 0)
+        # a step transforms into these buffers, draws its noise into them and
+        # adds it to each run of consecutive noisy wavenumbers (first column,
+        # last column + 1, first k) through views, so the one block it
+        # allocates is the state it returns; an adapter steps one run at a time
+        first = np.flatnonzero(np.diff(self.noisy_k, prepend=-2) != 1)
+        last = np.append(first[1:], self.noisy_k.size)
+        self._noisy_runs = [(int(a), int(b), int(self.noisy_k[a])) for a, b in zip(first, last)]
+        self._draws = np.empty((2, cfg.grid.n_lat, self.noisy_k.size))
+        self._noise = np.empty((cfg.grid.n_lat, self.noisy_k.size), complex)
+        self._coeffs = np.empty((len(self.variables), cfg.grid.n_lat, n // 2 + 1), complex)
 
         lat_rad = np.radians(cfg.grid.lats)
         lon_rad = np.radians(cfg.grid.lons)
         self.pattern = np.cos(lat_rad)[:, None] * np.cos(lon_rad)[None, :]
+        self._field = np.empty_like(self.pattern)
         self.gain_after_onset = self.gain.copy()
         if cfg.regime == "BLOWUP":
             if cfg.blowup_band not in self.band_k:
@@ -259,7 +270,8 @@ class SynthAdapter(ModelAdapter):
             )
 
     def _forcing(self, clock_out: datetime, t_out_days: float) -> np.ndarray | float:
-        """The seasonal forcing at ``clock_out``: a (lat, lon) field, or 0.0."""
+        """The seasonal forcing at ``clock_out``: a (lat, lon) field, in a
+        buffer the next call overwrites, or 0.0."""
         cfg = self.cfg
         a = cfg.seasonal_amplitude
         if cfg.regime == "DRIFT":
@@ -274,7 +286,8 @@ class SynthAdapter(ModelAdapter):
             return 0.0
         year_start = datetime(clock_out.year, 1, 1)
         doy = (clock_out - year_start).total_seconds() / 86400.0 + 1.0
-        return a * math.sin(2.0 * math.pi * doy / _YEAR_DAYS) * self.pattern
+        return np.multiply(self.pattern, a * math.sin(2.0 * math.pi * doy / _YEAR_DAYS),
+                           out=self._field)
 
     def step_index(self, clock: datetime) -> int:
         """Steps from the config's epoch to the end of a step from ``clock``,
@@ -293,18 +306,21 @@ class SynthAdapter(ModelAdapter):
         clock_out = clock + timedelta(seconds=self.step_seconds)
         t_out_days = (clock_out - cfg.epoch).total_seconds() / 86400.0
 
-        coeffs = np.fft.rfft(np.asarray(state, dtype=np.float64), axis=-1)
+        coeffs = np.fft.rfft(np.asarray(state, dtype=np.float64), axis=-1, out=self._coeffs)
         if cfg.regime == "BLOWUP" and t_out_days >= cfg.onset_day:
             coeffs *= self.gain_after_onset
         else:
             coeffs *= self.gain
         if self.noisy_k.size:
-            shape = (cfg.grid.n_lat, self.noisy_k.size)
-            sig = self.noise_sigma[self.noisy_k]
+            sig, noise = self.noise_sigma[self.noisy_k], self._noise
             for vi, c in enumerate(coeffs):  # in variable order, each from its own key
                 rng = np.random.default_rng([cfg.seed, vi, index])
-                c[:, self.noisy_k] += sig * (rng.standard_normal(shape)
-                                             + 1j * rng.standard_normal(shape))
+                for draw in self._draws:  # the real parts, then the imaginary
+                    rng.standard_normal(out=draw)
+                np.multiply(self._draws[0], sig, out=noise.real)
+                np.multiply(self._draws[1], sig, out=noise.imag)
+                for a, b, k in self._noisy_runs:
+                    c[:, k:k + b - a] += noise[:, a:b]
         nxt = np.fft.irfft(coeffs, n=cfg.grid.n_lon, axis=-1)
         nxt += self._forcing(clock_out, t_out_days)
         if cfg.regime == "BLOWUP":  # planted by the step that crosses the onset
@@ -420,11 +436,13 @@ def run_rollout(
     while output timestamps stay physical; an adapter that does not support
     shifting is rejected. If the adapter fails, or returns a state of another
     shape or a non-finite one, the run stops after the completed prefix with
-    an ``error`` annotation in ``attrs``.
+    an ``error`` annotation in ``attrs``. The state handed to ``step`` is a
+    float64 array of the run's own, overwritten once the step returns, so an
+    adapter must keep no reference to it.
     """
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
-    state = np.asarray(init_state, dtype=np.float64)
+    state = np.array(init_state, dtype=np.float64)  # the run's own, overwritten each step
     frame = (len(adapter.all_variables), adapter.grid.n_lat, adapter.grid.n_lon)
     if state.shape != frame:
         raise ValueError("initial state does not match adapter variables and grid")
@@ -448,19 +466,26 @@ def run_rollout(
             "time_shift_days": time_shift_days,
         }
 
-    out.write(state.astype(np.float32))
+    # each step's result is copied into ``state`` and dropped, and cast into
+    # one float32 frame that the sink copies or writes out. So a step frees
+    # one state-sized block before the next is allocated; with two alive at
+    # once, glibc trimmed and re-faulted the top of its heap on every step
+    stored = state.astype(np.float32)
+    out.write(stored)
     step = timedelta(seconds=adapter.step_seconds)
     clock = start_time
     for t in range(n_steps):
         try:
-            state = adapter.step(state, clock + shift)
-            if np.shape(state) != frame:
-                raise ValueError(f"returned a state of shape {np.shape(state)}, not {frame}")
+            nxt = adapter.step(state, clock + shift)
+            if np.shape(nxt) != frame:
+                raise ValueError(f"returned a state of shape {np.shape(nxt)}, not {frame}")
         except Exception as e:  # the completed prefix, annotated
             out.attrs["error"] = f"adapter failed at step {t}: {e}"
             break
+        np.copyto(state, nxt, casting="unsafe")
+        del nxt
         with np.errstate(over="ignore"):  # beyond float32's range is caught below
-            stored = np.asarray(state, dtype=np.float32)
+            np.copyto(stored, state, casting="unsafe")
         if not all_finite(stored):  # the stored frame, as float32
             out.attrs["error"] = f"adapter produced non-finite fields at step {t}"
             break

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .climatology import PoolChangedError, PoolSelect, ThresholdSet
 from .gridio import (
@@ -172,8 +171,9 @@ class SpectrumSeries:
 
 def _spectra(fields: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Amplitude spectra (time, n_k) of a (time, lat, lon) stack, weighted
-    over latitude by ``w``; written into ``out`` if given."""
-    amp = np.abs(scipy.fft.rfft(fields.astype(np.float64), axis=-1, workers=1)) / fields.shape[-1]
+    over latitude by ``w``; written into ``out`` if given. The cast comes
+    first because numpy transforms float32 input in single precision."""
+    amp = np.abs(np.fft.rfft(fields.astype(np.float64), axis=-1)) / fields.shape[-1]
     return np.einsum("j,tjk->tk", w, amp, out=out)
 
 

@@ -159,7 +159,7 @@ class GroundTruthLabels:
     blowup_window: tuple[float, float] | None = None  # (earliest, latest) day
     emergence_days: float | None = None
     noise_floor: float | None = None
-    seasonal_band_amplitude: float | None = None  # band_large units
+    seasonal_band_amplitude: float | None = None  # band_large units, at the first step
     tau_days: float | None = None
     small_scale_direction: str = "eq1"  # "lt1", "gt1", or "eq1"
     ratio_vs_self_estimate: float | None = None
@@ -186,11 +186,13 @@ def _band_response_amplitude(cfg: RegimeConfig) -> float:
     return cfg.seasonal_amplitude * taper / (2.0 * (1.0 - cfg.g_large) * n_large)
 
 
-def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float):
+def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float,
+                   onset: float):
+    """The blow-up window from ``onset``, in days from the first step."""
     v = series.variables[0]
     ext = scan(series, (v,), spectra=None, regions=(GLOBE,)).regional[v][GLOBE.name]
     t_days = np.arange(series.n_time) / steps_per_day
-    pre = t_days < cfg.onset_day
+    pre = t_days < onset
     base_steps = min(int(round(30 * steps_per_day)), series.n_time)
     floors = []
     for s in (ext.min, ext.max):
@@ -204,7 +206,7 @@ def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: floa
         math.log(ratio) / math.log1p(cfg.growth_rate)
     )
     emergence_days = emergence_steps / steps_per_day
-    window = (float(cfg.onset_day), float(cfg.onset_day) + emergence_days + _BLOWUP_SLACK_DAYS)
+    window = (float(onset), float(onset) + emergence_days + _BLOWUP_SLACK_DAYS)
     return window, emergence_days, nf
 
 
@@ -220,8 +222,9 @@ def generate(
     :class:`~rollstab.perturb.SynthAdapter` that steps every variable in
     lockstep at ``step_seconds``. Returns it (initial state at index 0,
     ``attrs`` holding the regime and seed) and analytic ground-truth labels
-    for the detectors. ``horizon_days`` must be at least 60, and
-    ``step_seconds`` positive.
+    for the detectors, in days from the first step. ``horizon_days`` must be
+    at least 60, and ``step_seconds`` positive. A BLOWUP onset, counted from
+    the config's epoch, must fall inside the horizon from ``start_time``.
     """
     from .perturb import SynthAdapter, run_rollout  # perturb imports this module
 
@@ -229,11 +232,18 @@ def generate(
         raise ValueError("horizon must be at least 60 days")
     if cfg.regime == "DRIFT" and cfg.tau_days >= horizon_days:
         raise ValueError("DRIFT requires tau_days < horizon")
-    if cfg.regime == "BLOWUP" and cfg.onset_day >= horizon_days:
-        raise ValueError("BLOWUP onset must fall inside the horizon")
+    # the generator counts onset_day and the DRIFT decay from the epoch, and
+    # the labels count days from the first step
+    start = start_time or cfg.epoch
+    offset = (start - cfg.epoch).total_seconds() / 86400.0
+    if cfg.regime == "BLOWUP" and not offset <= cfg.onset_day < offset + horizon_days:
+        raise ValueError(
+            f"BLOWUP onset, day {cfg.onset_day:g} from the epoch {cfg.epoch.isoformat()}, "
+            f"must fall inside the {horizon_days:g}-day horizon from the start time "
+            f"{start.isoformat()}")
     adapter = SynthAdapter(cfg, step_seconds=step_seconds)
     n_steps = int(round(horizon_days * 86400 / step_seconds))
-    series = run_rollout(adapter, adapter.initial_state(), start_time or cfg.epoch, n_steps)
+    series = run_rollout(adapter, adapter.initial_state(), start, n_steps)
     if "error" in series.attrs:
         raise ValueError(f"synthetic rollout stopped early: {series.attrs['error']}")
     series.attrs = {"regime": cfg.regime, "seed": cfg.seed}
@@ -242,13 +252,14 @@ def generate(
     labels = GroundTruthLabels(regime=cfg.regime, horizon_days=horizon_days)
     if cfg.regime == "BLOWUP":
         labels.blowup_window, labels.emergence_days, labels.noise_floor = _blowup_labels(
-            cfg, series, steps_per_day
+            cfg, series, steps_per_day, cfg.onset_day - offset
         )
         labels.small_scale_direction = "gt1"
     if cfg.regime in ("STABLE", "DRIFT", "BLUR", "SHARPEN"):
         labels.seasonal_band_amplitude = _band_response_amplitude(cfg)
     if cfg.regime == "DRIFT":
         labels.tau_days = cfg.tau_days
+        labels.seasonal_band_amplitude *= math.exp(-offset / cfg.tau_days)  # at the first step
     if cfg.regime == "BLUR":
         labels.small_scale_direction = "lt1"
         # the small-band noise injected, if any (none when it holds only the Nyquist k)

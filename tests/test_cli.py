@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -7,6 +8,7 @@ import threading
 import time
 import tracemalloc
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,37 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert "clock 2001-01-01T00:00:00" in err and "epoch 2021-01-01T00:00:00" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("onset, start", [("40", "2021-03-01T03:00:00"),
+                                              ("70.125", "2021-01-11T03:00:00")],
+                             ids=["before_the_first_step", "past_the_horizon"])
+    def test_blowup_onset_outside_rollout_exit_2(self, tmp_path, capsys, onset, start):
+        """The onset counts from the config's epoch, 2021-01-01: day 40 falls
+        59.125 days before a start on March 1, and day 70.125 at the end of a
+        60-day horizon from January 11, 03 UTC."""
+        out = tmp_path / "p.rgf"
+        assert run_cli("synth", "--regime", "BLOWUP", "--delta", "0.05", "--onset-days", onset,
+                       "--grid", "16x240", "--horizon-days", "60", "--seed", "4",
+                       "--start-time", start, "--labels", tmp_path / "l.json", "-o", out) == 2
+        err = capsys.readouterr().err
+        assert f"day {onset} from the epoch 2021-01-01T00:00:00" in err, err
+        assert f"horizon from the start time {start}" in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blowup_labels_count_from_the_start(self, tmp_path):
+        """Started 20 days after the epoch, an onset at day 60 from the epoch
+        is day 40 of the rollout, and the labels' window holds the day the
+        detector finds. (An onset before day 30 of the rollout falls in the
+        detector's first window, its baseline.)"""
+        out, labels, res = tmp_path / "p.rgf", tmp_path / "l.json", tmp_path / "b.json"
+        assert run_cli("synth", "--regime", "BLOWUP", "--delta", "0.05", "--onset-days", "60",
+                       "--grid", "16x240", "--horizon-days", "90", "--seed", "4",
+                       "--start-time", "2021-01-21T00:00:00", "--labels", labels,
+                       "-o", out) == 0
+        lo, hi = json.loads(labels.read_text())["blowup_window"]
+        assert run_cli("blowup", "--input", out, "--variable", "T2m", "-o", res) == 0
+        day = json.loads(res.read_text())["blowup_day"]
+        assert lo == 40.0 and lo <= day <= hi, (lo, day, hi)
 
     def test_regime_config_file(self, tmp_path):
         cfg = RegimeConfig(regime="STABLE", grid=GridSpec.regular(8, 64), seed=2)
@@ -786,7 +819,7 @@ class TestExtremesStreamed:
 _SPECTRA_INPUTS = [
     ["--regime", "BLOWUP", "--delta", "0.05", "--onset-days", "40", "--grid", "4x384",
      "--variables", "T2m,Z500", "--horizon-days", "90", "--seed", "4",
-     "--start-time", "2021-03-01T03:00:00", "--step-seconds", "18000", "-o", "pred.rgf"],
+     "--start-time", "2021-01-01T03:00:00", "--step-seconds", "18000", "-o", "pred.rgf"],
     ["--regime", "STABLE", "--grid", "4x384", "--variables", "T2m,Z500",
      "--horizon-days", "740", "--seed", "3", "--step-seconds", "43200", "-o", "ref.rgf"],
     ["--regime", "STABLE", "--grid", "4x32", "--horizon-days", "364.75", "--seed", "5",
@@ -812,23 +845,23 @@ SPECTRA_RUNS = {
 # the SHA-256 of every output of each run
 SPECTRA_GOLDEN = {
     "report": {
-        "r.json": "a71c7bdb5d995462a68fe0d5765c3b522a1153adc5fcd32fb4d6ed949d7b1908",
-        "r.csv": "4ec0d7f26f4e28d6a3b3bbcc52a86fea5128b2c142f097a0bb6e92ec6b8e7d2c",
+        "r.json": "831cb164efe6c7be372db7d00cbc82b422dbc23df82c454d9d0634cc9e91569c",
+        "r.csv": "db508388c9966ddcc081077c7cd3d7d4dd53fbfd508f2a3ad912833dd6f90719",
     },
     "seasonality": {
-        "e.json": "07d67ba8b4be55be53d0760d44fcab842b3d126aff3c41c0d98aea92c5736583",
-        "se.json": "ac1772fc9eabcd6081d7df7fed3ee8f0506b0b8344f3f72b33d73a44ac2972d0",
+        "e.json": "5bc91fc45a87d2b5812667922f18455d4b86968168e78f77686055ea59fcb273",
+        "se.json": "5fc082e78b758c357ddaeb7556f2f528cdf221c355b195915ea09d9ad4d8ba18",
     },
     "smallscale": {
-        "ss.json": "79b88ed7b23e6b5827357715221a11189f77e4664f627b98b532eeed210d5e15",
+        "ss.json": "fd28c4f1230fb74a687f5e099580a116e0eb9df0689b79840777f679c493d5fc",
     },
     "spectra": {
-        "sp.csv": "3edbbf401be5b6c95f169462df64eed9a1173300f1801090ac4739f2e2b5adeb",
-        "spf.csv": "74687157f86374b7b4b9d09401249252198f7b141846d44409604e7f9c30f956",
+        "sp.csv": "0d047d6e3d0b75391940f2fa5152a0f1cf3dbb18e6dacdc1c6c502d4819a7bc6",
+        "spf.csv": "43dfe7a229076cde1979262f0765ac7cf107ae4d356f06e2275b65e43f669705",
     },
     "spectra-daily": {
-        "spd.csv": "cb558fcdb985d66aa01fde8e354c175d7b4cd848c6cd0b8032ec32f9885951ea",
-        "spdf.csv": "643362612114c743e3970c4f776188a67ebb282f85f0c7367a8a5966398af09f",
+        "spd.csv": "e9dec7833384c7dcf373f44daf8d92db054f26e1fae80964a852b910c61f9026",
+        "spdf.csv": "e0a2d4e8b2d8c982e127450b8307f54d8c9119235f589b3a7f30811548774bad",
     },
     "cycle-rmse": {
         "c.json": "a16ffcb34c59e6c189ef1efcb8f152fa46c8a4262223520e199633f8abee761f",
@@ -1833,3 +1866,55 @@ class TestOneReadPath:
         assert sorted(runs) == sorted(build_parser()[1])
         for name, argv in runs.items():
             assert run_cli(*argv) == 0, name
+
+
+# runs each argv of the JSON list in argv[1] through the CLI, then prints the
+# names of the scipy modules the interpreter has loaded
+_RUN_THEN_LIST_SCIPY = """
+import json, sys
+from rollstab.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestNumpyOnly:
+    """The package runs on numpy alone; scipy serves only the tests."""
+
+    def test_no_module_imports_scipy(self):
+        src = Path(rollstab.__file__).parent
+        importers = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                importers += [path.name for n in names if n.split(".")[0] == "scipy"]
+        assert importers == []
+
+    def test_commands_load_no_scipy(self, tmp_path, synth_files):
+        f, d = synth_files, tmp_path
+        rng = np.random.default_rng(7)
+        grid = GridSpec.regular(8, 16)
+        write_rollout(make_series(grid, rng.standard_normal((60, 1, 8, 16)),
+                                  start=datetime(1990, 1, 1), step_seconds=86400),
+                      d / "train.rgf")
+        write_rollout(make_series(grid, rng.standard_normal((3, 1, 8, 16)),
+                                  start=datetime(1990, 2, 1), step_seconds=86400),
+                      d / "roll.rgf")
+        runs = [
+            ["synth", "--regime", "BLOWUP", "--delta", "0.1", "--onset-days", "30",
+             "--grid", "4x240", "--horizon-days", "60", "-o", d / "s.rgf"],
+            ["report", "--prediction", f["pred"], "--reference", f["ref"], "-o", d / "r.json"],
+            ["extremes", "--input", f["pred"], "--reference", f["ref"], "--variable", "T2m",
+             "--outdir", d / "ext"],
+            ["memorize", "--rollout", d / "roll.rgf", "--index", d / "train.rgf",
+             "-o", d / "m.csv"],
+            ["perturb", "--adapter", f"synth:{f['cfg']}", "--kind", "white",
+             "--stats-from", f["pred"], "--steps", "2", "-o", d / "p.rgf"],
+        ]
+        res = subprocess.run([sys.executable, "-c", _RUN_THEN_LIST_SCIPY,
+                              json.dumps([[str(a) for a in argv] for argv in runs])],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []

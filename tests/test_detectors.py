@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.ndimage import uniform_filter1d
 
 from rollstab import (
     GridSpec,
@@ -26,6 +27,7 @@ from rollstab.detectors import (
     BlowupResult,
     SeasonalityResult,
     SmallScaleResult,
+    _running_mean,
     aggregate_runs,
     build_report,
     seasonal_cycle_rmse,
@@ -132,6 +134,23 @@ def flat_envelope(mean, rng_width):
 def daily(values, start="2021-01-01"):
     dates = np.datetime64(start, "D") + np.arange(len(values))
     return DailySeries(dates, np.asarray(values, dtype=float))
+
+
+class TestRunningMean:
+    """The blow-up smoothing gives the bytes of scipy's running mean with
+    edges repeated, for windows longer than the series too."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(1, 6000), size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-300, 300), signed=st.booleans())
+    @example(n=1, size=600, seed=0, exponent=300.0, signed=True)
+    @example(n=6000, size=1, seed=1, exponent=-300.0, signed=False)
+    def test_equals_uniform_filter1d(self, n, size, seed, exponent, signed):
+        x = np.random.default_rng(seed).standard_normal(n) * 10.0 ** exponent
+        if not signed:
+            x = np.abs(x)
+        got = _running_mean(x, size)
+        assert got.tobytes() == uniform_filter1d(x, size, mode="nearest").tobytes()
 
 
 class TestDetectSeasonalityLoss:

@@ -262,6 +262,15 @@ class TestRunRollout:
             clock += timedelta(seconds=21600)
             assert np.allclose(out.data[i + 1, 0], x.astype(np.float32))
 
+    def test_initial_state_left_as_given(self):
+        """Each step's result overwrites a state of the run's own, never the
+        caller's initial state."""
+        ad = SynthAdapter(RegimeConfig(regime="STABLE", seed=3, grid=GridSpec.regular(8, 64)))
+        init = ad.initial_state()
+        before = init.copy()
+        run_rollout(ad, init, EPOCH, 3)
+        assert np.array_equal(init, before)
+
     def test_external_echo_adapter(self, tmp_path):
         workdir = tmp_path / "work"
         workdir.mkdir()

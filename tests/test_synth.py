@@ -8,7 +8,7 @@ import pytest
 
 from rollstab import (GridSpec, PerturbationSpec, RegimeConfig, SynthAdapter, generate,
                       run_rollout)
-from rollstab.climatology import build_envelope
+from rollstab.climatology import ClimatologyEnvelope, build_envelope
 from rollstab.detectors import detect_seasonality_loss
 from rollstab.gridio import DailySeries
 from rollstab.spectra import BandUnresolvedError, band_members, spectrum_series, zonal_spectrum
@@ -197,6 +197,18 @@ class TestGenerate:
         cfg = RegimeConfig(regime="STABLE", grid=GridSpec.regular(4, 16))
         with pytest.raises(ValueError, match="stopped early.*step 123"):
             generate(cfg, 60, start_time=datetime(9999, 12, 1))
+
+    def test_drift_labels_count_from_the_start(self):
+        """The seasonal decay counts from the config's epoch, so a run started
+        60 days after it is expected to leave its envelope 60 days sooner."""
+        cfg = RegimeConfig(regime="DRIFT", tau_days=100.0, grid=GridSpec.regular(4, 32))
+        zeros = np.zeros(365)
+        envelope = ClimatologyEnvelope("band_large", zeros, zeros, zeros + 0.01, (2021, 2021))
+        (lo0, hi0), (lo, hi) = (
+            generate(cfg, 120, start_time=EPOCH + timedelta(days=d))[1]
+            .expected_seasonality_window(envelope) for d in (0, 60))
+        assert lo == pytest.approx(lo0 - 60.0, abs=1e-9)
+        assert hi == pytest.approx(hi0 - 60.0, abs=1e-9)
 
     def test_drift_tau_must_fit_horizon(self):
         cfg = RegimeConfig(regime="DRIFT", tau_days=200.0)
