@@ -16,7 +16,6 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -160,12 +159,16 @@ def cmd_synth(args) -> int:
             variables=gridio.names_of(args.variables.split(","), "--variables"),
             noise_medium=args.noise, **values)
     start = args.start_time and gridio.utc_time(args.start_time, "--start-time")
-    series, labels = synth.generate(cfg, args.horizon_days,
-                                    step_seconds=args.step_seconds, start_time=start)
+    adapter, start, n_steps = synth.prepare(cfg, args.horizon_days, args.step_seconds, start)
     manifest = _manifest(args, {"regime_config": args.regime_config})
-    series.attrs["manifest"] = manifest
-    gridio.write_rollout(series, args.output)
+    attrs = {"regime": cfg.regime, "seed": cfg.seed, "manifest": manifest}
+    with gridio.RolloutWriter(args.output, adapter.grid, adapter.all_variables, start,
+                              n_steps + 1, adapter.step_seconds, attrs=attrs) as out:
+        perturb.run_rollout(adapter, adapter.initial_state(), start, n_steps, sink=out)
+        synth.check_complete(out.attrs)
     if args.labels:
+        with gridio.RolloutFile(args.output) as written:
+            labels = synth.ground_truth(adapter, written, start, args.horizon_days)
         _write_json(args.labels, {**asdict(labels), "config": synth.config_to_dict(cfg)},
                     manifest)
     return 0
@@ -247,10 +250,10 @@ def cmd_seasonality(args) -> int:
     with gridio.RolloutFile(args.input) as r:
         spec = spectra.spectrum_series(r, args.variable, daily=True)
     manifest = _manifest(args, {"input": r, "envelope": args.envelope, "reference": ref})
-    if args.save_envelope:
-        _write_json(args.save_envelope, env.to_dict(), manifest)
     res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
                                             multiplier=args.multiplier, run_days=args.run_days)
+    if args.save_envelope:
+        _write_json(args.save_envelope, env.to_dict(), manifest)
     _write_json(args.output, _result_doc(res, "days from rollout start", "seasonality_loss_day"),
                 manifest)
     return 0
@@ -321,7 +324,7 @@ def cmd_perturb(args) -> int:
         start = gridio.utc_time(args.start_time, "--start-time")
     if isinstance(adapter, perturb.SynthAdapter) and args.steps > 0:
         # the first step, from the shifted clock, must end at or after the epoch
-        adapter.step_index(start + timedelta(days=args.time_shift_days or 0))
+        adapter.step_index(start + perturb.clock_shift(adapter, args.time_shift_days))
 
     spec = stats = ref = None
     if args.kind:

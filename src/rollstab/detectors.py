@@ -125,8 +125,23 @@ def detect_blowup(
     and scanned with sliding windows of ``window_days``. A window flags when
     the log-deviation regression has R^2 above the threshold, positive
     slope, and fitted growth of at least ``BLOWUP_GROWTH_FACTOR`` across the
-    window. The earliest flagged window over the two series wins.
+    window. The earliest flagged window over the two series wins. Every
+    argument but the series must be finite, the window at least 2 steps,
+    ``smoothing_days`` >= 0, ``stride_days`` > 0 and ``r2_threshold`` in [0, 1).
     """
+    for name, value in (("steps_per_day", steps_per_day), ("smoothing_days", smoothing_days),
+                        ("window_days", window_days), ("r2_threshold", r2_threshold),
+                        ("stride_days", stride_days)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if int(round(window_days * steps_per_day)) < 2:
+        raise ValueError(f"window_days must span at least 2 steps, got {window_days}")
+    if smoothing_days < 0:
+        raise ValueError(f"smoothing_days must be >= 0, got {smoothing_days}")
+    if stride_days <= 0:
+        raise ValueError(f"stride_days must be > 0, got {stride_days}")
+    if not 0 <= r2_threshold < 1:
+        raise ValueError(f"r2_threshold must be in [0, 1), got {r2_threshold}")
     candidates = []
     for name, series in (("min", min_series), ("max", max_series)):
         hit = _scan_windows(series, steps_per_day, smoothing_days, window_days,
@@ -164,8 +179,13 @@ def detect_seasonality_loss(
     ``multiplier`` times the envelope range for that day of year. A zero
     range makes any nonzero deviation a violation. The loss day is the
     offset (in days from the start of the series) of the first run of at
-    least ``run_days`` consecutive violations.
+    least ``run_days`` consecutive violations. ``multiplier`` must be finite
+    and positive, and ``run_days`` at least 1.
     """
+    if not 0 < multiplier < math.inf:  # NaN fails too
+        raise ValueError(f"multiplier must be a finite number > 0, got {multiplier}")
+    if not run_days >= 1:
+        raise ValueError(f"run_days must be >= 1, got {run_days}")
     if not np.isfinite(series.values).all():
         raise ValueError("daily series contains non-finite values")
     dev = np.abs(series.values - envelope.mean_for(series.dates))
@@ -207,8 +227,13 @@ def small_scale_ratios(
     The window is the last ``window_days`` of the prediction, or the
     ``window_days`` ending at ``blowup_day`` when a blow-up was detected.
     The reference is averaged over the same calendar window. The self ratio
-    divides by the prediction's first two days.
+    divides by the prediction's first two days. ``window_days`` must be
+    finite and positive, and ``blowup_day`` finite.
     """
+    if not 0 < window_days < math.inf:  # NaN fails too
+        raise ValueError(f"window_days must be a finite number > 0, got {window_days}")
+    if blowup_day is not None and not math.isfinite(blowup_day):
+        raise ValueError(f"blowup_day must be finite, got {blowup_day}")
     pred_small = spec.band("small")
     ref_small = ref_spec.band("small")
     t = spec.timestamps

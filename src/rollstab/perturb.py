@@ -16,7 +16,7 @@ import json
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -33,10 +33,8 @@ from .gridio import (
     json_value,
     names_of,
     read_json,
-    read_rollout,
     tile_rows,
     walk,
-    write_rollout,
 )
 from .spectra import BandUnresolvedError, band_members
 from .synth import RegimeConfig, initial_state
@@ -60,6 +58,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.k <= 0:
             raise ValueError("amplitude multiplier k must be > 0")
         if self.correlation_length < 1:
@@ -370,24 +372,21 @@ class ExternalProcessAdapter(ModelAdapter):
 
     def step(self, state: np.ndarray, clock: datetime) -> np.ndarray:
         self.workdir.mkdir(parents=True, exist_ok=True)
-        snap = RolloutSeries(
-            grid=self.grid,
-            variables=self.all_variables,
-            start_time=clock,
-            data=np.asarray(state, dtype=np.float32)[None],
-            step_seconds=self.step_seconds,
-        )
-        write_rollout(snap, self.workdir / "state_in.rgf")
+        with RolloutWriter(self.workdir / "state_in.rgf", self.grid, self.all_variables, clock,
+                           1, self.step_seconds) as snap:
+            snap.write(state)
         with open(self.workdir / "clock.json", "w") as f:
             json.dump({"time": clock.isoformat(), "step_seconds": self.step_seconds},
                       f, sort_keys=True)
         subprocess.run(self.command, cwd=self.workdir, check=True)
-        out = read_rollout(self.workdir / "state_out.rgf")
-        grid = "" if out.grid.same_geometry(self.grid) else " on another grid"
-        if (out.n_time, out.variables, grid) != (1, self.all_variables, ""):
-            raise ValueError(f"state_out.rgf holds {out.n_time} step(s) of {list(out.variables)}"
-                             f"{grid}, not one of {list(self.all_variables)} on the run's grid")
-        return out.data[0].astype(np.float64)
+        with RolloutFile(self.workdir / "state_out.rgf") as out:
+            grid = "" if out.grid.same_geometry(self.grid) else " on another grid"
+            if (out.n_time, out.variables, grid) != (1, self.all_variables, ""):
+                raise ValueError(f"state_out.rgf holds {out.n_time} step(s) of "
+                                 f"{list(out.variables)}{grid}, not one of "
+                                 f"{list(self.all_variables)} on the run's grid")
+            (block,) = walk(out, ())
+        return block[0].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +405,20 @@ class _Frames:
     def write(self, frame: np.ndarray) -> None:
         self.data[self.n_written] = frame
         self.n_written += 1
+
+
+def clock_shift(adapter: ModelAdapter, time_shift_days: float | None) -> timedelta:
+    """The offset of the clock :func:`run_rollout` hands ``adapter``: none, or
+    ``time_shift_days``, finite and within a timedelta's range, for an adapter
+    that supports time shifting."""
+    if time_shift_days is None:
+        return timedelta(0)
+    if not adapter.supports_time_shift:
+        raise ValueError("adapter does not support time shifting")
+    if not abs(time_shift_days) <= timedelta.max.days:  # NaN fails too
+        raise ValueError(f"time_shift_days must be finite and at most {timedelta.max.days} "
+                         f"in magnitude, got {time_shift_days}")
+    return timedelta(days=time_shift_days)
 
 
 def run_rollout(
@@ -450,11 +463,7 @@ def run_rollout(
                              sink.n_time) != (adapter.all_variables, start_time,
                                               adapter.step_seconds, n_steps + 1):
         raise ValueError("the sink's header does not match the run")
-    shift = timedelta(0)
-    if time_shift_days is not None:
-        if not adapter.supports_time_shift:
-            raise ValueError("adapter does not support time shifting")
-        shift = timedelta(days=time_shift_days)
+    shift = clock_shift(adapter, time_shift_days)
     out = _Frames(n_steps + 1, frame) if sink is None else sink
     if spec is not None:
         if stats is None:

@@ -71,6 +71,10 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
+        for f in fields(self):  # annotations are strings: "float", "float | None"
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.variables:
             raise ValueError("variables must name at least one variable")
         if not (abs(self.g_large) <= 1.0 and abs(self.g_medium) <= 1.0):  # NaN fails too
@@ -186,14 +190,13 @@ def _band_response_amplitude(cfg: RegimeConfig) -> float:
     return cfg.seasonal_amplitude * taper / (2.0 * (1.0 - cfg.g_large) * n_large)
 
 
-def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: float,
-                   onset: float):
-    """The blow-up window from ``onset``, in days from the first step."""
-    v = series.variables[0]
-    ext = scan(series, (v,), spectra=None, regions=(GLOBE,)).regional[v][GLOBE.name]
-    t_days = np.arange(series.n_time) / steps_per_day
+def _blowup_labels(cfg: RegimeConfig, source, steps_per_day: float, onset: float):
+    """The blow-up window from ``onset``, in days from the first step of ``source``."""
+    v = source.variables[0]
+    ext = scan(source, (v,), spectra=None, regions=(GLOBE,)).regional[v][GLOBE.name]
+    t_days = np.arange(source.n_time) / steps_per_day
     pre = t_days < onset
-    base_steps = min(int(round(30 * steps_per_day)), series.n_time)
+    base_steps = min(int(round(30 * steps_per_day)), source.n_time)
     floors = []
     for s in (ext.min, ext.max):
         s = np.asarray(s, dtype=np.float64)
@@ -210,24 +213,16 @@ def _blowup_labels(cfg: RegimeConfig, series: RolloutSeries, steps_per_day: floa
     return window, emergence_days, nf
 
 
-def generate(
-    cfg: RegimeConfig,
-    horizon_days: float,
-    step_seconds: int = 21600,
-    start_time: datetime | None = None,
-) -> tuple[RolloutSeries, GroundTruthLabels]:
-    """Iterate the configured regime from a seeded random initial field.
+def prepare(cfg: RegimeConfig, horizon_days: float, step_seconds: int = 21600,
+            start_time: datetime | None = None):
+    """The checked run :func:`generate` makes: its adapter, start time and step
+    count. ``horizon_days`` must be finite and at least 60, ``step_seconds``
+    positive, and a BLOWUP onset, counted from the config's epoch, inside the
+    horizon from ``start_time`` (the epoch if None)."""
+    from .perturb import SynthAdapter  # perturb imports this module
 
-    The rollout is :func:`rollstab.perturb.run_rollout` over a
-    :class:`~rollstab.perturb.SynthAdapter` that steps every variable in
-    lockstep at ``step_seconds``. Returns it (initial state at index 0,
-    ``attrs`` holding the regime and seed) and analytic ground-truth labels
-    for the detectors, in days from the first step. ``horizon_days`` must be
-    at least 60, and ``step_seconds`` positive. A BLOWUP onset, counted from
-    the config's epoch, must fall inside the horizon from ``start_time``.
-    """
-    from .perturb import SynthAdapter, run_rollout  # perturb imports this module
-
+    if not math.isfinite(horizon_days):
+        raise ValueError(f"horizon must be a finite number of days, got {horizon_days}")
     if horizon_days < 60:
         raise ValueError("horizon must be at least 60 days")
     if cfg.regime == "DRIFT" and cfg.tau_days >= horizon_days:
@@ -242,17 +237,26 @@ def generate(
             f"must fall inside the {horizon_days:g}-day horizon from the start time "
             f"{start.isoformat()}")
     adapter = SynthAdapter(cfg, step_seconds=step_seconds)
-    n_steps = int(round(horizon_days * 86400 / step_seconds))
-    series = run_rollout(adapter, adapter.initial_state(), start, n_steps)
-    if "error" in series.attrs:
-        raise ValueError(f"synthetic rollout stopped early: {series.attrs['error']}")
-    series.attrs = {"regime": cfg.regime, "seed": cfg.seed}
+    return adapter, start, int(round(horizon_days * 86400 / step_seconds))
 
-    steps_per_day = 86400.0 / step_seconds
+
+def check_complete(attrs: dict) -> None:
+    """ValueError if a synthetic run's ``attrs`` hold the error that stopped it early."""
+    if "error" in attrs:
+        raise ValueError(f"synthetic rollout stopped early: {attrs['error']}")
+
+
+def ground_truth(adapter, source, start: datetime, horizon_days: float) -> GroundTruthLabels:
+    """Analytic labels of the run :func:`prepare` gave, in days from its first
+    step. A BLOWUP run's come from one scan of ``source``, the run's frames as
+    a :class:`RolloutSeries` or the RGF file they were written to."""
+    cfg = adapter.cfg
+    steps_per_day = 86400.0 / adapter.step_seconds
+    offset = (start - cfg.epoch).total_seconds() / 86400.0
     labels = GroundTruthLabels(regime=cfg.regime, horizon_days=horizon_days)
     if cfg.regime == "BLOWUP":
         labels.blowup_window, labels.emergence_days, labels.noise_floor = _blowup_labels(
-            cfg, series, steps_per_day, cfg.onset_day - offset
+            cfg, source, steps_per_day, cfg.onset_day - offset
         )
         labels.small_scale_direction = "gt1"
     if cfg.regime in ("STABLE", "DRIFT", "BLUR", "SHARPEN"):
@@ -271,4 +275,26 @@ def generate(
             labels.ratio_vs_self_estimate = steady / init_coeff
     if cfg.regime == "SHARPEN":
         labels.small_scale_direction = "gt1"
-    return series, labels
+    return labels
+
+
+def generate(
+    cfg: RegimeConfig,
+    horizon_days: float,
+    step_seconds: int = 21600,
+    start_time: datetime | None = None,
+) -> tuple[RolloutSeries, GroundTruthLabels]:
+    """Iterate the configured regime from a seeded random initial field: the
+    in-memory form of the run ``rollstab synth`` writes frame by frame.
+
+    The rollout is :func:`rollstab.perturb.run_rollout` over the adapter of
+    :func:`prepare`, which checks the arguments. Returns it (initial state at
+    index 0, ``attrs`` holding the regime and seed) and its :func:`ground_truth`.
+    """
+    from .perturb import run_rollout  # perturb imports this module
+
+    adapter, start, n_steps = prepare(cfg, horizon_days, step_seconds, start_time)
+    series = run_rollout(adapter, adapter.initial_state(), start, n_steps)
+    check_complete(series.attrs)
+    series.attrs = {"regime": cfg.regime, "seed": cfg.seed}
+    return series, ground_truth(adapter, series, start, horizon_days)

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -223,6 +224,74 @@ class TestSynthInputsRejected:
         assert capsys.readouterr().err.startswith(
             f"rollstab: {cfg}: epoch: 2021-01-01T00:00:00+05:00 carries a UTC offset")
         assert not out.exists()
+
+
+class TestSynthStreamed:
+    """``synth`` writes its run frame by frame: the bytes of ``generate`` written whole."""
+
+    @pytest.mark.parametrize("flags, cfg, days, step, start", [
+        (["--regime", "STABLE", "--grid", "8x64", "--seed", "3"],
+         RegimeConfig(regime="STABLE", grid=GridSpec.regular(8, 64), seed=3), 60, 21600, None),
+        (["--regime", "BLOWUP", "--delta", "0.1", "--onset-days", "65", "--grid", "8x128",
+          "--seed", "7"],
+         RegimeConfig(regime="BLOWUP", growth_rate=0.1, onset_day=65.0,
+                      grid=GridSpec.regular(8, 128), seed=7), 120, 21600, None),
+        (["--regime", "DRIFT", "--tau-days", "70", "--grid", "8x64", "--seed", "11"],
+         RegimeConfig(regime="DRIFT", tau_days=70.0, grid=GridSpec.regular(8, 64), seed=11),
+         90, 21600, None),
+        (["--regime", "SHARPEN", "--g-small", "1.05", "--cap", "10", "--grid", "16x384",
+          "--seed", "2"],
+         RegimeConfig(regime="SHARPEN", g_small=1.05, cap=10.0, grid=GridSpec.regular(16, 384),
+                      seed=2), 60, 21600, None),
+        (["--regime", "BLUR", "--g-small", "0.5", "--grid", "16x384", "--seed", "2"],
+         RegimeConfig(regime="BLUR", g_small=0.5, grid=GridSpec.regular(16, 384), seed=2),
+         60, 21600, None),
+        (["--regime", "STABLE", "--variables", "T2m,U10", "--grid", "8x64",
+          "--start-time", "2021-02-01T03:00:00"],
+         RegimeConfig(regime="STABLE", variables=("T2m", "U10"), grid=GridSpec.regular(8, 64)),
+         60, 21600, datetime(2021, 2, 1, 3)),
+        (None, RegimeConfig(regime="DRIFT", tau_days=50.0, variables=("T2m", "U10"),
+                            grid=GridSpec.regular(8, 64), seed=5), 60, 10800, None),
+    ], ids=["stable", "blowup", "drift", "sharpen", "blur", "two_variables_later_start",
+            "regime_config_3h_steps"])
+    def test_file_and_labels_equal_generate(self, tmp_path, flags, cfg, days, step, start):
+        if flags is None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config_to_dict(cfg)))
+            flags = ["--regime-config", tmp_path / "cfg.json"]
+        out, labels = tmp_path / "s.rgf", tmp_path / "s.json"
+        assert run_cli("synth", *flags, "--horizon-days", days, "--step-seconds", step,
+                       "-o", out, "--labels", labels) == 0
+        with RolloutFile(out) as f:
+            manifest = f.attrs["manifest"]
+        series, want = generate(cfg, float(days), step_seconds=step, start_time=start)
+        series.attrs["manifest"] = manifest
+        write_rollout(series, tmp_path / "whole.rgf")
+        assert out.read_bytes() == (tmp_path / "whole.rgf").read_bytes()
+        doc = {**asdict(want), "config": config_to_dict(cfg), "manifest": manifest}
+        assert labels.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+    def test_peak_memory_flat_in_horizon(self, tmp_path):
+        def peak(days):
+            tracemalloc.start()
+            try:
+                assert run_cli("synth", "--horizon-days", days, "-o", tmp_path / "s.rgf") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(120)  # warm caches
+        base = peak(120)
+        assert peak(240) - base < 1 << 20, base
+
+    def test_run_stopped_early_exit_2_and_no_file(self, tmp_path, capsys):
+        # the clock leaves datetime's range at step 123, after the file was opened
+        assert run_cli("synth", "--grid", "4x16", "--horizon-days", 60, "--start-time",
+                       "9999-12-01", "-o", tmp_path / "s.rgf",
+                       "--labels", tmp_path / "s.json") == 2
+        assert capsys.readouterr().err == (
+            "rollstab: synthetic rollout stopped early: adapter failed at step 123: "
+            "date value out of range\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpectraCommand:
@@ -1837,7 +1906,8 @@ class TestOneReadPath:
         def whole_read(path):
             raise AssertionError(f"{path} was read whole")
 
-        for module in (rollstab, rollstab.gridio, perturb):
+        # no other module calls it (test_gridio.py::test_only_gridio_calls_the_whole_file_helpers)
+        for module in (rollstab, rollstab.gridio):
             monkeypatch.setattr(module, "read_rollout", whole_read)
         runs = {
             # a grid that resolves the small band, for smallscale
@@ -1918,3 +1988,141 @@ class TestNumpyOnly:
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == []
+
+
+class TestNonFiniteSettings:
+    """A setting that is not a finite number exits 2 naming its field,
+    before any file is opened."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--g-large", "g_large"), ("--g-medium", "g_medium"), ("--g-small", "g_small"),
+        ("--amplitude", "seasonal_amplitude"), ("--tau-days", "tau_days"),
+        ("--onset-days", "onset_day"), ("--delta", "growth_rate"),
+        ("--seed-amplitude", "seed_amplitude"), ("--noise", "noise_large"),
+        ("--noise-small", "noise_small"), ("--cap", "cap"), ("--init-std", "init_std"),
+        ("--year-jitter", "year_jitter"),
+    ])
+    def test_synth_flag(self, tmp_path, capsys, flag, field, value):
+        assert run_cli("synth", f"{flag}={value}", "--grid", "4x16", "--horizon-days", 60,
+                       "-o", tmp_path / "s.rgf", "--labels", tmp_path / "s.json") == 2
+        assert capsys.readouterr().err == f"rollstab: {field} must be finite, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [f.name for f in fields(RegimeConfig)
+                                       if f.type.startswith("float")])
+    def test_regime_config_field(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"regime": "STABLE", "grid": {"n_lat": 4, "n_lon": 16},
+                                   field: value}))
+        out = tmp_path / "s.rgf"
+        assert run_cli("synth", "--regime-config", cfg, "--horizon-days", 60, "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {cfg}: {field} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [("--k", "k"),
+                                             ("--correlation-length", "correlation_length")])
+    def test_perturbation_flag(self, tmp_path, synth_files, capsys, flag, field, value):
+        assert [f.name for f in fields(perturb.PerturbationSpec) if f.type == "float"] == [
+            "k", "correlation_length"]
+        out = tmp_path / "p.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--kind", "grf",
+                       f"{flag}={value}", "--stats-from", synth_files["pred"], "--steps", 3,
+                       "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {field} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_synth_horizon(self, tmp_path, capsys, value):
+        out = tmp_path / "s.rgf"
+        assert run_cli("synth", f"--horizon-days={value}", "--grid", "4x16", "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: horizon must be a finite number of days, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", [0, 3])  # 0: no first-step check of the clock
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e9"])
+    def test_perturb_time_shift(self, tmp_path, synth_files, capsys, value, steps):
+        out = tmp_path / "p.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", steps,
+                       f"--time-shift-days={value}", "-o", out) == 2
+        assert capsys.readouterr().err == (
+            "rollstab: time_shift_days must be finite and at most 999999999 in magnitude, "
+            f"got {float(value)}\n")
+        assert not out.exists()
+
+
+class TestDetectorParameters:
+    """Each detector checks its own parameters, so every subcommand that runs
+    it rejects a bad one: exit 2 naming it, no traceback and no output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--window-days", "0"], "window_days must span at least 2 steps, got 0.0"),
+        (["--window-days", "0.1"], "window_days must span at least 2 steps, got 0.1"),
+        (["--window-days=-5"], "window_days must span at least 2 steps, got -5.0"),
+        (["--window-days", "nan"], "window_days must be finite, got nan"),
+        (["--smoothing-days", "nan"], "smoothing_days must be finite, got nan"),
+        (["--smoothing-days=-1"], "smoothing_days must be >= 0, got -1.0"),
+        (["--stride-days", "nan"], "stride_days must be finite, got nan"),
+        (["--stride-days", "0"], "stride_days must be > 0, got 0.0"),
+        (["--r2-threshold", "nan"], "r2_threshold must be finite, got nan"),
+        (["--r2-threshold", "1"], "r2_threshold must be in [0, 1), got 1.0"),
+        (["--r2-threshold=-0.1"], "r2_threshold must be in [0, 1), got -0.1"),
+    ])
+    @pytest.mark.parametrize("source", ["input", "csv"])
+    def test_blowup(self, tmp_path, synth_files, capsys, argv, message, source):
+        inputs = (["--input", synth_files["pred"], "--variable", "T2m"] if source == "input"
+                  else ["--min-csv", synth_files["min"], "--max-csv", synth_files["max"]])
+        out = tmp_path / "b.json"
+        assert run_cli("blowup", *inputs, *argv, "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--window-days", "0"], "window_days must span at least 2 steps, got 0.0"),
+        (["--smoothing-days", "nan"], "smoothing_days must be finite, got nan"),
+        (["--r2-threshold", "nan"], "r2_threshold must be finite, got nan"),
+        (["--multiplier", "nan"], "multiplier must be a finite number > 0, got nan"),
+        (["--multiplier", "inf"], "multiplier must be a finite number > 0, got inf"),
+        (["--multiplier=-1"], "multiplier must be a finite number > 0, got -1.0"),
+        (["--run-days", "0"], "run_days must be >= 1, got 0"),
+        (["--run-days=-3"], "run_days must be >= 1, got -3"),
+    ])
+    def test_report(self, tmp_path, synth_files, capsys, argv, message):
+        out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run_cli("report", "--prediction", synth_files["pred"], "--reference",
+                       synth_files["ref"], *argv, "-o", out, "--csv", csv) == 2
+        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--multiplier", "nan"], "multiplier must be a finite number > 0, got nan"),
+        (["--multiplier", "0"], "multiplier must be a finite number > 0, got 0.0"),
+        (["--multiplier=-1"], "multiplier must be a finite number > 0, got -1.0"),
+        (["--run-days", "0"], "run_days must be >= 1, got 0"),
+        (["--run-days=-3"], "run_days must be >= 1, got -3"),
+    ])
+    def test_seasonality(self, tmp_path, synth_files, capsys, argv, message):
+        out, env = tmp_path / "se.json", tmp_path / "env.json"
+        assert run_cli("seasonality", "--input", synth_files["pred"], "--variable", "T2m",
+                       "--envelope", synth_files["env"], "--save-envelope", env, *argv,
+                       "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--window-days", "0"], "window_days must be a finite number > 0, got 0.0"),
+        (["--window-days=-5"], "window_days must be a finite number > 0, got -5.0"),
+        (["--window-days", "nan"], "window_days must be a finite number > 0, got nan"),
+        (["--window-days", "inf"], "window_days must be a finite number > 0, got inf"),
+        (["--blowup-day", "nan"], "blowup_day must be finite, got nan"),
+        (["--blowup-day", "inf"], "blowup_day must be finite, got inf"),
+    ])
+    def test_smallscale(self, tmp_path, synth_files, capsys, argv, message):
+        out = tmp_path / "ss.json"
+        assert run_cli("smallscale", "--input", synth_files["pred"], "--reference",
+                       synth_files["pred"], "--variable", "T2m", *argv, "-o", out) == 2
+        assert capsys.readouterr().err == f"rollstab: {message}\n"
+        assert not out.exists()

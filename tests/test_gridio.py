@@ -623,6 +623,16 @@ def test_only_gridio_calls_blocks():
     assert callers == []
 
 
+def test_only_gridio_calls_the_whole_file_helpers():
+    """Every command writes through ``RolloutWriter`` and reads through
+    ``RolloutFile``; ``read_rollout`` and ``write_rollout`` serve the tests,
+    the demos and the benchmark set-up."""
+    src = Path(gridio.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py")) if p.name != "gridio.py"
+               and re.search(r"\b(read|write)_rollout\(", p.read_text())]
+    assert callers == []
+
+
 def test_only_gridio_reads_tile_bytes():
     """Every reduction sizes its tiles by ``tile_rows``, so no other module
     of the package names ``TILE_BYTES``."""
