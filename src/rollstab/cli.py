@@ -324,7 +324,7 @@ def cmd_perturb(args) -> int:
         start = gridio.utc_time(args.start_time, "--start-time")
     if isinstance(adapter, perturb.SynthAdapter) and args.steps > 0:
         # the first step, from the shifted clock, must end at or after the epoch
-        adapter.step_index(start + perturb.clock_shift(adapter, args.time_shift_days))
+        adapter.step_index(perturb.shifted_clock(adapter, start, args.time_shift_days))
 
     spec = stats = ref = None
     if args.kind:

@@ -109,6 +109,23 @@ def _scan_windows(series, steps_per_day, smoothing_days, window_days, r2_thresho
     return day, float(r2[i]), int(np.sign(slope[i]))
 
 
+def _check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold,
+                             stride_days) -> None:
+    for name, value in (("steps_per_day", steps_per_day), ("smoothing_days", smoothing_days),
+                        ("window_days", window_days), ("r2_threshold", r2_threshold),
+                        ("stride_days", stride_days)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if int(round(window_days * steps_per_day)) < 2:
+        raise ValueError(f"window_days must span at least 2 steps, got {window_days}")
+    if smoothing_days < 0:
+        raise ValueError(f"smoothing_days must be >= 0, got {smoothing_days}")
+    if stride_days <= 0:
+        raise ValueError(f"stride_days must be > 0, got {stride_days}")
+    if not 0 <= r2_threshold < 1:
+        raise ValueError(f"r2_threshold must be in [0, 1), got {r2_threshold}")
+
+
 def detect_blowup(
     min_series,
     max_series,
@@ -129,19 +146,8 @@ def detect_blowup(
     argument but the series must be finite, the window at least 2 steps,
     ``smoothing_days`` >= 0, ``stride_days`` > 0 and ``r2_threshold`` in [0, 1).
     """
-    for name, value in (("steps_per_day", steps_per_day), ("smoothing_days", smoothing_days),
-                        ("window_days", window_days), ("r2_threshold", r2_threshold),
-                        ("stride_days", stride_days)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if int(round(window_days * steps_per_day)) < 2:
-        raise ValueError(f"window_days must span at least 2 steps, got {window_days}")
-    if smoothing_days < 0:
-        raise ValueError(f"smoothing_days must be >= 0, got {smoothing_days}")
-    if stride_days <= 0:
-        raise ValueError(f"stride_days must be > 0, got {stride_days}")
-    if not 0 <= r2_threshold < 1:
-        raise ValueError(f"r2_threshold must be in [0, 1), got {r2_threshold}")
+    _check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold,
+                             stride_days)
     candidates = []
     for name, series in (("min", min_series), ("max", max_series)):
         hit = _scan_windows(series, steps_per_day, smoothing_days, window_days,
@@ -167,6 +173,13 @@ class SeasonalityResult:
     run_length: int | None
 
 
+def _check_seasonality_parameters(multiplier, run_days) -> None:
+    if not 0 < multiplier < math.inf:  # NaN fails too
+        raise ValueError(f"multiplier must be a finite number > 0, got {multiplier}")
+    if not run_days >= 1:
+        raise ValueError(f"run_days must be >= 1, got {run_days}")
+
+
 def detect_seasonality_loss(
     series: DailySeries,
     envelope: ClimatologyEnvelope,
@@ -182,10 +195,7 @@ def detect_seasonality_loss(
     least ``run_days`` consecutive violations. ``multiplier`` must be finite
     and positive, and ``run_days`` at least 1.
     """
-    if not 0 < multiplier < math.inf:  # NaN fails too
-        raise ValueError(f"multiplier must be a finite number > 0, got {multiplier}")
-    if not run_days >= 1:
-        raise ValueError(f"run_days must be >= 1, got {run_days}")
+    _check_seasonality_parameters(multiplier, run_days)
     if not np.isfinite(series.values).all():
         raise ValueError("daily series contains non-finite values")
     dev = np.abs(series.values - envelope.mean_for(series.dates))
@@ -408,12 +418,14 @@ def build_report(
     Each input is read in one :func:`~rollstab.spectra.scan` over all shared
     variables (daily spectra of both, ``GLOBE`` extremes of the prediction), so
     an open :class:`RolloutFile` is never held whole; the detectors then work
-    on the reduced series.
+    on the reduced series. Their parameters are checked before either walk.
     """
     shared = tuple(v for v in prediction.variables if v in reference.variables)
     if not shared:
         raise ValueError("prediction and reference share no variables")
     steps_per_day = 86400.0 / prediction.step_seconds
+    _check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold, 1)
+    _check_seasonality_parameters(multiplier, run_days)
     rep = StabilityReport(name=name, horizon_days=prediction.horizon_days, variables=shared)
     pred = scan(prediction, shared, spectra="daily", regions=(GLOBE,))
     ref = scan(reference, shared, spectra="daily")

@@ -10,7 +10,6 @@ standardization stats come from the training pool.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime
@@ -20,7 +19,6 @@ import numpy as np
 from .gridio import (GridSpec, PreconditionError, RolloutFile, RolloutSeries, cell_weights,
                      folded_doy, tile_rows, walk)
 from .perturb import pooled_stats
-from .spectra import thread_count
 
 MEMORIZED_THRESHOLD = 0.5
 
@@ -105,22 +103,27 @@ class DistanceRatio:
         return self.ratio <= MEMORIZED_THRESHOLD
 
 
-def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
-                   index: NeighborIndex, window_days: int = 10) -> DistanceRatio:
-    """First-to-second neighbor distance ratio inside the calendar window.
+def _window(index: NeighborIndex, doys, window_days: int) -> np.ndarray:
+    """(len(doys), n_snapshots) mask of the snapshots whose day of year lies
+    within ``window_days`` of each of ``doys`` (wrapping across the year
+    boundary); :class:`TooFewCandidatesError` names the first of ``doys`` with
+    fewer than two."""
+    mask = _circular_doy_distance(index.doys, np.asarray(doys)[:, None]) <= window_days
+    for doy, n in zip(doys, mask.sum(axis=1)):
+        if n < 2:
+            raise TooFewCandidatesError(
+                f"only {n} training snapshots within {window_days} days of "
+                f"day-of-year {doy}; need at least 2"
+            )
+    return mask
 
-    Exhaustive search over candidates whose day of year lies within
-    ``window_days`` of the sample's (wrapping across the year boundary), in
-    float64 a :func:`~rollstab.gridio.tile_rows` tile of candidates at a time.
-    """
-    sample_doy = int(folded_doy(np.datetime64(sample_time, "s")))
-    cand = np.flatnonzero(_circular_doy_distance(index.doys, sample_doy) <= window_days)
-    if cand.size < 2:
-        raise TooFewCandidatesError(
-            f"only {cand.size} training snapshots within {window_days} days of "
-            f"day-of-year {sample_doy}; need at least 2"
-        )
-    e, tile = index.embed(sample_fields), tile_rows(index.vectors.shape[1])
+
+def _nearest_two(e: np.ndarray, cand: np.ndarray, index: NeighborIndex) -> DistanceRatio:
+    """The first and second of the snapshots ``cand`` by distance
+    to the embedded sample ``e``, then by snapshot index: the float64
+    difference to a :func:`~rollstab.gridio.tile_rows` tile of them at a time,
+    whose squares are summed per snapshot and square-rooted."""
+    tile = tile_rows(index.vectors.shape[1])
     dists = np.empty(cand.size)
     for lo in range(0, cand.size, tile):
         diff = index.vectors[cand[lo:lo + tile]].astype(np.float64)
@@ -135,21 +138,108 @@ def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
                          first_id=index.ids[i1], second_id=index.ids[i2])
 
 
+def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
+                   index: NeighborIndex, window_days: int = 10) -> DistanceRatio:
+    """First-to-second neighbor distance ratio inside the calendar window.
+
+    Exhaustive search over candidates whose day of year lies within
+    ``window_days`` of the sample's (wrapping across the year boundary): the
+    float64 difference to every one of them, a
+    :func:`~rollstab.gridio.tile_rows` tile at a time. It is the per-sample
+    reference that :func:`memorization_series` equals byte for byte.
+    """
+    sample_doy = int(folded_doy(np.datetime64(sample_time, "s")))
+    cand = np.flatnonzero(_window(index, [sample_doy], window_days)[0])
+    return _nearest_two(index.embed(sample_fields), cand, index)
+
+
+def _shortlist(e: np.ndarray, inside: np.ndarray, index: NeighborIndex) -> list[np.ndarray]:
+    """Per embedded sample (a row of ``e``), the in-window snapshots (a row of
+    the mask ``inside``) that can be its first or second neighbor.
+
+    One float64 matrix product of the samples against a
+    :func:`~rollstab.gridio.tile_rows` tile of the union of their candidates
+    at a time estimates every squared distance as
+    D = fl(fl(‖e‖² + ‖x‖²) − 2·fl(e·x)). A snapshot is kept unless its
+    D − B exceeds the second smallest D + B of the sample's window, where
+    B = (4n + 18)·ε·(‖e‖² + ‖x‖²), n the vector length and ε = 2u = 2⁻⁵². The
+    kept snapshots include the first two by (distance, snapshot index) of
+    :func:`_nearest_two`, which re-checks them.
+
+    Why (γₖ = ku/(1 − ku); Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., §2.2 and §3.1): the vectors are float32, so no
+    product or sum of them in float64 underflows or overflows, and every
+    operation obeys fl(a ∘ b) = (a ∘ b)(1 + θ), |θ| ≤ u. A sum of k terms in
+    any order, so in any BLAS's, is within γₖ₋₁ of the sum of their
+    magnitudes. Let M = ‖e‖² + ‖x‖² and δ² = ‖x − e‖², exact.
+
+    1. The value :func:`_nearest_two` computes, d², sums the terms
+       fl(fl(xᵢ − eᵢ)²) = (xᵢ − eᵢ)²(1 + θᵢ), |θᵢ| ≤ γ₃, so
+       |d² − δ²| ≤ γₙ₊₂·δ² ≤ 2γₙ₊₂·M, as δ² ≤ 2M.
+    2. The norms are within γₙ of ‖e‖² and ‖x‖², and the product within
+       γₙ·Σ|eᵢxᵢ| ≤ γₙ·M/2 of e·x. The sum of the norms and the difference
+       add two roundings of quantities at most 2(1 + γₙ)(1 + u)M, so
+       |D − δ²| ≤ (2γₙ + γ₃(1 + γₙ))·M ≤ γ₂ₙ₊₃·M.
+    3. fl(√·) is monotone, and two squared distances a < b round to the same
+       distance only if b ≤ a(1 + u)²/(1 − u)² ≤ a(1 + 5u). A snapshot that
+       ties the second neighbor after the square root is then within
+       5u·2(1 + γₙ₊₂)M ≤ 11u·M of its squared distance.
+
+    Let β = γ₄ₙ₊₁₈ ≥ 2γₙ₊₂ + γ₂ₙ₊₃ + 11u. By 1–3, each of the first two has
+    D − βM at most the second smallest d² of the window, which is at most the
+    second smallest D + βM, since D + βM ≥ d² for every snapshot. B is twice
+    βM to first order, and the excess covers the rounding of M, of B itself
+    and of D ± B for any n below 10¹². A NaN estimate, from an infinite
+    embedded value, is kept.
+    """
+    cand = np.flatnonzero(inside.any(axis=0))
+    e64 = e.astype(np.float64)
+    norms_e = np.einsum("ij,ij->i", e64, e64)[:, None]
+    est = np.empty((len(e), cand.size))
+    bound = np.empty_like(est)
+    tile = tile_rows(e.shape[1])
+    for lo in range(0, cand.size, tile):
+        x = index.vectors[cand[lo:lo + tile]].astype(np.float64)
+        bound[:, lo:lo + tile] = norms_e + np.einsum("ij,ij->i", x, x)
+        est[:, lo:lo + tile] = bound[:, lo:lo + tile] - 2 * (e64 @ x.T)
+    bound *= (4 * e.shape[1] + 18) * np.finfo(np.float64).eps
+    inside = inside[:, cand]
+    second = np.partition(np.where(inside, est + bound, np.inf), 1, axis=1)[:, 1:2]
+    keep = inside & ~(est - bound > second)
+    return [cand[k] for k in keep]
+
+
 def memorization_series(rollout: RolloutSeries | RolloutFile, index: NeighborIndex,
                         window_days: int = 10) -> list[DistanceRatio]:
     """Distance ratio of every rollout timestep against the index, scored in
-    one walk of the rollout, which must lie on the index's grid. Each block's
-    frames are all scored, in order, on a pool of :func:`~rollstab.spectra.thread_count`
-    workers before the walk refills its buffer with the next block."""
+    one walk of the rollout, which must lie on the index's grid; each result
+    equals :func:`distance_ratio`'s, byte for byte.
+
+    A block's frames are embedded and scored in groups of consecutive steps
+    whose days of year lie within ``window_days`` of the group's first, so
+    their windows overlap, at most a :func:`~rollstab.gridio.tile_rows` tile
+    of them. :func:`_shortlist` keeps the snapshots that can be a step's first
+    or second neighbor, and :func:`_nearest_two` re-checks those. It all runs
+    on the calling thread, whose matrix products use numpy's BLAS threads."""
     if not rollout.grid.same_geometry(index.grid):
         raise ValueError("rollout and index grids differ")
     cols = [rollout.index_of(v) for v in index.variables]
-    ts = rollout.timestamps.astype(datetime)
+    doys = folded_doy(rollout.timestamps)
+    group = tile_rows(index.vectors.shape[1])
     out = []
-    # on any exit, the pool's threads and a file walk's hashing thread end here
-    with closing(walk(rollout, index.variables)) as blocks, \
-            ThreadPoolExecutor(min(thread_count(), rollout.n_time)) as pool:
+    # on any exit, a file walk's hashing thread ends here
+    with closing(walk(rollout, index.variables)) as blocks:
         for block in blocks:
-            out.extend(pool.map(lambda f, t: distance_ratio(f[cols], t, index, window_days),
-                                block, ts[len(out):len(out) + len(block)]))
+            s = 0
+            while s < len(block):
+                t = len(out)
+                near = _circular_doy_distance(doys[t:t + min(group, len(block) - s)],
+                                              doys[t]) <= window_days
+                g = near.size if near.all() else int(near.argmin())
+                inside = _window(index, doys[t:t + g], window_days)
+                x = np.asarray(block[s:s + g, cols], dtype=np.float32)
+                e = index._standardize(x).reshape(g, -1)
+                out.extend(_nearest_two(row, kept, index)
+                           for row, kept in zip(e, _shortlist(e, inside, index)))
+                s += g
     return out

@@ -293,9 +293,14 @@ class SynthAdapter(ModelAdapter):
 
     def step_index(self, clock: datetime) -> int:
         """Steps from the config's epoch to the end of a step from ``clock``,
-        which key its noise; a step ending before the epoch raises ValueError."""
-        out_seconds = (clock + timedelta(seconds=self.step_seconds)
-                       - self.cfg.epoch).total_seconds()
+        which key its noise; a step ending before the epoch, or beyond a
+        datetime's range, raises ValueError."""
+        try:
+            end = clock + timedelta(seconds=self.step_seconds)
+        except OverflowError:
+            raise ValueError(f"a step from clock {clock.isoformat()} ends beyond a "
+                             "datetime's range") from None
+        out_seconds = (end - self.cfg.epoch).total_seconds()
         index = int(round(out_seconds / self.step_seconds))
         if index < 0:
             raise ValueError(f"a step from clock {clock.isoformat()} ends before the "
@@ -407,18 +412,24 @@ class _Frames:
         self.n_written += 1
 
 
-def clock_shift(adapter: ModelAdapter, time_shift_days: float | None) -> timedelta:
-    """The offset of the clock :func:`run_rollout` hands ``adapter``: none, or
-    ``time_shift_days``, finite and within a timedelta's range, for an adapter
-    that supports time shifting."""
+def shifted_clock(adapter: ModelAdapter, start: datetime,
+                  time_shift_days: float | None) -> datetime:
+    """The clock :func:`run_rollout` hands ``adapter`` at its first step:
+    ``start``, or ``start`` shifted by ``time_shift_days`` for an adapter that
+    supports time shifting. The shift must be finite, within a timedelta's
+    range, and keep the clock within a datetime's."""
     if time_shift_days is None:
-        return timedelta(0)
+        return start
     if not adapter.supports_time_shift:
         raise ValueError("adapter does not support time shifting")
     if not abs(time_shift_days) <= timedelta.max.days:  # NaN fails too
         raise ValueError(f"time_shift_days must be finite and at most {timedelta.max.days} "
                          f"in magnitude, got {time_shift_days}")
-    return timedelta(days=time_shift_days)
+    try:
+        return start + timedelta(days=time_shift_days)
+    except OverflowError:
+        raise ValueError(f"time_shift_days {time_shift_days} moves the start time "
+                         f"{start.isoformat()} beyond a datetime's range") from None
 
 
 def run_rollout(
@@ -463,7 +474,7 @@ def run_rollout(
                              sink.n_time) != (adapter.all_variables, start_time,
                                               adapter.step_seconds, n_steps + 1):
         raise ValueError("the sink's header does not match the run")
-    shift = clock_shift(adapter, time_shift_days)
+    first = shifted_clock(adapter, start_time, time_shift_days)
     out = _Frames(n_steps + 1, frame) if sink is None else sink
     if spec is not None:
         if stats is None:
@@ -482,10 +493,9 @@ def run_rollout(
     stored = state.astype(np.float32)
     out.write(stored)
     step = timedelta(seconds=adapter.step_seconds)
-    clock = start_time
     for t in range(n_steps):
         try:
-            nxt = adapter.step(state, clock + shift)
+            nxt = adapter.step(state, first + t * step)
             if np.shape(nxt) != frame:
                 raise ValueError(f"returned a state of shape {np.shape(nxt)}, not {frame}")
         except Exception as e:  # the completed prefix, annotated
@@ -499,7 +509,6 @@ def run_rollout(
             out.attrs["error"] = f"adapter produced non-finite fields at step {t}"
             break
         out.write(stored)
-        clock += step
     if sink is not None:
         return None
     return RolloutSeries(

@@ -54,8 +54,8 @@ class ThreadCountError(ValueError):
 
 
 def thread_count() -> int:
-    """Worker count of the spectra and memorize pools: ROLLOUT_STAB_THREADS if
-    set, else the CPUs this process may run on."""
+    """Worker count of the spectra pool: ROLLOUT_STAB_THREADS if set, else
+    the CPUs this process may run on."""
     env = os.environ.get("ROLLOUT_STAB_THREADS")
     if not env:
         if hasattr(os, "sched_getaffinity"):

@@ -290,7 +290,7 @@ class TestSynthStreamed:
                        "--labels", tmp_path / "s.json") == 2
         assert capsys.readouterr().err == (
             "rollstab: synthetic rollout stopped early: adapter failed at step 123: "
-            "date value out of range\n")
+            "a step from clock 9999-12-31T18:00:00 ends beyond a datetime's range\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1678,6 +1678,19 @@ class TestCliSurface:
         assert res.returncode == 0
         assert "rollstab" in res.stdout
 
+    def test_package_runs_as_a_module(self, tmp_path):
+        """``python -m rollstab`` is the command: help exits 0, bad input 2."""
+        res = subprocess.run([sys.executable, "-m", "rollstab", "--help"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0 and "memorize" in res.stdout
+        res = subprocess.run([sys.executable, "-m", "rollstab", "memorize", "--rollout",
+                              tmp_path / "none.rgf", "--index", tmp_path / "none.rgf",
+                              "--window-days", "-1", "-o", tmp_path / "r.csv"],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr == "rollstab: --window-days must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def _numbers():
     return st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
@@ -2053,6 +2066,28 @@ class TestNonFiniteSettings:
             f"got {float(value)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("value", ["1e8", "-1e8"])
+    def test_perturb_time_shift_beyond_the_calendar(self, tmp_path, synth_files, capsys,
+                                                    value, steps):
+        """A finite shift that moves the clock past year 1 or 9999 is bad input."""
+        out = tmp_path / "p.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", steps,
+                       f"--time-shift-days={value}", "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: time_shift_days {float(value)} moves the start time "
+            "2021-01-01T00:00:00 beyond a datetime's range\n")
+        assert not out.exists()
+
+    def test_perturb_start_in_the_last_step_of_the_calendar(self, tmp_path, synth_files,
+                                                          capsys):
+        out = tmp_path / "p.rgf"
+        assert run_cli("perturb", "--adapter", f"synth:{synth_files['cfg']}", "--steps", 3,
+                       "--start-time", "9999-12-31T18:00:00", "-o", out) == 2
+        assert capsys.readouterr().err == (
+            "rollstab: a step from clock 9999-12-31T18:00:00 ends beyond a datetime's range\n")
+        assert not out.exists()
+
 
 class TestDetectorParameters:
     """Each detector checks its own parameters, so every subcommand that runs
@@ -2090,12 +2125,21 @@ class TestDetectorParameters:
         (["--run-days", "0"], "run_days must be >= 1, got 0"),
         (["--run-days=-3"], "run_days must be >= 1, got -3"),
     ])
-    def test_report(self, tmp_path, synth_files, capsys, argv, message):
+    def test_report(self, tmp_path, synth_files, capsys, monkeypatch, argv, message):
+        """``report`` rejects them before it reads a block of either input."""
+        entered = []
+        blocks = RolloutFile.blocks
+
+        def counted(self, rows):
+            entered.append(rows)
+            return blocks(self, rows)
+
+        monkeypatch.setattr(RolloutFile, "blocks", counted)
         out, csv = tmp_path / "r.json", tmp_path / "r.csv"
         assert run_cli("report", "--prediction", synth_files["pred"], "--reference",
                        synth_files["ref"], *argv, "-o", out, "--csv", csv) == 2
         assert capsys.readouterr().err == f"rollstab: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [] and entered == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--multiplier", "nan"], "multiplier must be a finite number > 0, got nan"),

@@ -127,6 +127,11 @@ class TestDistanceRatio:
         assert res.d1 == pytest.approx(base.d1, rel=1e-5)
 
 
+def as_tuple(res):
+    """(ratio, d1, d2, first id, second id), the floats as their exact hex."""
+    return res.ratio.hex(), res.d1.hex(), res.d2.hex(), res.first_id, res.second_id
+
+
 class TestMemorizationSeries:
     def test_composition_matches_pointwise(self):
         train = training_series(n_days=90, seed=10)
@@ -140,7 +145,7 @@ class TestMemorizationSeries:
         for t, res in zip(roll.timestamps, series):
             fields = np.stack([roll.values("T2m")[list(roll.timestamps).index(t)]])
             single = distance_ratio(fields, t.astype(datetime), idx)
-            assert res.ratio == pytest.approx(single.ratio)
+            assert as_tuple(res) == as_tuple(single)
 
 
 class TestIndexWalked:
@@ -319,9 +324,9 @@ class TestTiledScoring:
 
     @pytest.mark.parametrize("ending", ["too few candidates", "fill cell"])
     def test_no_thread_outlives_a_walk_stopped_part_way(self, tmp_path, monkeypatch, ending):
-        """Scoring stops in a pool worker, or in the walk of a later block; the
-        error reaches the caller, and the pool's threads and the file walk's
-        hashing thread are gone when it does."""
+        """Scoring stops at a step with too few candidates, or in the walk of a
+        later block; the error reaches the caller, and the file walk's hashing
+        thread is gone when it does."""
         monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 12)  # 16 steps a block
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
         index = build_index(training_series(n_days=60))  # Jan 1 to Mar 1
@@ -330,13 +335,6 @@ class TestTiledScoring:
         rollout.data[40, 0, 2, 3] = np.nan if ending == "fill cell" else 0.0
         rollout.fill_value = -9e30
         write_rollout(rollout, tmp_path / "r.rgf")
-        score, seen = memorize.distance_ratio, []
-
-        def counted(*args, **kwargs):
-            seen.append(threading.current_thread())
-            return score(*args, **kwargs)
-
-        monkeypatch.setattr(memorize, "distance_ratio", counted)
         before = threading.active_count()
         # the first step, in step order, that has too few; or the block of step 40
         error, match = ((TooFewCandidatesError, "day-of-year 70;") if ending != "fill cell"
@@ -344,4 +342,118 @@ class TestTiledScoring:
         with RolloutFile(tmp_path / "r.rgf") as f, pytest.raises(error, match=match):
             memorization_series(f, index)
         assert threading.active_count() == before
-        assert seen and threading.main_thread() not in seen
+
+
+
+def identity_index(train: np.ndarray, timestamps) -> memorize.NeighborIndex:
+    """An index of (n, 1, lat, lon) snapshots whose embedding is the identity
+    (mean 0, deviation 1, unit weights), so its vectors are the snapshots'
+    float32 values and a sample's embedding is its own."""
+    n, _, n_lat, n_lon = train.shape
+    return memorize.NeighborIndex(
+        vectors=np.array(train, dtype=np.float32).reshape(n, -1), doys=folded_doy(timestamps),
+        ids=tuple(str(t) for t in timestamps), variables=("T2m",), stats={"T2m": (0.0, 1.0)},
+        sqrt_weights=np.ones((n_lat, n_lon), dtype=np.float32),
+        grid=GridSpec.regular(n_lat, n_lon))
+
+
+class TestShortlist:
+    """Shortlisting by the matrix-product estimate and its bound, then the
+    exact re-check, gives the exhaustive search's results byte for byte, also
+    where the estimate cannot tell the candidates apart."""
+
+    UNIT = 2.0 ** -23  # the float32 spacing of the pattern's values, all in [1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_index=st.integers(2, 40),
+        n_roll=st.integers(1, 12),
+        shape=st.tuples(st.integers(4, 5), st.integers(5, 8)),
+        noise=st.sampled_from([0, 1, 30, 1000]),  # in UNITs; 1000 is 1e-4 of the pattern
+        window_days=st.integers(0, 12),
+        standardized=st.booleans(),  # through build_index, or the identity embedding
+        tile_rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equal_to_whole_candidate_set(self, n_index, n_roll, shape, noise, window_days,
+                                          standardized, tile_rows, seed, data):
+        rng = np.random.default_rng(seed)
+        dim = shape[0] * shape[1]
+        pattern = rng.integers(320, 448, dim) / 256  # multiples of 2**-8 in [1.25, 1.75)
+        units = rng.integers(-noise, noise + 1, (n_index, dim))
+        train = (pattern + units * self.UNIT).astype(np.float32)  # exact: no rounding
+        for j, k in data.draw(st.lists(st.tuples(st.integers(0, n_index - 1),
+                                                 st.integers(0, n_index - 1)), max_size=4)):
+            train[j] = train[k]  # duplicated snapshots: exact ties
+        roll = (pattern + rng.integers(-noise, noise + 1, (n_roll, dim)) * self.UNIT
+                ).astype(np.float32)
+        for j in data.draw(st.lists(st.integers(0, n_roll - 1), max_size=3)):
+            roll[j] = train[j % n_index]  # planted copies: zero distances
+        for j in data.draw(st.lists(st.integers(0, n_roll - 1), max_size=2)):
+            # a sample 2.0 below snapshot k in 16 values, where k sits lowest,
+            # is 8 from k and, after the square root, from k's same-day partner
+            # k ^ 1, one UNIT above k in one more value: 64 and 64 + 2**-46
+            k = j % n_index
+            if k ^ 1 < n_index:
+                train[k, :16] = pattern[:16] - noise * self.UNIT
+                train[k ^ 1] = train[k]
+                train[k ^ 1, 16] += self.UNIT
+                roll[j] = train[k]
+                roll[j, :16] -= 2.0
+        shaped = (-1, 1, *shape)
+        start = datetime(2019, 12, 27)  # steps of 6 h from midnight, across New Year
+        series = make_series(GridSpec.regular(*shape), train.reshape(shaped), start=start)
+        index = build_index(series) if standardized else identity_index(
+            train.reshape(shaped), series.timestamps)
+        rollout = make_series(index.grid, roll.reshape(shaped), start=start)
+        try:
+            want = [whole_set_ratio(frame, t.astype(datetime), index, window_days)
+                    for frame, t in zip(rollout.data, rollout.timestamps)]
+        except TooFewCandidatesError as e:
+            with pytest.raises(TooFewCandidatesError, match=str(e).split(";")[0]):
+                memorization_series(rollout, index, window_days)
+            return
+        with mock.patch.object(gridio, "TILE_BYTES", tile_rows * dim * 8):
+            got = memorization_series(rollout, index, window_days)
+        assert [as_tuple(r) for r in got] == [
+            (r.hex(), d1.hex(), d2.hex(), a, b) for r, d1, d2, a, b in want]
+
+    def test_sqrt_ties_break_by_snapshot_index(self):
+        """Squared distances 64 + 2**-46 and 64 are both 8 after the square
+        root, so the lower snapshot index is first."""
+        assert np.sqrt(64 + 2.0 ** -46) == 8.0
+        sample = np.full((1, 1, 4, 5), 1.5, dtype=np.float32)
+        far = sample.copy()
+        far += 2.0  # 20 values 2.0 away: 80
+        tied = sample.copy()
+        tied[..., :4, :4] += 2.0  # 16 values 2.0 away: 64
+        nudged = tied.copy()
+        nudged[..., 3, 4] += self.UNIT  # and one more UNIT away: 64 + 2**-46
+        train = np.concatenate([far, nudged, tied])
+        series = make_series(GridSpec.regular(4, 5), train)
+        index = identity_index(train, series.timestamps)
+        got, = memorization_series(make_series(index.grid, sample), index)
+        assert as_tuple(got) == (1.0.hex(), 8.0.hex(), 8.0.hex(), index.ids[1], index.ids[2])
+
+    def test_estimate_alone_picks_the_wrong_first_neighbor(self):
+        """Integers near 2**23 make every norm and product exact in any
+        summation order, and ‖e‖² + ‖x‖² a 54-bit integer that rounds to even.
+        Snapshots (0, 1, 2) are all 1 from the sample, and their estimates are
+        exactly (2, 0, 0): by estimate and index, snapshot 1 is first, 2 second
+        and 0 third. The search must say snapshot 0, then 1, which it can only
+        do if the bound keeps all three and the re-check orders them."""
+        e = 2**23 + 1000 + np.arange(64)
+        deltas = np.zeros((3, 64), dtype=np.int64)
+        deltas[[0, 1, 2], [1, 0, 2]] = 1
+        norm_e = int((e * e).sum())
+        estimates = [float(norm_e + int((x * x).sum())) - 2 * int((e * x).sum())
+                     for x in e + deltas]
+        assert estimates == [2.0, 0.0, 0.0]
+        train = (e + deltas).astype(np.float32).reshape(3, 1, 8, 8)
+        series = make_series(GridSpec.regular(8, 8), train)
+        index = identity_index(train, series.timestamps)
+        got, = memorization_series(make_series(index.grid, e.reshape(1, 1, 8, 8)), index)
+        assert as_tuple(got) == (1.0.hex(), 1.0.hex(), 1.0.hex(), index.ids[0], index.ids[1])
+        assert as_tuple(got) == as_tuple(distance_ratio(e.reshape(1, 8, 8), datetime(2021, 1, 1),
+                                                        index))
