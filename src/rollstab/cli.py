@@ -122,6 +122,15 @@ def _check_unused(args, defaults: dict, used, reason: str) -> None:
             setattr(args, d, default)
 
 
+def _check_same_grid(a: RolloutFile, b: RolloutFile) -> None:
+    """Reject two files on different grids, naming both files and grids,
+    before either is walked."""
+    if not a.grid.same_geometry(b.grid):
+        a_grid, b_grid = (f"{g.n_lat}x{g.n_lon} (lats {g.lats[0]:g} to {g.lats[-1]:g}, "
+                          f"lons from {g.lons[0]:g})" for g in (a.grid, b.grid))
+        raise ValueError(f"{a.path} and {b.path} lie on different grids: {a_grid} and {b_grid}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -212,9 +221,12 @@ def cmd_blowup(args) -> int:
         if args.variable is None:
             raise ValueError("--variable is required with --input")
         with gridio.RolloutFile(args.input) as rgf:
+            steps_per_day = 86400.0 / rgf.step_seconds
+            detectors.check_blowup_parameters(steps_per_day, args.smoothing_days,
+                                              args.window_days, args.r2_threshold,
+                                              args.stride_days)
             s = spectra.scan(rgf, (args.variable,), spectra=None, regions=(gridio.GLOBE,))
         mn, mx = s.regional[args.variable][gridio.GLOBE.name]
-        steps_per_day = 86400.0 / rgf.step_seconds
     else:
         if not (args.min_csv and args.max_csv):
             raise ValueError("need either --input RGF or both --min-csv and --max-csv")
@@ -237,18 +249,22 @@ def cmd_blowup(args) -> int:
 def cmd_seasonality(args) -> int:
     _check_unused(args, {"reference": None}, not args.envelope,
                   "cannot be combined with --envelope")
+    detectors.check_seasonality_parameters(args.multiplier, args.run_days)
     ref = None
     if args.envelope:
         env = gridio.read_json(args.envelope, climatology.ClimatologyEnvelope.from_dict)
+        with gridio.RolloutFile(args.input) as r:
+            spec = spectra.spectrum_series(r, args.variable, daily=True)
     elif args.reference:
-        with gridio.RolloutFile(args.reference) as ref:
+        # the rollout is walked first, so a fill cell in it costs no walk of the reference
+        with gridio.RolloutFile(args.input) as r, gridio.RolloutFile(args.reference) as ref:
+            _check_same_grid(r, ref)
+            spec = spectra.spectrum_series(r, args.variable, daily=True)
             ref_spec = spectra.spectrum_series(ref, args.variable, daily=True)
         env = climatology.build_envelope(ref_spec.daily_band("large"),
                                          name=f"band_large[{args.variable}]")
     else:
         raise ValueError("need --envelope or --reference to define the climatology")
-    with gridio.RolloutFile(args.input) as r:
-        spec = spectra.spectrum_series(r, args.variable, daily=True)
     manifest = _manifest(args, {"input": r, "envelope": args.envelope, "reference": ref})
     res = detectors.detect_seasonality_loss(spec.daily_band("large"), env,
                                             multiplier=args.multiplier, run_days=args.run_days)
@@ -260,9 +276,10 @@ def cmd_seasonality(args) -> int:
 
 
 def cmd_smallscale(args) -> int:
-    with gridio.RolloutFile(args.input) as pred:
+    detectors.check_small_scale_parameters(args.window_days, args.blowup_day)
+    with gridio.RolloutFile(args.input) as pred, gridio.RolloutFile(args.reference) as ref:
+        _check_same_grid(pred, ref)
         spec = spectra.spectrum_series(pred, args.variable, daily=True)
-    with gridio.RolloutFile(args.reference) as ref:
         ref_spec = spectra.spectrum_series(ref, args.variable, daily=True)
     res = detectors.small_scale_ratios(spec, ref_spec, blowup_day=args.blowup_day,
                                        window_days=args.window_days)
@@ -350,21 +367,17 @@ def cmd_extremes(args) -> int:
     regions = (gridio.load_regions(args.regions) if args.regions
                else gridio.builtin_regions()).values()
     levels = sorted(set(extremes.HOT_THRESHOLD_LEVELS + extremes.COLD_THRESHOLD_LEVELS))
-    # the model is walked for its regional extremes on a worker thread while
-    # the reference's first walk hashes it and counts its pools. Once both
-    # have ended, the reference's second walk, with the digest known, is not
-    # hashed and gathers their thresholds' bins. Errors rank in that order: a
-    # model error replaces one of the second walk
+    # the model is walked for its regional extremes on a worker thread while the
+    # reference's first walk hashes it and counts its pools. A model that failed
+    # ends the command before the reference's second walk, which, with the
+    # digest known, is not hashed and gathers the thresholds' bins
     with gridio.RolloutFile(args.input) as model, \
             gridio.RolloutFile(args.reference) as reference, \
             ThreadPoolExecutor(max_workers=1) as worker:
         walked = worker.submit(spectra.scan, model, (v,), spectra=None, regions=regions)
         ref = spectra.scan(reference, (v,), spectra=None, regions=regions, levels=levels)
-        walked.exception()  # waits for the model's walk, so its block is freed
-        try:
-            thresholds = spectra.pooled_thresholds(reference, v, regions, ref.pools[v])
-        finally:
-            model_regional = walked.result().regional[v]
+        model_regional = walked.result().regional[v]
+        thresholds = spectra.pooled_thresholds(reference, v, regions, ref.pools[v])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, {"input": model, "reference": reference,
@@ -439,6 +452,7 @@ def cmd_memorize(args) -> int:
 
 def cmd_report(args) -> int:
     with gridio.RolloutFile(args.prediction) as pred, gridio.RolloutFile(args.reference) as ref:
+        _check_same_grid(pred, ref)
         rep = detectors.build_report(
             pred, ref, name=args.name, multiplier=args.multiplier, run_days=args.run_days,
             window_days=args.window_days, smoothing_days=args.smoothing_days,
@@ -685,7 +699,7 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         print(f"rollstab: precondition not met: {e}", file=sys.stderr)
         return 3
-    except (gridio.RGFError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (gridio.RGFError, ValueError, OSError) as e:
         print(f"rollstab: {e}", file=sys.stderr)
         return 2
 

@@ -109,7 +109,7 @@ def _scan_windows(series, steps_per_day, smoothing_days, window_days, r2_thresho
     return day, float(r2[i]), int(np.sign(slope[i]))
 
 
-def _check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold,
+def check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold,
                              stride_days) -> None:
     for name, value in (("steps_per_day", steps_per_day), ("smoothing_days", smoothing_days),
                         ("window_days", window_days), ("r2_threshold", r2_threshold),
@@ -146,7 +146,7 @@ def detect_blowup(
     argument but the series must be finite, the window at least 2 steps,
     ``smoothing_days`` >= 0, ``stride_days`` > 0 and ``r2_threshold`` in [0, 1).
     """
-    _check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold,
+    check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold,
                              stride_days)
     candidates = []
     for name, series in (("min", min_series), ("max", max_series)):
@@ -173,7 +173,7 @@ class SeasonalityResult:
     run_length: int | None
 
 
-def _check_seasonality_parameters(multiplier, run_days) -> None:
+def check_seasonality_parameters(multiplier, run_days) -> None:
     if not 0 < multiplier < math.inf:  # NaN fails too
         raise ValueError(f"multiplier must be a finite number > 0, got {multiplier}")
     if not run_days >= 1:
@@ -195,7 +195,7 @@ def detect_seasonality_loss(
     least ``run_days`` consecutive violations. ``multiplier`` must be finite
     and positive, and ``run_days`` at least 1.
     """
-    _check_seasonality_parameters(multiplier, run_days)
+    check_seasonality_parameters(multiplier, run_days)
     if not np.isfinite(series.values).all():
         raise ValueError("daily series contains non-finite values")
     dev = np.abs(series.values - envelope.mean_for(series.dates))
@@ -226,6 +226,13 @@ class SmallScaleResult:
     truncated: bool
 
 
+def check_small_scale_parameters(window_days, blowup_day) -> None:
+    if not 0 < window_days < math.inf:  # NaN fails too
+        raise ValueError(f"window_days must be a finite number > 0, got {window_days}")
+    if blowup_day is not None and not math.isfinite(blowup_day):
+        raise ValueError(f"blowup_day must be finite, got {blowup_day}")
+
+
 def small_scale_ratios(
     spec: SpectrumSeries,
     ref_spec: SpectrumSeries,
@@ -240,10 +247,7 @@ def small_scale_ratios(
     divides by the prediction's first two days. ``window_days`` must be
     finite and positive, and ``blowup_day`` finite.
     """
-    if not 0 < window_days < math.inf:  # NaN fails too
-        raise ValueError(f"window_days must be a finite number > 0, got {window_days}")
-    if blowup_day is not None and not math.isfinite(blowup_day):
-        raise ValueError(f"blowup_day must be finite, got {blowup_day}")
+    check_small_scale_parameters(window_days, blowup_day)
     pred_small = spec.band("small")
     ref_small = ref_spec.band("small")
     t = spec.timestamps
@@ -424,8 +428,8 @@ def build_report(
     if not shared:
         raise ValueError("prediction and reference share no variables")
     steps_per_day = 86400.0 / prediction.step_seconds
-    _check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold, 1)
-    _check_seasonality_parameters(multiplier, run_days)
+    check_blowup_parameters(steps_per_day, smoothing_days, window_days, r2_threshold, 1)
+    check_seasonality_parameters(multiplier, run_days)
     rep = StabilityReport(name=name, horizon_days=prediction.horizon_days, variables=shared)
     pred = scan(prediction, shared, spectra="daily", regions=(GLOBE,))
     ref = scan(reference, shared, spectra="daily")

@@ -40,15 +40,20 @@ class QQPairs:
     model: np.ndarray
 
 
+def _tail_series(side: str, *series) -> list[np.ndarray]:
+    """The series as float64, once ``side`` is 'hot' or 'cold' and none is empty."""
+    if side not in ("hot", "cold"):
+        raise ValueError(f"side must be 'hot' or 'cold', got {side!r}")
+    series = [np.asarray(s, dtype=np.float64) for s in series]
+    if any(s.size == 0 for s in series):
+        raise ValueError("model and reference series must be non-empty")
+    return series
+
+
 def qq_tails(model_series, reference_series, side: str) -> QQPairs:
     """Tail quantile pairs: hot at levels 90..99.9, cold at 0.1..10."""
-    if side not in ("hot", "cold"):
-        raise ValueError("side must be 'hot' or 'cold'")
+    model_series, reference_series = _tail_series(side, model_series, reference_series)
     levels = np.array(HOT_DEFAULT_LEVELS if side == "hot" else COLD_DEFAULT_LEVELS)
-    model_series = np.asarray(model_series, dtype=np.float64)
-    reference_series = np.asarray(reference_series, dtype=np.float64)
-    if model_series.size == 0 or reference_series.size == 0:
-        raise ValueError("series must be non-empty over the matched window")
     return QQPairs(
         side=side,
         levels=levels,
@@ -77,20 +82,12 @@ def exceedance_curve(model_series, reference_series, thresholds: ThresholdSet,
     Hot counts values above each threshold, cold below. The model/reference
     ratio is flagged undefined (NaN) where the reference fraction is zero.
     """
-    if side not in ("hot", "cold"):
-        raise ValueError("side must be 'hot' or 'cold'")
-    model_series = np.asarray(model_series, dtype=np.float64)
-    reference_series = np.asarray(reference_series, dtype=np.float64)
-    if model_series.size == 0 or reference_series.size == 0:
-        raise ValueError("series must be non-empty")
+    model_series, reference_series = _tail_series(side, model_series, reference_series)
     levels = np.asarray(thresholds.levels, dtype=np.float64)
     values = np.asarray(thresholds.values, dtype=np.float64)
-    if side == "hot":
-        model_frac = (model_series[None, :] > values[:, None]).mean(axis=1)
-        ref_frac = (reference_series[None, :] > values[:, None]).mean(axis=1)
-    else:
-        model_frac = (model_series[None, :] < values[:, None]).mean(axis=1)
-        ref_frac = (reference_series[None, :] < values[:, None]).mean(axis=1)
+    beyond = np.greater if side == "hot" else np.less
+    model_frac, ref_frac = (beyond(s[None, :], values[:, None]).mean(axis=1)
+                            for s in (model_series, reference_series))
     defined = ref_frac > 0
     ratio = np.full_like(model_frac, np.nan)
     ratio[defined] = model_frac[defined] / ref_frac[defined]

@@ -51,6 +51,19 @@ def synth_files(tmp_path_factory):
             "max": d / "max.csv", "cfg": d / "cfg.json"}
 
 
+@pytest.fixture
+def entered(monkeypatch):
+    """The path of every RGF whose blocks are walked, once per walk."""
+    paths, blocks = [], RolloutFile.blocks
+
+    def counted(self, rows):
+        paths.append(Path(self.path))
+        return blocks(self, rows)
+
+    monkeypatch.setattr(RolloutFile, "blocks", counted)
+    return paths
+
+
 class TestSynthCommand:
     def test_repeated_variable_exit_2_and_no_file(self, tmp_path, capsys):
         out, labels = tmp_path / "d.rgf", tmp_path / "labels.json"
@@ -412,6 +425,23 @@ class TestSeasonalityCommand:
                        "--variable", "T2m", "--envelope", env, "-o", out2) == 0
         assert (json.loads(out2.read_text())["seasonality_loss_day"]
                 == doc["seasonality_loss_day"])
+
+    def test_rollout_walked_before_reference(self, tmp_path, synth_files, capsys, entered):
+        """A fill cell in the rollout ends the command before the reference,
+        the longer input, is walked."""
+        r = rollstab.read_rollout(synth_files["pred"])
+        data = r.data.copy()
+        data[5, 0, 3, 5] = np.nan
+        holed, out = tmp_path / "holed.rgf", tmp_path / "se.json"
+        write_rollout(RolloutSeries(grid=r.grid, variables=r.variables, start_time=r.start_time,
+                                    data=data, fill_value=-9e30), holed)
+        entered.clear()  # the read above
+        assert run_cli("seasonality", "--input", holed, "--variable", "T2m",
+                       "--reference", synth_files["ref"], "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: {holed}: variable 'T2m' contains fill/NaN values; detectors require "
+            "complete fields\n")
+        assert entered == [holed] and not out.exists()
 
     def test_missing_climatology_exit_2(self, tmp_path, synth_files):
         assert run_cli("seasonality", "--input", synth_files["pred"],
@@ -775,7 +805,8 @@ EXTREMES_GOLDEN = {
 class TestExtremesStreamed:
     """`extremes` holds no region's cells: the model's regional extremes are
     taken block by block, and the reference's thresholds come from a second,
-    unhashed walk that keeps only the bins holding the ranks they read."""
+    unhashed walk that keeps only the bins holding the ranks they read. That
+    walk starts once the model's walk has ended, and not at all if it failed."""
 
     @pytest.mark.parametrize("run", sorted(EXTREMES_GOLDEN))
     def test_outputs_pinned(self, tmp_path, run):
@@ -849,34 +880,63 @@ class TestExtremesStreamed:
         assert not outdir.exists()
 
     def test_model_error_during_second_walk_leaves_no_thread(self, tmp_path, monkeypatch,
-                                                             capsys):
-        """A fill value in the model, met while the reference's second walk
-        runs on the worker thread, fails as it would alone, and the command
-        returns only once that walk has ended."""
+                                                             capsys, entered):
+        """A fill value in the model fails as it would alone, before the
+        reference's second walk: the thresholds are never gathered, the
+        reference is walked once, and no thread outlives the command."""
         _golden_pair(tmp_path)
         model = rollstab.read_rollout(tmp_path / "model.rgf")
         data = model.data.copy()
         data[200, 0, 3, 5] = np.nan
-        holed = tmp_path / "holed.rgf"
+        holed, ref = tmp_path / "holed.rgf", tmp_path / "ref.rgf"
         write_rollout(RolloutSeries(grid=model.grid, variables=model.variables,
                                     start_time=model.start_time, data=data,
                                     fill_value=-9e30), holed)
-        second_walk, walked = spectra.pooled_thresholds, []
-
-        def slow_walk(*args):
-            time.sleep(0.5)  # the model walk fails meanwhile
-            walked.append(second_walk(*args))
-            return walked[-1]
-
-        monkeypatch.setattr(spectra, "pooled_thresholds", slow_walk)
+        gathered = []
+        monkeypatch.setattr(spectra, "pooled_thresholds", lambda *args: gathered.append(args))
         threads = threading.active_count()
         outdir = tmp_path / "ext"
-        assert run_cli("extremes", "--input", holed, "--reference", tmp_path / "ref.rgf",
+        assert run_cli("extremes", "--input", holed, "--reference", ref,
                        "--variable", "T2m", "--outdir", outdir) == 2
         assert capsys.readouterr().err == (
             f"rollstab: {holed}: variable 'T2m' contains fill/NaN values; detectors require "
             "complete fields\n")
-        assert walked and threading.active_count() == threads
+        assert gathered == [] and entered.count(ref) == 1
+        assert threading.active_count() == threads
+        assert not outdir.exists()
+
+    def test_reference_error_waits_for_the_model_walk(self, tmp_path, monkeypatch, capsys):
+        """A fill value in the reference's first walk fails naming the
+        reference, and the command returns only once the model's walk, on the
+        worker thread, has ended."""
+        _golden_pair(tmp_path)
+        reference = rollstab.read_rollout(tmp_path / "ref.rgf")
+        data = reference.data.copy()
+        data[3, 0, 3, 5] = np.nan
+        holed, model = tmp_path / "holed.rgf", tmp_path / "model.rgf"
+        write_rollout(RolloutSeries(grid=reference.grid, variables=reference.variables,
+                                    start_time=reference.start_time, data=data,
+                                    fill_value=-9e30), holed)
+        scan, ended = spectra.scan, []
+
+        def slow_model_walk(source, *args, **kwargs):
+            if Path(source.path) != model:
+                return scan(source, *args, **kwargs)
+            time.sleep(0.5)  # the reference's walk fails meanwhile
+            result = scan(source, *args, **kwargs)
+            ended.append(model)
+            return result
+
+        monkeypatch.setattr(spectra, "scan", slow_model_walk)
+        threads = threading.active_count()
+        outdir = tmp_path / "ext"
+        assert run_cli("extremes", "--input", model, "--reference", holed,
+                       "--variable", "T2m", "--outdir", outdir) == 2
+        assert ended == [model]
+        assert capsys.readouterr().err == (
+            f"rollstab: {holed}: variable 'T2m' contains fill/NaN values; detectors require "
+            "complete fields\n")
+        assert threading.active_count() == threads
         assert not outdir.exists()
 
 
@@ -1626,6 +1686,18 @@ class TestCliSurface:
             main(["synth", "--no-such-flag", "1", "-o", "x.rgf"])
         assert exc.value.code == 2
 
+    def test_internal_key_error_propagates(self, tmp_path, synth_files, monkeypatch):
+        """Only input errors exit 2: a KeyError is a bug in rollstab, not bad
+        input, so it is raised rather than reported as one."""
+        def missing_level(*args, **kwargs):
+            raise KeyError("level 99.0 not present in threshold set 'globe'")
+
+        monkeypatch.setattr(spectra, "spectrum_series", missing_level)
+        out = tmp_path / "x.csv"
+        with pytest.raises(KeyError, match="level 99.0"):
+            run_cli("spectra", "--input", synth_files["pred"], "--variable", "T2m", "-o", out)
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli("spectra", "--input", tmp_path / "absent.rgf",
                        "--variable", "T2m", "-o", tmp_path / "x.csv") == 2
@@ -1840,6 +1912,40 @@ class TestConfigFile:
         # equal values of equal types: the manifest records 60 and 60.0 differently
         assert ({k: (type(v), v) for k, v in from_config.items()}
                 == {k: (type(v), v) for k, v in (from_flags | {"config": str(conf)}).items()})
+
+
+class TestReferenceGrids:
+    """``report``, ``seasonality --reference`` and ``smallscale`` score a run
+    against a reference on its own grid: any other grid exits 2 naming both
+    files and both grids, before either is walked."""
+
+    @pytest.fixture(scope="class")
+    def grids(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("grids")
+        for name, grid, seed in (("run", "4x384", 1), ("ref", "4x768", 2)):
+            assert run_cli("synth", "--regime", "STABLE", "--horizon-days", 60, "--seed", seed,
+                           "--grid", grid, "-o", d / f"{name}.rgf") == 0
+        r = rollstab.read_rollout(d / "run.rgf")  # the run's grid, stored south to north
+        write_rollout(RolloutSeries(grid=GridSpec(lats=r.grid.lats[::-1], lons=r.grid.lons),
+                                    variables=r.variables, start_time=r.start_time,
+                                    data=r.data[:, :, ::-1]), d / "flipped.rgf")
+        return d
+
+    @pytest.mark.parametrize("reference, described", [
+        ("ref", "4x768 (lats 90 to -90, lons from 0)"),
+        ("flipped", "4x384 (lats -90 to 90, lons from 0)"),
+    ])
+    @pytest.mark.parametrize("command", ["report", "seasonality", "smallscale"])
+    def test_exit_2_before_a_walk(self, tmp_path, grids, capsys, entered, command, reference,
+                                  described):
+        run, ref, out = grids / "run.rgf", grids / f"{reference}.rgf", tmp_path / "out.json"
+        inputs = ({"report": ["--prediction", run]}.get(command)
+                  or ["--input", run, "--variable", "T2m"])
+        assert run_cli(command, *inputs, "--reference", ref, "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: {run} and {ref} lie on different grids: "
+            f"4x384 (lats 90 to -90, lons from 0) and {described}\n")
+        assert not out.exists() and entered == []
 
 
 class TestMemorizeGrids:
@@ -2091,7 +2197,8 @@ class TestNonFiniteSettings:
 
 class TestDetectorParameters:
     """Each detector checks its own parameters, so every subcommand that runs
-    it rejects a bad one: exit 2 naming it, no traceback and no output."""
+    it rejects a bad one: exit 2 naming it, no traceback and no output, before
+    it reads a block of any input."""
 
     @pytest.mark.parametrize("argv, message", [
         (["--window-days", "0"], "window_days must span at least 2 steps, got 0.0"),
@@ -2107,13 +2214,13 @@ class TestDetectorParameters:
         (["--r2-threshold=-0.1"], "r2_threshold must be in [0, 1), got -0.1"),
     ])
     @pytest.mark.parametrize("source", ["input", "csv"])
-    def test_blowup(self, tmp_path, synth_files, capsys, argv, message, source):
+    def test_blowup(self, tmp_path, synth_files, capsys, entered, argv, message, source):
         inputs = (["--input", synth_files["pred"], "--variable", "T2m"] if source == "input"
                   else ["--min-csv", synth_files["min"], "--max-csv", synth_files["max"]])
         out = tmp_path / "b.json"
         assert run_cli("blowup", *inputs, *argv, "-o", out) == 2
         assert capsys.readouterr().err == f"rollstab: {message}\n"
-        assert not out.exists()
+        assert not out.exists() and entered == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--window-days", "0"], "window_days must span at least 2 steps, got 0.0"),
@@ -2125,16 +2232,7 @@ class TestDetectorParameters:
         (["--run-days", "0"], "run_days must be >= 1, got 0"),
         (["--run-days=-3"], "run_days must be >= 1, got -3"),
     ])
-    def test_report(self, tmp_path, synth_files, capsys, monkeypatch, argv, message):
-        """``report`` rejects them before it reads a block of either input."""
-        entered = []
-        blocks = RolloutFile.blocks
-
-        def counted(self, rows):
-            entered.append(rows)
-            return blocks(self, rows)
-
-        monkeypatch.setattr(RolloutFile, "blocks", counted)
+    def test_report(self, tmp_path, synth_files, capsys, entered, argv, message):
         out, csv = tmp_path / "r.json", tmp_path / "r.csv"
         assert run_cli("report", "--prediction", synth_files["pred"], "--reference",
                        synth_files["ref"], *argv, "-o", out, "--csv", csv) == 2
@@ -2148,13 +2246,14 @@ class TestDetectorParameters:
         (["--run-days", "0"], "run_days must be >= 1, got 0"),
         (["--run-days=-3"], "run_days must be >= 1, got -3"),
     ])
-    def test_seasonality(self, tmp_path, synth_files, capsys, argv, message):
+    @pytest.mark.parametrize("source", ["envelope", "reference"])
+    def test_seasonality(self, tmp_path, synth_files, capsys, entered, argv, message, source):
         out, env = tmp_path / "se.json", tmp_path / "env.json"
+        given = synth_files["env" if source == "envelope" else "ref"]
         assert run_cli("seasonality", "--input", synth_files["pred"], "--variable", "T2m",
-                       "--envelope", synth_files["env"], "--save-envelope", env, *argv,
-                       "-o", out) == 2
+                       f"--{source}", given, "--save-envelope", env, *argv, "-o", out) == 2
         assert capsys.readouterr().err == f"rollstab: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [] and entered == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--window-days", "0"], "window_days must be a finite number > 0, got 0.0"),
@@ -2164,9 +2263,10 @@ class TestDetectorParameters:
         (["--blowup-day", "nan"], "blowup_day must be finite, got nan"),
         (["--blowup-day", "inf"], "blowup_day must be finite, got inf"),
     ])
-    def test_smallscale(self, tmp_path, synth_files, capsys, argv, message):
+    def test_smallscale(self, tmp_path, synth_files, capsys, entered, argv, message):
+        """A bad parameter wins over the small band, unresolved on this grid."""
         out = tmp_path / "ss.json"
         assert run_cli("smallscale", "--input", synth_files["pred"], "--reference",
                        synth_files["pred"], "--variable", "T2m", *argv, "-o", out) == 2
         assert capsys.readouterr().err == f"rollstab: {message}\n"
-        assert not out.exists()
+        assert not out.exists() and entered == []

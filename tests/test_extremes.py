@@ -301,6 +301,36 @@ class TestExceedanceCurve:
         assert frac >= 0.10
 
 
+# each tail statistic of a model and a reference series on one side
+TAILS = {
+    "qq_tails": qq_tails,
+    "exceedance_curve": lambda m, r, side: exceedance_curve(
+        m, r, simple_thresholds([90.0], [0.5]), side),
+}
+
+
+class TestTailArguments:
+    """Both tail statistics reject a bad side and an empty series through one
+    check, with one message for each."""
+
+    @pytest.mark.parametrize("side", ["warm", "Hot", "", None])
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_bad_side(self, tail, side):
+        with pytest.raises(ValueError) as e:
+            TAILS[tail](np.ones(5), np.ones(5), side)
+        assert str(e.value) == f"side must be 'hot' or 'cold', got {side!r}"
+
+    @pytest.mark.parametrize("empty", ["model", "reference", "both"])
+    @pytest.mark.parametrize("side", ["hot", "cold"])
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_empty_series(self, tail, side, empty):
+        model = np.array([]) if empty in ("model", "both") else np.ones(5)
+        reference = np.array([]) if empty in ("reference", "both") else np.ones(5)
+        with pytest.raises(ValueError) as e:
+            TAILS[tail](model, reference, side)
+        assert str(e.value) == "model and reference series must be non-empty"
+
+
 class TestMatchWindows:
     def test_intersection(self):
         a = np.array(["2021-01-01", "2021-01-02", "2021-01-03"],
