@@ -2239,21 +2239,31 @@ class TestDetectorParameters:
         assert capsys.readouterr().err == f"rollstab: {message}\n"
         assert list(tmp_path.iterdir()) == [] and entered == []
 
-    @pytest.mark.parametrize("argv, message", [
+    SEASONALITY_BAD = [
         (["--multiplier", "nan"], "multiplier must be a finite number > 0, got nan"),
         (["--multiplier", "0"], "multiplier must be a finite number > 0, got 0.0"),
         (["--multiplier=-1"], "multiplier must be a finite number > 0, got -1.0"),
         (["--run-days", "0"], "run_days must be >= 1, got 0"),
         (["--run-days=-3"], "run_days must be >= 1, got -3"),
-    ])
-    @pytest.mark.parametrize("source", ["envelope", "reference"])
-    def test_seasonality(self, tmp_path, synth_files, capsys, entered, argv, message, source):
+    ]
+
+    @staticmethod
+    def _seasonality_exit_2(tmp_path, capsys, entered, pred, source, given, argv, message):
         out, env = tmp_path / "se.json", tmp_path / "env.json"
-        given = synth_files["env" if source == "envelope" else "ref"]
-        assert run_cli("seasonality", "--input", synth_files["pred"], "--variable", "T2m",
+        assert run_cli("seasonality", "--input", pred, "--variable", "T2m",
                        f"--{source}", given, "--save-envelope", env, *argv, "-o", out) == 2
         assert capsys.readouterr().err == f"rollstab: {message}\n"
         assert list(tmp_path.iterdir()) == [] and entered == []
+
+    @pytest.mark.parametrize("argv, message", SEASONALITY_BAD)
+    def test_seasonality(self, tmp_path, synth_files, capsys, entered, argv, message):
+        self._seasonality_exit_2(tmp_path, capsys, entered, synth_files["pred"], "envelope",
+                                 synth_files["env"], argv, message)
+
+    @pytest.mark.parametrize("argv, message", SEASONALITY_BAD)
+    def test_seasonality_reference(self, tmp_path, synth_files, capsys, entered, argv, message):
+        self._seasonality_exit_2(tmp_path, capsys, entered, synth_files["pred"], "reference",
+                                 synth_files["ref"], argv, message)
 
     @pytest.mark.parametrize("argv, message", [
         (["--window-days", "0"], "window_days must be a finite number > 0, got 0.0"),

@@ -243,7 +243,8 @@ def whole_set_ratio(frame, when, index, window_days):
     doy = int(folded_doy(np.datetime64(when, "s")))
     cand = np.flatnonzero(memorize._circular_doy_distance(index.doys, doy) <= window_days)
     if cand.size < 2:
-        raise TooFewCandidatesError(f"{cand.size} candidates")
+        raise TooFewCandidatesError(f"only {cand.size} training snapshots within "
+                                    f"{window_days} days of day-of-year {doy}; need at least 2")
     diff = index.vectors[cand].astype(np.float64)  # the one (candidates, dim) temporary
     diff -= index.embed(frame)
     dists = np.sqrt(np.square(diff, out=diff).sum(axis=1))
