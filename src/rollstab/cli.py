@@ -127,7 +127,8 @@ def _check_same_grid(a: RolloutFile, b: RolloutFile) -> None:
     before either is walked."""
     if not a.grid.same_geometry(b.grid):
         a_grid, b_grid = (f"{g.n_lat}x{g.n_lon} (lats {g.lats[0]:g} to {g.lats[-1]:g}, "
-                          f"lons from {g.lons[0]:g})" for g in (a.grid, b.grid))
+                          f"lons from {g.lons[0]:g}, radius {g.earth_radius_km:g} km)"
+                          for g in (a.grid, b.grid))
         raise ValueError(f"{a.path} and {b.path} lie on different grids: {a_grid} and {b_grid}")
 
 
@@ -290,6 +291,7 @@ def cmd_smallscale(args) -> int:
 
 def cmd_cycle_rmse(args) -> int:
     with gridio.RolloutFile(args.input) as a, gridio.RolloutFile(args.reference) as b:
+        _check_same_grid(a, b)
         rmse = detectors.seasonal_cycle_rmse(a, b, args.variable)
     doc = {"seasonal_cycle_rmse": rmse, "units": "variable units"}
     _write_json(args.output, doc, _manifest(args, {"input": a, "reference": b}))
@@ -438,7 +440,12 @@ def cmd_memorize(args) -> int:
         raise ValueError(f"--window-days must be >= 0, got {args.window_days}")
     variables = (None if args.variables is None
                  else gridio.names_of(args.variables.split(","), "--variables"))
+    # the grids and windows are checked from the headers, then the index is
+    # walked for its stats, the rollout to embed it, and the index to score it
     with gridio.RolloutFile(args.rollout) as rollout, gridio.RolloutFile(args.index) as training:
+        _check_same_grid(rollout, training)
+        memorize.check_windows(gridio.folded_doy(training.timestamps),
+                               gridio.folded_doy(rollout.timestamps), args.window_days)
         index = memorize.build_index(training, variables)
         results = memorize.memorization_series(rollout, index, window_days=args.window_days)
     _write_csv(args.output, _manifest(args, {"rollout": rollout, "index": training}),

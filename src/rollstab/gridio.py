@@ -37,9 +37,9 @@ EARTH_RADIUS_KM = 6371.0
 
 _MAGIC = b"RGF1"
 _F32_MAX = float(np.finfo(np.float32).max)
-# bytes of one block of a walk and a float64 copy of one of its variables, so
-# the working set of a pass grows with neither the horizon nor the variables
-BLOCK_BYTES = 32 << 20
+# float32 bytes of one block of a walk, so the working set of a pass grows
+# with neither the horizon nor the variables
+BLOCK_BYTES = 4 << 20
 # float64 bytes a per-block reduction works on at once, so they stay in cache
 TILE_BYTES = 1 << 20
 
@@ -134,11 +134,14 @@ class GridSpec:
                 "earth_radius_km": float(self.earth_radius_km)}
 
     def same_geometry(self, other: "GridSpec") -> bool:
+        """Same cells on the same sphere: lats, lons and radius, which sets
+        the wavelength 2πR/k of each zonal wavenumber."""
         return (
             self.n_lat == other.n_lat
             and self.n_lon == other.n_lon
             and np.allclose(self.lats, other.lats)
             and np.allclose(self.lons, other.lons)
+            and self.earth_radius_km == other.earth_radius_km
         )
 
 
@@ -440,12 +443,12 @@ class IncompleteFieldError(ValueError):
 
 
 def block_rows(source: RolloutSeries | RolloutFile) -> int:
-    """Time steps per block of a walk over ``source``'s whole frames: the
-    float32 block and room for a float64 copy of one of its variables (which
-    no reduction makes: they work in :func:`tile_rows` tiles) fit in
-    BLOCK_BYTES together, whatever the number of variables."""
-    cells = source.grid.n_lat * source.grid.n_lon
-    return max(1, BLOCK_BYTES // (cells * (4 * len(source.variables) + 8)))
+    """Time steps per block of a walk over ``source``: the most whole float32
+    frames, of every variable, that fit in BLOCK_BYTES, and at least one.
+    Every reduction works in :func:`tile_rows` tiles, so a block only needs
+    a few of them to spread a walk's costs per block."""
+    frame = 4 * len(source.variables) * source.grid.n_lat * source.grid.n_lon
+    return max(1, BLOCK_BYTES // frame)
 
 
 def tile_rows(values: int) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Iterator
 
 import numpy as np
 
@@ -29,19 +30,22 @@ class TooFewCandidatesError(PreconditionError):
 
 @dataclass
 class NeighborIndex:
-    """Standardized, latitude-weighted, flattened training snapshots."""
+    """Standardized, latitude-weighted, flattened training snapshots: held in
+    ``vectors`` for an index in memory, or read again from the file
+    ``source`` a tile at a time by :meth:`tiles`."""
 
-    vectors: np.ndarray  # (n_snapshots, dim) float32
     doys: np.ndarray  # folded days of year, 1..365
     ids: tuple[str, ...]
     variables: tuple[str, ...]
     stats: dict[str, tuple[float, float]]
     sqrt_weights: np.ndarray  # (n_lat, n_lon)
     grid: GridSpec  # the training grid
+    vectors: np.ndarray | None = None  # (n_snapshots, dim) float32
+    source: RolloutFile | None = None
 
     def embed(self, fields: np.ndarray) -> np.ndarray:
         """Standardize and weight one (n_var, lat, lon) sample (same path as
-        the stored snapshots, so identical copies match exactly)."""
+        the snapshots, so identical copies match exactly)."""
         fields = np.array(fields, dtype=np.float32)
         if fields.shape != (len(self.variables), *self.sqrt_weights.shape):
             raise ValueError("sample shape does not match the index variables/grid")
@@ -57,31 +61,49 @@ class NeighborIndex:
             x[..., vi, :, :] *= self.sqrt_weights
         return x
 
+    def tiles(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The snapshots, standardized, as (index of the first, float32
+        (rows, dim) array) pairs of a :func:`~rollstab.gridio.tile_rows` tile
+        each: views of ``vectors``, or one scratch array refilled from a
+        :func:`~rollstab.gridio.walk` of ``source`` and valid until the next
+        tile is taken."""
+        tile = tile_rows(len(self.variables) * self.sqrt_weights.size)
+        if self.vectors is not None:
+            for lo in range(0, len(self.vectors), tile):
+                yield lo, self.vectors[lo:lo + tile]
+            return
+        cols = [self.source.index_of(v) for v in self.variables]
+        scratch = np.empty((tile, len(cols), *self.sqrt_weights.shape), dtype=np.float32)
+        s = 0
+        with closing(walk(self.source, self.variables)) as blocks:
+            for block in blocks:
+                for lo in range(0, len(block), tile):
+                    x = scratch[:len(block) - lo]
+                    for j, i in enumerate(cols):
+                        x[:, j] = block[lo:lo + len(x), i]
+                    yield s + lo, self._standardize(x).reshape(len(x), -1)
+                s += len(block)
+
 
 def build_index(training: RolloutSeries | RolloutFile, variables=None) -> NeighborIndex:
-    """Index every timestep of the training series in one walk, which copies
-    its frames into the float32 array that, standardized in place, is ``vectors``."""
+    """Index every timestep of the training series. Its stats take one walk,
+    :func:`~rollstab.perturb.pooled_stats`, which hashes a file. A file's
+    snapshots are not held: :meth:`NeighborIndex.tiles` reads them again.
+    A series in memory is copied into ``vectors``, standardized in place."""
     variables = tuple(variables) if variables else training.variables
-    grid, ts = training.grid, training.timestamps
-    cols = [training.index_of(v) for v in variables]
-    x = np.empty((training.n_time, len(cols), grid.n_lat, grid.n_lon), dtype=np.float32)
-    s = 0
-    for block in walk(training, variables):
-        for j, i in enumerate(cols):
-            x[s : s + len(block), j] = block[:, i]
-        s += len(block)
-    block = None  # a view of the walk's buffer, freed before the stats walk
     idx = NeighborIndex(
-        vectors=x.reshape(len(x), -1),
-        doys=folded_doy(ts),
-        ids=tuple(str(t) for t in ts),
+        doys=folded_doy(training.timestamps),
+        ids=tuple(str(t) for t in training.timestamps),
         variables=variables,
-        stats=pooled_stats(RolloutSeries(grid=grid, variables=variables, data=x,
-                                         start_time=training.start_time), variables),
-        sqrt_weights=np.sqrt(cell_weights(grid)).astype(np.float32),
-        grid=grid,
+        stats=pooled_stats(training, variables),
+        sqrt_weights=np.sqrt(cell_weights(training.grid)).astype(np.float32),
+        grid=training.grid,
     )
-    idx._standardize(x)
+    if isinstance(training, RolloutFile):
+        idx.source = training
+    else:
+        x = training.data[:, [training.index_of(v) for v in variables]]
+        idx.vectors = idx._standardize(x).reshape(len(x), -1)
     return idx
 
 
@@ -103,68 +125,48 @@ class DistanceRatio:
         return self.ratio <= MEMORIZED_THRESHOLD
 
 
-def _window(index: NeighborIndex, doys, window_days: int) -> np.ndarray:
-    """(len(doys), n_snapshots) mask of the snapshots whose day of year lies
-    within ``window_days`` of each of ``doys`` (wrapping across the year
-    boundary); :class:`TooFewCandidatesError` names the first of ``doys`` with
-    fewer than two."""
-    mask = _circular_doy_distance(index.doys, np.asarray(doys)[:, None]) <= window_days
-    for doy, n in zip(doys, mask.sum(axis=1)):
-        if n < 2:
-            raise TooFewCandidatesError(
-                f"only {n} training snapshots within {window_days} days of "
-                f"day-of-year {doy}; need at least 2"
-            )
-    return mask
-
-
-def _nearest_two(e: np.ndarray, cand: np.ndarray, index: NeighborIndex) -> DistanceRatio:
-    """The first and second of the snapshots ``cand`` by distance
-    to the embedded sample ``e``, then by snapshot index: the float64
-    difference to a :func:`~rollstab.gridio.tile_rows` tile of them at a time,
-    whose squares are summed per snapshot and square-rooted."""
-    tile = tile_rows(index.vectors.shape[1])
-    dists = np.empty(cand.size)
-    for lo in range(0, cand.size, tile):
-        diff = index.vectors[cand[lo:lo + tile]].astype(np.float64)
-        diff -= e
-        dists[lo:lo + tile] = np.square(diff, out=diff).sum(axis=1)
-    np.sqrt(dists, out=dists)
-    order = np.lexsort((cand, dists))  # distance, then snapshot index for ties
-    i1, i2 = cand[order[0]], cand[order[1]]
-    d1, d2 = float(dists[order[0]]), float(dists[order[1]])
-    ratio = 0.0 if d1 == 0.0 else (float("inf") if d2 == 0.0 else d1 / d2)
-    return DistanceRatio(ratio=ratio, d1=d1, d2=d2,
-                         first_id=index.ids[i1], second_id=index.ids[i2])
+def check_windows(index_doys: np.ndarray, doys, window_days: int) -> None:
+    """:class:`TooFewCandidatesError` naming the first of ``doys`` with fewer
+    than two of ``index_doys`` within ``window_days`` of it (wrapping across
+    the year boundary). Days of year are all it needs, so it comes before
+    any walk."""
+    days = np.arange(1, 366)
+    near = _circular_doy_distance(days, days[:, None]) <= window_days
+    doys = np.asarray(doys)
+    counts = (near @ np.bincount(index_doys, minlength=366)[1:])[doys - 1]
+    few = np.flatnonzero(counts < 2)
+    if few.size:
+        raise TooFewCandidatesError(
+            f"only {counts[few[0]]} training snapshots within {window_days} days of "
+            f"day-of-year {doys[few[0]]}; need at least 2"
+        )
 
 
 def distance_ratio(sample_fields: np.ndarray, sample_time: datetime,
                    index: NeighborIndex, window_days: int = 10) -> DistanceRatio:
-    """First-to-second neighbor distance ratio inside the calendar window.
-
-    Exhaustive search over candidates whose day of year lies within
-    ``window_days`` of the sample's (wrapping across the year boundary): the
-    float64 difference to every one of them, a
-    :func:`~rollstab.gridio.tile_rows` tile at a time. It is the per-sample
-    reference that :func:`memorization_series` equals byte for byte.
-    """
-    sample_doy = int(folded_doy(np.datetime64(sample_time, "s")))
-    cand = np.flatnonzero(_window(index, [sample_doy], window_days)[0])
-    return _nearest_two(index.embed(sample_fields), cand, index)
+    """First-to-second neighbor distance ratio inside the calendar window of
+    candidates whose day of year lies within ``window_days`` of the sample's
+    (wrapping across the year boundary): :func:`_search` for one sample, as
+    :func:`memorization_series` scores each of a rollout's."""
+    doys = folded_doy(np.array([sample_time], dtype="datetime64[s]"))
+    check_windows(index.doys, doys, window_days)
+    return _search(index, index.embed(sample_fields)[None], doys, window_days)[0]
 
 
-def _shortlist(e: np.ndarray, inside: np.ndarray, index: NeighborIndex) -> list[np.ndarray]:
-    """Per embedded sample (a row of ``e``), the in-window snapshots (a row of
-    the mask ``inside``) that can be its first or second neighbor.
+def _shortlist(e: np.ndarray, x: np.ndarray, inside: np.ndarray,
+               upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of a tile of float64 snapshots ``x``, those in each embedded sample's
+    window (a row of float32 ``e`` and of the mask ``inside``) that can still
+    be its first or second neighbor; and ``upper``, each sample's two
+    smallest D + B so far, updated with the tile's.
 
-    One float64 matrix product of the samples against a
-    :func:`~rollstab.gridio.tile_rows` tile of the union of their candidates
-    at a time estimates every squared distance as
-    D = fl(fl(‖e‖² + ‖x‖²) − 2·fl(e·x)). A snapshot is kept unless its
-    D − B exceeds the second smallest D + B of the sample's window, where
+    One float64 matrix product of the samples against the tile estimates
+    every squared distance as D = fl(fl(‖e‖² + ‖x‖²) − 2·fl(e·x)). A snapshot
+    is kept unless its D − B exceeds the second smallest D + B of the
+    sample's window so far, this tile included, where
     B = (4n + 18)·ε·(‖e‖² + ‖x‖²), n the vector length and ε = 2u = 2⁻⁵². The
     kept snapshots include the first two by (distance, snapshot index) of
-    :func:`_nearest_two`, which re-checks them.
+    the exact search, which :func:`_search` re-checks.
 
     Why (γₖ = ku/(1 − ku); Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., §2.2 and §3.1): the vectors are float32, so no
@@ -173,7 +175,7 @@ def _shortlist(e: np.ndarray, inside: np.ndarray, index: NeighborIndex) -> list[
     any order, so in any BLAS's, is within γₖ₋₁ of the sum of their
     magnitudes. Let M = ‖e‖² + ‖x‖² and δ² = ‖x − e‖², exact.
 
-    1. The value :func:`_nearest_two` computes, d², sums the terms
+    1. The exact re-check's value, d², sums the terms
        fl(fl(xᵢ − eᵢ)²) = (xᵢ − eᵢ)²(1 + θᵢ), |θᵢ| ≤ γ₃, so
        |d² − δ²| ≤ γₙ₊₂·δ² ≤ 2γₙ₊₂·M, as δ² ≤ 2M.
     2. The norms are within γₙ of ‖e‖² and ‖x‖², and the product within
@@ -189,57 +191,94 @@ def _shortlist(e: np.ndarray, inside: np.ndarray, index: NeighborIndex) -> list[
     D − βM at most the second smallest d² of the window, which is at most the
     second smallest D + βM, since D + βM ≥ d² for every snapshot. B is twice
     βM to first order, and the excess covers the rounding of M, of B itself
-    and of D ± B for any n below 10¹². A NaN estimate, from an infinite
-    embedded value, is kept.
+    and of D ± B for any n below 10¹². The second smallest D + B over the
+    tiles seen so far is never below the one over the whole window, as the
+    tiles seen are part of it: a snapshot kept by the whole window's value
+    is kept by the running one. A NaN estimate, from an infinite embedded
+    value, is kept.
     """
-    cand = np.flatnonzero(inside.any(axis=0))
     e64 = e.astype(np.float64)
-    norms_e = np.einsum("ij,ij->i", e64, e64)[:, None]
-    est = np.empty((len(e), cand.size))
-    bound = np.empty_like(est)
-    tile = tile_rows(e.shape[1])
-    for lo in range(0, cand.size, tile):
-        x = index.vectors[cand[lo:lo + tile]].astype(np.float64)
-        bound[:, lo:lo + tile] = norms_e + np.einsum("ij,ij->i", x, x)
-        est[:, lo:lo + tile] = bound[:, lo:lo + tile] - 2 * (e64 @ x.T)
+    bound = np.einsum("ij,ij->i", e64, e64)[:, None] + np.einsum("ij,ij->i", x, x)
+    est = bound - 2 * (e64 @ x.T)
     bound *= (4 * e.shape[1] + 18) * np.finfo(np.float64).eps
-    inside = inside[:, cand]
-    second = np.partition(np.where(inside, est + bound, np.inf), 1, axis=1)[:, 1:2]
-    keep = inside & ~(est - bound > second)
-    return [cand[k] for k in keep]
+    upper = np.partition(np.concatenate([upper, np.where(inside, est + bound, np.inf)], axis=1),
+                         1, axis=1)[:, :2]
+    return inside & ~(est - bound > upper[:, 1:]), upper
+
+
+def _search(index: NeighborIndex, e: np.ndarray, doys: np.ndarray,
+            window_days: int) -> list[DistanceRatio]:
+    """The first and second neighbor, by distance and then snapshot index,
+    of each embedded sample (a row of float32 ``e``, on day of year ``doys``)
+    among the snapshots within ``window_days`` of its day, in one pass over
+    :meth:`NeighborIndex.tiles`.
+
+    The samples whose windows meet a tile are taken a
+    :func:`~rollstab.gridio.tile_rows` tile at a time. :func:`_shortlist`
+    keeps the snapshots that can still be their first or second neighbor,
+    and while the tile is held those are re-checked exactly: the float64
+    difference to at most a tile of (sample, snapshot) pairs at a time,
+    squared, summed per pair and square-rooted, then ordered with the
+    sample's two nearest so far. It all runs on the calling thread, whose
+    matrix products use numpy's BLAS threads."""
+    none = len(index.ids)  # the snapshot index of an empty place, after every other
+    dist, near = np.full((len(e), 2), np.nan), np.full((len(e), 2), none)
+    upper = np.full((len(e), 2), np.inf)
+    tile = tile_rows(e.shape[1])
+    with closing(index.tiles()) as tiles:
+        for first, x in tiles:
+            ids = first + np.arange(len(x))
+            inside = _circular_doy_distance(index.doys[ids], doys[:, None]) <= window_days
+            samples = np.flatnonzero(inside.any(axis=1))
+            if not samples.size:
+                continue
+            x64 = x.astype(np.float64)
+            for lo in range(0, samples.size, tile):
+                at = samples[lo:lo + tile]
+                keep, upper[at] = _shortlist(e[at], x64, inside[at], upper[at])
+                d = np.full(keep.shape, np.nan)
+                rows, cols = np.nonzero(keep)
+                for a in range(0, rows.size, tile):
+                    r, c = rows[a:a + tile], cols[a:a + tile]
+                    diff = x[c].astype(np.float64)
+                    diff -= e[at[r]]
+                    d[r, c] = np.square(diff, out=diff).sum(axis=1)
+                d = np.concatenate([dist[at], np.sqrt(d, out=d)], axis=1)
+                i = np.concatenate([near[at], np.where(keep, ids, none)], axis=1)
+                top = np.lexsort((i, d), axis=1)[:, :2]
+                dist[at], near[at] = np.take_along_axis(d, top, 1), np.take_along_axis(i, top, 1)
+    out = []
+    for (d1, d2), (i1, i2) in zip(dist.tolist(), near.tolist()):
+        ratio = 0.0 if d1 == 0.0 else (float("inf") if d2 == 0.0 else d1 / d2)
+        out.append(DistanceRatio(ratio=ratio, d1=d1, d2=d2,
+                                 first_id=index.ids[i1], second_id=index.ids[i2]))
+    return out
 
 
 def memorization_series(rollout: RolloutSeries | RolloutFile, index: NeighborIndex,
                         window_days: int = 10) -> list[DistanceRatio]:
-    """Distance ratio of every rollout timestep against the index, scored in
-    one walk of the rollout, which must lie on the index's grid; each result
-    equals :func:`distance_ratio`'s, byte for byte.
+    """Distance ratio of every rollout timestep against the index; each result
+    equals :func:`distance_ratio`'s, byte for byte. The rollout must lie on
+    the index's grid, and each step's window must hold two snapshots, which
+    is checked first.
 
-    A block's frames are embedded and scored in groups of consecutive steps
-    whose days of year lie within ``window_days`` of the group's first, so
-    their windows overlap, at most a :func:`~rollstab.gridio.tile_rows` tile
-    of them. :func:`_shortlist` keeps the snapshots that can be a step's first
-    or second neighbor, and :func:`_nearest_two` re-checks those. It all runs
-    on the calling thread, whose matrix products use numpy's BLAS threads."""
+    One walk of the rollout embeds all its steps into one float32
+    (n_steps, dim) array, and :func:`_search` scores them all in one more
+    pass over the index. So the index is never held whole: a file's is read
+    a tile at a time, and the memory is the rollout's embedding, one block
+    and a few tiles, whatever the index's length."""
     if not rollout.grid.same_geometry(index.grid):
         raise ValueError("rollout and index grids differ")
-    cols = [rollout.index_of(v) for v in index.variables]
     doys = folded_doy(rollout.timestamps)
-    group = tile_rows(index.vectors.shape[1])
-    out = []
+    check_windows(index.doys, doys, window_days)
+    cols = [rollout.index_of(v) for v in index.variables]
+    e = np.empty((rollout.n_time, len(cols), *index.sqrt_weights.shape), dtype=np.float32)
+    s = 0
     # on any exit, a file walk's hashing thread ends here
     with closing(walk(rollout, index.variables)) as blocks:
         for block in blocks:
-            s = 0
-            while s < len(block):
-                t = len(out)
-                near = _circular_doy_distance(doys[t:t + min(group, len(block) - s)],
-                                              doys[t]) <= window_days
-                g = near.size if near.all() else int(near.argmin())
-                inside = _window(index, doys[t:t + g], window_days)
-                x = np.asarray(block[s:s + g, cols], dtype=np.float32)
-                e = index._standardize(x).reshape(g, -1)
-                out.extend(_nearest_two(row, kept, index)
-                           for row, kept in zip(e, _shortlist(e, inside, index)))
-                s += g
-    return out
+            for j, i in enumerate(cols):
+                e[s:s + len(block), j] = block[:, i]
+            index._standardize(e[s:s + len(block)])
+            s += len(block)
+    return _search(index, e.reshape(len(e), -1), doys, window_days)

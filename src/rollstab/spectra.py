@@ -227,10 +227,11 @@ def scan(source: RolloutSeries | RolloutFile, variables, spectra: str | None = "
     past their block.
 
     ``source`` is an in-memory series or an open :class:`RolloutFile`. The pass
-    is a :func:`~rollstab.gridio.walk`, whose blocks of whole frames stay within
-    ``gridio.BLOCK_BYTES`` however many variables a frame holds, so no whole
-    field is held, and a file's digest is complete once the pass returns. The
-    walk stops at the first block where one of ``variables`` holds a fill cell.
+    is a :func:`~rollstab.gridio.walk`, whose blocks of whole frames
+    :func:`~rollstab.gridio.block_rows` sizes however many variables a frame
+    holds, so no whole field is held, and a file's digest is complete once
+    the pass returns. The walk stops at the first block where one of
+    ``variables`` holds a fill cell.
     A block is read at once, but its spectra are taken in tiles of
     :func:`~rollstab.gridio.tile_rows` steps, on a pool of :func:`thread_count`
     workers that lives only as long as the pass, into one block-sized buffer.

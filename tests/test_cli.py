@@ -596,7 +596,7 @@ class TestPerturbCommand:
         for n in (1500, 3000):
             write_rollout(make_series(grid, rng.standard_normal((n, 1, 8, 64))),
                           tmp_path / f"ref{n}.rgf")
-        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 100 * 512 * 12)  # 100 steps a block
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 100 * 512 * 4)  # 100 steps a block
 
         def peak(stats_steps, steps):
             tracemalloc.start()
@@ -715,7 +715,7 @@ class TestExtremesCommand:
         regions = tmp_path / "regions.json"
         regions.write_text(json.dumps([{"name": "box", "lat_min": 30, "lat_max": 60,
                                         "lon_min": -20, "lon_max": 40}]))
-        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 64 * 32 * 64 * 12)
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 64 * 32 * 64 * 4)
         tracemalloc.start()
         try:
             assert run_cli("extremes", "--input", path, "--reference", path,
@@ -841,7 +841,7 @@ class TestExtremesStreamed:
         grid = rollstab.read_rollout(synth_files["pred"]).grid
         step = 4 * sum(rollstab.region_mask(grid, r)[1]
                        for r in rollstab.builtin_regions().values())  # pool bytes
-        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 100 * grid.n_lat * grid.n_lon * 12)
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 100 * grid.n_lat * grid.n_lon * 4)
 
         def peak(model, reference):
             tracemalloc.start()
@@ -1344,7 +1344,7 @@ class TestThreadCountByteStable:
         regions = tmp_path / "regions.json"
         regions.write_text(json.dumps([{"name": "across_0", "lat_min": 20, "lat_max": 70,
                                         "lon_min": -30, "lon_max": 40}]))
-        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 12)  # 50 steps
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 4)  # 50 steps
         out = tmp_path / "out"
         runs = [
             ["extremes", "--input", pred, "--reference", ref, "--variable", "T2m",
@@ -1372,7 +1372,7 @@ class TestThreadCountByteStable:
                                                         monkeypatch):
         """ROLLOUT_STAB_THREADS sizes memorize's scoring pool too; the ratios
         are the same bytes whatever its size."""
-        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 12)  # 50 steps
+        monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 4)  # 50 steps
         out = tmp_path / "ratios.csv"
         outputs = []
         for threads in (None, "1", "3"):
@@ -1929,6 +1929,10 @@ class TestReferenceGrids:
         write_rollout(RolloutSeries(grid=GridSpec(lats=r.grid.lats[::-1], lons=r.grid.lons),
                                     variables=r.variables, start_time=r.start_time,
                                     data=r.data[:, :, ::-1]), d / "flipped.rgf")
+        write_rollout(RolloutSeries(grid=GridSpec(lats=r.grid.lats, lons=r.grid.lons,
+                                                  earth_radius_km=3000.0),
+                                    variables=r.variables, start_time=r.start_time,
+                                    data=r.data), d / "radius.rgf")
         return d
 
     @pytest.mark.parametrize("reference, described", [
@@ -1944,7 +1948,25 @@ class TestReferenceGrids:
         assert run_cli(command, *inputs, "--reference", ref, "-o", out) == 2
         assert capsys.readouterr().err == (
             f"rollstab: {run} and {ref} lie on different grids: "
-            f"4x384 (lats 90 to -90, lons from 0) and {described}\n")
+            f"4x384 (lats 90 to -90, lons from 0, radius 6371 km) and "
+            f"{described[:-1]}, radius 6371 km)\n")
+        assert not out.exists() and entered == []
+
+    @pytest.mark.parametrize("command", ["report", "seasonality", "smallscale", "cycle-rmse",
+                                         "memorize"])
+    def test_another_radius_exit_2_before_a_walk(self, tmp_path, grids, capsys, entered,
+                                                 command):
+        """The bands are 2πR/k, so a reference that differs from the run only
+        in its radius lies on another grid."""
+        run, ref, out = grids / "run.rgf", grids / "radius.rgf", tmp_path / "out.json"
+        argv = {"report": ["--prediction", run, "--reference", ref],
+                "memorize": ["--rollout", run, "--index", ref]}.get(
+            command, ["--input", run, "--reference", ref, "--variable", "T2m"])
+        assert run_cli(command, *argv, "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: {run} and {ref} lie on different grids: "
+            "4x384 (lats 90 to -90, lons from 0, radius 6371 km) and "
+            "4x384 (lats 90 to -90, lons from 0, radius 3000 km)\n")
         assert not out.exists() and entered == []
 
 
@@ -1972,8 +1994,60 @@ class TestMemorizeGrids:
         out.unlink()
         assert run_cli("memorize", "--rollout", tmp_path / "flipped.rgf",
                        "--index", tmp_path / "train.rgf", "-o", out) == 2
-        assert capsys.readouterr().err == "rollstab: rollout and index grids differ\n"
+        assert capsys.readouterr().err == (
+            f"rollstab: {tmp_path / 'flipped.rgf'} and {tmp_path / 'train.rgf'} lie on "
+            "different grids: 8x16 (lats -90 to 90, lons from 0, radius 6371 km) and "
+            "8x16 (lats 90 to -90, lons from 0, radius 6371 km)\n")
         assert not out.exists()
+
+
+class TestMemorizeWalks:
+    """``memorize`` checks the grids and every step's window from the headers,
+    then walks the index for its stats, the rollout to embed it, and the
+    index again to score it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(22)
+        grid = GridSpec.regular(8, 16)
+        for name, start, days in (("train", datetime(1990, 1, 1), 60),
+                                  ("roll", datetime(1991, 1, 20), 10),
+                                  ("late", datetime(1991, 2, 1), 60)):
+            write_rollout(make_series(grid, rng.standard_normal((days, 1, 8, 16)),
+                                      start=start, step_seconds=86400),
+                          tmp_path / f"{name}.rgf")
+        write_rollout(make_series(GridSpec.regular(8, 32), rng.standard_normal((10, 1, 8, 32)),
+                                  start=datetime(1991, 1, 20), step_seconds=86400),
+                      tmp_path / "wide.rgf")
+        return tmp_path
+
+    def test_index_walked_twice_and_rollout_once(self, files, entered):
+        out = files / "ratios.csv"
+        assert run_cli("memorize", "--rollout", files / "roll.rgf", "--index",
+                       files / "train.rgf", "-o", out) == 0
+        assert entered == [files / "train.rgf", files / "roll.rgf", files / "train.rgf"]
+        assert len([l for l in out.read_text().splitlines() if not l.startswith("#")]) == 11
+
+    def test_another_grid_exit_2_before_a_walk(self, files, entered, capsys):
+        out = files / "ratios.csv"
+        assert run_cli("memorize", "--rollout", files / "wide.rgf", "--index",
+                       files / "train.rgf", "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"rollstab: {files / 'wide.rgf'} and {files / 'train.rgf'} lie on different "
+            "grids: 8x32 (lats 90 to -90, lons from 0, radius 6371 km) and "
+            "8x16 (lats 90 to -90, lons from 0, radius 6371 km)\n")
+        assert not out.exists() and entered == []
+
+    def test_too_few_candidates_exit_3_before_a_walk(self, files, entered, capsys):
+        """The index holds Jan 1 to Mar 1; Mar 11, day of year 70, is the first
+        rollout day with one snapshot within 10 days."""
+        out = files / "ratios.csv"
+        assert run_cli("memorize", "--rollout", files / "late.rgf", "--index",
+                       files / "train.rgf", "-o", out) == 3
+        assert capsys.readouterr().err == (
+            "rollstab: precondition not met: only 1 training snapshots within 10 days of "
+            "day-of-year 70; need at least 2\n")
+        assert not out.exists() and entered == []
 
 
 class TestCycleRmseIncompleteInputs:

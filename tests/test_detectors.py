@@ -483,7 +483,7 @@ class TestBuildReport:
         write_rollout(pred, tmp_path / "pred.rgf")
         write_rollout(ref, tmp_path / "ref.rgf")
         # 10 rows per block: 101 and 731 steps leave a 1-row tail block
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 16)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 8)
         with RolloutFile(tmp_path / "pred.rgf") as p, RolloutFile(tmp_path / "ref.rgf") as r:
             from_file = build_report(p, r, name="two")
         assert from_file == in_memory
@@ -500,7 +500,7 @@ class TestBuildReport:
             return make_series(grid, data, step_seconds=86400)
 
         write_rollout(rollout(730), tmp_path / "ref.rgf")
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 64 * 128 * 64 * 12)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 64 * 128 * 64 * 4)
         peaks = []
         for days in (730, 1460):  # a 24 MB, then a 48 MB prediction
             write_rollout(rollout(days), tmp_path / "pred.rgf")
@@ -567,7 +567,7 @@ class TestSeasonalCycleRmseWalked:
         want = whole_array_cycle_rmse(a, b, v)
         cells = grid.n_lat * grid.n_lon
         # a ragged last block, for block_rows that do not divide the horizon
-        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * cells * (2 * 4 + 8)), \
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * cells * 2 * 4), \
                 tempfile.TemporaryDirectory() as d:
             assert gridio.block_rows(a) == block_rows
             write_rollout(a, Path(d) / "a.rgf")
@@ -584,7 +584,7 @@ class TestSeasonalCycleRmseWalked:
         whole-array formula held per input (11.2 MB here)."""
         grid = GridSpec.regular(16, 60)
         cells = grid.n_lat * grid.n_lon
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 50 * cells * (4 + 8))  # 50 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 50 * cells * 4)  # 50 steps a block
         peaks = []
         for years in (1, 2):
             p = tmp_path / f"{years}.rgf"

@@ -147,7 +147,7 @@ class TestRegionalScanProperties:
         data = np.random.default_rng(seed).standard_normal((n_time, 1, n_lat, n_lon))
         r = make_series(grid, np.round(data, 1))  # rounding makes ties
         values = r.values("T2m")
-        block_bytes = block_rows * n_lat * n_lon * 12
+        block_bytes = block_rows * n_lat * n_lon * 4
         with mock.patch.object(gridio, "BLOCK_BYTES", block_bytes), \
                 tempfile.TemporaryDirectory() as d:
             if via_file:

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestRolloutSeries:
         """Building a series and walking a variable that must be complete scan
         the values without a boolean temporary (4 MB for this 16 MB payload)."""
         data = np.random.default_rng(0).standard_normal((64, 2, 128, 256)).astype(np.float32)
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 128 * 256 * 16)  # 16 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 128 * 256 * 8)  # 16 steps a block
         tracemalloc.start()
         try:
             r = RolloutSeries(grid=GridSpec.regular(128, 256), variables=("a", "b"),
@@ -640,6 +641,32 @@ def test_only_gridio_reads_tile_bytes():
     readers = [p.name for p in sorted(src.glob("*.py"))
                if p.name != "gridio.py" and "TILE_BYTES" in p.read_text()]
     assert readers == []
+
+
+def test_only_gridio_reads_block_bytes():
+    """Every walk sizes its blocks by ``block_rows``, so no other module of
+    the package names ``BLOCK_BYTES``."""
+    src = Path(gridio.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "gridio.py" and "BLOCK_BYTES" in p.read_text()]
+    assert readers == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_lat=st.integers(1, 1100), n_lon=st.integers(1, 1500), n_var=st.integers(1, 8))
+@example(n_lat=721, n_lon=1440, n_var=1)  # 0.25 degrees: a 4.15 MB frame
+@example(n_lat=121, n_lon=240, n_var=1)
+@example(n_lat=16, n_lon=240, n_var=4)
+def test_block_rows(n_lat, n_lon, n_var):
+    """As many whole float32 frames, of every variable, as fit in
+    BLOCK_BYTES, and one frame where a single frame is larger."""
+    source = SimpleNamespace(grid=GridSpec.regular(n_lat, n_lon),
+                             variables=tuple(f"v{i}" for i in range(n_var)))
+    rows, frame = gridio.block_rows(source), 4 * n_var * n_lat * n_lon
+    if frame > gridio.BLOCK_BYTES:
+        assert rows == 1
+    else:
+        assert rows * frame <= gridio.BLOCK_BYTES < (rows + 1) * frame
 
 
 @pytest.mark.parametrize("values, rows", [(1, 1 << 17), (8192, 16), (1 << 17, 1), (1 << 20, 1)])

@@ -149,8 +149,9 @@ class TestMemorizationSeries:
 
 
 class TestIndexWalked:
-    """The index is read in one walk into the array that becomes ``vectors``;
-    a file and the same data in memory give the same bytes, and those of
+    """A file's index holds no vectors: its stats take one walk, and each pass
+    reads its snapshots again, standardized, a tile at a time. Those bytes
+    equal the vectors of the same data indexed in memory, and those of
     embedding each snapshot on its own."""
 
     @settings(max_examples=30, deadline=None)
@@ -173,18 +174,46 @@ class TestIndexWalked:
                               data=values.astype(np.float32), step_seconds=21600,
                               fill_value=-9e30 if fill else None)
         cells = shape[0] * shape[1]
-        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * cells * (4 * n_var + 8)), \
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * cells * 4 * n_var), \
                 tempfile.TemporaryDirectory() as d:
             write_rollout(train, Path(d) / "train.rgf")
             with RolloutFile(Path(d) / "train.rgf") as f:
                 from_file = build_index(f, chosen)
+                tiles = [(first, x.copy()) for first, x in from_file.tiles()]
             in_memory = build_index(train, chosen)
-        assert from_file.vectors.tobytes() == in_memory.vectors.tobytes()
+        assert from_file.vectors is None
+        firsts, lengths = zip(*((first, len(x)) for first, x in tiles))
+        assert list(firsts) == np.cumsum((0,) + lengths[:-1]).tolist()
+        assert max(lengths) <= gridio.tile_rows(in_memory.vectors.shape[1])
+        streamed = np.concatenate([x for _, x in tiles])
+        assert streamed.tobytes() == in_memory.vectors.tobytes()
         assert from_file.stats == in_memory.stats
         assert from_file.ids == in_memory.ids and np.array_equal(from_file.doys, in_memory.doys)
         cols = [names.index(v) for v in in_memory.variables]
         one_by_one = np.stack([in_memory.embed(frame[cols]) for frame in train.data])
         assert one_by_one.tobytes() == in_memory.vectors.tobytes()
+
+    def test_peak_memory_flat_in_the_index_horizon(self, tmp_path):
+        """Doubling the index's horizon adds to memorize's traced peak far
+        less than the float32 snapshots it adds: the index is read a tile at
+        a time, never held."""
+        grid = GridSpec.regular(32, 64)  # 8 KiB of float32 a snapshot
+        rng = np.random.default_rng(15)
+        rollout = make_series(grid, rng.standard_normal((20, 1, 32, 64)),
+                              start=datetime(1991, 1, 10), step_seconds=86400)
+        peaks = []
+        for n in (512, 1024):  # 128 and 256 days of 6-hourly snapshots
+            write_rollout(make_series(grid, rng.standard_normal((n, 1, 32, 64)),
+                                      start=datetime(1990, 1, 1)), tmp_path / f"{n}.rgf")
+            with RolloutFile(tmp_path / f"{n}.rgf") as f:
+                tracemalloc.start()
+                try:
+                    memorization_series(rollout, build_index(f))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        added = 512 * 32 * 64 * 4  # 4 MiB of float32 snapshots
+        assert peaks[1] - peaks[0] < added / 20, peaks
 
 
 class TestWalksStopAtAFillCell:
@@ -207,16 +236,18 @@ class TestWalksStopAtAFillCell:
         return tmp_path / "clean.rgf", tmp_path / "holed.rgf"
 
     def test_index(self, files, monkeypatch):
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 16)  # 16 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 8)  # 16 steps a block
         threads = threading.active_count()
         with RolloutFile(files[1]) as f:
-            assert build_index(f, ("a",)).vectors.shape == (120, 128)
+            index = build_index(f, ("a",))
+            shapes = [x.shape for _, x in index.tiles()]
+            assert sum(n for n, _ in shapes) == 120 and {dim for _, dim in shapes} == {128}
             with pytest.raises(IncompleteFieldError, match="'b'"):
                 build_index(f)
         assert threading.active_count() == threads
 
     def test_rollout(self, files, monkeypatch):
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 16)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 8)
         with RolloutFile(files[0]) as f:
             index = build_index(f)
         threads = threading.active_count()
@@ -226,15 +257,15 @@ class TestWalksStopAtAFillCell:
         assert threading.active_count() == threads
 
     def test_rollout_on_another_grid(self, files):
-        with RolloutFile(files[0]) as f:
-            index = build_index(f)
         train = read_rollout(files[0])
         flipped = RolloutSeries(grid=GridSpec(lats=train.grid.lats[::-1], lons=train.grid.lons),
                                 variables=train.variables, start_time=train.start_time,
                                 data=train.data[:, :, ::-1], step_seconds=86400)
-        assert memorization_series(train, index)[5].ratio == 0.0
-        with pytest.raises(ValueError, match="rollout and index grids differ"):
-            memorization_series(flipped, index)
+        with RolloutFile(files[0]) as f:  # a file's index reads it on every pass
+            index = build_index(f)
+            assert memorization_series(train, index)[5].ratio == 0.0
+            with pytest.raises(ValueError, match="rollout and index grids differ"):
+                memorization_series(flipped, index)
 
 
 def whole_set_ratio(frame, when, index, window_days):
@@ -328,7 +359,7 @@ class TestTiledScoring:
         """Scoring stops at a step with too few candidates, or in the walk of a
         later block; the error reaches the caller, and the file walk's hashing
         thread is gone when it does."""
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 12)  # 16 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 16 * 8 * 16 * 4)  # 16 steps a block
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
         index = build_index(training_series(n_days=60))  # Jan 1 to Mar 1
         start = "1990-02-01" if ending == "too few candidates" else "1990-01-01"

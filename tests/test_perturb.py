@@ -159,7 +159,7 @@ class TestPooledStatsTiled:
         cells = grid.n_lat * grid.n_lon
         data = np.random.default_rng(4).standard_normal((256, 1, 64, 128), dtype=np.float32)
         write_rollout(make_series(grid, data), tmp_path / "r.rgf")
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 128 * cells * 12)  # 128 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 128 * cells * 4)  # 128 steps a block
         with RolloutFile(tmp_path / "r.rgf") as f:
             tracemalloc.start()
             try:

@@ -187,7 +187,7 @@ class TestSpectrumSeries:
         one_block = spectrum_series(r, "T2m")
         one_daily = spectrum_series(r, "T2m", daily=True)
         # 5 rows per block: 83 steps leave a 3-row tail block
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 5 * 16 * 384 * 12)
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 5 * 16 * 384 * 4)
         many = spectrum_series(r, "T2m")
         many_daily = spectrum_series(r, "T2m", daily=True)
         assert np.array_equal(one_block.energy, many.energy)
@@ -257,7 +257,7 @@ class TestTiledScan:
             days = times.astype("datetime64[D]")
             times = np.unique(days)
             want = np.stack([want[days == d].mean(axis=0) for d in times])
-        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * n_lat * n_lon * 12), \
+        with mock.patch.object(gridio, "BLOCK_BYTES", block_rows * n_lat * n_lon * 4), \
                 mock.patch.object(gridio, "TILE_BYTES", tile_bytes or gridio.TILE_BYTES), \
                 mock.patch.dict(os.environ, {"ROLLOUT_STAB_THREADS": str(threads)}), \
                 tempfile.TemporaryDirectory() as d:
@@ -278,7 +278,7 @@ class TestTiledScan:
         n_k, names = grid.n_lon // 2 + 1, ("a", "b", "c", "d")
         data = np.random.default_rng(0).standard_normal((480, 4, 3, 512), dtype=np.float32)
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "1")
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 60 * 3 * 512 * (4 * 4 + 8))  # 60 steps
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 60 * 3 * 512 * 4 * 4)  # 60 steps
 
         def peak(n, mode):
             r = make_series(grid, data[:n], variables=names)
@@ -307,7 +307,7 @@ class TestTiledScan:
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "2")
         peaks = []
         for rows in (64, 256):
-            monkeypatch.setattr(gridio, "BLOCK_BYTES", rows * cells * 12)
+            monkeypatch.setattr(gridio, "BLOCK_BYTES", rows * cells * 4)
             with RolloutFile(tmp_path / "r.rgf") as f:
                 tracemalloc.start()
                 try:
@@ -357,7 +357,7 @@ class TestTiledScan:
         """However a scan ends, its tile pool and its file walk's hashing
         thread are gone when it returns or raises."""
         step = 16 * 384 * 8
-        monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 16)  # 10 steps a block
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", 10 * 16 * 384 * 8)  # 10 steps a block
         monkeypatch.setattr(gridio, "TILE_BYTES", 3 * step)  # 3 steps a tile
         monkeypatch.setenv("ROLLOUT_STAB_THREADS", "3")
         transform, seen = spectra._spectra, []
