@@ -5,12 +5,14 @@ years of a reference period (365 buckets, Feb 29 folded into Feb 28).
 Thresholds are empirical percentiles of all region pixels pooled over all
 timesteps, using linear interpolation between order statistics. The pool is
 never held: :class:`PoolSelect` histograms it by key bits in one pass over
-its blocks and keeps, in a second, only the bins holding the two order
-statistics each level reads. Those are interpolated with numpy's own
-``method="linear"`` arithmetic (Hyndman & Fan 1996, definition 7), so each
-threshold equals ``np.percentile``'s bit for bit, up to the sign of a zero
-threshold in a pool that holds both signed zeros (the select ranks -0.0
-below +0.0; numpy's pick depends on the pool's order).
+its blocks and keeps, in a second, only what the bins holding the two order
+statistics each level reads need to name those ranks: 14 bits of each value
+in them, or a count of each 14-bit pattern in a bin where that is smaller.
+The order statistics are interpolated with numpy's own ``method="linear"``
+arithmetic (Hyndman & Fan 1996, definition 7), so each threshold equals
+``np.percentile``'s bit for bit, up to the sign of a zero threshold in a
+pool that holds both signed zeros (the select ranks -0.0 below +0.0;
+numpy's pick depends on the pool's order).
 """
 
 from __future__ import annotations
@@ -141,8 +143,13 @@ class ThresholdSet:
 # key bits a pool is histogrammed by: one bin is the sign, the exponent and
 # the top 9 mantissa bits of a float32, so no bin mixes finite and non-finite
 KEY_BITS = 18
-_SHIFT = 32 - KEY_BITS
+_SHIFT = 32 - KEY_BITS  # also the low key bits that name a value within its bin
+_LOW = (1 << _SHIFT) - 1
 _NON_FINITE_BINS = 1 << (KEY_BITS - 9)  # at each end: the keys of +-inf and NaNs
+# a bin of at most this many values keeps each one's low key bits, 2 bytes a
+# value; a larger one keeps a count of each of the 2**14 low keys instead, 64 KiB
+# of int32, which is then no larger
+_SMALL = 1 << (_SHIFT + 1)
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -152,28 +159,13 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return values.view(np.uint32)
 
 
-def _sort_keys(values: np.ndarray) -> np.ndarray:
-    """Order-preserving uint32 keys of float32 ``values``: the bits of a
-    non-negative value with the sign bit set, of a negative one all flipped.
-    So -0.0 sorts just below +0.0, and NaNs beyond the infinity of their sign."""
-    b = _bits(values)
-    keys = b >> 31
-    keys *= 0x7FFFFFFF
-    keys |= 0x80000000
-    keys ^= b
-    return keys
-
-
 def _values_of(keys: np.ndarray) -> np.ndarray:
-    """The float32 values of :func:`_sort_keys` keys."""
+    """The float32 values of uint32 sort keys. A value's key, which orders
+    keys as their values, is its bits with the sign bit set if it is
+    non-negative, else all its bits flipped. So -0.0 sorts just below +0.0,
+    and NaNs beyond the infinity of their sign."""
     return (keys ^ np.where(keys >> 31, 0x80000000, 0xFFFFFFFF).astype(np.uint32)).view(
         np.float32)
-
-
-def _top_bits(values: np.ndarray) -> np.ndarray:
-    """The top KEY_BITS bits of float32 ``values``, as intp indices, which
-    index an array about twice as fast as uint32 ones."""
-    return np.right_shift(_bits(values), _SHIFT, dtype=np.intp)
 
 
 class PoolChangedError(ValueError):
@@ -183,19 +175,24 @@ class PoolChangedError(ValueError):
 class PoolSelect:
     """Exact percentile thresholds of a pool seen twice, block by block: the
     bucket select of Alabi et al., "Fast k-selection algorithms for graphics
-    processing units" (ACM JEA 2012), on :func:`_sort_keys` keys.
+    processing units" (ACM JEA 2012), on the sort keys of :func:`_values_of`.
 
     :meth:`count` histograms each block by the top KEY_BITS bits of its keys.
     :meth:`plan` finds the bins that hold the two order statistics each
-    level reads, :meth:`gather` keeps the values in those bins as the same
-    blocks are seen again, and :meth:`thresholds` sorts what was kept and
-    reads each rank at its offset within its bin. Only those bins are held,
-    never the pool.
+    level reads, :meth:`gather` keeps what those bins need as the same blocks
+    are seen again, and :meth:`thresholds` reads each rank at its offset
+    within its bin. A bin's remaining 14 key bits name each of its ranks, so
+    a needed bin of at most 2**15 values keeps those bits of each value, 2
+    bytes a value, and a larger one a count of each of the 2**14 low keys,
+    64 KiB of int32, whichever is smaller. So however long the pool, a needed
+    bin holds at most 64 KiB (128 KiB once it holds 2**31 values, when the
+    counts are int64), and no value is held.
 
     A key's top bits depend only on the value's top bits, so the passes bin
     values by those and compute no keys. The bins are then in the order of
     the raw bits, non-negative values first and then negative ones from -0.0
-    down; :meth:`plan` puts them in key order.
+    down; :meth:`plan` puts them in key order. The low bits of a negative
+    value's key are its own low bits flipped, which :meth:`thresholds` undoes.
     """
 
     def __init__(self, levels):
@@ -203,7 +200,7 @@ class PoolSelect:
         for lv in self.levels:
             if not 0.0 < lv < 100.0:
                 raise ValueError(f"percentile level {lv} outside the open interval (0, 100)")
-        self._hist = np.zeros(1 << KEY_BITS, np.int32)  # by _top_bits; see count
+        self._hist = np.zeros(1 << KEY_BITS, np.int32)  # by top bits; see count
         self._n = 0
 
     def count(self, cells: np.ndarray) -> None:
@@ -216,8 +213,9 @@ class PoolSelect:
         np.add.at(self._hist, keys, self._hist.dtype.type(1))
 
     def plan(self) -> None:
-        """Between the passes: find the bins the thresholds read. This drops
-        the histogram, and needs about half its size again while it runs."""
+        """Between the passes: find the bins the thresholds read and give each
+        its slot. This drops the histogram, and needs about half its size
+        again while it runs."""
         ends = self._hist  # put in key order, then summed in place
         del self._hist
         half = ends.size // 2
@@ -241,36 +239,80 @@ class PoolSelect:
         self._bins = np.searchsorted(ends, ranks, side="right")
         # bin 0 holds only NaNs, so each bin found has a bin below it
         self._within = ranks - ends[self._bins - 1]
-        self._needed = np.unique(self._bins)
-        self._counts = ends[self._needed] - ends[self._needed - 1]
-        needed = np.zeros(ends.size, bool)
-        needed[self._needed] = True
-        self._lut = np.concatenate([needed[half:], needed[:half][::-1]])  # by _top_bits
-        self._kept = np.empty(self._counts.sum(), np.float32)
-        self._held = 0
+        needed, index = np.unique(self._bins, return_inverse=True)
+        counts = ends[needed] - ends[needed - 1]
+        # slots 1, 2, ...: the bins of at most _SMALL values, then the others,
+        # each in key order; the lookup by top bits gives a value's slot, or 0
+        small = counts <= _SMALL
+        order = np.concatenate([np.flatnonzero(small), np.flatnonzero(~small)])
+        slot = np.empty(order.size, np.intp)
+        slot[order] = np.arange(1, order.size + 1)
+        self._slot = slot[index] - 1  # each rank's, from 0
+        self._cap = counts[order]  # each slot's count in the first pass
+        self._filled = np.zeros(order.size, np.int64)
+        # the first key of each slot, then the key past the last
+        self._edges = np.arange(1, order.size + 2, dtype=np.uint32) << _SHIFT
+        s = self._n_small = int(small.sum())
+        self._start = np.cumsum(self._cap[:s]) - self._cap[:s]
+        self._low = np.empty(int(self._cap[:s].sum()), np.uint16)
+        large = self._cap[s:]
+        self._tally = np.zeros((large.size, 1 << _SHIFT),
+                               np.int64 if np.any(large > np.iinfo(np.int32).max) else np.int32)
+        raw = np.where(needed < half, ends.size - 1 - needed, needed - half)
+        # over the needed bins' span only, then a 0 for every value outside it
+        self._base = int(raw.min()) << _SHIFT
+        self._lut = np.zeros(int(raw.max() - raw.min()) + 2,
+                             np.uint16 if order.size < 1 << 16 else np.uint32)
+        self._lut[raw - raw.min()] = slot
 
     def gather(self, cells: np.ndarray) -> None:
-        """Second pass: keep the block's values that fall in a planned bin."""
-        kept = cells[self._lut[_top_bits(cells)]]
-        end = self._held + kept.size
-        if end > self._kept.size:
+        """Second pass: keep what the planned bins need of the block's values."""
+        # bits from the span's start: a value below it wraps past its end
+        bits = np.subtract(_bits(cells), self._base, dtype=np.uint32).reshape(-1)
+        # intp indices index an array about twice as fast as uint32 ones
+        at = np.right_shift(bits, _SHIFT, dtype=np.intp)
+        slots = self._lut.take(at, mode="clip")
+        at = (slots != 0).nonzero()[0]
+        # each kept value as its slot and low bits, grouped by slot
+        kept = np.left_shift(slots[at], _SHIFT, dtype=np.uint32)
+        kept |= bits[at] & _LOW
+        del bits, slots, at
+        kept.sort()
+        edges = kept.searchsorted(self._edges)
+        got = edges[1:] - edges[:-1]
+        self._filled += got
+        if (self._filled > self._cap).any():
             raise PoolChangedError("changed between passes")
-        self._kept[self._held:end] = kept
-        self._held = end
+        s = self._n_small
+        n = int(edges[s])
+        # a slot's values from this block follow those of the blocks before it
+        to = np.arange(n) + (self._start + self._filled[:s] - edges[1:s + 1]).repeat(got[:s])
+        self._low[to] = np.bitwise_and(kept[:n], _LOW, dtype=np.uint16)
+        if n < kept.size:
+            np.add.at(self._tally.reshape(-1), kept[n:] - ((s + 1) << _SHIFT),
+                      self._tally.dtype.type(1))
 
     def thresholds(self, v: str, region: str, n_time: int,
                    start_time: datetime) -> ThresholdSet:
         """After the second pass: the thresholds of region ``region``'s pool of
         variable ``v`` over ``n_time`` steps from ``start_time``."""
-        if self._held != self._kept.size:
+        if not np.array_equal(self._filled, self._cap):
             raise PoolChangedError("changed between passes")
-        keys = _sort_keys(self._kept)
-        keys.sort()
-        first = np.searchsorted(keys >> _SHIFT, self._needed.astype(np.uint32))
-        if not np.array_equal(np.diff(first, append=keys.size), self._counts):
-            raise PoolChangedError("changed between passes")
-        at = first[np.searchsorted(self._needed, self._bins)] + self._within
-        a, b = np.split(_values_of(keys[at]), 2)
+        s = self._n_small
+        for i, j in zip(self._start, self._start + self._cap[:s]):
+            self._low[i:j].sort()
+        slot = self._slot
+        # each rank's place among its bin's low bits, which run against its keys'
+        # in a negative bin
+        negative = self._bins < 1 << (KEY_BITS - 1)
+        at = np.where(negative, self._cap[slot] - 1 - self._within, self._within)
+        low = np.empty(at.size, np.uint32)
+        small = slot < s
+        low[small] = self._low[self._start[slot[small]] + at[small]]
+        for r in np.flatnonzero(~small):
+            low[r] = np.searchsorted(np.cumsum(self._tally[slot[r] - s]), at[r], side="right")
+        low[negative] ^= _LOW
+        a, b = np.split(_values_of((self._bins.astype(np.uint32) << _SHIFT) | low), 2)
         gamma = self._gamma
         # numpy's lerp: b - a is taken in float32, so it overflows as numpy's does
         diff = b - a

@@ -291,8 +291,13 @@ def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,
                       pools: dict[str, PoolSelect]) -> dict[str, ThresholdSet]:
     """Thresholds of each region's pool of variable ``v``, from the
     :class:`PoolSelect` a ``scan(..., regions=regions, levels=...)`` of
-    ``source`` counted, by a second walk of ``source`` that gathers only the
-    bins holding the ranks the levels read.
+    ``source`` counted, by a second walk of ``source`` that gathers only what
+    the bins holding the ranks the levels read need: the low 14 key bits of
+    each value in a bin of at most 2**15 values, 2 bytes a value, else a
+    64 KiB count of those bits (128 KiB from 2**31 values). So however long
+    ``source`` is, a region holds at most that for each of its at most
+    ``2 * len(levels)`` needed bins, beside a lookup of their slots and the
+    walk's one block, which is let go before the thresholds are read.
 
     The scan left a file's digest known, so this walk does not hash it. Its
     values must fall in the bins the scan counted; if they do not, the source
@@ -305,6 +310,7 @@ def pooled_thresholds(source: RolloutSeries | RolloutFile, v: str, regions,
             flat = block[:, i].reshape(block.shape[0], -1)
             for name, at in region_at.items():
                 pools[name].gather(flat[:, at])
+        block = flat = None  # views of the walk's buffer
         return {name: pools[name].thresholds(v, name, source.n_time, source.start_time)
                 for name in region_at}
     except PoolChangedError as e:

@@ -1370,8 +1370,8 @@ class TestThreadCountByteStable:
 
     def test_memorize_unset_one_and_three_threads_agree(self, tmp_path, synth_files,
                                                         monkeypatch):
-        """ROLLOUT_STAB_THREADS sizes memorize's scoring pool too; the ratios
-        are the same bytes whatever its size."""
+        """memorize sizes no pool by ROLLOUT_STAB_THREADS, which ``cli.main``
+        only checks; the ratios are the same bytes with it unset, 1 or 3."""
         monkeypatch.setattr(rollstab.gridio, "BLOCK_BYTES", 50 * 16 * 240 * 4)  # 50 steps
         out = tmp_path / "ratios.csv"
         outputs = []

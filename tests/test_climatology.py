@@ -172,6 +172,31 @@ class TestPoolSelectCounts:
         assert got.values == want.values and got.pooling == want.pooling
 
 
+class TestPoolSelectSlots:
+    def test_more_needed_bins_than_uint16_can_name(self):
+        """40,000 levels on 100,000 values, each in a bin of its own, read more
+        than 2**16 bins; the slot lookup is then uint32, not uint16, and the
+        thresholds are still ``np.percentile``'s bytes."""
+        rng = np.random.default_rng(11)
+        # the top 18 bits of finite non-zero floats of either sign, each once
+        finite = np.arange(1, 255 << 9, dtype=np.uint32)
+        tops = rng.choice(np.concatenate([finite, finite | (1 << 17)]), 100_000,
+                          replace=False)
+        pool = ((tops << 14) | rng.integers(0, 1 << 14, tops.size, dtype=np.uint32)).view(
+            np.float32)
+        levels = np.linspace(0.001, 99.999, 40_000)
+        select = PoolSelect(levels)
+        select.count(pool)
+        select.plan()
+        select.gather(pool)
+        got = select.thresholds("T2m", "r", 1, datetime(2021, 1, 1))
+        assert select._cap.size > 1 << 16 and select._lut.dtype == np.uint32
+        # np.percentile slows faster than its levels grow, so 400 at a time
+        want = np.concatenate([np.percentile(pool, part, method="linear")
+                               for part in np.array_split(got.levels, 100)])
+        assert np.array(got.values).tobytes() == want.tobytes()
+
+
 class TestPooledPercentiles:
     def test_linear_interpolation_order_statistics(self, small_grid):
         # pool of exactly 1..100 via one region row

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ from rollstab import (
     pooled_percentiles,
     qq_tails,
 )
-from rollstab import gridio, spectra
+from rollstab import climatology, gridio, spectra
 from rollstab.climatology import ThresholdSet
 from rollstab.extremes import match_windows
 from rollstab.gridio import (
@@ -92,6 +93,32 @@ def _pools():
         lambda xs: np.array(xs, dtype=np.float32))
 
 
+def _crowded_pools():
+    """float32 pools that crowd into a few bins of ``KEY_BITS`` key bits: one to
+    four bins, each the bin of a drawn value, hold 2**15 + 1 to 3 * 2**14
+    values each, drawn from 100 distinct values that differ only in their low
+    14 bits, beside up to 300 values anywhere (+-0.0 and both signs among
+    them). The sprinkled values take at most 300 ranks, fewer than the ranks
+    from P19 to P20, so some level reads a crowded bin, whose select counts
+    its values and keeps none."""
+    anywhere = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-3e38, -2.5, -1e-40, -0.0, 0.0, 1e-45, 2.5, 3e38])
+
+    def crowd(bases, sprinkled, seed):
+        rng = np.random.default_rng(seed)
+        bins = np.array(bases, np.float32).view(np.uint32) & np.uint32(0xFFFFC000)
+        groups = [np.array(sprinkled, np.float32)]
+        for b in bins:
+            distinct = (b | rng.integers(0, 1 << 14, 100, dtype=np.uint32)).view(np.float32)
+            groups.append(rng.choice(distinct, int(rng.integers(2**15 + 1, 3 * 2**14))))
+        pool = np.concatenate(groups)
+        rng.shuffle(pool)
+        return pool
+
+    return st.builds(crowd, st.lists(anywhere, min_size=1, max_size=4),
+                     st.lists(anywhere, max_size=300), st.integers(0, 2**32 - 1))
+
+
 class TestRegionalScanProperties:
     @settings(max_examples=300, deadline=None)
     @given(pool=_pools())
@@ -112,6 +139,28 @@ class TestRegionalScanProperties:
                 thr = pooled_percentiles(pool.copy()[None], "T2m", "r", EXTREMES_LEVELS,
                                          datetime(2021, 1, 1))
             except ValueError as e:  # an overflow can unorder numpy's thresholds too
+                assert "monotone" in str(e) and np.any(np.diff(want) < 0)
+                return
+        got = np.array(thr.values)
+        zero_signs = np.signbit(pool[pool == 0])
+        if zero_signs.any() and not zero_signs.all():
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool=_crowded_pools())
+    def test_counted_bins_give_numpys_bytes(self, pool):
+        """A needed bin of more than 2**15 values is kept as a count of each of
+        its 2**14 low key bits, not as its values; the thresholds read from
+        those counts are still ``np.percentile``'s bytes, with the same
+        exceptions as :meth:`test_pooled_percentiles_are_numpys_bytes`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.percentile(pool, EXTREMES_LEVELS, method="linear")
+            try:
+                thr = pooled_percentiles(pool[None], "T2m", "r", EXTREMES_LEVELS,
+                                         datetime(2021, 1, 1))
+            except ValueError as e:
                 assert "monotone" in str(e) and np.any(np.diff(want) < 0)
                 return
         got = np.array(thr.values)
@@ -177,7 +226,9 @@ class TestRegionalScanProperties:
 
     def test_changed_reference_between_passes(self, tmp_path):
         """The second walk is not hashed, so a file whose values move between
-        the walks is caught by the counts of its bins, naming the file."""
+        the walks is caught by the counts of its bins, naming the file: bins
+        whose values are kept, which lose values here, and bins whose values
+        are counted (more than 2**15 of them), which gain some."""
         grid = GridSpec.regular(8, 16)
         data = np.random.default_rng(3).standard_normal((40, 1, 8, 16))
         path = tmp_path / "r.rgf"
@@ -192,6 +243,85 @@ class TestRegionalScanProperties:
             with pytest.raises(FormatError, match=f"{re.escape(str(path))}: changed between "
                                                   "passes"):
                 spectra.pooled_thresholds(f, "T2m", regions, s.pools["T2m"])
+
+        # three values, about 43,700 of each: every bin the levels read is counted
+        counted = np.random.default_rng(4).choice(np.float32([-1.5, 0.25, 3.0]),
+                                                  (1024, 1, 8, 16))
+        path = tmp_path / "counted.rgf"
+        write_rollout(make_series(grid, counted), path)
+        with RolloutFile(path) as f:
+            s = spectra.scan(f, ("T2m",), spectra=None, regions=regions,
+                             levels=[10.0, 90.0])
+            raw = bytearray(path.read_bytes())
+            raw[-20 * 512:] = np.full(20 * 128, 3.0, np.float32).tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=f"{re.escape(str(path))}: changed between "
+                                                  "passes"):
+                spectra.pooled_thresholds(f, "T2m", regions, s.pools["T2m"])
+
+
+class TestSecondWalkMemory:
+    """What ``pooled_thresholds`` adds to the traced memory the plans hold,
+    walking a file of 16x32 frames in 64 KiB blocks (32 steps)."""
+
+    BLOCK = 64 << 10
+
+    def _traced(self, tmp_path, monkeypatch, data, region):
+        """Traced bytes before the first walk, after it (the plans and the
+        scan's results), at the second walk's peak, and when the thresholds
+        are first read."""
+        monkeypatch.setattr(gridio, "BLOCK_BYTES", self.BLOCK)
+        path = tmp_path / f"r{data.shape[0]}.rgf"
+        write_rollout(make_series(GridSpec.regular(16, 32), data), path)
+        at_read = []
+        read = climatology.PoolSelect.thresholds
+
+        def traced_read(select, *args):
+            at_read.append(tracemalloc.get_traced_memory()[0])
+            return read(select, *args)
+
+        monkeypatch.setattr(climatology.PoolSelect, "thresholds", traced_read)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with RolloutFile(path) as f:
+                s = spectra.scan(f, ("T2m",), spectra=None, regions=[region],
+                                 levels=EXTREMES_LEVELS)
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                spectra.pooled_thresholds(f, "T2m", [region], s.pools["T2m"])
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return start, held, peak, at_read[0]
+
+    def test_one_block_beside_the_kept_state(self, tmp_path, monkeypatch):
+        """Above the kept state, the second walk's peak is its one block, one
+        gather's temporaries (at most 48 bytes a region cell of a block) and
+        16 KiB, and the block is let go before the thresholds are read. The
+        pool is 81,920 values in five bins of about 16,400, which keep their
+        values: a copy of them, or the walk's buffer held into the reads,
+        goes past either bound."""
+        data = np.random.default_rng(5).choice(np.float32([-2.0, -0.5, 0.0, 1.0, 4.0]),
+                                               (1280, 1, 16, 32))
+        cap = RegionSpec("cap", 70.0, 90.0, 0.0, 360.0)  # the two northern rows, 64 cells
+        _, held, peak, at_read = self._traced(tmp_path, monkeypatch, data, cap)
+        cells = self.BLOCK // (16 * 32 * 4) * 64
+        assert peak - held <= self.BLOCK + 48 * cells + (16 << 10)
+        assert at_read - held < self.BLOCK // 2
+
+    def test_flat_in_the_horizon_where_bins_are_counted(self, tmp_path, monkeypatch):
+        """A pool crowded into bins of more than 2**15 values is counted, not
+        kept. Doubling the horizon from 400 to 800 steps (204,800 to 409,600
+        values in three bins) grows the second walk's peak, plans included,
+        by less than 16 KiB; the scan's extremes add 8 bytes a step."""
+        peaks = []
+        for n_time in (400, 800):
+            data = np.random.default_rng(6).choice(np.float32([-1.5, 0.25, 3.0]),
+                                                   (n_time, 1, 16, 32))
+            start, _, peak, _ = self._traced(tmp_path, monkeypatch, data, GLOBE)
+            peaks.append(peak - start)
+        assert peaks[1] - peaks[0] < 16 << 10
 
 
 class TestEventSeries:
